@@ -138,9 +138,12 @@ def _cmd_fit_predict(args) -> int:
         hx, hy, _ = read_dataset(args.holdout, args.kind)
         if hx is None:
             raise SchemaError(f"{args.holdout}: holdout file has no covariate columns")
+        if hx.shape[1] != x.shape[1]:
+            raise SchemaError(
+                f"holdout has {hx.shape[1]} covariates but training data has {x.shape[1]}"
+            )
         holdout = Dataset(hx, hy, space)
-        stats = covariate_stats(x)
-        grid = lambda_grid(stats.eigenvalues[0], x.shape[1], x.shape[0], args.grid_points)
+        grid = lambda_grid(train.stats.eigenvalues[0], x.shape[1], x.shape[0], args.grid_points)
         lam_hat = tune_lambda(train, holdout, grid)
         lam = lam_hat
     model = fit(train, lam)

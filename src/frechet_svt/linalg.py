@@ -28,9 +28,6 @@ class SvdFactors:
     values: np.ndarray
     right_t: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.left * self.values) @ self.right_t
-
 
 @dataclass(frozen=True)
 class ThresholdPolicy:

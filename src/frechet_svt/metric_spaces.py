@@ -33,6 +33,11 @@ class ConvergenceError(RuntimeError):
         super().__init__(message)
         self.last_iterate = last_iterate
 
+    def __reduce__(self):
+        # Rebuild from both constructor arguments, so the error survives the
+        # trip back from a worker process.
+        return type(self), (str(self), self.last_iterate)
+
 
 def midpoint_grid(m: int = 101) -> np.ndarray:
     """Uniform probability levels (k - 1/2)/m for k = 1..m."""
@@ -183,6 +188,10 @@ class MetricSpace:
     """Distance plus weighted Frechet mean for one response geometry."""
 
     kind: str = "abstract"
+    # True when the weighted Frechet mean is the weight-normalized average
+    # of the points followed by ``project_blends``. The threshold sweep then
+    # updates the averages along the rank path and never forms weights.
+    affine: bool = False
 
     def check_point(self, y) -> np.ndarray:
         raise NotImplementedError
@@ -203,6 +212,13 @@ class MetricSpace:
         w = np.asarray(weight_matrix, dtype=float)
         return np.stack([self.frechet_mean(points, w[:, j]) for j in range(w.shape[1])])
 
+    def project_blends(self, blended) -> np.ndarray:
+        """Map stacked weight-normalized averages of points into the space.
+
+        Only affine spaces have this step; it may overwrite ``blended``.
+        """
+        raise NotImplementedError
+
 
 class _VectorSpace(MetricSpace):
     def check_point(self, y) -> np.ndarray:
@@ -214,6 +230,10 @@ class _VectorSpace(MetricSpace):
 
 class EuclideanSpace(_VectorSpace):
     kind = "euclidean"
+    affine = True
+
+    def project_blends(self, blended) -> np.ndarray:
+        return blended
 
     def distances_to(self, points, y) -> np.ndarray:
         diff = np.asarray(points, dtype=float) - as_array(y)
@@ -229,7 +249,7 @@ class EuclideanSpace(_VectorSpace):
         pts = np.asarray(points, dtype=float)
         w, totals = _column_totals(weight_matrix)
         out = (w.T @ pts)
-        return out / (totals[:, None] if pts.ndim > 1 else totals)
+        return self.project_blends(out / (totals[:, None] if pts.ndim > 1 else totals))
 
 
 class _IterativeNormSpace(_VectorSpace):
@@ -328,6 +348,7 @@ class WassersteinSpace(MetricSpace):
     """1-D distributions as quantile functions on a fixed grid."""
 
     kind = "wasserstein"
+    affine = True
 
     def __init__(self, grid):
         self.grid = np.asarray(grid, dtype=float).ravel()
@@ -351,28 +372,29 @@ class WassersteinSpace(MetricSpace):
         diff = np.asarray(points, dtype=float) - as_array(y)
         return np.sqrt((diff * diff) @ self.cell_weights)
 
-    def frechet_mean(self, points, weights) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        w, total = _weight_total(weights)
-        f = w @ pts / total
-        if np.all(np.diff(f) >= 0.0):
-            return f
-        return isotonic_project(f, self.cell_weights)
-
-    def frechet_mean_many(self, points, weight_matrix) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        w, totals = _column_totals(weight_matrix)
-        blended = (w.T @ pts) / totals[:, None]
+    def project_blends(self, blended) -> np.ndarray:
+        """PAVA on each row that decreases somewhere; other rows pass as is."""
         bad = np.any(np.diff(blended, axis=1) < 0.0, axis=1)
         for j in np.flatnonzero(bad):
             blended[j] = isotonic_project(blended[j], self.cell_weights)
         return blended
+
+    def frechet_mean(self, points, weights) -> np.ndarray:
+        pts = np.asarray(points, dtype=float)
+        w, total = _weight_total(weights)
+        return self.project_blends((w @ pts / total)[None])[0]
+
+    def frechet_mean_many(self, points, weight_matrix) -> np.ndarray:
+        pts = np.asarray(points, dtype=float)
+        w, totals = _column_totals(weight_matrix)
+        return self.project_blends((w.T @ pts) / totals[:, None])
 
 
 class CorrelationSpace(MetricSpace):
     """Correlation matrices of a fixed size under the Frobenius metric."""
 
     kind = "correlation"
+    affine = True
 
     def __init__(self, size: int, tol: float = 1e-10, max_iter: int = 1000):
         if size < 1:
@@ -391,11 +413,16 @@ class CorrelationSpace(MetricSpace):
         diff = np.asarray(points, dtype=float) - as_array(y)
         return np.sqrt(np.sum(diff * diff, axis=(-2, -1)))
 
+    def project_blends(self, blended) -> np.ndarray:
+        """Nearest correlation matrix to each stacked blend (Dykstra)."""
+        return np.stack(
+            [nearest_correlation(b, tol=self.tol, max_iter=self.max_iter) for b in blended]
+        )
+
     def frechet_mean(self, points, weights) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         w, total = _weight_total(weights)
-        blended = symmetrize(np.tensordot(w, pts, axes=(0, 0)) / total)
-        return nearest_correlation(blended, tol=self.tol, max_iter=self.max_iter)
+        return self.project_blends((np.tensordot(w, pts, axes=(0, 0)) / total)[None])[0]
 
 
 def space_from_kind(kind: str, *, grid=None, quantile_points: int = 101, size: int | None = None) -> MetricSpace:

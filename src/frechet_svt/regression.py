@@ -9,7 +9,8 @@ the principal-component-regression closed form, exposed separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,32 +20,39 @@ from .metric_spaces import EuclideanSpace, MetricSpace
 
 @dataclass(frozen=True)
 class CovariateStats:
-    """Sample mean, covariance, and the SVD of the centered design matrix."""
+    """Sample mean, the row-centered design, and its one thin SVD.
+
+    With ``centered = U diag(s) Vt`` the covariance is
+    ``Vt' diag(s**2 / n) Vt``: its eigenvalues are ``s**2 / n`` and its
+    eigenvectors the rows of ``Vt``, so no separate eigendecomposition is
+    needed. Hard truncation at any threshold keeps a prefix of these
+    components (``kept_rank``), which is what lets a threshold sweep walk
+    the rank path instead of refitting at every threshold.
+    """
 
     mean: np.ndarray
-    covariance: np.ndarray
+    centered: np.ndarray
     centered_svd: SvdFactors
-    _eig: tuple = field(init=False, repr=False, default=None, compare=False)
-
-    def __post_init__(self):
-        # Eigendecomposition (descending) of the covariance, cached for the
-        # per-threshold precision matrices used when sweeping the threshold.
-        w, q = np.linalg.eigh(self.covariance)
-        object.__setattr__(self, "_eig", (w[::-1].copy(), q[:, ::-1].copy()))
 
     @property
     def n(self) -> int:
-        return self.centered_svd.left.shape[0]
+        return self.centered.shape[0]
+
+    @property
+    def p(self) -> int:
+        return self.centered.shape[1]
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        """Covariance eigenvalues, descending."""
-        return self._eig[0]
+        """Covariance eigenvalues ``s**2 / n``, descending, zero-padded to length p."""
+        s = self.centered_svd.values
+        ev = np.zeros(self.p)
+        ev[: s.size] = s * s / self.n
+        return ev
 
     @property
-    def centered(self) -> np.ndarray:
-        """The row-centered design matrix, reconstructed from its SVD."""
-        return self.centered_svd.reconstruct()
+    def covariance(self) -> np.ndarray:
+        return symmetrize(self.centered.T @ self.centered / self.n)
 
 
 def covariate_stats(x) -> CovariateStats:
@@ -58,28 +66,49 @@ def covariate_stats(x) -> CovariateStats:
         raise ValueError("covariates have non-finite entries")
     mean = x.mean(axis=0)
     centered = x - mean
-    covariance = symmetrize(centered.T @ centered / n)
-    return CovariateStats(mean=mean, covariance=covariance, centered_svd=compute_svd(centered))
+    return CovariateStats(mean=mean, centered=centered, centered_svd=compute_svd(centered))
+
+
+def kept_rank(stats: CovariateStats, lam):
+    """Number of leading covariance components that survive threshold ``lam``.
+
+    A component survives when its eigenvalue exceeds both ``lam`` and the
+    numerical-rank cutoff ``RANK_RTOL`` times the top eigenvalue. The
+    eigenvalues are sorted, so the survivors are always a prefix. Accepts
+    a scalar or an array of thresholds.
+    """
+    lam = np.asarray(lam, dtype=float)
+    if np.any(lam < 0):
+        raise ValueError("threshold must be nonnegative")
+    ev = stats.eigenvalues
+    if ev[0] <= 0.0:
+        return np.zeros(lam.shape, dtype=int)
+    cut = np.maximum(lam, RANK_RTOL * ev[0])
+    return np.count_nonzero(ev > cut[..., None], axis=-1)
 
 
 def thresholded_precision(stats: CovariateStats, lam: float) -> np.ndarray:
     """Pseudoinverse of the covariance after removing eigenvalues <= lam.
 
-    Equals ``pseudoinverse(svt(covariance, lam))``; computed from the
-    cached eigendecomposition so threshold sweeps cost one matrix product
-    each. Eigenvalues below the numerical-rank cutoff never survive.
+    Equals ``pseudoinverse(svt(covariance, lam))``. Built from the first
+    ``kept_rank`` rows of the design's ``Vt`` as ``V_k diag(1/ev_k) V_k'``;
+    eigenvalues below the numerical-rank cutoff never survive.
     """
-    if lam < 0:
-        raise ValueError("threshold must be nonnegative")
-    w, q = stats._eig
-    top = w[0] if w.size else 0.0
-    if top <= 0.0:
-        return np.zeros_like(stats.covariance)
-    keep = (w > lam) & (w > RANK_RTOL * top)
-    if not np.any(keep):
-        return np.zeros_like(stats.covariance)
-    qk = q[:, keep]
-    return symmetrize((qk / w[keep]) @ qk.T)
+    k = int(kept_rank(stats, lam))
+    if k == 0:
+        return np.zeros((stats.p, stats.p))
+    vk = stats.centered_svd.right_t[:k].T
+    return symmetrize((vk / stats.eigenvalues[:k]) @ vk.T)
+
+
+def check_queries(stats: CovariateStats, queries) -> np.ndarray:
+    """Query points as a finite (m, p) array; one 1-D query becomes one row."""
+    q = np.atleast_2d(np.asarray(queries, dtype=float))
+    if q.ndim != 2 or q.shape[1] != stats.p:
+        raise ValueError(f"queries must have {stats.p} coordinates, got shape {np.shape(queries)}")
+    if not np.all(np.isfinite(q)):
+        raise ValueError("queries have non-finite entries")
+    return q
 
 
 def weight_vector(stats: CovariateStats, lam: float, x) -> np.ndarray:
@@ -88,7 +117,7 @@ def weight_vector(stats: CovariateStats, lam: float, x) -> np.ndarray:
     The weights average to one exactly because the centered rows sum to
     zero; individual weights may be negative.
     """
-    x = np.asarray(x, dtype=float).ravel()
+    x = check_queries(stats, np.ravel(x))[0]
     precision = thresholded_precision(stats, lam)
     return 1.0 + stats.centered @ (precision @ (x - stats.mean))
 
@@ -115,6 +144,11 @@ class Dataset:
     def n(self) -> int:
         return self.covariates.shape[0]
 
+    @cached_property
+    def stats(self) -> CovariateStats:
+        """``covariate_stats`` of the covariates, computed once on first use."""
+        return covariate_stats(self.covariates)
+
 
 @dataclass(frozen=True)
 class FittedModel:
@@ -127,12 +161,12 @@ class FittedModel:
     space: MetricSpace
 
     def weights(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float).ravel()
+        x = check_queries(self.stats, np.ravel(x))[0]
         return 1.0 + self.stats.centered @ (self.svt_pinv @ (x - self.stats.mean))
 
     def weight_matrix(self, queries) -> np.ndarray:
         """Weights for a batch of query points, one column per query."""
-        q = np.atleast_2d(np.asarray(queries, dtype=float))
+        q = check_queries(self.stats, queries)
         return 1.0 + self.stats.centered @ (self.svt_pinv @ (q - self.stats.mean).T)
 
     def predict(self, x) -> np.ndarray:
@@ -143,7 +177,7 @@ class FittedModel:
 
 
 def fit(data: Dataset, lam: float) -> FittedModel:
-    stats = covariate_stats(data.covariates)
+    stats = data.stats
     return FittedModel(
         stats=stats,
         lam=float(lam),
@@ -170,7 +204,7 @@ def pcr_coefficients(data: Dataset, lam: float) -> tuple[np.ndarray, np.ndarray]
     y = np.asarray(data.responses, dtype=float)
     squeeze = y.ndim == 1
     y2 = y[:, None] if squeeze else y
-    stats = covariate_stats(data.covariates)
+    stats = data.stats
     ybar = y2.mean(axis=0)
     cross = stats.centered.T @ (y2 - ybar) / data.n
     beta = thresholded_precision(stats, lam) @ cross

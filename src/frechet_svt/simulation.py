@@ -30,7 +30,7 @@ from .metric_spaces import (
     midpoint_grid,
     space_from_kind,
 )
-from .regression import Dataset, FittedModel, covariate_stats, thresholded_precision
+from .regression import CovariateStats, Dataset, FittedModel, check_queries, fit, kept_rank
 
 ESTIMATORS = ("REF", "EIV", "SVT")
 
@@ -42,6 +42,12 @@ class TrialFailure(RuntimeError):
         super().__init__(f"trial {trial_index} failed: {cause}")
         self.trial_index = trial_index
         self.cause = cause
+
+    def __reduce__(self):
+        # Rebuild from the constructor arguments, so a failure raised in a
+        # worker process reaches the parent intact.
+        return type(self), (self.trial_index, self.cause)
+
 
 _NOISE_KINDS = ("gaussian", "laplace")
 _MODELS = ("wasserstein", "linear")
@@ -293,32 +299,73 @@ def lambda_grid(top_eigenvalue: float, p: int, n: int, points: int = 40) -> np.n
     return np.linspace(upper / points, upper, points)
 
 
-def _model_at(stats, lam: float, responses, space) -> FittedModel:
-    return FittedModel(
-        stats=stats,
-        lam=float(lam),
-        svt_pinv=thresholded_precision(stats, lam),
-        responses=responses,
-        space=space,
-    )
-
-
 def _mean_squared_distance(model: FittedModel, covariates, responses) -> float:
     preds = model.predict_many(covariates)
     return float(np.mean(model.space.distances_to(responses, preds) ** 2))
 
 
+def _blend_path(stats: CovariateStats, responses, space: MetricSpace, queries, ranks):
+    """Affine-space predictions at ``queries`` for each of ``ranks`` (increasing), streamed.
+
+    With ``centered = U diag(s) Vt``, eigenvalues ``ev`` and query scores
+    ``A = (queries - mean) Vt'``, the fit keeping k components weighs the
+    training points by ``1 + (U diag(s))[:, :k] diag(1/ev[:k]) A[:, :k]'``,
+    so a larger rank only adds terms. The weights are never formed: the
+    weighted response sums and the weight-column totals are updated as
+    ``+= (A[:, k0:k1] / ev[k0:k1]) @ C[k0:k1]`` with ``C = (U diag(s))' Y``,
+    then normalized and handed to ``space.project_blends``.
+    """
+    y = np.asarray(responses, dtype=float)
+    n, m = stats.n, queries.shape[0]
+    flat = y.reshape(n, -1)
+    us = stats.centered_svd.left * stats.centered_svd.values
+    ev = stats.eigenvalues
+    scores = (queries - stats.mean) @ stats.centered_svd.right_t.T
+    # The last column carries the weight totals along with the sums.
+    cross = np.column_stack([us.T @ flat, us.sum(axis=0)])
+    acc = np.tile(np.append(flat.sum(axis=0), float(n)), (m, 1))
+    done = 0
+    for k in ranks:
+        # np.dot, not @: numpy's matmul is several times slower when a
+        # single component is added.
+        acc += np.dot(scores[:, done:k] / ev[done:k], cross[done:k])
+        done = k
+        totals = acc[:, -1]
+        if np.any(totals <= 0.0):
+            raise DegenerateWeightsError("every weight column must have a positive total")
+        blended = acc[:, :-1] / totals[:, None]
+        yield space.project_blends(blended.reshape(m, *y.shape[1:]))
+
+
 def mspe_profile(train_noisy: Dataset, test: Dataset, grid) -> np.ndarray:
-    """Out-of-sample error of the noisy-covariate fit along a threshold grid."""
+    """Out-of-sample error of the noisy-covariate fit along a threshold grid.
+
+    A threshold only decides how many leading covariance components the
+    fit keeps (``kept_rank``), so each distinct rank on the grid is
+    evaluated once, in increasing order, and grid points that keep the
+    same rank get bit-identical values. Affine response spaces walk the
+    rank path of the design's single SVD (``_blend_path``) and form no
+    precision or weight matrix. The l1 and sup-norm solvers need the
+    weights, and their result can move far more than roundoff when a
+    weight moves by one ulp, so those spaces are refit once per distinct
+    rank with exactly the weights ``fit`` builds.
+    """
     grid = np.asarray(grid, dtype=float).ravel()
     if grid.size == 0:
         raise ValueError("empty threshold grid")
-    stats = covariate_stats(train_noisy.covariates)
-    out = np.empty(grid.size)
-    for j, lam in enumerate(grid):
-        model = _model_at(stats, lam, train_noisy.responses, train_noisy.space)
-        out[j] = _mean_squared_distance(model, test.covariates, test.responses)
-    return out
+    stats = train_noisy.stats
+    queries = check_queries(stats, test.covariates)
+    ranks = kept_rank(stats, grid)
+    distinct = np.unique(ranks)
+    y, space = train_noisy.responses, train_noisy.space
+    if space.affine:
+        path = _blend_path(stats, y, space, queries, distinct)
+    else:
+        path = (fit(train_noisy, grid[ranks == k][0]).predict_many(queries) for k in distinct)
+    errors = np.empty(distinct.size)
+    for i, preds in enumerate(path):
+        errors[i] = np.mean(space.distances_to(test.responses, preds) ** 2)
+    return errors[np.searchsorted(distinct, ranks)]
 
 
 def tune_lambda(train_noisy: Dataset, test: Dataset, grid) -> float:
@@ -338,14 +385,11 @@ def evaluate_trial(
     at the true covariates); test covariates are noiseless too.
     """
     grid = np.sort(np.asarray(grid, dtype=float).ravel())
-    stats_clean = covariate_stats(train.covariates)
-    stats_noisy = covariate_stats(train_noisy.covariates)
-    space = train.space
-    ref = _model_at(stats_clean, 0.0, train.responses, space)
-    eiv = _model_at(stats_noisy, 0.0, train_noisy.responses, space)
+    ref = fit(train, 0.0)
+    eiv = fit(train_noisy, 0.0)
     profile = mspe_profile(train_noisy, test, grid)
     lam_hat = float(grid[int(np.argmin(profile))])
-    svt = _model_at(stats_noisy, lam_hat, train_noisy.responses, space)
+    svt = fit(train_noisy, lam_hat)
     mse = {
         "REF": _mean_squared_distance(ref, train.covariates, train.responses),
         "EIV": _mean_squared_distance(eiv, train.covariates, train.responses),
@@ -442,16 +486,17 @@ def _run_trial_inner(args):
     noisy = Dataset(z, y, space)
     test = Dataset(x_new, y_new, space)
 
-    stats_clean = covariate_stats(x)
-    stats_noisy = covariate_stats(z)
-    grid = lambda_grid(stats_noisy.eigenvalues[0], config.p, config.n, config.lambda_points)
-    profile = mspe_profile(noisy, test, grid)
+    grid = lambda_grid(noisy.stats.eigenvalues[0], config.p, config.n, config.lambda_points)
+    # One sweep along the rank path serves the tuning grid and the profile grid.
+    sweep_grid = grid if profile_grid is None else np.concatenate([grid, profile_grid])
+    curves = mspe_profile(noisy, test, sweep_grid)
+    profile = curves[: grid.size]
     lam_hat = float(grid[int(np.argmin(profile))])
 
     models = {
-        "REF": _model_at(stats_clean, 0.0, y, space),
-        "EIV": _model_at(stats_noisy, 0.0, y, space),
-        "SVT": _model_at(stats_noisy, lam_hat, y, space),
+        "REF": fit(train, 0.0),
+        "EIV": fit(noisy, 0.0),
+        "SVT": fit(noisy, lam_hat),
     }
     mse = {
         "REF": _mean_squared_distance(models["REF"], x, y),
@@ -471,7 +516,7 @@ def _run_trial_inner(args):
         null_pred = space.frechet_mean(y, np.ones(config.n))
         null_mspe = float(np.mean(space.distances_to(y_new, null_pred) ** 2))
         profile_part = (
-            mspe_profile(noisy, test, profile_grid),
+            curves[grid.size :],
             mspe["REF"],
             mspe["EIV"],
             null_mspe,

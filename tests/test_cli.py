@@ -176,6 +176,17 @@ class TestFitPredictCommand:
         assert main(["fit-predict", "--train", str(train), "--queries", str(qpath),
                      "--kind", "euclidean", "--lambda", "auto", "--out", str(tmp_path / "o")]) == 2
 
+    def test_auto_holdout_with_wrong_width_exits_2(self, tmp_path):
+        rng = np.random.default_rng(9)
+        train, *_ = write_euclidean_train(tmp_path, rng)
+        holdout = tmp_path / "holdout.csv"
+        rows = rng.standard_normal((5, 3))
+        holdout.write_text("x1,x2,y1\n" + "".join(f"{a!r},{b!r},{c!r}\n" for a, b, c in rows))
+        qpath = write_queries(tmp_path, rng.standard_normal((2, 3)))
+        assert main(["fit-predict", "--train", str(train), "--queries", str(qpath),
+                     "--kind", "euclidean", "--lambda", "auto", "--holdout", str(holdout),
+                     "--out", str(tmp_path / "o")]) == 2
+
     def test_wasserstein_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
         train, x, q, grid = write_wasserstein_train(tmp_path, rng)

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -174,6 +176,15 @@ class TestNearestCorrelation:
         with pytest.raises(ConvergenceError) as err:
             nearest_correlation(a, tol=1e-16, max_iter=3)
         assert err.value.last_iterate.shape == (2, 2)
+
+    def test_convergence_error_survives_pickling(self):
+        a = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(ConvergenceError) as err:
+            nearest_correlation(a, tol=1e-16, max_iter=3)
+        back = pickle.loads(pickle.dumps(err.value))
+        assert type(back) is ConvergenceError
+        assert str(back) == str(err.value)
+        assert np.array_equal(back.last_iterate, err.value.last_iterate)
 
 
 class TestFrechetMeans:

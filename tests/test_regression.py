@@ -262,3 +262,36 @@ class TestDatasetValidation:
         model = fit(data, 0.0)
         q = rng.standard_normal(data.covariates.shape[1])
         assert predict(model, q) == model.predict(q)
+
+
+class TestQueryValidation:
+    @staticmethod
+    def model():
+        data, _, _ = linear_euclidean_dataset(np.random.default_rng(40), n=20, p=3, noise=0.1)
+        return fit(data, 0.0)
+
+    def assert_rejected(self, single, batch):
+        model = self.model()
+        for call, arg in [
+            (model.weights, single),
+            (model.predict, single),
+            (lambda q: weight_vector(model.stats, 0.0, q), single),
+            (model.weight_matrix, batch),
+            (model.predict_many, batch),
+        ]:
+            with pytest.raises(ValueError):
+                call(arg)
+
+    def test_wrong_width_rejected(self):
+        # A one-coordinate query used to broadcast against p = 3.
+        self.assert_rejected([0.5], np.full((4, 1), 0.5))
+        self.assert_rejected([0.5, 0.1, 0.2, 0.3], np.zeros((2, 4)))
+
+    def test_non_finite_rejected(self):
+        self.assert_rejected([0.1, np.nan, 0.2], np.array([[0.0, 0.0, 0.0], [0.0, np.inf, 0.0]]))
+
+    def test_valid_queries_unchanged(self):
+        model = self.model()
+        q = np.array([0.3, -0.2, 0.1])
+        assert np.array_equal(model.weights(q), model.weight_matrix(q[None, :])[:, 0])
+        assert np.array_equal(model.weights(q[None, :]), model.weights(q))

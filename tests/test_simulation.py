@@ -1,11 +1,23 @@
 import dataclasses
+import multiprocessing
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import gammaln, ndtri
 
-from frechet_svt.metric_spaces import EuclideanSpace, WassersteinSpace, midpoint_grid
-from frechet_svt.regression import Dataset, covariate_stats, fit
+from frechet_svt.linalg import compute_svd
+from frechet_svt.metric_spaces import (
+    ConvergenceError,
+    CorrelationSpace,
+    DegenerateWeightsError,
+    EuclideanSpace,
+    L1Space,
+    WassersteinSpace,
+    midpoint_grid,
+)
+from frechet_svt.regression import CovariateStats, Dataset, covariate_stats, fit, kept_rank
 from frechet_svt.simulation import (
     AggregateReport,
     SimConfig,
@@ -21,9 +33,12 @@ from frechet_svt.simulation import (
     make_spectrum,
     mspe_profile,
     run_cell,
+    TrialFailure,
+    _blend_path,
     true_regression_quantile,
     tune_lambda,
 )
+from oracles import random_correlation_matrix
 
 
 def small_config(**overrides):
@@ -399,11 +414,59 @@ class TestRunCell:
         report = evaluate_trial(train, noisy, test, grid)
         assert report.mspe["SVT"] <= report.mspe["EIV"] + 1e-12
 
+    def test_two_workers_match_one(self, monkeypatch):
+        import frechet_svt.simulation as sim
+
+        seen = []
+        real_aggregate = sim.aggregate
+
+        def spy(reports, eval_predictions, truths, space):
+            seen.append(eval_predictions)
+            return real_aggregate(reports, eval_predictions, truths, space)
+
+        monkeypatch.setattr(sim, "aggregate", spy)
+        cfg = small_config(trials=4)
+        serial = run_cell(cfg, workers=1)
+        pooled = run_cell(cfg, workers=2)
+        assert serial.trials == pooled.trials
+        for est in sim.ESTIMATORS:
+            assert np.array_equal(seen[0][est], seen[1][est])
+        assert np.array_equal(serial.profile.lambdas, pooled.profile.lambdas)
+        assert np.array_equal(serial.profile.svt, pooled.profile.svt)
+        assert (serial.profile.ref, serial.profile.eiv) == (pooled.profile.ref, pooled.profile.eiv)
+        assert serial.report == pooled.report
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched solver reaches the workers only when they are forked",
+    )
+    def test_solver_failure_in_a_worker_reaches_the_caller(self, monkeypatch):
+        import frechet_svt.simulation as sim
+
+        def failing(args):
+            raise ConvergenceError("forced", last_iterate=np.eye(2))
+
+        monkeypatch.setattr(sim, "_run_trial_inner", failing)
+        with pytest.raises(TrialFailure) as err:
+            run_cell(small_config(trials=2), workers=2)
+        assert err.value.trial_index == 0
+        assert isinstance(err.value.cause, ConvergenceError)
+
     def test_linear_model_cell_runs(self):
         cfg = small_config(model="linear", metric="euclidean", linear_dim=2, sigma_eps=0.3)
         cell = run_cell(cfg, with_profile=True)
         assert set(cell.report.mspe) == {"REF", "EIV", "SVT"}
         assert np.all(np.isfinite(cell.profile.svt))
+
+
+class TestTrialFailure:
+    def test_survives_pickling(self):
+        cause = ConvergenceError("no convergence", last_iterate=np.eye(2))
+        back = pickle.loads(pickle.dumps(TrialFailure(4, cause)))
+        assert back.trial_index == 4
+        assert str(back) == "trial 4 failed: no convergence"
+        assert type(back.cause) is ConvergenceError
+        assert np.array_equal(back.cause.last_iterate, np.eye(2))
 
 
 class TestConfigValidation:
@@ -418,3 +481,115 @@ class TestConfigValidation:
             SimConfig(n=5, p=3, condition_number=1.0)
         with pytest.raises(ValueError):
             SimConfig(n=5, p=3, model="quadratic")
+
+
+def _direct_profile(train, test, grid):
+    """One refit and one batch prediction per threshold: the route the sweep replaces."""
+    out = []
+    for lam in grid:
+        preds = fit(train, lam).predict_many(test.covariates)
+        out.append(np.mean(train.space.distances_to(test.responses, preds) ** 2))
+    return np.array(out)
+
+
+def _sweep_instance(kind, n, p, m, seed):
+    """Training and test data for one response kind, queries spread beyond the design.
+
+    Queries three times wider than the design give negative weights, so
+    Wasserstein blends can decrease (PAVA) and correlation blends can leave
+    the PSD cone (Dykstra).
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p))
+    xt = 3.0 * rng.standard_normal((m, p))
+    slope = rng.standard_normal(p)
+
+    def draw(cov):
+        k = cov.shape[0]
+        if kind == "euclidean-scalar":
+            return cov @ slope + 0.5 * rng.standard_normal(k)
+        if kind in ("euclidean-vector", "l1"):
+            return cov @ rng.standard_normal((p, 2)) + 0.5 * rng.standard_normal((k, 2))
+        if kind == "wasserstein":
+            base = ndtri(midpoint_grid(7))
+            tau = np.exp(0.5 * np.tanh(cov @ slope))
+            return (cov @ slope + 0.3 * rng.standard_normal(k))[:, None] + tau[:, None] * base
+        return np.stack([random_correlation_matrix(3, rng) for _ in range(k)])
+
+    space = {
+        "wasserstein": WassersteinSpace.with_uniform_grid(7),
+        "correlation": CorrelationSpace(3),
+        "l1": L1Space(),
+    }.get(kind, EuclideanSpace())
+    return Dataset(x, draw(x), space), Dataset(xt, draw(xt), space)
+
+
+def _sweep_grid(train, fractions):
+    """Thresholds at 0, above the top eigenvalue, between eigenvalues, and repeated."""
+    ev = covariate_stats(train.covariates).eigenvalues
+    inner = [float(ev[0]) * f for f in fractions]
+    return np.array([0.0, 1.5 * float(ev[0]), *inner, *inner[:2], 0.0])
+
+
+SWEEP_KINDS = ("euclidean-scalar", "euclidean-vector", "wasserstein", "correlation", "l1")
+
+
+class TestRankPathSweep:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(SWEEP_KINDS),
+        st.integers(3, 12),
+        st.integers(1, 8),
+        st.integers(2, 6),
+        st.integers(0, 10_000),
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+    )
+    @example("euclidean-scalar", 4, 8, 5, 1, [0.2, 0.5])  # n < p
+    @example("euclidean-vector", 5, 7, 4, 2, [0.1, 0.6])
+    @example("wasserstein", 6, 3, 6, 0, [0.05, 0.3, 0.9])
+    @example("correlation", 5, 8, 4, 4, [0.1, 0.4])
+    @example("l1", 4, 6, 3, 5, [0.2, 0.7])
+    def test_matches_direct_route(self, kind, n, p, m, seed, fractions):
+        train, test = _sweep_instance(kind, n, p, m, seed)
+        grid = _sweep_grid(train, fractions)
+        nested = mspe_profile(train, test, grid)
+        np.testing.assert_allclose(nested, _direct_profile(train, test, grid), rtol=1e-12, atol=0)
+
+    def test_shared_rank_values_are_bit_identical(self):
+        train, test = _sweep_instance("wasserstein", 10, 4, 8, 11)
+        grid = _sweep_grid(train, [0.3, 0.6])
+        nested = mspe_profile(train, test, grid)
+        ranks = kept_rank(covariate_stats(train.covariates), grid)
+        for k in np.unique(ranks):
+            assert len(set(nested[ranks == k].tolist())) == 1
+        assert nested[0] == nested[-1]
+
+    def test_wasserstein_design_that_needs_pava(self):
+        train, test = _sweep_instance("wasserstein", 6, 3, 6, 0)
+        grid = _sweep_grid(train, [0.05, 0.3])
+        raw = fit(train, 0.0).weight_matrix(test.covariates).T @ train.responses
+        assert np.any(np.diff(raw, axis=1) < 0.0)  # the blend decreases somewhere
+        nested = mspe_profile(train, test, grid)
+        np.testing.assert_allclose(nested, _direct_profile(train, test, grid), rtol=1e-12, atol=0)
+
+    def test_degenerate_weight_totals_raise(self):
+        # An uncentered design breaks the zero column sums, so the weight
+        # totals can turn negative; the sweep must refuse like the direct route.
+        x = np.array([[1.0], [2.0], [3.0], [4.0]])
+        stats = CovariateStats(mean=np.zeros(1), centered=x, centered_svd=compute_svd(x))
+        path = _blend_path(stats, np.arange(4.0), EuclideanSpace(), np.array([[-50.0]]), [1])
+        with pytest.raises(DegenerateWeightsError):
+            next(path)
+
+    def test_dykstra_failure_propagates(self):
+        train, test = _sweep_instance("correlation", 5, 2, 4, 4)
+        tight = Dataset(train.covariates, train.responses, CorrelationSpace(3, max_iter=1))
+        probe = Dataset(test.covariates, test.responses, tight.space)
+        with pytest.raises(ConvergenceError):
+            mspe_profile(tight, probe, [0.0])
+
+    @pytest.mark.parametrize("bad", [np.ones((2, 1)), np.array([[0.0, np.nan, 1.0], [0.0, 0.0, 1.0]])])
+    def test_rejects_bad_test_covariates(self, bad):
+        train, test = _sweep_instance("euclidean-scalar", 6, 3, 2, 6)
+        with pytest.raises(ValueError):
+            mspe_profile(train, Dataset(bad, np.zeros(bad.shape[0]), train.space), [0.0])
