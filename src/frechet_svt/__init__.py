@@ -18,7 +18,6 @@ from .diagnostics import (
 )
 from .linalg import (
     SvdFactors,
-    ThresholdPolicy,
     col_projection,
     mahalanobis_seminorm,
     pinv_perturbation_residual,
@@ -29,13 +28,11 @@ from .linalg import (
     svt,
 )
 from .metric_spaces import (
-    CorrelationMatrix,
     CorrelationSpace,
     EuclideanSpace,
     L1Space,
     LinfSpace,
     MetricSpace,
-    QuantileFunction,
     WassersteinSpace,
     isotonic_project,
     midpoint_grid,
@@ -49,9 +46,7 @@ from .regression import (
     covariate_stats,
     fit,
     pcr_coefficients,
-    predict,
     thresholded_precision,
-    weight_vector,
 )
 from .simulation import (
     AggregateReport,

@@ -6,9 +6,10 @@ points, ``diagnose`` evaluates the error-bound quantities for a
 clean/noisy covariate pair, and ``verify-lemmas`` stress-tests the
 matrix identities on random instances.
 
-Exit codes: 0 success, 2 config or schema error, 3 solver failure,
-4 verification failure. Worker count for simulations comes from the
-FRECHET_SVT_THREADS environment variable (default: logical cores).
+Exit codes: 0 success, 2 config or schema error, 3 solver failure
+(including a worker process that died), 4 verification failure. Worker
+count for simulations comes from the FRECHET_SVT_THREADS environment
+variable (default: logical cores).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -37,12 +39,11 @@ from .diagnostics import (
     GrowthConstants,
     bias_term,
     denoising_report_for,
-    signal_floor,
     snr_reciprocal,
     weight_stability_check,
 )
 from .metric_spaces import ConvergenceError, DegenerateWeightsError, WassersteinSpace
-from .regression import Dataset, covariate_stats, fit
+from .regression import Dataset, fit
 from .simulation import TrialFailure, lambda_grid, run_campaign, tune_lambda
 from .verification import run_suite
 
@@ -186,7 +187,6 @@ def _cmd_diagnose(args) -> int:
         },
     )
     train = Dataset(x, responses, space)
-    stats = covariate_stats(x)
     report = denoising_report_for(train, z, lam, query, GrowthConstants())
     rowspace_ok = True
     try:
@@ -197,7 +197,7 @@ def _cmd_diagnose(args) -> int:
     write_diagnostics_csv(
         out / "diagnostics.csv",
         {
-            "b_lambda": bias_term(stats.covariance, stats.mean, lam, query),
+            "b_lambda": bias_term(train.stats.covariance, train.stats.mean, lam, query),
             "snr_reciprocal": snr_reciprocal(x, z, lam),
             "noise_norm": report.noise_norm,
             "signal_floor": report.signal_floor,
@@ -285,7 +285,7 @@ def main(argv=None) -> int:
     except TrialFailure as exc:
         sys.stderr.write(f"solver error: {exc}\n")
         return EXIT_SOLVER
-    except (ConvergenceError, DegenerateWeightsError) as exc:
+    except (ConvergenceError, DegenerateWeightsError, BrokenProcessPool) as exc:
         sys.stderr.write(f"solver error: {exc}\n")
         return EXIT_SOLVER
 

@@ -18,13 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .metric_spaces import (
-    CorrelationMatrix,
-    MONOTONE_SLACK,
-    MetricSpace,
-    WassersteinSpace,
-    space_from_kind,
-)
+from .metric_spaces import InvalidPointError, MetricSpace, WassersteinSpace, space_from_kind
 from .simulation import SimConfig
 
 KINDS = ("euclidean", "l1", "linf", "wasserstein", "correlation")
@@ -119,7 +113,7 @@ def read_dataset(path, kind: str):
 
     p = len(covs)
     body = rows[1:]
-    grid = None
+    first_row = 2  # file row number of body[0], counting the header as row 1
     if kind == "wasserstein":
         if not body:
             raise SchemaError("missing companion grid row under the header")
@@ -130,39 +124,37 @@ def read_dataset(path, kind: str):
             raise SchemaError("grid row must leave covariate cells empty")
         grid = np.array([_parse_float(c, 2, resp_cols[j]) for j, c in enumerate(grid_row[p:])])
         try:
-            WassersteinSpace(grid)
+            space: MetricSpace = WassersteinSpace(grid)
         except ValueError as exc:
             raise SchemaError(f"row 2: bad grid levels: {exc}") from exc
         body = body[1:]
+        first_row = 3
+    elif kind == "correlation":
+        r = math.isqrt(len(resp_cols))
+        space = space_from_kind("correlation", size=r)
+    else:
+        space = space_from_kind(kind)
 
     if not body:
         raise SchemaError(f"{path}: no data rows")
     x_rows = []
     responses = []
     for offset, row in enumerate(body):
-        rownum = offset + (3 if kind == "wasserstein" else 2)
+        rownum = first_row + offset
         if len(row) != p + len(resp_cols):
             raise SchemaError(f"row {rownum}: expected {p + len(resp_cols)} cells, got {len(row)}")
         x_rows.append([_parse_float(c, rownum, covs[j]) for j, c in enumerate(row[:p])])
-        vals = np.array([_parse_float(c, rownum, resp_cols[j]) for j, c in enumerate(row[p:])])
-        if kind == "wasserstein" and np.any(np.diff(vals) < -MONOTONE_SLACK):
-            raise SchemaError(f"row {rownum}: quantile values are not nondecreasing")
-        if kind == "correlation":
-            r = math.isqrt(len(resp_cols))
-            try:
-                vals = CorrelationMatrix(vals.reshape(r, r)).values
-            except ValueError as exc:
-                raise SchemaError(f"row {rownum}: {exc}") from exc
-        responses.append(vals)
+        responses.append([_parse_float(c, rownum, resp_cols[j]) for j, c in enumerate(row[p:])])
 
     x = np.array(x_rows) if p else None
-    stacked = np.stack(responses)
-    if kind == "wasserstein":
-        space: MetricSpace = WassersteinSpace(grid)
-    elif kind == "correlation":
-        space = space_from_kind("correlation", size=stacked.shape[1])
-    else:
-        space = space_from_kind(kind)
+    stacked = np.array(responses)
+    if kind == "correlation":
+        stacked = stacked.reshape(len(body), r, r)
+    try:
+        stacked = space.check_points(stacked)
+    except InvalidPointError as exc:
+        where = "" if exc.index is None else f"row {first_row + exc.index}: "
+        raise SchemaError(where + exc.reason) from exc
     return x, stacked, space
 
 
@@ -175,14 +167,19 @@ def read_covariates(path) -> np.ndarray:
     if not covs:
         raise SchemaError(f"{path}: no covariate columns")
     body = rows[1:]
+    first_row = 2  # file row number of body[0], counting the header as row 1
     # Skip a quantile companion grid row if present (empty covariate cells).
     if rest and body and not any(c.strip() for c in body[0][: len(covs)]):
         body = body[1:]
+        first_row = 3
     if not body:
         raise SchemaError(f"{path}: no data rows")
     out = []
     for offset, row in enumerate(body):
-        out.append([_parse_float(c, offset + 2, covs[j]) for j, c in enumerate(row[: len(covs)])])
+        rownum = first_row + offset
+        if len(row) < len(covs):
+            raise SchemaError(f"row {rownum}: expected at least {len(covs)} cells, got {len(row)}")
+        out.append([_parse_float(c, rownum, covs[j]) for j, c in enumerate(row[: len(covs)])])
     return np.array(out)
 
 

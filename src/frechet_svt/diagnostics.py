@@ -23,8 +23,8 @@ from .linalg import (
     spectral_norm,
     symmetrize,
 )
-from .regression import CovariateStats, covariate_stats, fit, weight_vector
-from .regression import Dataset
+from .metric_spaces import EuclideanSpace
+from .regression import CovariateStats, Dataset, FittedModel, covariate_stats, fit
 
 ROWSPACE_RTOL = 1e-8
 
@@ -101,7 +101,7 @@ def snr_reciprocal(x_mat, z_mat, lam: float) -> float:
     z_mat = np.asarray(z_mat, dtype=float)
     if x_mat.shape != z_mat.shape:
         raise ValueError(f"shape mismatch: {x_mat.shape} vs {z_mat.shape}")
-    noise = spectral_norm(z_mat - x_mat) if (z_mat - x_mat).any() else 0.0
+    noise = spectral_norm(z_mat - x_mat)
     if noise == 0.0:
         return 0.0
     floor = signal_floor(x_mat, z_mat, lam)
@@ -136,6 +136,11 @@ def bias_term(sigma, mu, lam: float, x) -> float:
     return float(np.sqrt(rank) * np.sqrt(max(seminorm_sq, 0.0)))
 
 
+def _weight_model(design, lam: float) -> FittedModel:
+    """A fit whose only use is ``weight_matrix``; the weights never read the responses."""
+    return fit(Dataset(design, np.zeros(len(design)), EuclideanSpace()), lam)
+
+
 def weight_stability_check(x_mat, z_mat, lam: float, x) -> tuple[float, float]:
     """Observed and bounding weight discrepancy under covariate noise.
 
@@ -148,20 +153,20 @@ def weight_stability_check(x_mat, z_mat, lam: float, x) -> tuple[float, float]:
     z_mat = np.asarray(z_mat, dtype=float)
     if x_mat.shape != z_mat.shape:
         raise ValueError(f"shape mismatch: {x_mat.shape} vs {z_mat.shape}")
-    xs = covariate_stats(x_mat)
-    zs = covariate_stats(z_mat)
+    clean, noisy = _weight_model(x_mat, lam), _weight_model(z_mat, lam)
+    xs = clean.stats
     query = np.asarray(x, dtype=float).ravel()
     resid = rowspace_residual(xs, query - xs.mean)
     if resid > ROWSPACE_RTOL:
         raise ValueError(
             f"query point leaves the design row space (relative residual {resid:.3e})"
         )
-    lhs = float(np.linalg.norm(weight_vector(zs, lam, query) - weight_vector(xs, lam, query)))
-    noise = spectral_norm(z_mat - x_mat) if (z_mat - x_mat).any() else 0.0
+    q = query[None]
+    lhs = float(np.linalg.norm(noisy.weight_matrix(q)[:, 0] - clean.weight_matrix(q)[:, 0]))
+    noise = spectral_norm(z_mat - x_mat)
     if noise == 0.0:
         return lhs, 0.0
-    lam_sv = design_scale_threshold(lam, xs.n)
-    floor = min(sigma_lambda(xs.centered, lam_sv), sigma_lambda(zs.centered, lam_sv))
+    floor = signal_floor(x_mat, z_mat, lam)
     if not np.isfinite(floor):
         return lhs, 0.0
     maha = mahalanobis_seminorm(query - xs.mean, xs.covariance)
@@ -206,10 +211,8 @@ def denoising_bound(
 
     xs = covariate_stats(x_mat)
     query = np.asarray(x, dtype=float).ravel()
-    noise = spectral_norm(z_mat - x_mat) if (z_mat - x_mat).any() else 0.0
-    lam_sv = design_scale_threshold(lam, n)
-    zs = covariate_stats(z_mat)
-    floor = min(sigma_lambda(xs.centered, lam_sv), sigma_lambda(zs.centered, lam_sv))
+    noise = spectral_norm(z_mat - x_mat)
+    floor = signal_floor(x_mat, z_mat, lam)
     maha = mahalanobis_seminorm(query - xs.mean, xs.covariance)
 
     in_rowspace = rowspace_residual(xs, query - xs.mean) <= ROWSPACE_RTOL

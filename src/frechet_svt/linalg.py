@@ -29,20 +29,6 @@ class SvdFactors:
     right_t: np.ndarray
 
 
-@dataclass(frozen=True)
-class ThresholdPolicy:
-    """Spectral truncation policy: hard threshold plus numerical-rank cutoff."""
-
-    lam: float
-    zero_tolerance: float = RANK_RTOL
-
-    def __post_init__(self) -> None:
-        if self.lam < 0:
-            raise ValueError(f"threshold must be nonnegative, got {self.lam}")
-        if self.zero_tolerance <= 0:
-            raise ValueError("zero_tolerance must be positive")
-
-
 def _as_matrix(m, name: str = "matrix") -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] == 0 or a.shape[1] == 0:
@@ -79,18 +65,18 @@ def numerical_rank(m, zero_tolerance: float = RANK_RTOL) -> int:
     return int(np.count_nonzero(s > zero_tolerance * s[0]))
 
 
-def svt(m, policy: ThresholdPolicy | float) -> np.ndarray:
+def svt(m, lam: float) -> np.ndarray:
     """Hard singular value thresholding.
 
     Removes every singular value at or below the threshold (strict
     ``s > lam`` survives) and reconstructs from the surviving triplets.
     A threshold at or above the top singular value yields the zero matrix.
     """
-    if not isinstance(policy, ThresholdPolicy):
-        policy = ThresholdPolicy(lam=float(policy))
+    if lam < 0:
+        raise ValueError(f"threshold must be nonnegative, got {lam}")
     a = _as_matrix(m)
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    keep = s > policy.lam
+    keep = s > lam
     if not np.any(keep):
         return np.zeros_like(a)
     return (u[:, keep] * s[keep]) @ vt[keep]

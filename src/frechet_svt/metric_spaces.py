@@ -1,18 +1,23 @@
-"""Response-space abstraction: distances and weighted Frechet means.
+"""Response-space abstraction: validation, distances and weighted Frechet means.
 
 Supported spaces: Euclidean vectors under the l2, l1, or sup norm,
 one-dimensional distributions represented by quantile functions on a
 fixed grid (2-Wasserstein geometry), and correlation matrices under the
 Frobenius metric.
 
-Weights may be negative. The closed-form solvers are projections of
-affine combinations and only require the weight total to be positive,
-which the regression weights guarantee (they average to one).
+Each space has one validation path, ``check_points``, which checks a
+whole stack of points at once and names the first one outside the space.
+
+Weights may be negative. For the Euclidean, Wasserstein and correlation
+spaces the weighted Frechet mean is one computation, shared by single and
+batched queries: the weight-normalized blend of the points, then the
+space's ``project_blends`` (identity, PAVA, Dykstra). It only requires
+each weight total to be positive, which the regression weights guarantee
+(they average to one). The l1 and sup-norm spaces run a batched
+subgradient solver instead.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,6 +29,27 @@ MONOTONE_SLACK = 1e-10
 
 class DegenerateWeightsError(ValueError):
     """Raised when the weight total is nonpositive and no mean exists."""
+
+
+class InvalidPointError(ValueError):
+    """A stacked point lies outside its space; ``index`` is the first bad one.
+
+    ``index`` is None when the stack as a whole has the wrong shape.
+    """
+
+    def __init__(self, reason: str, index: int | None = None):
+        super().__init__(reason if index is None else f"point {index}: {reason}")
+        self.reason = reason
+        self.index = index
+
+    def __reduce__(self):
+        return type(self), (self.reason, self.index)
+
+
+def _reject_first(bad, reason: str) -> None:
+    """Raise for the first point flagged in the per-point mask ``bad``."""
+    if np.any(bad):
+        raise InvalidPointError(reason, int(np.argmax(bad)))
 
 
 class ConvergenceError(RuntimeError):
@@ -122,60 +148,6 @@ def nearest_correlation(a, tol: float = 1e-10, max_iter: int = 1000) -> np.ndarr
     )
 
 
-@dataclass(frozen=True)
-class QuantileFunction:
-    """Quantile values on a shared grid of probability levels."""
-
-    grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float).ravel()
-        values = np.asarray(self.values, dtype=float).ravel()
-        grid_cell_weights(grid)  # validates the levels
-        if grid.size != values.size:
-            raise ValueError("grid and values must have equal length")
-        if np.any(np.diff(values) < -MONOTONE_SLACK):
-            raise ValueError("quantile values must be nondecreasing")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-
-
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    """Symmetric unit-diagonal matrix with spectrum bounded below by -1e-8."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.values, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("correlation matrix must be square")
-        if np.max(np.abs(a - a.T), initial=0.0) > 1e-10:
-            raise ValueError("correlation matrix must be symmetric")
-        if np.max(np.abs(np.diag(a) - 1.0), initial=0.0) > 1e-10:
-            raise ValueError("correlation matrix must have a unit diagonal")
-        if np.linalg.eigvalsh(0.5 * (a + a.T))[0] < -1e-8:
-            raise ValueError("correlation matrix must be positive semidefinite")
-        object.__setattr__(self, "values", a)
-
-
-def as_array(point) -> np.ndarray:
-    if isinstance(point, QuantileFunction):
-        return point.values
-    if isinstance(point, CorrelationMatrix):
-        return point.values
-    return np.asarray(point, dtype=float)
-
-
-def _weight_total(weights) -> tuple[np.ndarray, float]:
-    w = np.asarray(weights, dtype=float).ravel()
-    total = float(w.sum())
-    if total <= 0.0:
-        raise DegenerateWeightsError(f"weight total {total} is not positive")
-    return w, total
-
-
 def _column_totals(weight_matrix) -> tuple[np.ndarray, np.ndarray]:
     w = np.asarray(weight_matrix, dtype=float)
     totals = w.sum(axis=0)
@@ -185,7 +157,7 @@ def _column_totals(weight_matrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 class MetricSpace:
-    """Distance plus weighted Frechet mean for one response geometry."""
+    """Validation, distance and weighted Frechet mean for one response geometry."""
 
     kind: str = "abstract"
     # True when the weighted Frechet mean is the weight-normalized average
@@ -193,11 +165,16 @@ class MetricSpace:
     # updates the averages along the rank path and never forms weights.
     affine: bool = False
 
-    def check_point(self, y) -> np.ndarray:
+    def check_points(self, points) -> np.ndarray:
+        """The stacked points as a float array, if every one lies in the space.
+
+        Raises ``InvalidPointError`` (a ``ValueError``) naming the first
+        point that does not.
+        """
         raise NotImplementedError
 
     def distance(self, y1, y2) -> float:
-        d = self.distances_to(as_array(y1)[None], y2)
+        d = self.distances_to(np.asarray(y1, dtype=float)[None], y2)
         return float(d[0])
 
     def distances_to(self, points, y) -> np.ndarray:
@@ -205,12 +182,19 @@ class MetricSpace:
         raise NotImplementedError
 
     def frechet_mean(self, points, weights) -> np.ndarray:
-        raise NotImplementedError
+        w = np.asarray(weights, dtype=float).ravel()
+        return self.frechet_mean_many(points, w[:, None])[0]
 
     def frechet_mean_many(self, points, weight_matrix) -> np.ndarray:
-        """One weighted mean per column of ``weight_matrix``, stacked."""
-        w = np.asarray(weight_matrix, dtype=float)
-        return np.stack([self.frechet_mean(points, w[:, j]) for j in range(w.shape[1])])
+        """One weighted mean per column of ``weight_matrix``, stacked.
+
+        Affine spaces blend the points with each weight column, normalized
+        by its total, and map the blends into the space.
+        """
+        pts = np.asarray(points, dtype=float)
+        w, totals = _column_totals(weight_matrix)
+        blended = (w.T @ pts.reshape(pts.shape[0], -1)) / totals[:, None]
+        return self.project_blends(blended.reshape(-1, *pts.shape[1:]))
 
     def project_blends(self, blended) -> np.ndarray:
         """Map stacked weight-normalized averages of points into the space.
@@ -221,11 +205,13 @@ class MetricSpace:
 
 
 class _VectorSpace(MetricSpace):
-    def check_point(self, y) -> np.ndarray:
-        v = as_array(y).ravel()
-        if not np.all(np.isfinite(v)):
-            raise ValueError("point has non-finite entries")
-        return v
+    def check_points(self, points) -> np.ndarray:
+        a = np.asarray(points, dtype=float)
+        if a.ndim not in (1, 2):
+            raise InvalidPointError(f"expected stacked scalars or vectors, got shape {a.shape}")
+        finite = np.isfinite(a) if a.ndim == 1 else np.isfinite(a).all(axis=1)
+        _reject_first(~finite, "non-finite entries")
+        return a
 
 
 class EuclideanSpace(_VectorSpace):
@@ -236,20 +222,10 @@ class EuclideanSpace(_VectorSpace):
         return blended
 
     def distances_to(self, points, y) -> np.ndarray:
-        diff = np.asarray(points, dtype=float) - as_array(y)
+        diff = np.asarray(points, dtype=float) - np.asarray(y, dtype=float)
         if diff.ndim <= 1:  # stacked scalar responses
             return np.abs(diff)
         return np.sqrt(np.sum(diff * diff, axis=-1))
-
-    def frechet_mean(self, points, weights) -> np.ndarray:
-        w, total = _weight_total(weights)
-        return w @ np.asarray(points, dtype=float) / total
-
-    def frechet_mean_many(self, points, weight_matrix) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        w, totals = _column_totals(weight_matrix)
-        out = (w.T @ pts)
-        return self.project_blends(out / (totals[:, None] if pts.ndim > 1 else totals))
 
 
 class _IterativeNormSpace(_VectorSpace):
@@ -272,7 +248,7 @@ class _IterativeNormSpace(_VectorSpace):
         raise NotImplementedError
 
     def distances_to(self, points, y) -> np.ndarray:
-        diff = np.asarray(points, dtype=float) - as_array(y)
+        diff = np.asarray(points, dtype=float) - np.asarray(y, dtype=float)
         if diff.ndim <= 1:
             return np.abs(diff)
         return self._norms(diff)
@@ -280,11 +256,6 @@ class _IterativeNormSpace(_VectorSpace):
     def objective(self, points, weights, y) -> float:
         w = np.asarray(weights, dtype=float).ravel()
         return float(w @ self.distances_to(points, y) ** 2)
-
-    def frechet_mean(self, points, weights) -> np.ndarray:
-        w = np.asarray(weights, dtype=float).ravel()
-        out = self.frechet_mean_many(points, w[:, None])
-        return out[0]
 
     def frechet_mean_many(self, points, weight_matrix) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -358,18 +329,20 @@ class WassersteinSpace(MetricSpace):
     def with_uniform_grid(cls, m: int = 101) -> "WassersteinSpace":
         return cls(midpoint_grid(m))
 
-    def check_point(self, y) -> np.ndarray:
-        v = as_array(y).ravel()
-        if v.size != self.grid.size:
-            raise ValueError(f"expected {self.grid.size} quantile values, got {v.size}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("quantile values must be finite")
-        if np.any(np.diff(v) < -MONOTONE_SLACK):
-            raise ValueError("quantile values must be nondecreasing")
-        return v
+    def check_points(self, points) -> np.ndarray:
+        a = np.asarray(points, dtype=float)
+        m = self.grid.size
+        if a.ndim != 2 or a.shape[1] != m:
+            raise InvalidPointError(f"expected rows of {m} quantile values, got shape {a.shape}")
+        _reject_first(~np.isfinite(a).all(axis=1), "quantile values must be finite")
+        _reject_first(
+            np.any(np.diff(a, axis=1) < -MONOTONE_SLACK, axis=1),
+            "quantile values are not nondecreasing",
+        )
+        return a
 
     def distances_to(self, points, y) -> np.ndarray:
-        diff = np.asarray(points, dtype=float) - as_array(y)
+        diff = np.asarray(points, dtype=float) - np.asarray(y, dtype=float)
         return np.sqrt((diff * diff) @ self.cell_weights)
 
     def project_blends(self, blended) -> np.ndarray:
@@ -379,15 +352,6 @@ class WassersteinSpace(MetricSpace):
             blended[j] = isotonic_project(blended[j], self.cell_weights)
         return blended
 
-    def frechet_mean(self, points, weights) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        w, total = _weight_total(weights)
-        return self.project_blends((w @ pts / total)[None])[0]
-
-    def frechet_mean_many(self, points, weight_matrix) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        w, totals = _column_totals(weight_matrix)
-        return self.project_blends((w.T @ pts) / totals[:, None])
 
 
 class CorrelationSpace(MetricSpace):
@@ -403,14 +367,25 @@ class CorrelationSpace(MetricSpace):
         self.tol = tol
         self.max_iter = max_iter
 
-    def check_point(self, y) -> np.ndarray:
-        a = as_array(y)
-        if a.shape != (self.size, self.size):
-            raise ValueError(f"expected a {self.size}x{self.size} matrix, got {a.shape}")
-        return CorrelationMatrix(a).values
+    def check_points(self, points) -> np.ndarray:
+        """Symmetric, unit diagonal, spectrum bounded below by -1e-8."""
+        a = np.asarray(points, dtype=float)
+        r = self.size
+        if a.ndim != 3 or a.shape[1:] != (r, r):
+            raise InvalidPointError(f"expected stacked {r}x{r} matrices, got shape {a.shape}")
+        _reject_first(~np.isfinite(a).all(axis=(1, 2)), "correlation matrix has non-finite entries")
+        at = a.transpose(0, 2, 1)
+        _reject_first(np.abs(a - at).max(axis=(1, 2)) > 1e-10, "correlation matrix must be symmetric")
+        off_unit = np.abs(np.diagonal(a, axis1=1, axis2=2) - 1.0).max(axis=1)
+        _reject_first(off_unit > 1e-10, "correlation matrix must have a unit diagonal")
+        _reject_first(
+            np.linalg.eigvalsh(0.5 * (a + at))[:, 0] < -1e-8,
+            "correlation matrix must be positive semidefinite",
+        )
+        return a
 
     def distances_to(self, points, y) -> np.ndarray:
-        diff = np.asarray(points, dtype=float) - as_array(y)
+        diff = np.asarray(points, dtype=float) - np.asarray(y, dtype=float)
         return np.sqrt(np.sum(diff * diff, axis=(-2, -1)))
 
     def project_blends(self, blended) -> np.ndarray:
@@ -418,11 +393,6 @@ class CorrelationSpace(MetricSpace):
         return np.stack(
             [nearest_correlation(b, tol=self.tol, max_iter=self.max_iter) for b in blended]
         )
-
-    def frechet_mean(self, points, weights) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        w, total = _weight_total(weights)
-        return self.project_blends((np.tensordot(w, pts, axes=(0, 0)) / total)[None])[0]
 
 
 def space_from_kind(kind: str, *, grid=None, quantile_points: int = 101, size: int | None = None) -> MetricSpace:

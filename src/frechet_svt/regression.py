@@ -1,10 +1,13 @@
 """Globally weighted Frechet regression with spectral truncation.
 
-The fitted object precomputes the covariate statistics and the
-pseudoinverse of the hard-thresholded covariance; each prediction builds
-the weight vector for the query point and solves one weighted Frechet
-mean in the response space. For Euclidean responses the prediction has
-the principal-component-regression closed form, exposed separately.
+``Dataset`` is the library boundary: it validates the responses with
+the space's ``check_points``. The fitted object precomputes the
+covariate statistics and the pseudoinverse of the hard-thresholded
+covariance. Every prediction, single or batched, goes through one route:
+``weight_matrix`` builds one weight column per query, and the space's
+``frechet_mean_many`` blends the responses with each column and projects
+the blend into the space. For Euclidean responses the prediction has the
+principal-component-regression closed form, exposed separately.
 """
 
 from __future__ import annotations
@@ -111,20 +114,12 @@ def check_queries(stats: CovariateStats, queries) -> np.ndarray:
     return q
 
 
-def weight_vector(stats: CovariateStats, lam: float, x) -> np.ndarray:
-    """Regression weights 1 + (X_i - mean)' [svt(cov, lam)]^+ (x - mean).
-
-    The weights average to one exactly because the centered rows sum to
-    zero; individual weights may be negative.
-    """
-    x = check_queries(stats, np.ravel(x))[0]
-    precision = thresholded_precision(stats, lam)
-    return 1.0 + stats.centered @ (precision @ (x - stats.mean))
-
-
 @dataclass(frozen=True)
 class Dataset:
-    """Covariate matrix paired with metric-space responses of one kind."""
+    """Covariate matrix paired with metric-space responses of one kind.
+
+    Construction rejects responses outside the space (``check_points``).
+    """
 
     covariates: np.ndarray
     responses: np.ndarray
@@ -132,9 +127,9 @@ class Dataset:
 
     def __post_init__(self):
         x = np.asarray(self.covariates, dtype=float)
-        y = np.asarray(self.responses, dtype=float)
         if x.ndim != 2 or x.shape[0] < 2:
             raise ValueError("covariates must be an n-by-p matrix with n >= 2")
+        y = self.space.check_points(self.responses)
         if y.shape[0] != x.shape[0]:
             raise ValueError(f"{x.shape[0]} covariate rows but {y.shape[0]} responses")
         object.__setattr__(self, "covariates", x)
@@ -160,17 +155,19 @@ class FittedModel:
     responses: np.ndarray
     space: MetricSpace
 
-    def weights(self, x) -> np.ndarray:
-        x = check_queries(self.stats, np.ravel(x))[0]
-        return 1.0 + self.stats.centered @ (self.svt_pinv @ (x - self.stats.mean))
-
     def weight_matrix(self, queries) -> np.ndarray:
-        """Weights for a batch of query points, one column per query."""
+        """Regression weights 1 + (X_i - mean)' [svt(cov, lam)]^+ (x - mean).
+
+        One column per query point. Each column averages to one exactly
+        because the centered rows sum to zero; single weights may be
+        negative.
+        """
         q = check_queries(self.stats, queries)
         return 1.0 + self.stats.centered @ (self.svt_pinv @ (q - self.stats.mean).T)
 
     def predict(self, x) -> np.ndarray:
-        return self.space.frechet_mean(self.responses, self.weights(x))
+        """Prediction at one query point."""
+        return self.predict_many(np.ravel(x)[None])[0]
 
     def predict_many(self, queries) -> np.ndarray:
         return self.space.frechet_mean_many(self.responses, self.weight_matrix(queries))
@@ -185,10 +182,6 @@ def fit(data: Dataset, lam: float) -> FittedModel:
         responses=data.responses,
         space=data.space,
     )
-
-
-def predict(model: FittedModel, x) -> np.ndarray:
-    return model.predict(x)
 
 
 def pcr_coefficients(data: Dataset, lam: float) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, ndtri
@@ -368,39 +368,70 @@ def mspe_profile(train_noisy: Dataset, test: Dataset, grid) -> np.ndarray:
     return errors[np.searchsorted(distinct, ranks)]
 
 
+def _tune(train_noisy: Dataset, test: Dataset, grid, profile_grid=None):
+    """One ``mspe_profile`` sweep over the sorted tuning grid and ``profile_grid``.
+
+    Returns the tuned threshold (the first minimizer on the sorted grid,
+    so ties pick the smallest), the tuning-grid errors, and the errors on
+    ``profile_grid`` (None without one).
+    """
+    grid = np.sort(np.asarray(grid, dtype=float).ravel())
+    sweep = grid if profile_grid is None else np.concatenate([grid, profile_grid])
+    curves = mspe_profile(train_noisy, test, sweep)
+    profile = curves[: grid.size]
+    extra = None if profile_grid is None else curves[grid.size :]
+    return float(grid[int(np.argmin(profile))]), profile, extra
+
+
 def tune_lambda(train_noisy: Dataset, test: Dataset, grid) -> float:
     """Threshold minimizing the out-of-sample error; ties pick the smallest."""
-    grid = np.sort(np.asarray(grid, dtype=float).ravel())
-    profile = mspe_profile(train_noisy, test, grid)
-    return float(grid[int(np.argmin(profile))])
+    return _tune(train_noisy, test, grid)[0]
 
 
 def evaluate_trial(
-    train: Dataset, train_noisy: Dataset, test: Dataset, grid, index: int = 0
-) -> TrialReport:
+    train: Dataset,
+    train_noisy: Dataset,
+    test: Dataset,
+    grid,
+    index: int = 0,
+    *,
+    eval_x=None,
+    profile_grid=None,
+):
     """Fit REF, EIV, and tuned SVT, reporting training and test errors.
 
     In-sample errors are measured at the clean training covariates for
     every estimator (the noisy fits act as predictors of the responses
     at the true covariates); test covariates are noiseless too.
+
+    Returns ``(report, eval_preds, profile_part)``. ``eval_preds`` maps
+    each estimator to its predictions at ``eval_x`` (None without
+    ``eval_x``). ``profile_part`` holds the SVT errors on
+    ``profile_grid``, the REF and EIV test errors, and the test error of
+    the unweighted mean of the training responses (None without
+    ``profile_grid``); the same sweep serves the tuning grid and the
+    profile grid.
     """
-    grid = np.sort(np.asarray(grid, dtype=float).ravel())
-    ref = fit(train, 0.0)
-    eiv = fit(train_noisy, 0.0)
-    profile = mspe_profile(train_noisy, test, grid)
-    lam_hat = float(grid[int(np.argmin(profile))])
-    svt = fit(train_noisy, lam_hat)
-    mse = {
-        "REF": _mean_squared_distance(ref, train.covariates, train.responses),
-        "EIV": _mean_squared_distance(eiv, train.covariates, train.responses),
-        "SVT": _mean_squared_distance(svt, train.covariates, train.responses),
+    lam_hat, profile, curves = _tune(train_noisy, test, grid, profile_grid)
+    models = {
+        "REF": fit(train, 0.0),
+        "EIV": fit(train_noisy, 0.0),
+        "SVT": fit(train_noisy, lam_hat),
     }
-    mspe = {
-        "REF": _mean_squared_distance(ref, test.covariates, test.responses),
-        "EIV": _mean_squared_distance(eiv, test.covariates, test.responses),
-        "SVT": float(profile.min()),
-    }
-    return TrialReport(index=index, mse=mse, mspe=mspe, lambda_hat=lam_hat)
+    mse = {est: _mean_squared_distance(m, train.covariates, train.responses) for est, m in models.items()}
+    mspe = {est: _mean_squared_distance(models[est], test.covariates, test.responses) for est in ("REF", "EIV")}
+    mspe["SVT"] = float(profile.min())  # the SVT fit's test error is the sweep's minimum
+    report = TrialReport(index=index, mse=mse, mspe=mspe, lambda_hat=lam_hat)
+    eval_preds = None
+    if eval_x is not None:
+        eval_preds = {est: m.predict_many(eval_x) for est, m in models.items()}
+    profile_part = None
+    if profile_grid is not None:
+        space = train.space
+        null_pred = space.frechet_mean(train.responses, np.ones(train.n))
+        null_mspe = float(np.mean(space.distances_to(test.responses, null_pred) ** 2))
+        profile_part = (curves, mspe["REF"], mspe["EIV"], null_mspe)
+    return report, eval_preds, profile_part
 
 
 def aggregate(trial_reports, eval_predictions, truths, space: MetricSpace) -> AggregateReport:
@@ -459,69 +490,31 @@ def _cell_fixtures(config: SimConfig):
     return spectrum, basis, eval_x, truths, params
 
 
+def _draw_responses(x, config: SimConfig, params, rng) -> np.ndarray:
+    if config.model == "wasserstein":
+        return gen_wasserstein_responses(x, config, rng)[0]
+    return gen_linear_responses(x, config.linear_dim, rng, config.sigma_eta, *params)[0]
+
+
 def _run_trial(args):
-    try:
-        return _run_trial_inner(args)
-    except (ConvergenceError, DegenerateWeightsError) as exc:
-        raise TrialFailure(args[-1], exc) from exc
-
-
-def _run_trial_inner(args):
+    """Draw one trial's data and run it through ``evaluate_trial``."""
     config, spectrum, basis, eval_x, profile_grid, params, b = args
-    rng = config.rng(_TRIAL, b)
-    space = _cell_space(config)
-    x = gen_covariates(config.n, config.p, spectrum, rng, basis)
-    if config.model == "wasserstein":
-        y, _ = gen_wasserstein_responses(x, config, rng)
-    else:
-        y, _, _ = gen_linear_responses(x, config.linear_dim, rng, config.sigma_eta, *params)
-    z = add_noise(x, config.noise_kind, config.sigma_eps, rng, config.laplace_variance_matched)
-    x_new = gen_covariates(config.test_size, config.p, spectrum, rng, basis)
-    if config.model == "wasserstein":
-        y_new, _ = gen_wasserstein_responses(x_new, config, rng)
-    else:
-        y_new, _, _ = gen_linear_responses(x_new, config.linear_dim, rng, config.sigma_eta, *params)
-
-    train = Dataset(x, y, space)
-    noisy = Dataset(z, y, space)
-    test = Dataset(x_new, y_new, space)
-
-    grid = lambda_grid(noisy.stats.eigenvalues[0], config.p, config.n, config.lambda_points)
-    # One sweep along the rank path serves the tuning grid and the profile grid.
-    sweep_grid = grid if profile_grid is None else np.concatenate([grid, profile_grid])
-    curves = mspe_profile(noisy, test, sweep_grid)
-    profile = curves[: grid.size]
-    lam_hat = float(grid[int(np.argmin(profile))])
-
-    models = {
-        "REF": fit(train, 0.0),
-        "EIV": fit(noisy, 0.0),
-        "SVT": fit(noisy, lam_hat),
-    }
-    mse = {
-        "REF": _mean_squared_distance(models["REF"], x, y),
-        "EIV": _mean_squared_distance(models["EIV"], x, y),
-        "SVT": _mean_squared_distance(models["SVT"], x, y),
-    }
-    mspe = {
-        "REF": _mean_squared_distance(models["REF"], x_new, y_new),
-        "EIV": _mean_squared_distance(models["EIV"], x_new, y_new),
-        "SVT": float(profile.min()),
-    }
-    report = TrialReport(index=b, mse=mse, mspe=mspe, lambda_hat=lam_hat)
-    eval_preds = {est: models[est].predict_many(eval_x) for est in ESTIMATORS}
-
-    profile_part = None
-    if profile_grid is not None:
-        null_pred = space.frechet_mean(y, np.ones(config.n))
-        null_mspe = float(np.mean(space.distances_to(y_new, null_pred) ** 2))
-        profile_part = (
-            curves[grid.size :],
-            mspe["REF"],
-            mspe["EIV"],
-            null_mspe,
+    try:
+        rng = config.rng(_TRIAL, b)
+        space = _cell_space(config)
+        x = gen_covariates(config.n, config.p, spectrum, rng, basis)
+        y = _draw_responses(x, config, params, rng)
+        z = add_noise(x, config.noise_kind, config.sigma_eps, rng, config.laplace_variance_matched)
+        x_new = gen_covariates(config.test_size, config.p, spectrum, rng, basis)
+        y_new = _draw_responses(x_new, config, params, rng)
+        noisy = Dataset(z, y, space)
+        grid = lambda_grid(noisy.stats.eigenvalues[0], config.p, config.n, config.lambda_points)
+        return evaluate_trial(
+            Dataset(x, y, space), noisy, Dataset(x_new, y_new, space), grid, b,
+            eval_x=eval_x, profile_grid=profile_grid,
         )
-    return report, eval_preds, profile_part
+    except (ConvergenceError, DegenerateWeightsError) as exc:
+        raise TrialFailure(b, exc) from exc
 
 
 def run_cell(config: SimConfig, workers: int = 1, with_profile: bool = True) -> CellResult:

@@ -244,7 +244,7 @@ def test_criterion_8_micro_scale_oracle_equivalence():
         model = fit(data, 0.0)
         query = rng.standard_normal(2)
         ours = model.predict(query)
-        w = model.weights(query)
+        w = model.weight_matrix(query[None])[:, 0]
 
         def objective(cands):
             d2 = ((cands[:, None, :] - q[None, :, :]) ** 2) @ space.cell_weights

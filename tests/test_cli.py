@@ -1,10 +1,11 @@
 import csv
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
 from frechet_svt.cli import main
-from frechet_svt.dataio import read_dataset
+from frechet_svt.dataio import SchemaError, read_covariates, read_dataset
 from frechet_svt.metric_spaces import midpoint_grid
 
 SMOKE_CONFIG = """\
@@ -263,12 +264,70 @@ class TestFitPredictCommand:
         assert code == 2
         assert "row 7" in capsys.readouterr().err  # header + grid row + 4 data rows
 
+    def test_non_psd_correlation_rejected_with_row(self, tmp_path, capsys):
+        bad = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
+        mats = [np.eye(3), np.eye(3), bad, np.eye(3)]
+        train = tmp_path / "ctrain.csv"
+        header = ["x1"] + [f"c{i}{j}" for i in range(1, 4) for j in range(1, 4)]
+        with open(train, "w") as fh:
+            fh.write(",".join(header) + "\n")
+            for i, m in enumerate(mats):
+                fh.write(",".join([repr(float(i))] + [repr(float(v)) for v in m.ravel()]) + "\n")
+        qpath = write_queries(tmp_path, np.zeros((1, 1)))
+        code = main(["fit-predict", "--train", str(train), "--queries", str(qpath),
+                     "--kind", "correlation", "--lambda", "0", "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "row 4" in err and "positive semidefinite" in err  # header + 2 good rows
+
+    def test_short_query_row_exits_2(self, tmp_path, capsys):
+        rng = np.random.default_rng(11)
+        train, *_ = write_euclidean_train(tmp_path, rng)
+        bad = tmp_path / "shortq.csv"
+        bad.write_text("x1,x2,x3\n0.1,0.2,0.3\n0.1,0.2\n")
+        code = main(["fit-predict", "--train", str(train), "--queries", str(bad),
+                     "--kind", "euclidean", "--lambda", "0", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "row 3" in capsys.readouterr().err
+
     def test_kind_mismatch_exits_2(self, tmp_path, capsys):
         rng = np.random.default_rng(6)
         train, *_ = write_euclidean_train(tmp_path, rng)
         qpath = write_queries(tmp_path, rng.standard_normal((2, 3)))
         assert main(["fit-predict", "--train", str(train), "--queries", str(qpath),
                      "--kind", "wasserstein", "--lambda", "0", "--out", str(tmp_path / "o")]) == 2
+
+
+class TestReadCovariates:
+    def test_short_row_is_a_schema_error(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("x1,x2\n1.0,2.0\n3.0\n")
+        with pytest.raises(SchemaError, match="row 3"):
+            read_covariates(path)
+
+    def test_row_numbers_count_the_skipped_grid_row(self, tmp_path):
+        rng = np.random.default_rng(12)
+        path, *_ = write_wasserstein_train(tmp_path, rng, n=4)
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[1] = "oops"
+        lines[2] = ",".join(cells)  # first data row, file row 3
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match="row 3: column x2"):
+            read_covariates(path)
+
+
+class TestSolverExitCode:
+    def test_broken_process_pool_exits_3(self, tmp_path, capsys, monkeypatch):
+        import frechet_svt.cli as cli
+
+        def broken(configs, workers=1):
+            raise BrokenProcessPool("a worker process died")
+
+        monkeypatch.setattr(cli, "run_campaign", broken)
+        code = main(["simulate", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("solver error: a worker process died")
 
 
 class TestDiagnoseCommand:

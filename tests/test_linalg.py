@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frechet_svt.linalg import (
-    ThresholdPolicy,
     col_projection,
     mahalanobis_seminorm,
     numerical_rank,
@@ -52,9 +51,7 @@ class TestSvt:
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
-            ThresholdPolicy(lam=-1.0)
-        with pytest.raises(ValueError):
-            ThresholdPolicy(lam=0.0, zero_tolerance=0.0)
+            svt(np.eye(2), -1.0)
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(st.integers(0, 10_000), st.floats(0.0, 5.0))

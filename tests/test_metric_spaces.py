@@ -7,13 +7,12 @@ from scipy.special import ndtri
 
 from frechet_svt.metric_spaces import (
     ConvergenceError,
-    CorrelationMatrix,
     CorrelationSpace,
     DegenerateWeightsError,
     EuclideanSpace,
+    InvalidPointError,
     L1Space,
     LinfSpace,
-    QuantileFunction,
     WassersteinSpace,
     grid_cell_weights,
     isotonic_project,
@@ -73,7 +72,7 @@ class TestDistances:
     def test_kind_dimension_mismatch(self):
         space = WassersteinSpace.with_uniform_grid(5)
         with pytest.raises(ValueError):
-            space.check_point(np.zeros(7))
+            space.check_points(np.zeros((1, 7)))
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(st.integers(0, 10_000))
@@ -149,7 +148,7 @@ class TestNearestCorrelation:
         rng = np.random.default_rng(13)
         a = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
         out = nearest_correlation(a)
-        CorrelationMatrix(out)  # invariants hold
+        CorrelationSpace(3).check_points(out[None])  # invariants hold
         obj = np.linalg.norm(out - a, "fro")
         for _ in range(10_000):
             cand = random_correlation_matrix(3, rng)
@@ -277,6 +276,14 @@ class TestBatchedMeans:
         w = np.ones((4, 2))
         batch = space.frechet_mean_many(pts, w)
         assert np.allclose(batch[0], space.frechet_mean(pts, w[:, 0]), atol=1e-12)
+        # Reference: one tensordot blend and one projection per column. The
+        # batched blend sums in another order; Dykstra's 1e-10 tolerance
+        # absorbs the difference.
+        w = np.column_stack([np.ones(4), [2.0, -1.5, 1.5, 1.0]])
+        batch = space.frechet_mean_many(pts, w)
+        for j in range(w.shape[1]):
+            loop = nearest_correlation(np.tensordot(w[:, j], pts, axes=(0, 0)) / w[:, j].sum())
+            assert np.allclose(batch[j], loop, atol=1e-9)
 
     def test_degenerate_column_rejected(self):
         space = EuclideanSpace()
@@ -317,20 +324,100 @@ class TestBatchedMeans:
         assert improved >= 8  # descent actually happens, not just no-ops
 
 
+class TestMeansStayInSpace:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.integers(0, 10_000), st.floats(0.5, 3.0))
+    def test_every_mean_passes_check_points(self, seed, spread):
+        # Columns average one, as regression weights do; with this spread
+        # many weights are negative, so blends leave the space and the
+        # projections (PAVA, Dykstra) have to bring them back.
+        rng = np.random.default_rng(seed)
+        n, k = int(rng.integers(2, 8)), int(rng.integers(1, 4))
+        w = spread * rng.standard_normal((n, k))
+        w = w - w.mean(axis=0) + 1.0
+        cases = [
+            (EuclideanSpace(), rng.standard_normal((n, 3))),
+            (EuclideanSpace(), rng.standard_normal(n)),
+            (L1Space(), rng.standard_normal((n, 2))),
+            (LinfSpace(), rng.standard_normal((n, 2))),
+            (WassersteinSpace.with_uniform_grid(9), np.sort(rng.standard_normal((n, 9)), axis=1)),
+            (CorrelationSpace(3), np.stack([random_correlation_matrix(3, rng) for _ in range(n)])),
+        ]
+        for space, pts in cases:
+            out = space.frechet_mean_many(space.check_points(pts), w)
+            assert out.shape == (k, *pts.shape[1:]), space.kind
+            space.check_points(out)
+
+
+class TestCheckPoints:
+    def test_names_first_bad_quantile_row(self):
+        space = WassersteinSpace(midpoint_grid(4))
+        rows = np.tile([0.0, 1.0, 2.0, 3.0], (6, 1))
+        rows[2] = [0.0, 1.0, 0.5, 2.0]
+        rows[4] = rows[4][::-1]
+        with pytest.raises(InvalidPointError) as err:
+            space.check_points(rows)
+        assert err.value.index == 2
+        assert str(err.value) == "point 2: quantile values are not nondecreasing"
+
+    def test_monotone_slack(self):
+        space = WassersteinSpace(midpoint_grid(3))
+        space.check_points([[0.0, 1.0, 1.0 - 1e-11]])
+        with pytest.raises(InvalidPointError):
+            space.check_points([[0.0, 1.0, 1.0 - 1e-9]])
+
+    def test_non_finite_points_rejected_in_every_space(self):
+        cases = [
+            (EuclideanSpace(), np.array([0.0, np.nan, 1.0])),
+            (L1Space(), np.array([[0.0, 1.0], [0.0, np.inf]])),
+            (WassersteinSpace(midpoint_grid(2)), np.array([[0.0, 1.0], [np.nan, 1.0]])),
+            (CorrelationSpace(2), np.array([np.eye(2), [[1.0, np.nan], [np.nan, 1.0]]])),
+        ]
+        for space, pts in cases:
+            with pytest.raises(InvalidPointError) as err:
+                space.check_points(pts)
+            assert err.value.index == 1, space.kind
+
+    def test_wrong_shapes_rejected(self):
+        with pytest.raises(InvalidPointError) as err:
+            WassersteinSpace(midpoint_grid(4)).check_points(np.zeros((3, 7)))
+        assert err.value.index is None
+        with pytest.raises(InvalidPointError):
+            CorrelationSpace(3).check_points(np.stack([np.eye(2)] * 3))
+        with pytest.raises(InvalidPointError):
+            EuclideanSpace().check_points(np.zeros((2, 2, 2)))
+
+    def test_names_first_non_psd_matrix(self):
+        bad = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
+        with pytest.raises(InvalidPointError) as err:
+            CorrelationSpace(3).check_points(np.stack([np.eye(3), np.eye(3), bad]))
+        assert err.value.index == 2
+        assert "positive semidefinite" in err.value.reason
+
+    def test_returns_float_array(self):
+        out = EuclideanSpace().check_points([[1, 2], [3, 4]])
+        assert out.dtype == float and out.shape == (2, 2)
+
+    def test_error_survives_pickling(self):
+        back = pickle.loads(pickle.dumps(InvalidPointError("bad", 3)))
+        assert (back.reason, back.index, str(back)) == ("bad", 3, "point 3: bad")
+
+
 class TestValidation:
     def test_quantile_function_monotonicity(self):
-        grid = midpoint_grid(4)
-        QuantileFunction(grid, [0.0, 0.0, 1.0, 2.0])
+        space = WassersteinSpace(midpoint_grid(4))
+        space.check_points([[0.0, 0.0, 1.0, 2.0]])
         with pytest.raises(ValueError):
-            QuantileFunction(grid, [0.0, 1.0, 0.5, 2.0])
+            space.check_points([[0.0, 1.0, 0.5, 2.0]])
 
     def test_correlation_matrix_invariants(self):
+        space = CorrelationSpace(2)
         with pytest.raises(ValueError):
-            CorrelationMatrix(np.array([[1.0, 0.2], [0.3, 1.0]]))
+            space.check_points(np.array([[[1.0, 0.2], [0.3, 1.0]]]))
         with pytest.raises(ValueError):
-            CorrelationMatrix(np.array([[1.0, 0.2], [0.2, 0.9]]))
+            space.check_points(np.array([[[1.0, 0.2], [0.2, 0.9]]]))
         with pytest.raises(ValueError):
-            CorrelationMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            space.check_points(np.array([[[1.0, 2.0], [2.0, 1.0]]]))
 
     def test_space_factory(self):
         assert space_from_kind("euclidean").kind == "euclidean"

@@ -3,15 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frechet_svt.linalg import pseudoinverse, svt
-from frechet_svt.metric_spaces import EuclideanSpace, WassersteinSpace
+from frechet_svt.metric_spaces import CorrelationSpace, EuclideanSpace, WassersteinSpace
 from frechet_svt.regression import (
     Dataset,
     covariate_stats,
     fit,
     pcr_coefficients,
-    predict,
     thresholded_precision,
-    weight_vector,
 )
 from oracles import monotone_grid_search, ols_with_intercept, pcr_fit_oracle, brute_covariance
 
@@ -24,6 +22,12 @@ def linear_euclidean_dataset(rng, n=30, p=4, noise=0.0):
     b = rng.standard_normal(p)
     y = a + x @ b + noise * rng.standard_normal(n)
     return Dataset(x, y, EUCLID), a, b
+
+
+def weights_at(x, lam, query):
+    """Regression weights of design ``x`` at one query, via ``FittedModel.weight_matrix``."""
+    model = fit(Dataset(x, np.zeros(len(x)), EUCLID), lam)
+    return model.weight_matrix(np.reshape(query, (1, -1)))[:, 0]
 
 
 class TestCovariateStats:
@@ -58,14 +62,16 @@ class TestCovariateStats:
 class TestWeights:
     def test_all_ones_at_the_mean(self):
         rng = np.random.default_rng(22)
-        stats = covariate_stats(rng.standard_normal((12, 3)))
-        w = weight_vector(stats, 0.7, stats.mean)
+        x = rng.standard_normal((12, 3))
+        stats = covariate_stats(x)
+        w = weights_at(x, 0.7, stats.mean)
         assert np.allclose(w, 1.0, atol=1e-12)
 
     def test_all_ones_when_threshold_kills_spectrum(self):
         rng = np.random.default_rng(23)
-        stats = covariate_stats(rng.standard_normal((12, 3)))
-        w = weight_vector(stats, stats.eigenvalues[0] * 2, rng.standard_normal(3))
+        x = rng.standard_normal((12, 3))
+        stats = covariate_stats(x)
+        w = weights_at(x, stats.eigenvalues[0] * 2, rng.standard_normal(3))
         assert np.allclose(w, 1.0, atol=1e-12)
 
     def test_matches_brute_force_at_zero_threshold(self):
@@ -75,15 +81,15 @@ class TestWeights:
         query = rng.standard_normal(3)
         # independent pseudoinverse routine
         brute = 1.0 + (x - stats.mean) @ np.linalg.pinv(stats.covariance) @ (query - stats.mean)
-        assert np.allclose(weight_vector(stats, 0.0, query), brute, atol=1e-8)
+        assert np.allclose(weights_at(x, 0.0, query), brute, atol=1e-8)
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(st.integers(0, 10_000), st.floats(0.0, 3.0))
     def test_weight_mean_is_one(self, seed, lam):
         rng = np.random.default_rng(seed)
         n, p = int(rng.integers(2, 15)), int(rng.integers(1, 6))
-        stats = covariate_stats(rng.standard_normal((n, p)))
-        w = weight_vector(stats, lam, rng.standard_normal(p))
+        x = rng.standard_normal((n, p))
+        w = weights_at(x, lam, rng.standard_normal(p))
         assert abs(w.mean() - 1.0) <= 1e-10
 
 
@@ -160,7 +166,7 @@ class TestPredict:
         model = fit(data, 0.0)
         query = rng.standard_normal(2)
         ours = model.predict(query)
-        w = model.weights(query)
+        w = model.weight_matrix(query[None])[:, 0]
 
         def objective(cands):
             # weighted squared-distance objective, vectorized over candidates
@@ -256,12 +262,37 @@ class TestDatasetValidation:
         with pytest.raises(ValueError):
             Dataset(np.ones((3, 2)), np.ones(4), EUCLID)
 
-    def test_predict_free_function(self):
-        rng = np.random.default_rng(39)
-        data, a, b = linear_euclidean_dataset(rng, noise=0.0)
-        model = fit(data, 0.0)
-        q = rng.standard_normal(data.covariates.shape[1])
-        assert predict(model, q) == model.predict(q)
+    def test_non_monotone_quantiles_rejected(self):
+        space = WassersteinSpace.with_uniform_grid(4)
+        q = np.tile([0.0, 1.0, 2.0, 3.0], (5, 1))
+        q[3] = [0.0, 2.0, 1.0, 3.0]
+        with pytest.raises(ValueError, match="point 3"):
+            Dataset(np.random.default_rng(0).standard_normal((5, 2)), q, space)
+
+    def test_quantile_rows_of_wrong_width_rejected(self):
+        # Seven values per row on a four-level grid once gave seven-column
+        # "quantile functions" from predict_many.
+        space = WassersteinSpace.with_uniform_grid(4)
+        q = np.sort(np.random.default_rng(1).standard_normal((6, 7)), axis=1)
+        with pytest.raises(ValueError):
+            Dataset(np.random.default_rng(2).standard_normal((6, 2)), q, space)
+
+    def test_non_finite_responses_rejected(self):
+        x = np.random.default_rng(3).standard_normal((4, 2))
+        with pytest.raises(ValueError):
+            Dataset(x, np.array([1.0, np.nan, 0.0, 2.0]), EUCLID)
+        q = np.tile([0.0, 1.0, 2.0], (4, 1))
+        q[1, 2] = np.inf
+        with pytest.raises(ValueError):
+            Dataset(x, q, WassersteinSpace.with_uniform_grid(3))
+
+    def test_non_psd_correlation_rejected(self):
+        # symmetric with a unit diagonal, but one eigenvalue is negative
+        bad = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
+        assert np.linalg.eigvalsh(bad)[0] < -0.5
+        ys = np.stack([np.eye(3), bad, np.eye(3)])
+        with pytest.raises(ValueError):
+            Dataset(np.random.default_rng(4).standard_normal((3, 2)), ys, CorrelationSpace(3))
 
 
 class TestQueryValidation:
@@ -273,9 +304,8 @@ class TestQueryValidation:
     def assert_rejected(self, single, batch):
         model = self.model()
         for call, arg in [
-            (model.weights, single),
             (model.predict, single),
-            (lambda q: weight_vector(model.stats, 0.0, q), single),
+            (model.weight_matrix, [single]),
             (model.weight_matrix, batch),
             (model.predict_many, batch),
         ]:
@@ -293,5 +323,5 @@ class TestQueryValidation:
     def test_valid_queries_unchanged(self):
         model = self.model()
         q = np.array([0.3, -0.2, 0.1])
-        assert np.array_equal(model.weights(q), model.weight_matrix(q[None, :])[:, 0])
-        assert np.array_equal(model.weights(q[None, :]), model.weights(q))
+        assert np.array_equal(model.predict(q), model.predict_many(q[None, :])[0])
+        assert np.array_equal(model.weight_matrix(q[None, :]), model.weight_matrix(q))

@@ -233,7 +233,7 @@ class TestEvaluateTrial:
         cfg = small_config()
         train, noisy, test = make_trial_data(cfg, np.random.default_rng(14), sigma_eps=0.0)
         grid = lambda_grid(covariate_stats(train.covariates).eigenvalues[0], cfg.p, cfg.n, 8)
-        report = evaluate_trial(train, noisy, test, grid)
+        report, _, _ = evaluate_trial(train, noisy, test, grid)
         assert report.mse["REF"] == report.mse["EIV"]
         assert report.mspe["REF"] == report.mspe["EIV"]
 
@@ -247,7 +247,7 @@ class TestEvaluateTrial:
         qt = np.tile(np.linspace(0, 1, cfg.quantile_points), (10, 1))
         train = Dataset(x, q, space)
         test = Dataset(xt, qt, space)
-        report = evaluate_trial(train, train, test, [0.5])
+        report, _, _ = evaluate_trial(train, train, test, [0.5])
         for est in ("REF", "EIV", "SVT"):
             assert report.mse[est] <= 1e-16
             assert report.mspe[est] <= 1e-16
@@ -261,7 +261,7 @@ class TestEvaluateTrial:
         rng = np.random.default_rng(16)
         train, noisy, test = make_trial_data(cfg, rng)
         grid = [0.3]
-        report = evaluate_trial(train, noisy, test, grid)
+        report, _, _ = evaluate_trial(train, noisy, test, grid)
 
         space = train.space
         w_levels = space.cell_weights
@@ -290,7 +290,7 @@ class TestEvaluateTrial:
         cfg = small_config()
         train, noisy, test = make_trial_data(cfg, np.random.default_rng(17))
         grid = lambda_grid(covariate_stats(noisy.covariates).eigenvalues[0], cfg.p, cfg.n, 5)
-        report = evaluate_trial(train, noisy, test, grid)
+        report, _, _ = evaluate_trial(train, noisy, test, grid)
         assert all(v >= 0 for v in report.mse.values())
         assert all(v >= 0 for v in report.mspe.values())
 
@@ -411,7 +411,7 @@ class TestRunCell:
         floor = covariate_stats(z).eigenvalues
         floor = floor[floor > 1e-10][-1]
         grid = np.concatenate([[floor * 0.5], lambda_grid(floor * 50, cfg.p, cfg.n, 6)])
-        report = evaluate_trial(train, noisy, test, grid)
+        report, _, _ = evaluate_trial(train, noisy, test, grid)
         assert report.mspe["SVT"] <= report.mspe["EIV"] + 1e-12
 
     def test_two_workers_match_one(self, monkeypatch):
@@ -443,10 +443,10 @@ class TestRunCell:
     def test_solver_failure_in_a_worker_reaches_the_caller(self, monkeypatch):
         import frechet_svt.simulation as sim
 
-        def failing(args):
+        def failing(*args, **kwargs):
             raise ConvergenceError("forced", last_iterate=np.eye(2))
 
-        monkeypatch.setattr(sim, "_run_trial_inner", failing)
+        monkeypatch.setattr(sim, "evaluate_trial", failing)
         with pytest.raises(TrialFailure) as err:
             run_cell(small_config(trials=2), workers=2)
         assert err.value.trial_index == 0
