@@ -107,11 +107,21 @@ def _parse_lambda(text: str) -> float | None:
     return value
 
 
+def _read_design(path, kind: str, role: str):
+    """``read_dataset`` for a file that must hold a design: covariates and n >= 2 rows."""
+    x, responses, space = read_dataset(path, kind)
+    if x is None:
+        raise SchemaError(f"{path}: {role} file has no covariate columns")
+    if x.shape[0] < 2:
+        raise SchemaError(f"{path}: {role} file needs at least two data rows, got {x.shape[0]}")
+    return x, responses, space
+
+
 def _cmd_fit_predict(args) -> int:
     lam = _parse_lambda(args.lam)
-    x, responses, space = read_dataset(args.train, args.kind)
-    if x is None:
-        raise SchemaError(f"{args.train}: training file has no covariate columns")
+    if args.grid_points < 1:
+        raise ConfigError(f"--grid-points must be at least 1, got {args.grid_points}")
+    x, responses, space = _read_design(args.train, args.kind, "training")
     train = Dataset(x, responses, space)
     queries = read_covariates(args.queries)
     if queries.shape[1] != x.shape[1]:
@@ -136,9 +146,7 @@ def _cmd_fit_predict(args) -> int:
     if lam is None:
         if not args.holdout:
             raise ConfigError("--lambda auto requires --holdout CSV")
-        hx, hy, _ = read_dataset(args.holdout, args.kind)
-        if hx is None:
-            raise SchemaError(f"{args.holdout}: holdout file has no covariate columns")
+        hx, hy, _ = _read_design(args.holdout, args.kind, "holdout")
         if hx.shape[1] != x.shape[1]:
             raise SchemaError(
                 f"holdout has {hx.shape[1]} covariates but training data has {x.shape[1]}"
@@ -156,9 +164,7 @@ def _cmd_fit_predict(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    x, responses, space = read_dataset(args.train, args.kind)
-    if x is None:
-        raise SchemaError(f"{args.train}: training file has no covariate columns")
+    x, responses, space = _read_design(args.train, args.kind, "training")
     z = read_covariates(args.noisy)
     if z.shape != x.shape:
         raise SchemaError(f"noisy covariates {z.shape} do not match training {x.shape}")

@@ -235,7 +235,9 @@ class _IterativeNormSpace(_VectorSpace):
     starts at the weighted l2 mean, runs a fixed iteration budget with
     step c/sqrt(k), and returns the best iterate seen, so the result
     never does worse than the initializer. Queries are solved in a
-    batch, one step size and incumbent per column.
+    batch, one step size and incumbent per column. Norms and subgradient
+    are evaluated once per iterate: the ones that score an iterate also
+    give the next step.
     """
 
     iterations = 500
@@ -243,8 +245,8 @@ class _IterativeNormSpace(_VectorSpace):
     def _norms(self, diff: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _norm_subgrad(self, diff: np.ndarray) -> np.ndarray:
-        """A subgradient of ||.|| at each point along the last axis."""
+    def _norm_parts(self, diff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``_norms(diff)``, bit for bit, and a subgradient of ||.|| at each point."""
         raise NotImplementedError
 
     def distances_to(self, points, y) -> np.ndarray:
@@ -264,28 +266,24 @@ class _IterativeNormSpace(_VectorSpace):
             return (w.T @ pts) / totals
         y = (w.T @ pts) / totals[:, None]  # (queries, dim)
         wt = w.T  # (queries, n)
-
-        def objectives(cand):
-            return np.einsum("kn,kn->k", wt, self._norms(cand[:, None, :] - pts) ** 2)
-
+        norms, subgrad = self._norm_parts(y[:, None, :] - pts)  # (queries, n), (queries, n, dim)
         best_y = y.copy()
-        best_obj = objectives(y)
+        best_obj = np.einsum("kn,kn->k", wt, norms**2)
         # Step length from the absolute-weight objective: with negative
         # weights the signed objective can vanish or go negative at the
         # initializer while the spread of the points is still large.
-        spread = np.einsum("kn,kn->k", np.abs(wt), self._norms(y[:, None, :] - pts) ** 2)
+        spread = np.einsum("kn,kn->k", np.abs(wt), norms**2)
         scales = np.sqrt(spread / np.maximum(np.abs(wt).sum(axis=1), 1e-300))
         for k in range(1, self.iterations + 1):
-            diff = y[:, None, :] - pts  # (queries, n, dim)
-            norms = self._norms(diff)
-            grad = 2.0 * np.einsum("kn,knd->kd", wt * norms, self._norm_subgrad(diff))
+            grad = 2.0 * np.einsum("kn,knd->kd", wt * norms, subgrad)
             gn = np.linalg.norm(grad, axis=1)
             active = gn > 0.0
             if not np.any(active):
                 break
             step = np.where(active, scales / (np.sqrt(k) * np.where(active, gn, 1.0)), 0.0)
             y = y - step[:, None] * grad
-            obj = objectives(y)
+            norms, subgrad = self._norm_parts(y[:, None, :] - pts)
+            obj = np.einsum("kn,kn->k", wt, norms**2)
             improved = obj < best_obj
             best_obj = np.where(improved, obj, best_obj)
             best_y[improved] = y[improved]
@@ -298,8 +296,8 @@ class L1Space(_IterativeNormSpace):
     def _norms(self, diff):
         return np.abs(diff).sum(axis=-1)
 
-    def _norm_subgrad(self, diff):
-        return np.sign(diff)
+    def _norm_parts(self, diff):
+        return self._norms(diff), np.sign(diff)
 
 
 class LinfSpace(_IterativeNormSpace):
@@ -308,11 +306,11 @@ class LinfSpace(_IterativeNormSpace):
     def _norms(self, diff):
         return np.abs(diff).max(axis=-1)
 
-    def _norm_subgrad(self, diff):
-        idx = np.argmax(np.abs(diff), axis=-1)[..., None]
-        sub = np.zeros_like(diff)
-        np.put_along_axis(sub, idx, np.take_along_axis(np.sign(diff), idx, axis=-1), axis=-1)
-        return sub
+    def _norm_parts(self, diff):
+        # One-hot at the first largest |coordinate|: the exact max and the subgradient's sign.
+        a = np.abs(diff)
+        hot = a.argmax(axis=-1)[..., None] == np.arange(a.shape[-1])
+        return a[hot].reshape(a.shape[:-1]), np.where(hot, np.sign(diff), 0.0)
 
 
 class WassersteinSpace(MetricSpace):

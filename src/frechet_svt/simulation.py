@@ -85,8 +85,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("n must be at least 2")
-        if self.p < 1:
-            raise ValueError("p must be positive")
+        if self.p < 2:
+            raise ValueError("p must be at least 2")
         if min(self.trials, self.test_size, self.eval_points, self.quantile_points) < 1:
             raise ValueError("trials, test_size, eval_points, quantile_points must be positive")
         if self.lambda_points < 1:

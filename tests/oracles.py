@@ -2,7 +2,10 @@
 
 Nothing here calls into the package's solvers: monotone projections are
 solved by enumerating block partitions or by refining grid search, and
-regressions by normal equations or numpy's lstsq.
+regressions by normal equations or numpy's lstsq. The l1/sup-norm
+subgradient loop is kept frozen in its original form, which evaluates
+norms and subgradients afresh at every step, so the package's solver can
+be held to it bit for bit.
 """
 
 from __future__ import annotations
@@ -103,3 +106,65 @@ def random_correlation_matrix(r, rng):
     s = g @ g.T
     d = 1.0 / np.sqrt(np.diag(s))
     return s * np.outer(d, d)
+
+
+def _l1_norms(diff):
+    return np.abs(diff).sum(axis=-1)
+
+
+def _l1_subgrad(diff):
+    return np.sign(diff)
+
+
+def _linf_norms(diff):
+    return np.abs(diff).max(axis=-1)
+
+
+def _linf_subgrad(diff):
+    idx = np.argmax(np.abs(diff), axis=-1)[..., None]
+    sub = np.zeros_like(diff)
+    np.put_along_axis(sub, idx, np.take_along_axis(np.sign(diff), idx, axis=-1), axis=-1)
+    return sub
+
+
+def subgradient_reference(points, weights, norm, iterations=500):
+    """Weighted l1 ("l1") or sup-norm ("linf") Frechet means, one per weight column.
+
+    A frozen copy of the original solver: l2-mean initializer, step
+    scale from the absolute-weight spread, steps c/sqrt(k) along a
+    subgradient, best iterate kept per column, early exit once every
+    gradient vanishes. Norms and subgradients are recomputed from the
+    difference at every use.
+    """
+    norms_of, subgrad_of = {"l1": (_l1_norms, _l1_subgrad), "linf": (_linf_norms, _linf_subgrad)}[norm]
+    pts = np.asarray(points, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    totals = w.sum(axis=0)
+    assert np.all(totals > 0.0)
+    if pts.ndim == 1:
+        return (w.T @ pts) / totals
+    y = (w.T @ pts) / totals[:, None]
+    wt = w.T
+
+    def objectives(cand):
+        return np.einsum("kn,kn->k", wt, norms_of(cand[:, None, :] - pts) ** 2)
+
+    best_y = y.copy()
+    best_obj = objectives(y)
+    spread = np.einsum("kn,kn->k", np.abs(wt), norms_of(y[:, None, :] - pts) ** 2)
+    scales = np.sqrt(spread / np.maximum(np.abs(wt).sum(axis=1), 1e-300))
+    for k in range(1, iterations + 1):
+        diff = y[:, None, :] - pts
+        norms = norms_of(diff)
+        grad = 2.0 * np.einsum("kn,knd->kd", wt * norms, subgrad_of(diff))
+        gn = np.linalg.norm(grad, axis=1)
+        active = gn > 0.0
+        if not np.any(active):
+            break
+        step = np.where(active, scales / (np.sqrt(k) * np.where(active, gn, 1.0)), 0.0)
+        y = y - step[:, None] * grad
+        obj = objectives(y)
+        improved = obj < best_obj
+        best_obj = np.where(improved, obj, best_obj)
+        best_y[improved] = y[improved]
+    return best_y

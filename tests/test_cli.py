@@ -127,6 +127,18 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "bogus" in capsys.readouterr().err
 
+    def test_single_covariate_cell_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "[cell:thin]\nn = 30\np = 1\ntrials = 1\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "thin" in err and "p must be at least 2" in err
+
+    @pytest.mark.parametrize("points", ["0", "-2"])
+    def test_grid_points_below_one_exits_2(self, tmp_path, points):
+        cfg = write_config(tmp_path)
+        assert main(["simulate", "--config", str(cfg), "--grid-points", points,
+                     "--out", str(tmp_path / "o")]) == 2
+
 
 class TestFitPredictCommand:
     def test_exact_linear_predictions(self, tmp_path):
@@ -187,6 +199,35 @@ class TestFitPredictCommand:
         assert main(["fit-predict", "--train", str(train), "--queries", str(qpath),
                      "--kind", "euclidean", "--lambda", "auto", "--holdout", str(holdout),
                      "--out", str(tmp_path / "o")]) == 2
+
+    def test_one_row_training_file_exits_2(self, tmp_path, capsys):
+        rng = np.random.default_rng(13)
+        train, *_ = write_euclidean_train(tmp_path, rng, n=1)
+        qpath = write_queries(tmp_path, rng.standard_normal((2, 3)))
+        assert main(["fit-predict", "--train", str(train), "--queries", str(qpath),
+                     "--kind", "euclidean", "--lambda", "0", "--out", str(tmp_path / "o")]) == 2
+        assert f"{train}: training file needs at least two data rows" in capsys.readouterr().err
+
+    def test_one_row_holdout_exits_2(self, tmp_path, capsys):
+        rng = np.random.default_rng(14)
+        train, *_ = write_euclidean_train(tmp_path, rng)
+        holdout, *_ = write_euclidean_train(tmp_path, rng, n=1, name="holdout.csv")
+        qpath = write_queries(tmp_path, rng.standard_normal((2, 3)))
+        assert main(["fit-predict", "--train", str(train), "--queries", str(qpath),
+                     "--kind", "euclidean", "--lambda", "auto", "--holdout", str(holdout),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"{holdout}: holdout file needs at least two data rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_grid_points_below_one_exits_2(self, tmp_path, capsys, points):
+        rng = np.random.default_rng(15)
+        train, *_ = write_euclidean_train(tmp_path, rng)
+        holdout, *_ = write_euclidean_train(tmp_path, rng, name="holdout.csv")
+        qpath = write_queries(tmp_path, rng.standard_normal((2, 3)))
+        assert main(["fit-predict", "--train", str(train), "--queries", str(qpath),
+                     "--kind", "euclidean", "--lambda", "auto", "--holdout", str(holdout),
+                     "--grid-points", points, "--out", str(tmp_path / "o")]) == 2
+        assert "--grid-points must be at least 1" in capsys.readouterr().err
 
     def test_wasserstein_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -362,6 +403,15 @@ class TestDiagnoseCommand:
         record = self.run_diagnose(tmp_path, corrupt=True, lam="1000.0")
         assert record["signal_floor"] == "inf"
         assert record["bound_rhs"] == "inf"
+
+    def test_one_row_training_file_exits_2(self, tmp_path, capsys):
+        rng = np.random.default_rng(16)
+        train, x, *_ = write_euclidean_train(tmp_path, rng, n=1)
+        npath = write_queries(tmp_path, x, name="noisy.csv")
+        code = main(["diagnose", "--train", str(train), "--noisy", str(npath), "--kind", "euclidean",
+                     "--lambda", "0.1", "--x=0,0,0", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"{train}: training file needs at least two data rows" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

@@ -2,7 +2,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import ndtri
 
 from frechet_svt.metric_spaces import (
@@ -20,7 +20,7 @@ from frechet_svt.metric_spaces import (
     nearest_correlation,
     space_from_kind,
 )
-from oracles import monotone_lsq_partition_oracle, random_correlation_matrix
+from oracles import monotone_lsq_partition_oracle, random_correlation_matrix, subgradient_reference
 
 ALL_VECTOR_SPACES = [EuclideanSpace(), L1Space(), LinfSpace()]
 
@@ -322,6 +322,48 @@ class TestBatchedMeans:
                 break
         assert checked == 10
         assert improved >= 8  # descent actually happens, not just no-ops
+
+
+class TestSubgradientMatchesReference:
+    """The l1/sup-norm solver reproduces the frozen reference loop bit for bit."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(2, 20),
+        dim=st.integers(0, 13),  # 0: scalar responses
+        queries=st.integers(1, 12),
+        integer_points=st.booleans(),  # ties in |diff|: the first largest coordinate wins
+        spread=st.floats(0.0, 3.0),
+    )
+    @example(seed=1, n=12, dim=13, queries=12, integer_points=True, spread=2.0)
+    @example(seed=2, n=9, dim=8, queries=1, integer_points=False, spread=1.5)
+    @example(seed=3, n=6, dim=0, queries=4, integer_points=True, spread=2.5)
+    def test_bit_identical(self, seed, n, dim, queries, integer_points, spread):
+        rng = np.random.default_rng(seed)
+        shape = (n,) if dim == 0 else (n, dim)
+        pts = rng.integers(-2, 3, size=shape).astype(float) if integer_points else rng.standard_normal(shape)
+        # Columns average one, as regression weights do; the spread makes many negative.
+        w = spread * rng.standard_normal((n, queries))
+        w = w - w.mean(axis=0) + 1.0
+        for space in (L1Space(), LinfSpace()):
+            out = space.frechet_mean_many(pts, w)
+            assert np.array_equal(out, subgradient_reference(pts, w, space.kind)), space.kind
+
+    @pytest.mark.parametrize("space", [L1Space(), LinfSpace()], ids=lambda s: s.kind)
+    def test_vanishing_gradient(self, space):
+        rng = np.random.default_rng(8)
+        pts = rng.standard_normal((5, 3))
+        # Column 0 sits on one point, so its gradient vanishes while column 1 moves.
+        w = np.column_stack([[1.0, 0.0, 0.0, 0.0, 0.0], rng.uniform(0.5, 1.5, 5)])
+        out = space.frechet_mean_many(pts, w)
+        assert np.array_equal(out, subgradient_reference(pts, w, space.kind))
+        assert np.array_equal(out[0], pts[0])
+        # Coincident points: every gradient vanishes at the start and the loop exits.
+        same = np.repeat(pts[:1], 4, axis=0)
+        out = space.frechet_mean_many(same, w[:4])
+        assert np.array_equal(out, subgradient_reference(same, w[:4], space.kind))
+        assert np.array_equal(out, same[:2])
 
 
 class TestMeansStayInSpace:
