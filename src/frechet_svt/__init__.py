@@ -19,11 +19,9 @@ from .diagnostics import (
 from .linalg import (
     SvdFactors,
     col_projection,
-    mahalanobis_seminorm,
     pinv_perturbation_residual,
     pseudoinverse,
     row_projection,
-    sigma_lambda,
     spectral_norm,
     svt,
 )

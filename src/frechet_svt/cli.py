@@ -36,9 +36,10 @@ from .dataio import (
     write_results_csv,
 )
 from .diagnostics import (
-    GrowthConstants,
+    ROWSPACE_RTOL,
     bias_term,
     denoising_report_for,
+    rowspace_residual,
     snr_reciprocal,
     weight_stability_check,
 )
@@ -94,6 +95,12 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _check_lambda(value: float) -> float:
+    if not value >= 0:  # also rejects NaN
+        raise ConfigError(f"--lambda must be a nonnegative number, got {value!r}")
+    return value
+
+
 def _parse_lambda(text: str) -> float | None:
     """A nonnegative threshold, or None meaning tune on a holdout."""
     if text == "auto":
@@ -102,9 +109,7 @@ def _parse_lambda(text: str) -> float | None:
         value = float(text)
     except ValueError as exc:
         raise ConfigError(f"--lambda must be a number or 'auto', got {text!r}") from exc
-    if value < 0:
-        raise ConfigError("--lambda must be nonnegative")
-    return value
+    return _check_lambda(value)
 
 
 def _read_design(path, kind: str, role: str):
@@ -146,10 +151,16 @@ def _cmd_fit_predict(args) -> int:
     if lam is None:
         if not args.holdout:
             raise ConfigError("--lambda auto requires --holdout CSV")
-        hx, hy, _ = _read_design(args.holdout, args.kind, "holdout")
+        hx, hy, hspace = _read_design(args.holdout, args.kind, "holdout")
         if hx.shape[1] != x.shape[1]:
             raise SchemaError(
                 f"holdout has {hx.shape[1]} covariates but training data has {x.shape[1]}"
+            )
+        if isinstance(space, WassersteinSpace) and not np.array_equal(hspace.grid, space.grid):
+            raise SchemaError(f"{args.holdout}: holdout grid levels differ from the training grid")
+        if hy.shape[1:] != responses.shape[1:]:
+            raise SchemaError(
+                f"{args.holdout}: holdout responses have shape {hy.shape[1:]}, training {responses.shape[1:]}"
             )
         holdout = Dataset(hx, hy, space)
         grid = lambda_grid(train.stats.eigenvalues[0], x.shape[1], x.shape[0], args.grid_points)
@@ -174,9 +185,9 @@ def _cmd_diagnose(args) -> int:
         raise ConfigError(f"--x must be comma-separated numbers, got {args.x!r}") from exc
     if query.size != x.shape[1]:
         raise ConfigError(f"--x has {query.size} entries but data has {x.shape[1]} covariates")
-    lam = float(args.lam)
-    if lam < 0:
-        raise ConfigError("--lambda must be nonnegative")
+    if not np.all(np.isfinite(query)):
+        raise ConfigError(f"--x must be finite, got {args.x!r}")
+    lam = _check_lambda(args.lam)
 
     out = Path(args.out)
     write_manifest(
@@ -192,19 +203,17 @@ def _cmd_diagnose(args) -> int:
             "out": str(out),
         },
     )
-    train = Dataset(x, responses, space)
-    report = denoising_report_for(train, z, lam, query, GrowthConstants())
-    rowspace_ok = True
-    try:
-        weight_lhs, weight_rhs = weight_stability_check(x, z, lam, query)
-    except ValueError:
-        rowspace_ok = False
-        weight_lhs, weight_rhs = float("nan"), float("nan")
+    train, noisy = Dataset(x, responses, space), Dataset(z, responses, space)
+    report = denoising_report_for(train, noisy, lam, query)
+    rowspace_ok = rowspace_residual(train.stats, query - train.stats.mean) <= ROWSPACE_RTOL
+    weight_lhs, weight_rhs = (
+        weight_stability_check(train, noisy, lam, query) if rowspace_ok else (float("nan"), float("nan"))
+    )
     write_diagnostics_csv(
         out / "diagnostics.csv",
         {
-            "b_lambda": bias_term(train.stats.covariance, train.stats.mean, lam, query),
-            "snr_reciprocal": snr_reciprocal(x, z, lam),
+            "b_lambda": bias_term(train.stats, lam, query),
+            "snr_reciprocal": snr_reciprocal(train, noisy, lam),
             "noise_norm": report.noise_norm,
             "signal_floor": report.signal_floor,
             "rowspace_ok": rowspace_ok,

@@ -2,31 +2,29 @@
 
 These functions turn the truncation-bias functional, the de-noising
 bound, and the weight-stability bound into numbers that can be checked
-on data. The threshold argument is always on the estimator's scale (it
-truncates eigenvalues of the covariate covariance); when a bound needs
-the spectrum of the centered design matrix, the equivalent design-scale
-threshold sqrt(n * lam) is used, which retains exactly the same
-components since eigenvalues are squared singular values over n.
+on data. They take the clean and the noisy ``Dataset`` and read the one
+thin SVD that each design caches in ``Dataset.stats``. The threshold is
+always on the estimator's scale (it truncates the covariance eigenvalues
+``s**2 / n``), and ``kept_rank`` alone decides which components count,
+exactly as in the fit. The raw covariates are read only for the noise
+norm ``||Z - X||``, which takes one SVD per clean/noisy pair.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    RANK_RTOL,
-    mahalanobis_seminorm,
-    row_projection,
-    sigma_lambda,
-    spectral_norm,
-    symmetrize,
-)
-from .metric_spaces import EuclideanSpace
-from .regression import CovariateStats, Dataset, FittedModel, covariate_stats, fit
+from .linalg import spectral_norm
+from .regression import CovariateStats, Dataset, check_queries, fit, kept_rank
 
 ROWSPACE_RTOL = 1e-8
+
+# ||Z - X|| per noisy Dataset and clean Dataset; entries die with the
+# Datasets, so every bound evaluated on one pair shares one SVD.
+_NOISE_NORMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -62,86 +60,81 @@ class DenoisingReport:
     observed_lhs: float
 
 
-def design_scale_threshold(lam: float, n: int) -> float:
-    """Map a covariance-eigenvalue threshold to the design-matrix scale."""
-    return float(np.sqrt(n * lam))
+def _noise_norm(clean: Dataset, noisy: Dataset) -> float:
+    """Spectral norm of the covariate noise ``Z - X``, computed once per pair."""
+    per_clean = _NOISE_NORMS.setdefault(noisy, weakref.WeakKeyDictionary())
+    if clean not in per_clean:
+        if noisy.covariates.shape != clean.covariates.shape:
+            raise ValueError(f"shape mismatch: {clean.covariates.shape} vs {noisy.covariates.shape}")
+        per_clean[clean] = spectral_norm(noisy.covariates - clean.covariates)
+    return per_clean[clean]
+
+
+def _centered_query(stats: CovariateStats, x) -> np.ndarray:
+    return check_queries(stats, np.ravel(x))[0] - stats.mean
+
+
+def _seminorm(stats: CovariateStats, v, lo: int, hi: int) -> float:
+    """Covariance seminorm of ``v`` over the components ``lo .. hi - 1``."""
+    coords = stats.centered_svd.right_t[lo:hi] @ v
+    return float(np.sqrt(np.sum(coords * coords / stats.eigenvalues[lo:hi])))
 
 
 def rowspace_residual(stats: CovariateStats, v) -> float:
-    """Relative residual of ``v`` against the centered design's row space."""
+    """Relative residual of ``v`` against the centered design's row space.
+
+    The row space is spanned by the components ``kept_rank(stats, 0)`` keeps.
+    """
     v = np.asarray(v, dtype=float).ravel()
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         return 0.0
-    proj = row_projection(stats.centered)
-    return float(np.linalg.norm(v - proj @ v)) / norm
+    basis = stats.centered_svd.right_t[: int(kept_rank(stats, 0))]
+    return float(np.linalg.norm(v - basis.T @ (basis @ v))) / norm
 
 
-def signal_floor(x_mat, z_mat, lam: float) -> float:
-    """Smallest retained singular value across both centered designs.
+def signal_floor(clean: Dataset, noisy: Dataset, lam: float) -> float:
+    """Smallest singular value the fit keeps, across both centered designs.
 
     ``inf`` when the threshold removes every component of both.
     """
-    xs = covariate_stats(x_mat)
-    zs = covariate_stats(z_mat)
-    lam_sv = design_scale_threshold(lam, xs.n)
-    return min(
-        sigma_lambda(xs.centered, lam_sv),
-        sigma_lambda(zs.centered, lam_sv),
-    )
+    floors = [np.inf]
+    for stats in (clean.stats, noisy.stats):
+        k = int(kept_rank(stats, lam))
+        if k:
+            floors.append(float(stats.centered_svd.values[k - 1]))
+    return min(floors)
 
 
-def snr_reciprocal(x_mat, z_mat, lam: float) -> float:
+def snr_reciprocal(clean: Dataset, noisy: Dataset, lam: float) -> float:
     """Noise-to-retained-signal ratio ||Z - X|| / signal floor.
 
     Zero when noiseless; also zero (vacuous bound) when the floor is
     infinite, so callers should inspect the floor separately.
     """
-    x_mat = np.asarray(x_mat, dtype=float)
-    z_mat = np.asarray(z_mat, dtype=float)
-    if x_mat.shape != z_mat.shape:
-        raise ValueError(f"shape mismatch: {x_mat.shape} vs {z_mat.shape}")
-    noise = spectral_norm(z_mat - x_mat)
+    noise = _noise_norm(clean, noisy)
     if noise == 0.0:
         return 0.0
-    floor = signal_floor(x_mat, z_mat, lam)
-    if not np.isfinite(floor):
-        return 0.0
-    return noise / floor
+    floor = signal_floor(clean, noisy, lam)
+    return 0.0 if np.isinf(floor) else noise / floor
 
 
-def bias_term(sigma, mu, lam: float, x) -> float:
-    """Truncation bias sqrt(rank(D)) * ||x - mu||_D with D the removed part.
+def bias_term(stats: CovariateStats, lam: float, x) -> float:
+    """Truncation bias sqrt(rank(D)) * ||x - mean||_D with D the removed part.
 
-    ``D = sigma - svt(sigma, lam)`` collects the eigencomponents at or
-    below the threshold; computed directly from the spectrum of ``sigma``
-    so nearly cancelled retained components cannot pollute the rank.
-    Zero whenever the threshold sits below the smallest nonzero
-    eigenvalue, and zero at ``x = mu``.
+    ``D = cov - svt(cov, lam)`` collects the nonzero components that the
+    threshold removes: those ``kept_rank(stats, 0)`` keeps but
+    ``kept_rank(stats, lam)`` drops. Zero whenever the threshold sits
+    below the smallest nonzero eigenvalue, and zero at the mean.
     """
-    a = symmetrize(sigma)
-    v = np.asarray(x, dtype=float).ravel() - np.asarray(mu, dtype=float).ravel()
-    if v.size != a.shape[0]:
-        raise ValueError("dimension mismatch between sigma and x - mu")
-    w, q = np.linalg.eigh(a)
-    top = w[-1] if w.size else 0.0
-    if top <= 0.0:
+    v = _centered_query(stats, x)
+    kept, nonzero = int(kept_rank(stats, lam)), int(kept_rank(stats, 0))
+    if kept >= nonzero:
         return 0.0
-    removed = (w > RANK_RTOL * top) & (w <= lam)
-    rank = int(np.count_nonzero(removed))
-    if rank == 0:
-        return 0.0
-    coords = q.T[removed] @ v
-    seminorm_sq = float(np.sum(coords * coords / w[removed]))
-    return float(np.sqrt(rank) * np.sqrt(max(seminorm_sq, 0.0)))
+    return float(np.sqrt(nonzero - kept) * _seminorm(stats, v, kept, nonzero))
 
 
-def _weight_model(design, lam: float) -> FittedModel:
-    """A fit whose only use is ``weight_matrix``; the weights never read the responses."""
-    return fit(Dataset(design, np.zeros(len(design)), EuclideanSpace()), lam)
-
-
-def weight_stability_check(x_mat, z_mat, lam: float, x) -> tuple[float, float]:
+def weight_stability_check(clean: Dataset, noisy: Dataset, lam: float, x) -> tuple[float, float]:
     """Observed and bounding weight discrepancy under covariate noise.
 
     Returns ``(lhs, rhs)`` where ``lhs`` is the l2 distance between the
@@ -149,34 +142,23 @@ def weight_stability_check(x_mat, z_mat, lam: float, x) -> tuple[float, float]:
     ``sqrt(n) ||Z - X|| / floor * (2 ||x - mean||_cov + 1)``. Requires
     the centered query to lie in the row space of the centered design.
     """
-    x_mat = np.asarray(x_mat, dtype=float)
-    z_mat = np.asarray(z_mat, dtype=float)
-    if x_mat.shape != z_mat.shape:
-        raise ValueError(f"shape mismatch: {x_mat.shape} vs {z_mat.shape}")
-    clean, noisy = _weight_model(x_mat, lam), _weight_model(z_mat, lam)
-    xs = clean.stats
-    query = np.asarray(x, dtype=float).ravel()
-    resid = rowspace_residual(xs, query - xs.mean)
+    stats = clean.stats
+    q = check_queries(stats, np.ravel(x))
+    v = q[0] - stats.mean
+    resid = rowspace_residual(stats, v)
     if resid > ROWSPACE_RTOL:
         raise ValueError(
             f"query point leaves the design row space (relative residual {resid:.3e})"
         )
-    q = query[None]
-    lhs = float(np.linalg.norm(noisy.weight_matrix(q)[:, 0] - clean.weight_matrix(q)[:, 0]))
-    noise = spectral_norm(z_mat - x_mat)
-    if noise == 0.0:
-        return lhs, 0.0
-    floor = signal_floor(x_mat, z_mat, lam)
-    if not np.isfinite(floor):
-        return lhs, 0.0
-    maha = mahalanobis_seminorm(query - xs.mean, xs.covariance)
-    rhs = np.sqrt(xs.n) * noise / floor * (2.0 * maha + 1.0)
-    return lhs, float(rhs)
+    maha = _seminorm(stats, v, 0, int(kept_rank(stats, 0)))
+    rhs = np.sqrt(stats.n) * snr_reciprocal(clean, noisy, lam) * (2.0 * maha + 1.0)
+    gap = fit(noisy, lam).weight_matrix(q)[:, 0] - fit(clean, lam).weight_matrix(q)[:, 0]
+    return float(np.linalg.norm(gap)), float(rhs)
 
 
 def denoising_bound(
-    x_mat,
-    z_mat,
+    clean: Dataset,
+    noisy: Dataset,
     lam: float,
     x,
     constants: GrowthConstants,
@@ -199,23 +181,19 @@ def denoising_bound(
     for finite ``d_growth`` (requires ``diameter``), the query-radius
     condition.
     """
-    x_mat = np.asarray(x_mat, dtype=float)
-    z_mat = np.asarray(z_mat, dtype=float)
-    if x_mat.shape != z_mat.shape:
-        raise ValueError(f"shape mismatch: {x_mat.shape} vs {z_mat.shape}")
     d_phi = np.asarray(dist_phi, dtype=float).ravel()
     d_phi_tilde = np.asarray(dist_phi_tilde, dtype=float).ravel()
-    n = x_mat.shape[0]
+    n = clean.n
     if d_phi.size != n or d_phi_tilde.size != n:
         raise ValueError("squared-distance vectors must have one entry per sample")
 
-    xs = covariate_stats(x_mat)
-    query = np.asarray(x, dtype=float).ravel()
-    noise = spectral_norm(z_mat - x_mat)
-    floor = signal_floor(x_mat, z_mat, lam)
-    maha = mahalanobis_seminorm(query - xs.mean, xs.covariance)
+    stats = clean.stats
+    v = _centered_query(stats, x)
+    noise = _noise_norm(clean, noisy)
+    floor = signal_floor(clean, noisy, lam)
+    maha = _seminorm(stats, v, 0, int(kept_rank(stats, 0)))
 
-    in_rowspace = rowspace_residual(xs, query - xs.mean) <= ROWSPACE_RTOL
+    in_rowspace = rowspace_residual(stats, v) <= ROWSPACE_RTOL
     if np.isinf(constants.d_growth):
         radius_ok = True
     else:
@@ -232,7 +210,7 @@ def denoising_bound(
 
     if noise == 0.0:
         rhs = 0.0
-    elif not np.isfinite(floor) or floor == 0.0:
+    elif np.isinf(floor):
         rhs = np.inf
     else:
         rhs = (
@@ -255,22 +233,24 @@ def denoising_bound(
 
 def denoising_report_for(
     train: Dataset,
-    noisy_covariates,
+    noisy: Dataset,
     lam: float,
     x,
     constants: GrowthConstants = GrowthConstants(),
     diameter: float | None = None,
 ) -> DenoisingReport:
-    """Fit on clean and noisy covariates and evaluate the bound end to end."""
-    noisy = Dataset(covariates=noisy_covariates, responses=train.responses, space=train.space)
+    """Fit on the clean and the noisy design and evaluate the bound end to end.
+
+    ``noisy`` holds the training responses on the noisy covariates.
+    """
     clean_pred = fit(train, lam).predict(x)
     noisy_pred = fit(noisy, lam).predict(x)
     space = train.space
     d_phi = space.distances_to(train.responses, clean_pred) ** 2
     d_phi_tilde = space.distances_to(train.responses, noisy_pred) ** 2
     return denoising_bound(
-        train.covariates,
-        noisy.covariates,
+        train,
+        noisy,
         lam,
         x,
         constants,

@@ -2,8 +2,8 @@
 
 Everything is SVD-based and pure: hard singular value thresholding,
 Moore-Penrose pseudoinverses with an explicit numerical-rank cutoff,
-row/column projections, the Mahalanobis seminorm, and the exact
-pseudoinverse perturbation identity used by the verification suite.
+row/column projections, and the exact pseudoinverse perturbation
+identity used by the verification suite.
 """
 
 from __future__ import annotations
@@ -114,40 +114,6 @@ def col_projection(m, zero_tolerance: float = RANK_RTOL) -> np.ndarray:
     keep = s > zero_tolerance * s[0] if s.size and s[0] > 0.0 else np.zeros(s.shape, bool)
     uu = u[:, keep]
     return uu @ uu.T if uu.size else np.zeros((a.shape[0], a.shape[0]))
-
-
-def sigma_lambda(m, lam: float, zero_tolerance: float = RANK_RTOL) -> float:
-    """Smallest singular value strictly above ``lam``; ``inf`` when none exists.
-
-    Numerical zeros (below the relative cutoff) never qualify, so at
-    ``lam = 0`` this is the smallest nonzero singular value.
-    """
-    s = np.linalg.svd(_as_matrix(m), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.inf
-    s = s[s > zero_tolerance * s[0]]
-    above = s[s > lam]
-    return float(above.min()) if above.size else np.inf
-
-
-def mahalanobis_seminorm(x, s, zero_tolerance: float = RANK_RTOL) -> float:
-    """Seminorm ``(x^T S^+ x)^(1/2)`` for positive semidefinite ``S``.
-
-    ``S`` is symmetrized defensively; components of ``x`` in the null
-    space of ``S`` contribute nothing.
-    """
-    v = np.asarray(x, dtype=float).ravel()
-    a = symmetrize(s)
-    if a.shape[0] != v.size:
-        raise ValueError(f"vector length {v.size} does not match matrix size {a.shape[0]}")
-    w, q = np.linalg.eigh(a)
-    top = w[-1] if w.size else 0.0
-    if top <= 0.0:
-        return 0.0
-    keep = w > zero_tolerance * top
-    coords = q.T[keep] @ v
-    val = float(np.sum(coords * coords / w[keep]))
-    return float(np.sqrt(max(val, 0.0)))
 
 
 def pinv_perturbation_residual(x, z) -> float:

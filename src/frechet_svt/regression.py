@@ -53,10 +53,6 @@ class CovariateStats:
         ev[: s.size] = s * s / self.n
         return ev
 
-    @property
-    def covariance(self) -> np.ndarray:
-        return symmetrize(self.centered.T @ self.centered / self.n)
-
 
 def covariate_stats(x) -> CovariateStats:
     x = np.asarray(x, dtype=float)
@@ -81,8 +77,8 @@ def kept_rank(stats: CovariateStats, lam):
     a scalar or an array of thresholds.
     """
     lam = np.asarray(lam, dtype=float)
-    if np.any(lam < 0):
-        raise ValueError("threshold must be nonnegative")
+    if not np.all(lam >= 0):
+        raise ValueError(f"threshold must be a nonnegative number, got {lam}")
     ev = stats.eigenvalues
     if ev[0] <= 0.0:
         return np.zeros(lam.shape, dtype=int)
@@ -114,11 +110,12 @@ def check_queries(stats: CovariateStats, queries) -> np.ndarray:
     return q
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Covariate matrix paired with metric-space responses of one kind.
 
     Construction rejects responses outside the space (``check_points``).
+    Datasets compare and hash by identity.
     """
 
     covariates: np.ndarray

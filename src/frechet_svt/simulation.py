@@ -52,6 +52,7 @@ class TrialFailure(RuntimeError):
 _NOISE_KINDS = ("gaussian", "laplace")
 _MODELS = ("wasserstein", "linear")
 _LINEAR_METRICS = ("euclidean", "l1", "linf")
+_FLOAT_FIELDS = ("sigma_eps", "sigma_eta", "ig_shape", "ig_scale", "alpha_intercept", "condition_number")
 
 # Purpose tags for deriving independent random streams within a cell.
 _BASIS, _EVAL, _MODEL_PARAMS, _TRIAL = 1, 2, 3, 4
@@ -83,6 +84,9 @@ class SimConfig:
     label: str = ""  # display name for reports; never feeds the rng
 
     def __post_init__(self):
+        for name in _FLOAT_FIELDS:
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.n < 2:
             raise ValueError("n must be at least 2")
         if self.p < 2:

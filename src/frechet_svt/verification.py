@@ -24,7 +24,8 @@ from .linalg import (
     spectral_norm,
     svt,
 )
-from .regression import covariate_stats
+from .metric_spaces import EuclideanSpace
+from .regression import CovariateStats, Dataset, kept_rank
 
 IDENTITY_TOL = 1e-8
 
@@ -155,19 +156,18 @@ def _projection_perturbation_margin(rng) -> float:
     return float(max(lhs - rhs, 0.0) / (1.0 + rhs))
 
 
-def shared_gap_thresholds(x_mat, noise_norm: float, margin: float = 5.0) -> list:
+def shared_gap_thresholds(stats: CovariateStats, noise_norm: float, margin: float = 5.0) -> list:
     """Covariance-scale thresholds whose design-scale images sit in
     spectral gaps of the centered design, at least ``margin`` times the
-    noise norm away from every singular value.
+    noise norm away from every singular value the design keeps.
 
     By Weyl's inequality the noisy design's singular values move by at
     most the noise norm, so both designs retain identical components at
     these thresholds and the stability bounds provably apply.
     """
-    stats = covariate_stats(x_mat)
-    n = stats.n
-    s = stats.centered_svd.values
-    s = s[s > 1e-12 * s[0]] if s.size and s[0] > 0 else s
+    s = stats.centered_svd.values[: int(kept_rank(stats, 0))]
+    if not s.size:
+        return []
     candidates = [2.0 * s[0] + margin * noise_norm]
     # mid-signal gaps only where the bracketing values are well separated;
     # near-ties make the retained subspace hypersensitive to the noise
@@ -179,7 +179,7 @@ def shared_gap_thresholds(x_mat, noise_norm: float, margin: float = 5.0) -> list
             continue
         if np.min(np.abs(s - c)) <= margin * noise_norm:  # too close to the spectrum
             continue
-        out.append(float(c**2 / n))
+        out.append(float(c**2 / stats.n))
     return out
 
 
@@ -191,13 +191,14 @@ def _weight_stability_margin(rng) -> float:
     r = int(rng.integers(1, p + 1))
     x = rng.standard_normal((n, r)) @ rng.standard_normal((r, p))
     noise = 1e-3 * rng.standard_normal((n, p))
-    z = x + noise
-    stats = covariate_stats(x)
+    # the weights never read the responses
+    clean, noisy = (Dataset(m, np.zeros(n), EuclideanSpace()) for m in (x, x + noise))
+    stats = clean.stats
     coeff = rng.standard_normal(n)
     query = stats.mean + stats.centered.T @ coeff / n  # stays in the design row space
     worst = 0.0
-    for lam in shared_gap_thresholds(x, spectral_norm(noise)):
-        lhs, rhs = weight_stability_check(x, z, lam, query)
+    for lam in shared_gap_thresholds(stats, spectral_norm(noise)):
+        lhs, rhs = weight_stability_check(clean, noisy, lam, query)
         worst = max(worst, (lhs - rhs) / (1.0 + rhs))
     return float(worst)
 

@@ -5,7 +5,11 @@ solved by enumerating block partitions or by refining grid search, and
 regressions by normal equations or numpy's lstsq. The l1/sup-norm
 subgradient loop is kept frozen in its original form, which evaluates
 norms and subgradients afresh at every step, so the package's solver can
-be held to it bit for bit.
+be held to it bit for bit. The spectral references (``sigma_lambda``,
+``mahalanobis_seminorm``, ``bias_term_reference``) are the package's
+former matrix-argument routes for the bound quantities: a fresh SVD of
+a design or ``eigh`` of an explicit covariance, each cut at 1e-12 times
+the top of the spectrum it reads.
 """
 
 from __future__ import annotations
@@ -98,6 +102,67 @@ def brute_covariance(x):
         d = x[i] - mu
         out += np.outer(d, d)
     return out / n
+
+
+def sigma_lambda(m, lam, zero_tolerance=1e-12):
+    """Smallest singular value strictly above ``lam``; ``inf`` when none exists.
+
+    Numerical zeros (below the relative cutoff) never qualify, so at
+    ``lam = 0`` this is the smallest nonzero singular value.
+    """
+    s = np.linalg.svd(np.asarray(m, dtype=float), compute_uv=False)
+    if s.size == 0 or s[0] == 0.0:
+        return np.inf
+    s = s[s > zero_tolerance * s[0]]
+    above = s[s > lam]
+    return float(above.min()) if above.size else np.inf
+
+
+def _symmetric(s):
+    a = np.asarray(s, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("need a square matrix")
+    return 0.5 * (a + a.T)
+
+
+def mahalanobis_seminorm(x, s, zero_tolerance=1e-12):
+    """Seminorm ``(x^T S^+ x)^(1/2)`` for positive semidefinite ``S``.
+
+    Components of ``x`` in the null space of ``S`` contribute nothing.
+    """
+    v = np.asarray(x, dtype=float).ravel()
+    a = _symmetric(s)
+    if a.shape[0] != v.size:
+        raise ValueError(f"vector length {v.size} does not match matrix size {a.shape[0]}")
+    w, q = np.linalg.eigh(a)
+    top = w[-1] if w.size else 0.0
+    if top <= 0.0:
+        return 0.0
+    keep = w > zero_tolerance * top
+    coords = q.T[keep] @ v
+    return float(np.sqrt(max(float(np.sum(coords * coords / w[keep])), 0.0)))
+
+
+def bias_term_reference(sigma, mu, lam, x, zero_tolerance=1e-12):
+    """Truncation bias sqrt(rank(D)) * ||x - mu||_D from ``eigh`` of ``sigma``.
+
+    ``D`` collects the eigencomponents above the numerical cutoff and at
+    or below the threshold.
+    """
+    a = _symmetric(sigma)
+    v = np.asarray(x, dtype=float).ravel() - np.asarray(mu, dtype=float).ravel()
+    if v.size != a.shape[0]:
+        raise ValueError("dimension mismatch between sigma and x - mu")
+    w, q = np.linalg.eigh(a)
+    top = w[-1] if w.size else 0.0
+    if top <= 0.0:
+        return 0.0
+    removed = (w > zero_tolerance * top) & (w <= lam)
+    rank = int(np.count_nonzero(removed))
+    if rank == 0:
+        return 0.0
+    coords = q.T[removed] @ v
+    return float(np.sqrt(rank) * np.sqrt(max(float(np.sum(coords * coords / w[removed])), 0.0)))
 
 
 def random_correlation_matrix(r, rng):

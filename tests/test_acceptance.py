@@ -160,10 +160,10 @@ def test_criterion_5_denoising_and_weight_stability_bounds():
         x = rng.standard_normal((n, r)) @ rng.standard_normal((r, p))
         noise = float(rng.choice([1e-4, 1e-3, 1e-2])) * rng.standard_normal((n, p))
         z = x + noise
-        lams = shared_gap_thresholds(x, spectral_norm(noise))
+        stats = covariate_stats(x)
+        lams = shared_gap_thresholds(stats, spectral_norm(noise))
         if not lams:
             continue
-        stats = covariate_stats(x)
         query = stats.mean + stats.centered.T @ rng.standard_normal(n) / n
         if euclid:
             space = EuclideanSpace()
@@ -174,10 +174,10 @@ def test_criterion_5_denoising_and_weight_stability_bounds():
 
             loc = x @ rng.standard_normal(p)
             responses = loc[:, None] + ndtri(space.grid)[None, :]
-        data = Dataset(x, responses, space)
+        data, noisy = Dataset(x, responses, space), Dataset(z, responses, space)
         for lam in lams[:2]:
-            rep = denoising_report_for(data, z, lam, query)
-            lhs, rhs = weight_stability_check(x, z, lam, query)
+            rep = denoising_report_for(data, noisy, lam, query)
+            lhs, rhs = weight_stability_check(data, noisy, lam, query)
             if not rep.precondition_ok:
                 continue
             if rep.observed_lhs > rep.bound_rhs + 1e-12:

@@ -4,6 +4,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
+from frechet_svt import regression
 from frechet_svt.cli import main
 from frechet_svt.dataio import SchemaError, read_covariates, read_dataset
 from frechet_svt.metric_spaces import midpoint_grid
@@ -52,8 +53,8 @@ def write_queries(tmp_path, queries, name="queries.csv"):
     return path
 
 
-def write_wasserstein_train(tmp_path, rng, n=12, p=2, m=9, name="wtrain.csv", corrupt_row=None):
-    grid = midpoint_grid(m)
+def write_wasserstein_train(tmp_path, rng, n=12, p=2, m=9, name="wtrain.csv", corrupt_row=None, grid=None):
+    grid = midpoint_grid(m) if grid is None else grid
     x = rng.standard_normal((n, p))
     q = np.sort(rng.standard_normal((n, m)), axis=1)
     if corrupt_row is not None:
@@ -139,6 +140,14 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg), "--grid-points", points,
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "key", ["sigma_eps", "sigma_eta", "ig_shape", "ig_scale", "alpha_intercept", "condition_number"]
+    )
+    def test_non_finite_float_field_exits_2(self, tmp_path, capsys, key):
+        cfg = write_config(tmp_path, SMOKE_CONFIG + f"{key} = nan\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"{key} must be finite" in capsys.readouterr().err
+
 
 class TestFitPredictCommand:
     def test_exact_linear_predictions(self, tmp_path):
@@ -199,6 +208,39 @@ class TestFitPredictCommand:
         assert main(["fit-predict", "--train", str(train), "--queries", str(qpath),
                      "--kind", "euclidean", "--lambda", "auto", "--holdout", str(holdout),
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("m, grid", [(7, None), (9, np.linspace(0.05, 0.95, 9))],
+                             ids=["fewer-levels", "other-levels"])
+    def test_auto_holdout_on_another_grid_exits_2(self, tmp_path, capsys, m, grid):
+        rng = np.random.default_rng(17)
+        train, *_ = write_wasserstein_train(tmp_path, rng, n=14)
+        holdout, *_ = write_wasserstein_train(tmp_path, rng, n=10, m=m, name="whold.csv", grid=grid)
+        qpath = write_queries(tmp_path, rng.standard_normal((2, 2)))
+        assert main(["fit-predict", "--train", str(train), "--queries", str(qpath),
+                     "--kind", "wasserstein", "--lambda", "auto", "--holdout", str(holdout),
+                     "--grid-points", "8", "--out", str(tmp_path / "o")]) == 2
+        assert f"{holdout}: holdout grid levels differ from the training grid" in capsys.readouterr().err
+
+    def test_auto_holdout_with_other_response_width_exits_2(self, tmp_path, capsys):
+        rng = np.random.default_rng(21)
+        train, *_ = write_euclidean_train(tmp_path, rng)
+        holdout = tmp_path / "holdout.csv"
+        rows = rng.standard_normal((6, 5))
+        holdout.write_text("x1,x2,x3,y1,y2\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows.tolist()))
+        qpath = write_queries(tmp_path, rng.standard_normal((2, 3)))
+        assert main(["fit-predict", "--train", str(train), "--queries", str(qpath),
+                     "--kind", "euclidean", "--lambda", "auto", "--holdout", str(holdout),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"{holdout}: holdout responses have shape" in capsys.readouterr().err
+
+    def test_nan_threshold_exits_2(self, tmp_path, capsys):
+        rng = np.random.default_rng(18)
+        train, *_ = write_euclidean_train(tmp_path, rng)
+        qpath = write_queries(tmp_path, rng.standard_normal((2, 3)))
+        assert main(["fit-predict", "--train", str(train), "--queries", str(qpath),
+                     "--kind", "euclidean", "--lambda", "nan", "--out", str(tmp_path / "o")]) == 2
+        assert "--lambda must be a nonnegative number" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "predictions.csv").exists()
 
     def test_one_row_training_file_exits_2(self, tmp_path, capsys):
         rng = np.random.default_rng(13)
@@ -404,6 +446,47 @@ class TestDiagnoseCommand:
         assert record["signal_floor"] == "inf"
         assert record["bound_rhs"] == "inf"
 
+    @pytest.mark.parametrize("lam, query, message", [
+        ("nan", "0,0,0", "--lambda must be a nonnegative number"),
+        ("0.1", "nan,0,0", "--x must be finite"),
+    ], ids=["nan-threshold", "nan-query"])
+    def test_non_finite_argument_exits_2(self, tmp_path, capsys, lam, query, message):
+        rng = np.random.default_rng(19)
+        train, x, *_ = write_euclidean_train(tmp_path, rng)
+        npath = write_queries(tmp_path, x, name="noisy.csv")
+        code = main(["diagnose", "--train", str(train), "--noisy", str(npath), "--kind", "euclidean",
+                     "--lambda", lam, "--x=" + query, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o" / "diagnostics.csv").exists()
+
+    def test_one_svd_per_design_and_no_eigh(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(20)
+        n, p = 200, 10
+        x = rng.standard_normal((n, p)) * np.geomspace(1.0, 0.1, p)
+        beta = rng.standard_normal(p)
+        train = tmp_path / "train.csv"
+        with open(train, "w") as fh:
+            fh.write(",".join(f"x{i}" for i in range(1, p + 1)) + ",y1\n")
+            for xi, yi in zip(x, x @ beta):
+                fh.write(",".join(repr(float(v)) for v in xi) + f",{float(yi)!r}\n")
+        npath = write_queries(tmp_path, x + 0.01 * rng.standard_normal((n, p)), name="noisy.csv")
+        query = ",".join(repr(float(v)) for v in x.mean(axis=0))
+        calls = {"svd": 0, "eigh": 0}
+        for name in calls:
+            original = getattr(np.linalg, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        code = main(["diagnose", "--train", str(train), "--noisy", str(npath), "--kind", "euclidean",
+                     "--lambda", "0.05", "--x=" + query, "--out", str(tmp_path / "o")])
+        assert code == 0
+        assert 0 < calls["svd"] <= 3  # X, Z and Z - X
+        assert calls["eigh"] == 0
+
     def test_one_row_training_file_exits_2(self, tmp_path, capsys):
         rng = np.random.default_rng(16)
         train, x, *_ = write_euclidean_train(tmp_path, rng, n=1)
@@ -423,6 +506,23 @@ class TestVerifyCommand:
     def test_fault_injection_detected(self, tmp_path, capsys):
         assert main(["verify-lemmas", "--seed", "3", "--instances", "40", "--inject-fault"]) == 4
         assert "FAIL" in capsys.readouterr().out
+
+    def test_covariate_stats_once_per_design(self, capsys, monkeypatch):
+        import frechet_svt
+
+        original = regression.covariate_stats
+        calls = []
+
+        def counting(x):
+            calls.append(1)
+            return original(x)
+
+        for module in [frechet_svt, *vars(frechet_svt).values()]:
+            if getattr(module, "covariate_stats", None) is original:
+                monkeypatch.setattr(module, "covariate_stats", counting)
+        assert main(["verify-lemmas", "--seed", "1", "--instances", "100"]) == 0
+        assert capsys.readouterr().out.count("pass") == 6
+        assert 0 < len(calls) <= 200  # the clean and the noisy design of each instance
 
     def test_report_bytes_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -1,19 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from frechet_svt.diagnostics import (
     GrowthConstants,
+    _seminorm,
     bias_term,
     denoising_bound,
     denoising_report_for,
-    design_scale_threshold,
     rowspace_residual,
     signal_floor,
     snr_reciprocal,
     weight_stability_check,
 )
+from frechet_svt.linalg import row_projection, spectral_norm
 from frechet_svt.metric_spaces import EuclideanSpace, WassersteinSpace
-from frechet_svt.regression import Dataset, covariate_stats, fit
+from frechet_svt.regression import Dataset, covariate_stats, fit, kept_rank
+from oracles import bias_term_reference, brute_covariance, mahalanobis_seminorm, sigma_lambda
 
 
 def crafted_design():
@@ -23,6 +26,34 @@ def crafted_design():
     x = 4.0 * np.outer(u1, [1.0, 0.0]) + 1.0 * np.outer(u2, [0.0, 1.0])
     z = x + 0.1 * np.outer(u1, [0.0, 1.0])
     return x, z
+
+
+def designs(*mats):
+    """One Euclidean Dataset per covariate matrix; the weights never read the responses."""
+    return [Dataset(m, np.zeros(len(m)), EuclideanSpace()) for m in mats]
+
+
+def noisy_twin(train, z):
+    """The training responses on the noisy covariates ``z``."""
+    return Dataset(z, train.responses, train.space)
+
+
+def diag41_stats(mu=(0.0, 0.0)):
+    """Stats of a four-row design with mean ``mu`` and covariance exactly diag(4, 1)."""
+    u1 = np.array([1.0, -1.0, 0.0, 0.0]) / np.sqrt(2)
+    u2 = np.array([0.0, 0.0, 1.0, -1.0]) / np.sqrt(2)
+    x = 4.0 * np.outer(u1, [1.0, 0.0]) + 2.0 * np.outer(u2, [0.0, 1.0])
+    return covariate_stats(x + np.asarray(mu))
+
+
+def spectral_design(rng, n, p, values):
+    """A design with a random mean whose centered part has exactly ``values``
+    as its nonzero singular values."""
+    r = len(values)
+    cols = rng.standard_normal((n, r))
+    u, _ = np.linalg.qr(cols - cols.mean(axis=0))  # orthogonal to the ones vector
+    v, _ = np.linalg.qr(rng.standard_normal((p, r)))
+    return (u * values) @ v.T + rng.standard_normal(p)
 
 
 def rowspace_query(x, rng):
@@ -38,56 +69,57 @@ def low_rank_pair(rng, n=30, p=10, rank=2, scale=1e-3):
 
 class TestBiasTerm:
     def test_zero_below_smallest_nonzero_eigenvalue(self):
-        sigma = np.diag([4.0, 1.0])
-        assert bias_term(sigma, np.zeros(2), 0.5, [3.0, -2.0]) == 0.0
+        stats = diag41_stats()
+        assert bias_term(stats, 0.5, [3.0, -2.0]) == 0.0
 
     def test_zero_at_the_mean(self):
-        sigma = np.diag([4.0, 1.0])
         mu = np.array([1.0, 2.0])
-        assert bias_term(sigma, mu, 2.0, mu) == 0.0
+        stats = diag41_stats(mu)
+        assert bias_term(stats, 2.0, mu) == 0.0
 
     def test_diagonal_hand_computation(self):
         # truncated part is diag(0, 1): rank 1, seminorm of (1,1) equals 1
-        assert np.isclose(bias_term(np.diag([4.0, 1.0]), np.zeros(2), 2.0, [1.0, 1.0]), 1.0)
+        assert np.isclose(bias_term(diag41_stats(), 2.0, [1.0, 1.0]), 1.0)
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(40)
         g = rng.standard_normal((6, 4))
-        sigma = g.T @ g / 6
         mu = rng.standard_normal(4)
         x = rng.standard_normal(4)
-        lams = np.linspace(0, np.linalg.eigvalsh(sigma)[-1] * 1.2, 25)
-        vals = [bias_term(sigma, mu, lam, x) for lam in lams]
+        stats = covariate_stats(g + mu)
+        lams = np.linspace(0, stats.eigenvalues[0] * 1.2, 25)
+        vals = [bias_term(stats, lam, x) for lam in lams]
         assert all(b - a >= -1e-12 for a, b in zip(vals, vals[1:]))
 
 
 class TestSnrReciprocal:
     def test_noiseless(self):
         x, _ = crafted_design()
-        assert snr_reciprocal(x, x, 0.3) == 0.0
+        assert snr_reciprocal(*designs(x, x), 0.3) == 0.0
 
     def test_hand_computed_ratio(self):
         x, z = crafted_design()
-        # estimator threshold 0.5 maps to sqrt(4 * 0.5) = 1.414 on the
-        # design scale, so only the top singular value (4) is retained
-        assert np.isclose(design_scale_threshold(0.5, 4), np.sqrt(2.0))
-        assert np.isclose(snr_reciprocal(x, z, 0.5), 0.1 / 4.0, atol=1e-6)
+        clean, noisy = designs(x, z)
+        # estimator threshold 0.5 sits between the covariance eigenvalues
+        # 4**2 / 4 and 1**2 / 4, so only the top singular value (4) is retained
+        assert kept_rank(clean.stats, 0.5) == kept_rank(noisy.stats, 0.5) == 1
+        assert np.isclose(snr_reciprocal(clean, noisy, 0.5), 0.1 / 4.0, atol=1e-6)
 
     def test_infinite_floor_surfaced_separately(self):
         x, z = crafted_design()
-        assert signal_floor(x, z, 5.0) == np.inf
-        assert snr_reciprocal(x, z, 5.0) == 0.0
+        assert signal_floor(*designs(x, z), 5.0) == np.inf
+        assert snr_reciprocal(*designs(x, z), 5.0) == 0.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            snr_reciprocal(np.ones((3, 2)), np.ones((2, 2)), 0.0)
+            snr_reciprocal(*designs(np.ones((3, 2)), np.ones((2, 2))), 0.0)
 
 
 class TestWeightStability:
     def test_noiseless_lhs_zero(self):
         rng = np.random.default_rng(41)
         x, _ = low_rank_pair(rng)
-        lhs, rhs = weight_stability_check(x, x, 0.2, rowspace_query(x, rng))
+        lhs, rhs = weight_stability_check(*designs(x, x), 0.2, rowspace_query(x, rng))
         assert lhs <= 1e-10
         assert rhs == 0.0
 
@@ -96,11 +128,9 @@ class TestWeightStability:
         x, z = low_rank_pair(rng)
         stats = covariate_stats(x)
         lam = 0.1
-        lhs, rhs = weight_stability_check(x, z, lam, stats.mean)
+        lhs, rhs = weight_stability_check(*designs(x, z), lam, stats.mean)
         n = x.shape[0]
-        lam_sv = design_scale_threshold(lam, n)
-        from frechet_svt.linalg import sigma_lambda, spectral_norm
-
+        lam_sv = np.sqrt(n * lam)  # the covariance threshold on the design scale
         floor = min(
             sigma_lambda(stats.centered, lam_sv),
             sigma_lambda(covariate_stats(z).centered, lam_sv),
@@ -124,7 +154,7 @@ class TestWeightStability:
                 float(evals[0]) * 4,  # keeps nothing
             ]
             for lam in sweep:
-                lhs, rhs = weight_stability_check(x, z, lam, query)
+                lhs, rhs = weight_stability_check(*designs(x, z), lam, query)
                 assert lhs <= rhs + 1e-12
 
     def test_inequality_full_rank_at_zero_threshold(self):
@@ -132,7 +162,7 @@ class TestWeightStability:
         for _ in range(5):
             x = rng.standard_normal((25, 4))
             z = x + 1e-3 * rng.standard_normal((25, 4))
-            lhs, rhs = weight_stability_check(x, z, 0.0, rowspace_query(x, rng))
+            lhs, rhs = weight_stability_check(*designs(x, z), 0.0, rowspace_query(x, rng))
             assert lhs <= rhs + 1e-12
 
     def test_rowspace_precondition_enforced(self):
@@ -140,7 +170,7 @@ class TestWeightStability:
         x, z = low_rank_pair(rng, n=10, p=6, rank=2)
         outside = covariate_stats(x).mean + rng.standard_normal(6)
         with pytest.raises(ValueError):
-            weight_stability_check(x, z, 0.1, outside)
+            weight_stability_check(*designs(x, z), 0.1, outside)
 
 
 class TestDenoisingBound:
@@ -149,7 +179,7 @@ class TestDenoisingBound:
         x, _ = low_rank_pair(rng)
         y = x @ rng.standard_normal(10) + 0.1 * rng.standard_normal(30)
         train = Dataset(x, y, EuclideanSpace())
-        report = denoising_report_for(train, x, 0.1, rowspace_query(x, rng))
+        report = denoising_report_for(train, noisy_twin(train, x), 0.1, rowspace_query(x, rng))
         assert report.noise_norm == 0.0
         assert report.bound_rhs == 0.0
         assert report.observed_lhs <= 1e-12
@@ -162,7 +192,7 @@ class TestDenoisingBound:
             train = Dataset(x, y, EuclideanSpace())
             evals = covariate_stats(x).eigenvalues
             lam = float((evals[1] + evals[2]) / 2)  # inside the spectral gap
-            report = denoising_report_for(train, z, lam, rowspace_query(x, rng))
+            report = denoising_report_for(train, noisy_twin(train, z), lam, rowspace_query(x, rng))
             assert report.precondition_ok
             assert report.observed_lhs <= report.bound_rhs + 1e-12
 
@@ -178,7 +208,7 @@ class TestDenoisingBound:
             train = Dataset(x, q, space)
             evals = covariate_stats(x).eigenvalues
             lam = float((evals[1] + evals[2]) / 2)
-            report = denoising_report_for(train, z, lam, rowspace_query(x, rng))
+            report = denoising_report_for(train, noisy_twin(train, z), lam, rowspace_query(x, rng))
             assert report.precondition_ok
             assert report.observed_lhs <= report.bound_rhs + 1e-12
 
@@ -188,7 +218,8 @@ class TestDenoisingBound:
         y = x @ rng.standard_normal(10)
         train = Dataset(x, y, EuclideanSpace())
         evals = covariate_stats(x).eigenvalues
-        report = denoising_report_for(train, z, float(evals[0] * 4), rowspace_query(x, rng))
+        lam = float(evals[0] * 4)
+        report = denoising_report_for(train, noisy_twin(train, z), lam, rowspace_query(x, rng))
         assert report.signal_floor == np.inf
         assert report.bound_rhs == np.inf
 
@@ -197,7 +228,9 @@ class TestDenoisingBound:
         x, z = low_rank_pair(rng, n=10, p=6, rank=2)
         y = x @ rng.standard_normal(6)
         train = Dataset(x, y, EuclideanSpace())
-        report = denoising_report_for(train, z, 0.1, covariate_stats(x).mean + rng.standard_normal(6))
+        report = denoising_report_for(
+            train, noisy_twin(train, z), 0.1, covariate_stats(x).mean + rng.standard_normal(6)
+        )
         assert not report.precondition_ok
 
     def test_finite_growth_radius_needs_diameter(self):
@@ -205,8 +238,7 @@ class TestDenoisingBound:
         x, z = low_rank_pair(rng)
         with pytest.raises(ValueError):
             denoising_bound(
-                x,
-                z,
+                *designs(x, z),
                 0.1,
                 rowspace_query(x, rng),
                 GrowthConstants(d_growth=1.0),
@@ -251,3 +283,53 @@ class TestRowspaceResidual:
         v = stats.centered.T @ rng.standard_normal(30)
         assert rowspace_residual(stats, v) <= 1e-10
         assert rowspace_residual(stats, np.zeros(10)) == 0.0
+
+
+class TestStatsRouteMatchesOracles:
+    """The stats route against the former matrix-argument routes in oracles.py.
+
+    The two agree whenever no singular value sits in (1e-12 s0, 1e-6 s0]:
+    the former routes cut singular values at 1e-12 s0, ``kept_rank`` cuts
+    covariance eigenvalues at 1e-12 ev0, which is 1e-6 s0.
+    """
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 10_000), st.floats(0.0, 1.2).filter(lambda f: f != 1.0))
+    def test_floor_seminorm_bias_and_residual(self, seed, frac):
+        rng = np.random.default_rng(seed)
+        n, p = int(rng.integers(4, 14)), int(rng.integers(2, 8))
+        values = np.sort(rng.uniform(0.1, 10.0, int(rng.integers(1, min(n - 1, p) + 1))))[::-1]
+        x = spectral_design(rng, n, p, values)
+        clean, noisy = designs(x, x + 1e-2 * rng.standard_normal((n, p)))
+        for data in (clean, noisy):
+            s = data.stats.centered_svd.values
+            assume(not np.any((s > 1e-12 * s[0]) & (s <= 1e-6 * s[0])))
+        stats = clean.stats
+        lam = frac * stats.eigenvalues[0]
+        query = rng.standard_normal(p)
+        v = query - stats.mean
+        cov = brute_covariance(x)
+
+        lam_sv = np.sqrt(n * lam)
+        floor = min(sigma_lambda(stats.centered, lam_sv), sigma_lambda(noisy.stats.centered, lam_sv))
+        np.testing.assert_allclose(signal_floor(clean, noisy, lam), floor, rtol=1e-10)
+        np.testing.assert_allclose(
+            _seminorm(stats, v, 0, int(kept_rank(stats, 0))), mahalanobis_seminorm(v, cov), rtol=1e-10
+        )
+        np.testing.assert_allclose(
+            bias_term(stats, lam, query), bias_term_reference(cov, stats.mean, lam, query), rtol=1e-10
+        )
+        resid = np.linalg.norm(v - row_projection(stats.centered) @ v) / np.linalg.norm(v)
+        np.testing.assert_allclose(rowspace_residual(stats, v), resid, rtol=1e-10, atol=1e-12)
+
+    def test_floor_is_smallest_singular_value_the_fit_keeps(self):
+        # 2.7e-9 is above the former cut 1e-12 * 8.19 but its eigenvalue
+        # is below 1e-12 times the top one, so no fit uses that component
+        rng = np.random.default_rng(53)
+        x = spectral_design(rng, 5, 4, np.array([8.19, 5.34, 3.95, 2.7e-9]))
+        f = covariate_stats(x).centered_svd
+        clean, noisy = designs(x, x + 0.01 * np.outer(f.left[:, 0], f.right_t[0]))
+        assert kept_rank(clean.stats, 0.0) == kept_rank(noisy.stats, 0.0) == 3
+        assert sigma_lambda(clean.stats.centered, 0.0) == pytest.approx(2.7e-9, rel=1e-3)
+        assert signal_floor(clean, noisy, 0.0) == pytest.approx(3.95, rel=1e-10)
+        assert snr_reciprocal(clean, noisy, 0.0) == pytest.approx(0.01 / 3.95, rel=1e-8)

@@ -8,6 +8,7 @@ from frechet_svt.regression import (
     Dataset,
     covariate_stats,
     fit,
+    kept_rank,
     pcr_coefficients,
     thresholded_precision,
 )
@@ -24,6 +25,12 @@ def linear_euclidean_dataset(rng, n=30, p=4, noise=0.0):
     return Dataset(x, y, EUCLID), a, b
 
 
+def svd_covariance(stats):
+    """The covariance as the stats' one SVD gives it: ``Vt' diag(s**2 / n) Vt``."""
+    vt = stats.centered_svd.right_t
+    return (vt.T * stats.eigenvalues[: vt.shape[0]]) @ vt
+
+
 def weights_at(x, lam, query):
     """Regression weights of design ``x`` at one query, via ``FittedModel.weight_matrix``."""
     model = fit(Dataset(x, np.zeros(len(x)), EUCLID), lam)
@@ -33,18 +40,18 @@ def weights_at(x, lam, query):
 class TestCovariateStats:
     def test_identical_rows_zero_covariance(self):
         stats = covariate_stats(np.array([[1.0, 2.0], [1.0, 2.0]]))
-        assert np.allclose(stats.covariance, 0.0, atol=1e-14)
+        assert np.allclose(svd_covariance(stats), 0.0, atol=1e-14)
 
     def test_hand_computed_two_samples(self):
         stats = covariate_stats(np.array([[0.0], [2.0]]))
         assert np.isclose(stats.mean[0], 1.0)
-        assert np.isclose(stats.covariance[0, 0], 1.0)
+        assert np.isclose(svd_covariance(stats)[0, 0], 1.0)
 
     def test_matches_brute_force_double_loop(self):
         rng = np.random.default_rng(20)
         x = rng.standard_normal((20, 5))
         stats = covariate_stats(x)
-        assert np.allclose(stats.covariance, brute_covariance(x), atol=1e-10)
+        assert np.allclose(svd_covariance(stats), brute_covariance(x), atol=1e-10)
 
     def test_svd_consistency_with_covariance(self):
         rng = np.random.default_rng(21)
@@ -52,11 +59,18 @@ class TestCovariateStats:
         stats = covariate_stats(x)
         f = stats.centered_svd
         rebuilt = (f.right_t.T * f.values**2) @ f.right_t / stats.n
-        assert np.allclose(rebuilt, stats.covariance, atol=1e-8)
+        assert np.allclose(rebuilt, brute_covariance(x), atol=1e-8)
 
     def test_rejects_single_row(self):
         with pytest.raises(ValueError):
             covariate_stats(np.ones((1, 3)))
+
+    def test_kept_rank_rejects_nan_threshold(self):
+        stats = covariate_stats(np.random.default_rng(31).standard_normal((8, 3)))
+        with pytest.raises(ValueError):
+            kept_rank(stats, np.nan)
+        with pytest.raises(ValueError):
+            kept_rank(stats, np.array([0.1, np.nan]))
 
 
 class TestWeights:
@@ -80,7 +94,7 @@ class TestWeights:
         stats = covariate_stats(x)
         query = rng.standard_normal(3)
         # independent pseudoinverse routine
-        brute = 1.0 + (x - stats.mean) @ np.linalg.pinv(stats.covariance) @ (query - stats.mean)
+        brute = 1.0 + (x - stats.mean) @ np.linalg.pinv(brute_covariance(x)) @ (query - stats.mean)
         assert np.allclose(weights_at(x, 0.0, query), brute, atol=1e-8)
 
     @settings(max_examples=25, deadline=None, derandomize=True)
@@ -98,7 +112,7 @@ class TestFit:
         rng = np.random.default_rng(25)
         data, _, _ = linear_euclidean_dataset(rng, n=40, p=4)
         model = fit(data, 0.0)
-        assert np.allclose(model.svt_pinv, np.linalg.inv(model.stats.covariance), atol=1e-8)
+        assert np.allclose(model.svt_pinv, np.linalg.inv(brute_covariance(data.covariates)), atol=1e-8)
 
     def test_threshold_above_top_gives_zero(self):
         rng = np.random.default_rng(26)
@@ -114,7 +128,7 @@ class TestFit:
         u2 = np.array([0.0, 0.0, 1.0, -1.0]) / np.sqrt(2)
         x = s1 * np.outer(u1, [1, 0]) + s2 * np.outer(u2, [0, 1])
         stats = covariate_stats(x)
-        assert np.allclose(stats.covariance, np.diag([s1**2 / 4, s2**2 / 4]), atol=1e-12)
+        assert np.allclose(svd_covariance(stats), np.diag([s1**2 / 4, s2**2 / 4]), atol=1e-12)
         lam = (s2**2 / 4 + s1**2 / 4) / 2
         assert np.allclose(thresholded_precision(stats, lam), np.diag([4 / s1**2, 0.0]), atol=1e-12)
 
@@ -123,7 +137,7 @@ class TestFit:
         x = rng.standard_normal((12, 5))
         stats = covariate_stats(x)
         for lam in [0.0, float(np.median(stats.eigenvalues)), 10.0]:
-            generic = pseudoinverse(svt(stats.covariance, lam))
+            generic = pseudoinverse(svt(brute_covariance(x), lam))
             assert np.allclose(thresholded_precision(stats, lam), generic, atol=1e-9)
 
 
@@ -151,7 +165,7 @@ class TestPredict:
         data, _, _ = linear_euclidean_dataset(rng, n=60, p=3, noise=0.5)
         model = fit(data, 0.0)
         stats = model.stats
-        inv = np.linalg.inv(stats.covariance)
+        inv = np.linalg.inv(brute_covariance(data.covariates))
         q = rng.standard_normal(3)
         w = 1.0 + (data.covariates - stats.mean) @ inv @ (q - stats.mean)
         expected = float(w @ data.responses / w.sum())
