@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .dataio import (
+    KINDS,
     ConfigError,
     SchemaError,
     load_sim_configs,
@@ -264,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     fp = sub.add_parser("fit-predict", help="fit on a training CSV and predict at query points")
     fp.add_argument("--train", required=True, help="training CSV (covariates + responses)")
     fp.add_argument("--queries", required=True, help="query covariates CSV")
-    fp.add_argument("--kind", required=True, choices=["euclidean", "l1", "linf", "wasserstein", "correlation"])
+    fp.add_argument("--kind", required=True, choices=KINDS)
     fp.add_argument("--lambda", dest="lam", default="0", help="threshold value or 'auto'")
     fp.add_argument("--holdout", default=None, help="holdout CSV for --lambda auto")
     fp.add_argument("--grid-points", type=int, default=40, help="grid size for --lambda auto")
@@ -274,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     diag = sub.add_parser("diagnose", help="evaluate error-bound quantities for a noisy design")
     diag.add_argument("--train", required=True, help="training CSV (covariates + responses)")
     diag.add_argument("--noisy", required=True, help="CSV with the noisy covariates")
-    diag.add_argument("--kind", required=True, choices=["euclidean", "l1", "linf", "wasserstein", "correlation"])
+    diag.add_argument("--kind", required=True, choices=KINDS)
     diag.add_argument("--lambda", dest="lam", type=float, required=True, help="threshold")
     diag.add_argument("--x", required=True, help="query point, comma-separated")
     diag.add_argument("--out", required=True, help="output directory")
@@ -297,10 +298,7 @@ def main(argv=None) -> int:
     except (ConfigError, SchemaError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
-    except TrialFailure as exc:
-        sys.stderr.write(f"solver error: {exc}\n")
-        return EXIT_SOLVER
-    except (ConvergenceError, DegenerateWeightsError, BrokenProcessPool) as exc:
+    except (TrialFailure, ConvergenceError, DegenerateWeightsError, BrokenProcessPool) as exc:
         sys.stderr.write(f"solver error: {exc}\n")
         return EXIT_SOLVER
 

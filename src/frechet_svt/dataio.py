@@ -13,15 +13,18 @@ from __future__ import annotations
 import configparser
 import csv
 import dataclasses
+import itertools
 import math
 from pathlib import Path
 
 import numpy as np
 
 from .metric_spaces import InvalidPointError, MetricSpace, WassersteinSpace, space_from_kind
-from .simulation import SimConfig
+from .simulation import ESTIMATORS, SimConfig
 
-KINDS = ("euclidean", "l1", "linf", "wasserstein", "correlation")
+# Response column prefix per kind: the one place the kind decides the layout.
+_PREFIX = {"euclidean": "y", "l1": "y", "linf": "y", "wasserstein": "q", "correlation": "c"}
+KINDS = tuple(_PREFIX)
 
 
 class SchemaError(ValueError):
@@ -52,45 +55,60 @@ def _parse_float(text: str, row: int, col: str) -> float:
     return value
 
 
-def _read_rows(path) -> list[list[str]]:
+def _parse_row(line: int, cells, names) -> list[float]:
+    """The cells under ``names`` (the leading ones) as floats."""
+    return [_parse_float(c, line, name) for c, name in zip(cells, names)]
+
+
+def _response_names(prefix: str, width: int) -> list[str]:
+    """Column names of a ``width``-wide block: ``x1..``, ``y1..``, ``q1..`` or row-major ``c11..``."""
+    if prefix == "c":
+        r = math.isqrt(width)
+        return [f"c{i}{j}" for i in range(1, r + 1) for j in range(1, r + 1)]
+    return [f"{prefix}{i}" for i in range(1, width + 1)]
+
+
+def _read_table(path):
+    """Split a dataset CSV into ``(covariates, responses, grid, rows)``.
+
+    ``covariates`` and ``responses`` are the checked column names,
+    ``grid`` is the companion grid row when the responses are ``q``
+    columns (None otherwise) and ``rows`` the data rows. Each row is a
+    ``(line, cells)`` pair, ``line`` being its line number in the file,
+    comments and blank lines included.
+    """
+    lines, records = [], []
     with open(path, newline="") as fh:
-        return [row for row in csv.reader(fh) if row and not row[0].lstrip().startswith("#")]
-
-
-def _split_header(header: list[str]) -> tuple[list[str], list[str]]:
+        reader = csv.reader(fh)
+        for row in reader:
+            if row and not row[0].lstrip().startswith("#"):
+                lines.append(reader.line_num)
+                records.append(row)
+    if not records:
+        raise SchemaError(f"{path}: empty file")
+    # Pair line numbers with rows only after the read: (line, row) tuples made during
+    # it kept ~14 MB of a 2000x121 file resident after the read returned.
+    (_, header), *rows = zip(lines, records)
     names = [h.strip() for h in header]
-    covs = [h for h in names if h.startswith("x")]
-    if covs and covs != [f"x{i}" for i in range(1, len(covs) + 1)]:
-        raise SchemaError(f"covariate columns must be named x1..xp in order, got {covs}")
-    rest = names[len(covs):]
-    if any(h.startswith("x") for h in rest):
-        raise SchemaError("covariate columns must precede response columns")
-    return covs, rest
-
-
-def _response_kind(columns: list[str]) -> str:
-    if not columns:
-        raise SchemaError("no response columns found")
-    first = columns[0]
-    if first.startswith("y"):
-        expected = [f"y{i}" for i in range(1, len(columns) + 1)]
-        if columns != expected:
-            raise SchemaError(f"vector response columns must be y1..yd, got {columns}")
-        return "vector"
-    if first.startswith("q"):
-        expected = [f"q{i}" for i in range(1, len(columns) + 1)]
-        if columns != expected:
-            raise SchemaError(f"quantile response columns must be q1..qm, got {columns}")
-        return "quantile"
-    if first.startswith("c"):
-        r = math.isqrt(len(columns))
-        if r * r != len(columns):
-            raise SchemaError(f"{len(columns)} correlation columns do not form a square matrix")
-        expected = [f"c{i}{j}" for i in range(1, r + 1) for j in range(1, r + 1)]
-        if columns != expected:
-            raise SchemaError(f"correlation columns must be c11..c{r}{r} row-major, got {columns}")
-        return "correlation"
-    raise SchemaError(f"unrecognized response column {first!r}")
+    p = sum(h.startswith("x") for h in names)
+    covs, resp = names[:p], names[p:]
+    if covs != _response_names("x", p):
+        raise SchemaError(f"covariate columns must be x1..xp, ahead of the responses, got {names}")
+    if resp and (resp[0][:1] not in _PREFIX.values() or resp != _response_names(resp[0][0], len(resp))):
+        raise SchemaError(f"response columns must be y1..yd, q1..qm or c11..crr row-major, got {resp}")
+    for line, cells in rows:
+        if len(cells) != len(names):
+            raise SchemaError(f"row {line}: expected {len(names)} cells, got {len(cells)}")
+    grid = None
+    if resp and resp[0][0] == "q":
+        if not rows:
+            raise SchemaError(f"{path}: missing companion grid row under the header")
+        grid, *rows = rows
+        if any(c.strip() for c in grid[1][:p]):
+            raise SchemaError(f"row {grid[0]}: grid row must leave covariate cells empty")
+    if not rows:
+        raise SchemaError(f"{path}: no data rows")
+    return covs, resp, grid, rows
 
 
 def read_dataset(path, kind: str):
@@ -101,186 +119,103 @@ def read_dataset(path, kind: str):
     """
     if kind not in KINDS:
         raise SchemaError(f"unknown kind {kind!r}")
-    rows = _read_rows(path)
-    if not rows:
-        raise SchemaError(f"{path}: empty file")
-    covs, resp_cols = _split_header(rows[0])
-    schema = _response_kind(resp_cols)
-    wants = {"euclidean": "vector", "l1": "vector", "linf": "vector",
-             "wasserstein": "quantile", "correlation": "correlation"}[kind]
-    if schema != wants:
-        raise SchemaError(f"kind {kind!r} expects {wants} responses but file has {schema} columns")
-
+    covs, resp, grid, rows = _read_table(path)
+    if not resp or resp[0][0] != _PREFIX[kind]:
+        raise SchemaError(f"kind {kind!r} expects {_PREFIX[kind]} response columns, got {resp}")
     p = len(covs)
-    body = rows[1:]
-    first_row = 2  # file row number of body[0], counting the header as row 1
-    if kind == "wasserstein":
-        if not body:
-            raise SchemaError("missing companion grid row under the header")
-        grid_row = body[0]
-        if len(grid_row) != p + len(resp_cols):
-            raise SchemaError("grid row has the wrong number of cells")
-        if any(cell.strip() for cell in grid_row[:p]):
-            raise SchemaError("grid row must leave covariate cells empty")
-        grid = np.array([_parse_float(c, 2, resp_cols[j]) for j, c in enumerate(grid_row[p:])])
-        try:
-            space: MetricSpace = WassersteinSpace(grid)
-        except ValueError as exc:
-            raise SchemaError(f"row 2: bad grid levels: {exc}") from exc
-        body = body[1:]
-        first_row = 3
-    elif kind == "correlation":
-        r = math.isqrt(len(resp_cols))
-        space = space_from_kind("correlation", size=r)
+    if grid is None:
+        space: MetricSpace = space_from_kind(kind, size=math.isqrt(len(resp)))
     else:
-        space = space_from_kind(kind)
+        line, cells = grid
+        levels = np.array(_parse_row(line, cells[p:], resp))
+        try:
+            space = WassersteinSpace(levels)
+        except ValueError as exc:
+            raise SchemaError(f"row {line}: bad grid levels: {exc}") from exc
 
-    if not body:
-        raise SchemaError(f"{path}: no data rows")
-    x_rows = []
-    responses = []
-    for offset, row in enumerate(body):
-        rownum = first_row + offset
-        if len(row) != p + len(resp_cols):
-            raise SchemaError(f"row {rownum}: expected {p + len(resp_cols)} cells, got {len(row)}")
-        x_rows.append([_parse_float(c, rownum, covs[j]) for j, c in enumerate(row[:p])])
-        responses.append([_parse_float(c, rownum, resp_cols[j]) for j, c in enumerate(row[p:])])
-
-    x = np.array(x_rows) if p else None
-    stacked = np.array(responses)
+    table = np.array([_parse_row(line, cells, covs + resp) for line, cells in rows])
+    x = np.ascontiguousarray(table[:, :p]) if p else None
+    responses = np.ascontiguousarray(table[:, p:])
     if kind == "correlation":
-        stacked = stacked.reshape(len(body), r, r)
+        responses = responses.reshape(len(rows), space.size, space.size)
     try:
-        stacked = space.check_points(stacked)
+        responses = space.check_points(responses)
     except InvalidPointError as exc:
-        where = "" if exc.index is None else f"row {first_row + exc.index}: "
+        where = "" if exc.index is None else f"row {rows[exc.index][0]}: "
         raise SchemaError(where + exc.reason) from exc
-    return x, stacked, space
+    return x, responses, space
 
 
 def read_covariates(path) -> np.ndarray:
-    """Read only the x1..xp columns; extra columns are ignored."""
-    rows = _read_rows(path)
-    if not rows:
-        raise SchemaError(f"{path}: empty file")
-    covs, rest = _split_header(rows[0])
+    """Read only the x1..xp columns; response columns are checked, not parsed."""
+    covs, _, _, rows = _read_table(path)
     if not covs:
         raise SchemaError(f"{path}: no covariate columns")
-    body = rows[1:]
-    first_row = 2  # file row number of body[0], counting the header as row 1
-    # Skip a quantile companion grid row if present (empty covariate cells).
-    if rest and body and not any(c.strip() for c in body[0][: len(covs)]):
-        body = body[1:]
-        first_row = 3
-    if not body:
-        raise SchemaError(f"{path}: no data rows")
-    out = []
-    for offset, row in enumerate(body):
-        rownum = first_row + offset
-        if len(row) < len(covs):
-            raise SchemaError(f"row {rownum}: expected at least {len(covs)} cells, got {len(row)}")
-        out.append([_parse_float(c, rownum, covs[j]) for j, c in enumerate(row[: len(covs)])])
-    return np.array(out)
+    return np.array([_parse_row(line, cells, covs) for line, cells in rows])
+
+
+def _write_csv(path, header, rows, comment=None) -> None:
+    """One header row, then ``rows``; an optional ``# comment`` line goes first."""
+    with open(path, "w", newline="") as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_predictions(path, kind: str, predictions, grid=None, lambda_hat=None) -> None:
+    # csv writes a Python float as its repr, the same text as format_value. Rows are
+    # converted one at a time, so no second copy of the block is held as Python floats.
     preds = np.asarray(predictions, dtype=float)
-    with open(path, "w", newline="") as fh:
-        if lambda_hat is not None:
-            fh.write(f"# lambda_hat = {format_value(float(lambda_hat))}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        if kind == "wasserstein":
-            m = preds.shape[1]
-            writer.writerow([f"q{i}" for i in range(1, m + 1)])
-            writer.writerow([format_value(v) for v in np.asarray(grid, dtype=float)])
-            for row in preds:
-                writer.writerow([format_value(v) for v in row])
-        elif kind == "correlation":
-            r = preds.shape[1]
-            writer.writerow([f"c{i}{j}" for i in range(1, r + 1) for j in range(1, r + 1)])
-            for mat in preds:
-                writer.writerow([format_value(v) for v in mat.ravel()])
-        else:
-            flat = preds if preds.ndim == 2 else preds[:, None]
-            writer.writerow([f"y{i}" for i in range(1, flat.shape[1] + 1)])
-            for row in flat:
-                writer.writerow([format_value(v) for v in row])
+    block = preds.reshape(len(preds), -1)
+    grid_row = [np.asarray(grid, dtype=float).tolist()] if _PREFIX[kind] == "q" else []
+    comment = None if lambda_hat is None else f"lambda_hat = {format_value(float(lambda_hat))}"
+    rows = itertools.chain(grid_row, map(np.ndarray.tolist, block))
+    _write_csv(path, _response_names(_PREFIX[kind], block.shape[1]), rows, comment)
 
 
 def write_results_csv(path, cell_results) -> None:
     """Table-shaped summary: one row per cell and estimator."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["n", "p", "noise_kind", "estimator", "bias", "sqrt_var", "mse", "mspe", "lambda_hat", "cell"]
-        )
-        for cell in cell_results:
-            cfg = cell.config
-            for est in ("REF", "EIV", "SVT"):
-                lam = cell.lambda_hat_median if est == "SVT" else 0.0
-                writer.writerow(
-                    [
-                        cfg.n,
-                        cfg.p,
-                        cfg.noise_kind,
-                        est,
-                        format_value(math.sqrt(cell.report.bias_sq[est])),
-                        format_value(math.sqrt(cell.report.var[est])),
-                        format_value(cell.report.mse[est]),
-                        format_value(cell.report.mspe[est]),
-                        format_value(lam),
-                        cfg.display_name(),
-                    ]
-                )
+    rows = []
+    for cell in cell_results:
+        cfg, rep = cell.config, cell.report
+        for est in ESTIMATORS:
+            lam = cell.lambda_hat_median if est == "SVT" else 0.0
+            values = (math.sqrt(rep.bias_sq[est]), math.sqrt(rep.var[est]), rep.mse[est], rep.mspe[est], lam)
+            rows.append([cfg.n, cfg.p, cfg.noise_kind, est, *map(format_value, values), cfg.display_name()])
+    header = ["n", "p", "noise_kind", "estimator", "bias", "sqrt_var", "mse", "mspe", "lambda_hat", "cell"]
+    _write_csv(path, header, rows)
 
 
 def write_profile_csv(path, cell_results) -> None:
     """Threshold profiles: normalized prediction error per estimator."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n", "p", "noise_kind", "estimator", "lambda", "nmspe", "cell"])
-        for cell in cell_results:
-            if cell.profile is None:
-                continue
-            cfg = cell.config
-            name = cfg.display_name()
-            writer.writerow([cfg.n, cfg.p, cfg.noise_kind, "REF", format_value(0.0), format_value(cell.profile.ref), name])
-            writer.writerow([cfg.n, cfg.p, cfg.noise_kind, "EIV", format_value(0.0), format_value(cell.profile.eiv), name])
-            for lam, val in zip(cell.profile.lambdas, cell.profile.svt):
-                writer.writerow([cfg.n, cfg.p, cfg.noise_kind, "SVT", format_value(lam), format_value(val), name])
+    rows = []
+    for cell in cell_results:
+        if cell.profile is None:
+            continue
+        cfg, prof, name = cell.config, cell.profile, cell.config.display_name()
+        svt = [("SVT", lam, val) for lam, val in zip(prof.lambdas, prof.svt)]
+        for est, lam, val in [("REF", 0.0, prof.ref), ("EIV", 0.0, prof.eiv), *svt]:
+            rows.append([cfg.n, cfg.p, cfg.noise_kind, est, format_value(lam), format_value(val), name])
+    _write_csv(path, ["n", "p", "noise_kind", "estimator", "lambda", "nmspe", "cell"], rows)
 
 
 def write_diagnostics_csv(path, values: dict) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(values.keys()))
-        writer.writerow([format_value(v) for v in values.values()])
+    _write_csv(path, list(values), [[format_value(v) for v in values.values()]])
 
 
 _CAMPAIGN_SECTION = "campaign"
 _CELL_KEYS_REQUIRED = ("n", "p")
 
-_FIELD_PARSERS = {
-    "n": int,
-    "p": int,
-    "trials": int,
-    "test_size": int,
-    "eval_points": int,
-    "quantile_points": int,
-    "noise_kind": str,
-    "sigma_eps": float,
-    "sigma_eta": float,
-    "ig_shape": float,
-    "ig_scale": float,
-    "alpha_intercept": float,
-    "condition_number": float,
-    "lambda_points": int,
-    "master_seed": int,
-    "laplace_variance_matched": lambda s: s.strip().lower() in ("1", "true", "yes"),
-    "model": str,
-    "linear_dim": int,
-    "metric": str,
+_PARSE_BY_TYPE = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "bool": lambda s: s.strip().lower() in ("1", "true", "yes"),
 }
+# Every SimConfig field but the label, which comes from the section name.
+_FIELD_PARSERS = {f.name: _PARSE_BY_TYPE[f.type] for f in dataclasses.fields(SimConfig) if f.name != "label"}
 
 
 def load_sim_configs(path, seed_override=None, grid_points_override=None):

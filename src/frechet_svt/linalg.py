@@ -82,38 +82,36 @@ def svt(m, lam: float) -> np.ndarray:
     return (u[:, keep] * s[keep]) @ vt[keep]
 
 
+def _kept_triplets(m, zero_tolerance: float):
+    """The SVD triplets ``(u, s, vt)`` whose singular value exceeds ``zero_tolerance * s[0]``.
+
+    A zero matrix keeps none, so products of the triplets are zero matrices.
+    """
+    u, s, vt = np.linalg.svd(_as_matrix(m), full_matrices=False)
+    keep = s > zero_tolerance * s[0]
+    return u[:, keep], s[keep], vt[keep]
+
+
 def pseudoinverse(m, zero_tolerance: float = RANK_RTOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse.
 
     Singular values below ``zero_tolerance`` times the largest one are
     treated as exact zeros.
     """
-    a = _as_matrix(m)
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((a.shape[1], a.shape[0]))
-    keep = s > zero_tolerance * s[0]
-    if not np.any(keep):
-        return np.zeros((a.shape[1], a.shape[0]))
-    return (vt[keep].T / s[keep]) @ u[:, keep].T
+    u, s, vt = _kept_triplets(m, zero_tolerance)
+    return (vt.T / s) @ u.T
 
 
 def row_projection(m, zero_tolerance: float = RANK_RTOL) -> np.ndarray:
     """Orthogonal projection onto the row space, ``M^+ M``."""
-    a = _as_matrix(m)
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    keep = s > zero_tolerance * s[0] if s.size and s[0] > 0.0 else np.zeros(s.shape, bool)
-    v = vt[keep].T
-    return v @ v.T if v.size else np.zeros((a.shape[1], a.shape[1]))
+    _, _, vt = _kept_triplets(m, zero_tolerance)
+    return vt.T @ vt
 
 
 def col_projection(m, zero_tolerance: float = RANK_RTOL) -> np.ndarray:
     """Orthogonal projection onto the column space, ``M M^+``."""
-    a = _as_matrix(m)
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    keep = s > zero_tolerance * s[0] if s.size and s[0] > 0.0 else np.zeros(s.shape, bool)
-    uu = u[:, keep]
-    return uu @ uu.T if uu.size else np.zeros((a.shape[0], a.shape[0]))
+    u, _, _ = _kept_triplets(m, zero_tolerance)
+    return u @ u.T
 
 
 def pinv_perturbation_residual(x, z) -> float:

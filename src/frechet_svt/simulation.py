@@ -97,6 +97,8 @@ class SimConfig:
             raise ValueError("lambda_points must be positive")
         if self.ig_shape <= 2:
             raise ValueError("ig_shape must exceed 2 for the scale noise to have finite variance")
+        if self.ig_scale <= 0:
+            raise ValueError("ig_scale must be positive")
         if self.condition_number <= 1:
             raise ValueError("condition_number must exceed 1")
         if self.sigma_eps < 0 or self.sigma_eta < 0:

@@ -9,11 +9,14 @@ be held to it bit for bit. The spectral references (``sigma_lambda``,
 ``mahalanobis_seminorm``, ``bias_term_reference``) are the package's
 former matrix-argument routes for the bound quantities: a fresh SVD of
 a design or ``eigh`` of an explicit covariance, each cut at 1e-12 times
-the top of the spectrum it reads.
+the top of the spectrum it reads. ``write_predictions_reference`` is
+the original per-cell CSV writer, kept to hold the package's writer to
+the same bytes.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 
 import numpy as np
@@ -233,3 +236,31 @@ def subgradient_reference(points, weights, norm, iterations=500):
         best_obj = np.where(improved, obj, best_obj)
         best_y[improved] = y[improved]
     return best_y
+
+
+def write_predictions_reference(path, kind, predictions, grid=None, lambda_hat=None):
+    """A frozen copy of the original prediction writer: one branch per layout, each cell as ``repr(float(v))``."""
+    def fmt(v):
+        return repr(float(v))
+
+    preds = np.asarray(predictions, dtype=float)
+    with open(path, "w", newline="") as fh:
+        if lambda_hat is not None:
+            fh.write(f"# lambda_hat = {fmt(lambda_hat)}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        if kind == "wasserstein":
+            m = preds.shape[1]
+            writer.writerow([f"q{i}" for i in range(1, m + 1)])
+            writer.writerow([fmt(v) for v in np.asarray(grid, dtype=float)])
+            for row in preds:
+                writer.writerow([fmt(v) for v in row])
+        elif kind == "correlation":
+            r = preds.shape[1]
+            writer.writerow([f"c{i}{j}" for i in range(1, r + 1) for j in range(1, r + 1)])
+            for mat in preds:
+                writer.writerow([fmt(v) for v in mat.ravel()])
+        else:
+            flat = preds if preds.ndim == 2 else preds[:, None]
+            writer.writerow([f"y{i}" for i in range(1, flat.shape[1] + 1)])
+            for row in flat:
+                writer.writerow([fmt(v) for v in row])

@@ -148,6 +148,12 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert f"{key} must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["-1.0", "0.0"])
+    def test_non_positive_ig_scale_exits_2(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, SMOKE_CONFIG + f"ig_scale = {value}\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "ig_scale must be positive" in capsys.readouterr().err
+
 
 class TestFitPredictCommand:
     def test_exact_linear_predictions(self, tmp_path):
@@ -372,6 +378,17 @@ class TestFitPredictCommand:
                      "--kind", "euclidean", "--lambda", "0", "--out", str(tmp_path / "o")])
         assert code == 2
         assert "row 3" in capsys.readouterr().err
+
+    def test_blank_covariates_in_first_query_row_exits_2(self, tmp_path, capsys):
+        # y columns have no grid row, so a first row with blank covariates is bad data, not a grid row
+        rng = np.random.default_rng(13)
+        train, *_ = write_euclidean_train(tmp_path, rng)
+        bad = tmp_path / "blankq.csv"
+        bad.write_text("x1,x2,x3,y1\n,,,5.0\n1,2,3,3\n3,4,5,5\n")
+        code = main(["fit-predict", "--train", str(train), "--queries", str(bad),
+                     "--kind", "euclidean", "--lambda", "0", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "row 2: column x1" in capsys.readouterr().err
 
     def test_kind_mismatch_exits_2(self, tmp_path, capsys):
         rng = np.random.default_rng(6)
