@@ -60,6 +60,23 @@ def _parse_row(line: int, cells, names) -> list[float]:
     return [_parse_float(c, line, name) for c, name in zip(cells, names)]
 
 
+def _parse_block(rows, names) -> np.ndarray:
+    """The cells under ``names`` (the leading ones) of every row as one float array.
+
+    One pass converts each row with ``float``; only a bad value sends the
+    block through ``_parse_row``, whose error names its row and column.
+    Both use ``float``, so they accept the same text and give the same bits.
+    """
+    k = len(names)
+    try:
+        block = np.array([list(map(float, cells[:k])) for _, cells in rows])
+        if np.isfinite(block).all():
+            return block
+    except ValueError:
+        pass
+    return np.array([_parse_row(line, cells, names) for line, cells in rows])
+
+
 def _response_names(prefix: str, width: int) -> list[str]:
     """Column names of a ``width``-wide block: ``x1..``, ``y1..``, ``q1..`` or row-major ``c11..``."""
     if prefix == "c":
@@ -79,9 +96,11 @@ def _read_table(path):
     """
     lines, records = [], []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        # Blank out comments before csv sees them: a quote in a comment would open a
+        # quoted field that swallows the lines after it. A blank line keeps the count.
+        reader = csv.reader("\n" if text.lstrip().startswith("#") else text for text in fh)
         for row in reader:
-            if row and not row[0].lstrip().startswith("#"):
+            if row:
                 lines.append(reader.line_num)
                 records.append(row)
     if not records:
@@ -133,7 +152,7 @@ def read_dataset(path, kind: str):
         except ValueError as exc:
             raise SchemaError(f"row {line}: bad grid levels: {exc}") from exc
 
-    table = np.array([_parse_row(line, cells, covs + resp) for line, cells in rows])
+    table = _parse_block(rows, covs + resp)
     x = np.ascontiguousarray(table[:, :p]) if p else None
     responses = np.ascontiguousarray(table[:, p:])
     if kind == "correlation":
@@ -151,7 +170,7 @@ def read_covariates(path) -> np.ndarray:
     covs, _, _, rows = _read_table(path)
     if not covs:
         raise SchemaError(f"{path}: no covariate columns")
-    return np.array([_parse_row(line, cells, covs) for line, cells in rows])
+    return _parse_block(rows, covs)
 
 
 def _write_csv(path, header, rows, comment=None) -> None:

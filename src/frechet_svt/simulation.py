@@ -15,12 +15,13 @@ worker count never change the results.
 
 from __future__ import annotations
 
+import math
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import gammaln, ndtri
 
 from .metric_spaces import (
     ConvergenceError,
@@ -233,12 +234,18 @@ def expected_tau(shape: float, scale: float) -> float:
     """Mean of tau where tau^2 is inverse-gamma: sqrt(s2) G(s1-1/2)/G(s1)."""
     if shape <= 0.5:
         raise ValueError("shape must exceed 1/2")
-    return float(np.exp(0.5 * np.log(scale) + gammaln(shape - 0.5) - gammaln(shape)))
+    return math.exp(0.5 * math.log(scale) + math.lgamma(shape - 0.5) - math.lgamma(shape))
 
 
 def draw_tau_squared(shape: float, scale: float, size: int, rng) -> np.ndarray:
     """Inverse-gamma draws as the scale over standard gamma variates."""
     return scale / rng.gamma(shape, 1.0, size=size)
+
+
+def _normal_quantiles(m: int) -> np.ndarray:
+    """The standard normal quantile function on the ``m``-point midpoint grid."""
+    inv_cdf = NormalDist().inv_cdf
+    return np.array([inv_cdf(t) for t in midpoint_grid(m).tolist()])
 
 
 def _slope_vector(p: int) -> np.ndarray:
@@ -255,7 +262,7 @@ def gen_wasserstein_responses(x, config: SimConfig, rng) -> tuple[np.ndarray, di
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
-    base = ndtri(midpoint_grid(config.quantile_points))
+    base = _normal_quantiles(config.quantile_points)
     mu = config.alpha_intercept + x @ _slope_vector(config.p)
     eta = config.sigma_eta * rng.standard_normal(n)
     tau = np.sqrt(draw_tau_squared(config.ig_shape, config.ig_scale, n, rng))
@@ -266,7 +273,7 @@ def gen_wasserstein_responses(x, config: SimConfig, rng) -> tuple[np.ndarray, di
 def true_regression_quantile(x, config: SimConfig) -> np.ndarray:
     """The population regression surface at x: N(alpha + beta'x, E[tau]^2)."""
     x = np.asarray(x, dtype=float).ravel()
-    base = ndtri(midpoint_grid(config.quantile_points))
+    base = _normal_quantiles(config.quantile_points)
     loc = config.alpha_intercept + float(x @ _slope_vector(config.p))
     return loc + expected_tau(config.ig_shape, config.ig_scale) * base
 
@@ -537,6 +544,8 @@ def run_cell(config: SimConfig, workers: int = 1, with_profile: bool = True) -> 
     args = [
         (config, spectrum, basis, eval_x, profile_grid, params, b) for b in range(config.trials)
     ]
+    # A forked pool starts every worker at once, so never ask for more than there are trials.
+    workers = min(workers, config.trials)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_trial, args))

@@ -1,9 +1,14 @@
 import csv
+import os
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import frechet_svt
 from frechet_svt import regression
 from frechet_svt.cli import main
 from frechet_svt.dataio import SchemaError, read_covariates, read_dataset
@@ -415,6 +420,30 @@ class TestReadCovariates:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(SchemaError, match="row 3: column x2"):
             read_covariates(path)
+
+
+class TestColdStart:
+    def run_python(self, *args):
+        src = str(Path(frechet_svt.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=120,
+        )
+
+    def test_import_loads_no_scipy(self):
+        code = (
+            "import sys, frechet_svt, frechet_svt.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        done = self.run_python("-c", code)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_version_exits_0(self):
+        done = self.run_python("-m", "frechet_svt", "--version")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == frechet_svt.__version__
 
 
 class TestSolverExitCode:

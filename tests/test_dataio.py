@@ -35,14 +35,27 @@ def test_bad_layout_is_a_schema_error(tmp_path, case):
 
 @pytest.mark.parametrize(
     "text",
-    ["# comment\nx1,y1\n1,2\n3,abc\n", "x1,y1\n1,2\n\n3,abc\n"],
-    ids=["comment line", "blank line"],
+    [
+        "# comment\nx1,y1\n1,2\n3,abc\n",
+        "x1,y1\n1,2\n\n3,abc\n",
+        '# note,"see below\nx1,y1\n1,2\n3,abc\n',
+        'x1,y1\n# note,"start\n1,2\n3,abc\n',
+    ],
+    ids=["comment line", "blank line", "quote in the first line's comment", "quote in a comment"],
 )
 def test_row_number_is_the_file_line(tmp_path, text):
     path = tmp_path / "data.csv"
     path.write_text(text)
     with pytest.raises(SchemaError, match="row 4: column y1"):
         read_dataset(path, "euclidean")
+
+
+def test_quote_in_a_comment_swallows_no_rows(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text('x1,y1\n1,2\n# note,"start\n3,4\n# end"\n5,6\n7,8\n')
+    x, y, _ = read_dataset(path, "euclidean")
+    assert x.ravel().tolist() == [1.0, 3.0, 5.0, 7.0]
+    assert y.ravel().tolist() == [2.0, 4.0, 6.0, 8.0]
 
 
 def test_query_rows_need_every_header_cell(tmp_path):

@@ -35,6 +35,7 @@ from frechet_svt.simulation import (
     run_cell,
     TrialFailure,
     _blend_path,
+    _normal_quantiles,
     true_regression_quantile,
     tune_lambda,
 )
@@ -130,6 +131,11 @@ class TestScaleNoise:
         assert abs(tau_sq.mean() - 1.0) <= 0.01  # 17 / (18 - 1)
         assert abs(tau_sq.var() - 0.0625) <= 0.01  # 17^2 / (17^2 * 16)
 
+    @pytest.mark.parametrize("shape, scale", [(18.0, 17.0), (17.5, 3.0), (2.5, 1.5), (100.0, 99.0)])
+    def test_expected_tau_matches_the_gammaln_formula(self, shape, scale):
+        want = float(np.exp(0.5 * np.log(scale) + gammaln(shape - 0.5) - gammaln(shape)))
+        assert np.isclose(expected_tau(shape, scale), want, rtol=1e-13, atol=0.0)
+
     def test_expected_tau_closed_form_vs_monte_carlo(self):
         want = float(np.exp(0.5 * np.log(17.0) + gammaln(17.5) - gammaln(18.0)))
         assert np.isclose(expected_tau(18.0, 17.0), want)
@@ -139,6 +145,11 @@ class TestScaleNoise:
 
 
 class TestResponses:
+    @pytest.mark.parametrize("m", [21, 101, 1001])
+    def test_normal_quantiles_match_ndtri(self, m):
+        want = ndtri(midpoint_grid(m))
+        assert np.all(np.abs(_normal_quantiles(m) - want) <= 4 * np.spacing(np.abs(want)))
+
     def test_rows_reconstruct_from_latents(self):
         cfg = small_config()
         rng = np.random.default_rng(8)
@@ -451,6 +462,31 @@ class TestRunCell:
             run_cell(small_config(trials=2), workers=2)
         assert err.value.trial_index == 0
         assert isinstance(err.value.cause, ConvergenceError)
+
+    def test_pool_never_exceeds_the_trial_count(self, monkeypatch):
+        import frechet_svt.simulation as sim
+
+        asked = []
+
+        class Recorder:
+            """Stands in for the pool: records its size and runs the trials in process."""
+
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", Recorder)
+        run_cell(small_config(trials=2), workers=8)
+        run_cell(small_config(trials=1), workers=8)
+        assert asked == [2]
 
     def test_linear_model_cell_runs(self):
         cfg = small_config(model="linear", metric="euclidean", linear_dim=2, sigma_eps=0.3)
