@@ -164,7 +164,10 @@ def _cmd_fit_predict(args) -> int:
                 f"{args.holdout}: holdout responses have shape {hy.shape[1:]}, training {responses.shape[1:]}"
             )
         holdout = Dataset(hx, hy, space)
-        grid = lambda_grid(train.stats.eigenvalues[0], x.shape[1], x.shape[0], args.grid_points)
+        top = train.stats.eigenvalues[0]
+        if top <= 0.0:
+            raise SchemaError(f"{args.train}: training covariates are constant, so --lambda auto has no threshold grid")
+        grid = lambda_grid(top, x.shape[1], x.shape[0], args.grid_points)
         lam_hat = tune_lambda(train, holdout, grid)
         lam = lam_hat
     model = fit(train, lam)
@@ -230,6 +233,8 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_verify_lemmas(args) -> int:
+    if args.instances < 1:
+        raise ConfigError(f"--instances must be at least 1, got {args.instances}")
     results = run_suite(args.seed, args.instances, inject_fault=args.inject_fault)
     lines = [r.line() for r in results]
     text = "\n".join(lines) + "\n"

@@ -196,6 +196,14 @@ class MetricSpace:
         blended = (w.T @ pts.reshape(pts.shape[0], -1)) / totals[:, None]
         return self.project_blends(blended.reshape(-1, *pts.shape[1:]))
 
+    def frechet_mean_blocks(self, points, blocks) -> list:
+        """``frechet_mean_many(points, w)`` for each weight matrix ``w`` in ``blocks``, bit for bit.
+
+        One call lets a space share work across the blocks; by default
+        each block is its own call.
+        """
+        return [self.frechet_mean_many(points, w) for w in blocks]
+
     def project_blends(self, blended) -> np.ndarray:
         """Map stacked weight-normalized averages of points into the space.
 
@@ -234,10 +242,19 @@ class _IterativeNormSpace(_VectorSpace):
     With negative weights the objective may be nonconvex; the solver
     starts at the weighted l2 mean, runs a fixed iteration budget with
     step c/sqrt(k), and returns the best iterate seen, so the result
-    never does worse than the initializer. Queries are solved in a
-    batch, one step size and incumbent per column. Norms and subgradient
-    are evaluated once per iterate: the ones that score an iterate also
-    give the next step.
+    never does worse than the initializer. Norms and subgradient are
+    evaluated once per iterate: the ones that score an iterate also give
+    the next step.
+
+    ``frechet_mean_blocks`` runs one loop over the columns of every
+    weight matrix it is given, one step size and incumbent per column,
+    and each block's result equals its own ``frechet_mean_many`` call
+    bit for bit. Two things keep a column independent of its batch
+    mates. Each block's initializer is its own product with the points:
+    BLAS rounds a column differently depending on how many columns share
+    the call. And a one-column block reduces its lone weight row with
+    the contiguous summation a call of its own uses; rows of wider
+    blocks sum in order over the points.
     """
 
     iterations = 500
@@ -245,8 +262,11 @@ class _IterativeNormSpace(_VectorSpace):
     def _norms(self, diff: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _norm_parts(self, diff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``_norms(diff)``, bit for bit, and a subgradient of ||.|| at each point."""
+    def _norm_parts(self, diff: np.ndarray, subgrad: np.ndarray) -> np.ndarray:
+        """``_norms(diff)``, bit for bit; a subgradient of ||.|| at each point goes into ``subgrad``.
+
+        ``diff`` is overwritten.
+        """
         raise NotImplementedError
 
     def distances_to(self, points, y) -> np.ndarray:
@@ -260,20 +280,45 @@ class _IterativeNormSpace(_VectorSpace):
         return float(w @ self.distances_to(points, y) ** 2)
 
     def frechet_mean_many(self, points, weight_matrix) -> np.ndarray:
+        return self.frechet_mean_blocks(points, [weight_matrix])[0]
+
+    def frechet_mean_blocks(self, points, blocks) -> list:
         pts = np.asarray(points, dtype=float)
-        w, totals = _column_totals(weight_matrix)
+        parts = [_column_totals(w) for w in blocks]
+        if not parts:
+            return []
         if pts.ndim == 1:  # scalar responses: every norm coincides, mean is exact
-            return (w.T @ pts) / totals
-        y = (w.T @ pts) / totals[:, None]  # (queries, dim)
-        wt = w.T  # (queries, n)
-        norms, subgrad = self._norm_parts(y[:, None, :] - pts)  # (queries, n), (queries, n, dim)
+            return [(w.T @ pts) / totals for w, totals in parts]
+        y = np.concatenate([(w.T @ pts) / totals[:, None] for w, totals in parts])  # (queries, dim)
+        wt = np.hstack([w for w, _ in parts]).T  # (queries, n), strided like each block's own w.T
+        ends = np.cumsum([w.shape[1] for w, _ in parts])
+        # numpy sums a lone contiguous weight row pairwise, a strided row in order.
+        lone = [(end - 1, w.T) for end, (w, _) in zip(ends, parts) if w.shape[1] == 1]
+
+        def weighted(weights, lone_rows, sq):  # per query: sum of weight * squared norm
+            out = np.einsum("kn,kn->k", weights, sq)
+            for row, w_row in lone_rows:
+                out[row] = np.einsum("kn,kn->k", w_row, sq[row : row + 1])[0]
+            return out
+
+        def offsets(y):  # y[:, None, :] - pts, (queries, n, dim); a repeated y gives numpy long inner loops
+            diff = np.repeat(y[:, None, :], pts.shape[0], axis=1)
+            diff -= pts
+            return diff
+
+        subgrad = np.empty((y.shape[0], *pts.shape))  # reused by every iterate
+        norms = self._norm_parts(offsets(y), subgrad)  # (queries, n)
         best_y = y.copy()
-        best_obj = np.einsum("kn,kn->k", wt, norms**2)
+        best_obj = weighted(wt, lone, norms**2)
         # Step length from the absolute-weight objective: with negative
         # weights the signed objective can vanish or go negative at the
         # initializer while the spread of the points is still large.
-        spread = np.einsum("kn,kn->k", np.abs(wt), norms**2)
-        scales = np.sqrt(spread / np.maximum(np.abs(wt).sum(axis=1), 1e-300))
+        abs_lone = [(row, np.abs(w_row)) for row, w_row in lone]
+        spread = weighted(np.abs(wt), abs_lone, norms**2)
+        mass = np.abs(wt).sum(axis=1)
+        for row, w_row in abs_lone:
+            mass[row] = w_row.sum(axis=1)[0]
+        scales = np.sqrt(spread / np.maximum(mass, 1e-300))
         for k in range(1, self.iterations + 1):
             grad = 2.0 * np.einsum("kn,knd->kd", wt * norms, subgrad)
             gn = np.linalg.norm(grad, axis=1)
@@ -282,12 +327,12 @@ class _IterativeNormSpace(_VectorSpace):
                 break
             step = np.where(active, scales / (np.sqrt(k) * np.where(active, gn, 1.0)), 0.0)
             y = y - step[:, None] * grad
-            norms, subgrad = self._norm_parts(y[:, None, :] - pts)
-            obj = np.einsum("kn,kn->k", wt, norms**2)
+            norms = self._norm_parts(offsets(y), subgrad)
+            obj = weighted(wt, lone, norms**2)
             improved = obj < best_obj
             best_obj = np.where(improved, obj, best_obj)
             best_y[improved] = y[improved]
-        return best_y
+        return np.split(best_y, ends[:-1])
 
 
 class L1Space(_IterativeNormSpace):
@@ -296,8 +341,9 @@ class L1Space(_IterativeNormSpace):
     def _norms(self, diff):
         return np.abs(diff).sum(axis=-1)
 
-    def _norm_parts(self, diff):
-        return self._norms(diff), np.sign(diff)
+    def _norm_parts(self, diff, subgrad):
+        np.sign(diff, out=subgrad)
+        return np.abs(diff, out=diff).sum(axis=-1)
 
 
 class LinfSpace(_IterativeNormSpace):
@@ -306,11 +352,21 @@ class LinfSpace(_IterativeNormSpace):
     def _norms(self, diff):
         return np.abs(diff).max(axis=-1)
 
-    def _norm_parts(self, diff):
-        # One-hot at the first largest |coordinate|: the exact max and the subgradient's sign.
-        a = np.abs(diff)
-        hot = a.argmax(axis=-1)[..., None] == np.arange(a.shape[-1])
-        return a[hot].reshape(a.shape[:-1]), np.where(hot, np.sign(diff), 0.0)
+    def _norm_parts(self, diff, subgrad):
+        # Sign at the first largest |coordinate|, +0.0 elsewhere. A running
+        # maximum over the coordinates is cheaper than a reduction along
+        # the short last axis, and the maximum is exact either way.
+        np.sign(diff, out=subgrad)
+        a = np.abs(diff, out=diff)
+        top = a[..., 0].copy()
+        for j in range(1, a.shape[-1]):
+            np.maximum(top, a[..., j], out=top)
+        hot = a == top[..., None]
+        if np.count_nonzero(hot) > top.size:  # ties: only the first one counts
+            hot &= np.cumsum(hot, axis=-1) == 1
+        subgrad *= hot
+        subgrad += 0.0  # turns the -0.0 of a masked negative sign into +0.0
+        return top
 
 
 class WassersteinSpace(MetricSpace):

@@ -31,7 +31,7 @@ from .metric_spaces import (
     midpoint_grid,
     space_from_kind,
 )
-from .regression import CovariateStats, Dataset, FittedModel, check_queries, fit, kept_rank
+from .regression import CovariateStats, Dataset, check_queries, fit, kept_rank
 
 ESTIMATORS = ("REF", "EIV", "SVT")
 
@@ -94,6 +94,8 @@ class SimConfig:
             raise ValueError("p must be at least 2")
         if min(self.trials, self.test_size, self.eval_points, self.quantile_points) < 1:
             raise ValueError("trials, test_size, eval_points, quantile_points must be positive")
+        if self.test_size < 2:
+            raise ValueError("test_size must be at least 2")
         if self.lambda_points < 1:
             raise ValueError("lambda_points must be positive")
         if self.ig_shape <= 2:
@@ -312,9 +314,21 @@ def lambda_grid(top_eigenvalue: float, p: int, n: int, points: int = 40) -> np.n
     return np.linspace(upper / points, upper, points)
 
 
-def _mean_squared_distance(model: FittedModel, covariates, responses) -> float:
-    preds = model.predict_many(covariates)
-    return float(np.mean(model.space.distances_to(responses, preds) ** 2))
+def _frechet_means(space: MetricSpace, jobs) -> list:
+    """The means for each ``(points, weight_matrix)`` job, in order.
+
+    Jobs on the same points array share one ``frechet_mean_blocks`` call,
+    so the l1 and sup-norm solvers run one loop for all of them.
+    """
+    means = [None] * len(jobs)
+    groups: dict = {}
+    for i, (points, _) in enumerate(jobs):
+        groups.setdefault(id(points), []).append(i)
+    for idx in groups.values():
+        blocks = space.frechet_mean_blocks(jobs[idx[0]][0], [jobs[i][1] for i in idx])
+        for i, block in zip(idx, blocks):
+            means[i] = block
+    return means
 
 
 def _blend_path(stats: CovariateStats, responses, space: MetricSpace, queries, ranks):
@@ -360,8 +374,9 @@ def mspe_profile(train_noisy: Dataset, test: Dataset, grid) -> np.ndarray:
     rank path of the design's single SVD (``_blend_path``) and form no
     precision or weight matrix. The l1 and sup-norm solvers need the
     weights, and their result can move far more than roundoff when a
-    weight moves by one ulp, so those spaces are refit once per distinct
-    rank with exactly the weights ``fit`` builds.
+    weight moves by one ulp, so those spaces take exactly the weights
+    ``fit`` builds at each distinct rank, all solved in one
+    ``frechet_mean_blocks`` call.
     """
     grid = np.asarray(grid, dtype=float).ravel()
     if grid.size == 0:
@@ -374,7 +389,8 @@ def mspe_profile(train_noisy: Dataset, test: Dataset, grid) -> np.ndarray:
     if space.affine:
         path = _blend_path(stats, y, space, queries, distinct)
     else:
-        path = (fit(train_noisy, grid[ranks == k][0]).predict_many(queries) for k in distinct)
+        weights = [fit(train_noisy, grid[ranks == k][0]).weight_matrix(queries) for k in distinct]
+        path = space.frechet_mean_blocks(y, weights)
     errors = np.empty(distinct.size)
     for i, preds in enumerate(path):
         errors[i] = np.mean(space.distances_to(test.responses, preds) ** 2)
@@ -431,19 +447,29 @@ def evaluate_trial(
         "EIV": fit(train_noisy, 0.0),
         "SVT": fit(train_noisy, lam_hat),
     }
-    mse = {est: _mean_squared_distance(m, train.covariates, train.responses) for est, m in models.items()}
-    mspe = {est: _mean_squared_distance(models[est], test.covariates, test.responses) for est in ("REF", "EIV")}
+    space = train.space
+    # Every prediction of the trial, solved together: in-sample for each
+    # estimator, test for REF and EIV, eval, then the null model.
+    asks = [(m, train.covariates) for m in models.values()]
+    asks += [(models[est], test.covariates) for est in ("REF", "EIV")]
+    if eval_x is not None:
+        asks += [(m, eval_x) for m in models.values()]
+    jobs = [(m.responses, m.weight_matrix(q)) for m, q in asks]
+    if profile_grid is not None:
+        jobs.append((train.responses, np.ones(train.n)[:, None]))
+    preds = iter(_frechet_means(space, jobs))
+
+    def next_error(responses) -> float:
+        return float(np.mean(space.distances_to(responses, next(preds)) ** 2))
+
+    mse = {est: next_error(train.responses) for est in ESTIMATORS}
+    mspe = {est: next_error(test.responses) for est in ("REF", "EIV")}
     mspe["SVT"] = float(profile.min())  # the SVT fit's test error is the sweep's minimum
     report = TrialReport(index=index, mse=mse, mspe=mspe, lambda_hat=lam_hat)
-    eval_preds = None
-    if eval_x is not None:
-        eval_preds = {est: m.predict_many(eval_x) for est, m in models.items()}
+    eval_preds = None if eval_x is None else {est: next(preds) for est in ESTIMATORS}
     profile_part = None
     if profile_grid is not None:
-        space = train.space
-        null_pred = space.frechet_mean(train.responses, np.ones(train.n))
-        null_mspe = float(np.mean(space.distances_to(test.responses, null_pred) ** 2))
-        profile_part = (curves, mspe["REF"], mspe["EIV"], null_mspe)
+        profile_part = (curves, mspe["REF"], mspe["EIV"], next_error(test.responses))
     return report, eval_preds, profile_part
 
 

@@ -159,6 +159,11 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "ig_scale must be positive" in capsys.readouterr().err
 
+    def test_one_row_test_set_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SMOKE_CONFIG + "test_size = 1\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "test_size must be at least 2" in capsys.readouterr().err
+
 
 class TestFitPredictCommand:
     def test_exact_linear_predictions(self, tmp_path):
@@ -281,6 +286,16 @@ class TestFitPredictCommand:
                      "--kind", "euclidean", "--lambda", "auto", "--holdout", str(holdout),
                      "--grid-points", points, "--out", str(tmp_path / "o")]) == 2
         assert "--grid-points must be at least 1" in capsys.readouterr().err
+
+    def test_auto_with_constant_covariates_exits_2(self, tmp_path, capsys):
+        train = tmp_path / "train.csv"
+        train.write_text("x1,x2,y1\n1,2,0.5\n1,2,1.5\n1,2,-0.25\n")
+        qpath = write_queries(tmp_path, np.array([[1.0, 2.0], [0.0, 3.0]]))
+        assert main(["fit-predict", "--train", str(train), "--queries", str(qpath),
+                     "--kind", "euclidean", "--lambda", "auto", "--holdout", str(train),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"{train}: training covariates are constant" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "predictions.csv").exists()
 
     def test_wasserstein_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -552,6 +567,13 @@ class TestVerifyCommand:
     def test_fault_injection_detected(self, tmp_path, capsys):
         assert main(["verify-lemmas", "--seed", "3", "--instances", "40", "--inject-fault"]) == 4
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("instances", ["0", "-5"])
+    def test_instances_below_one_exits_2(self, capsys, instances):
+        assert main(["verify-lemmas", "--instances", instances]) == 2
+        captured = capsys.readouterr()
+        assert "--instances must be at least 1" in captured.err
+        assert "pass" not in captured.out
 
     def test_covariate_stats_once_per_design(self, capsys, monkeypatch):
         import frechet_svt

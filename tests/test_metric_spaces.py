@@ -366,6 +366,51 @@ class TestSubgradientMatchesReference:
         assert np.array_equal(out, same[:2])
 
 
+class TestFrechetMeanBlocks:
+    """One joint solve over several weight matrices equals a solve per matrix, bit for bit."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(2, 20),
+        dim=st.sampled_from([0, 1, 3, 5, 8, 13]),  # 0: scalar responses
+        sizes=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+        integer_points=st.booleans(),  # ties in |diff|
+        spread=st.floats(0.0, 3.0),
+        stalled_at=st.integers(0, 4),
+    )
+    @example(seed=1, n=12, dim=13, sizes=[1, 5, 1], integer_points=True, spread=2.0, stalled_at=1)
+    @example(seed=2, n=9, dim=8, sizes=[3, 1], integer_points=False, spread=1.5, stalled_at=0)
+    @example(seed=3, n=6, dim=0, sizes=[1, 4], integer_points=True, spread=2.5, stalled_at=2)
+    @example(seed=4, n=15, dim=5, sizes=[1], integer_points=False, spread=0.5, stalled_at=4)
+    def test_each_block_matches_its_own_solve(self, seed, n, dim, sizes, integer_points, spread, stalled_at):
+        rng = np.random.default_rng(seed)
+        shape = (n,) if dim == 0 else (n, dim)
+        pts = rng.integers(-2, 3, size=shape).astype(float) if integer_points else rng.standard_normal(shape)
+        blocks = []
+        for size in sizes:
+            w = spread * rng.standard_normal((n, size))
+            blocks.append(w - w.mean(axis=0) + 1.0)  # columns average one, as regression weights do
+        # A column that sits on one point: its gradient vanishes at the first
+        # step while the other blocks keep moving.
+        stalled = np.zeros((n, 1))
+        stalled[int(rng.integers(n))] = 1.0
+        blocks.insert(min(stalled_at, len(blocks)), stalled)
+        for space in (L1Space(), LinfSpace()):
+            joint = space.frechet_mean_blocks(pts, blocks)
+            assert len(joint) == len(blocks)
+            for w, out in zip(blocks, joint):
+                assert np.array_equal(out, subgradient_reference(pts, w, space.kind)), space.kind
+                assert np.array_equal(out, space.frechet_mean_many(pts, w)), space.kind
+
+    @pytest.mark.parametrize("space", ALL_VECTOR_SPACES + [WassersteinSpace.with_uniform_grid(5)], ids=lambda s: s.kind)
+    def test_no_blocks_and_degenerate_blocks(self, space):
+        pts = np.sort(np.random.default_rng(5).standard_normal((4, 5)), axis=1)
+        assert space.frechet_mean_blocks(pts, []) == []
+        with pytest.raises(DegenerateWeightsError):
+            space.frechet_mean_blocks(pts, [np.ones((4, 2)), np.array([[1.0], [-1.0], [-1.0], [0.5]])])
+
+
 class TestMeansStayInSpace:
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(st.integers(0, 10_000), st.floats(0.5, 3.0))

@@ -14,6 +14,7 @@ from frechet_svt.metric_spaces import (
     DegenerateWeightsError,
     EuclideanSpace,
     L1Space,
+    LinfSpace,
     WassersteinSpace,
     midpoint_grid,
 )
@@ -34,6 +35,7 @@ from frechet_svt.simulation import (
     mspe_profile,
     run_cell,
     TrialFailure,
+    TrialReport,
     _blend_path,
     _normal_quantiles,
     true_regression_quantile,
@@ -304,6 +306,78 @@ class TestEvaluateTrial:
         report, _, _ = evaluate_trial(train, noisy, test, grid)
         assert all(v >= 0 for v in report.mse.values())
         assert all(v >= 0 for v in report.mspe.values())
+
+
+def _linear_trial(space, seed):
+    """One linear-model trial (training, noisy training, test, eval points) whose two designs share ``y``."""
+    rng = np.random.default_rng(seed)
+    n, p, dim = 18, 6, 4
+    spectrum = make_spectrum(p)
+    x = gen_covariates(n, p, spectrum, rng)
+    y, intercept, slopes = gen_linear_responses(x, dim, rng)
+    z = add_noise(x, "gaussian", 0.4, rng)
+    xt = gen_covariates(7, p, spectrum, rng)
+    yt = gen_linear_responses(xt, dim, rng, intercept=intercept, slopes=slopes)[0]
+    eval_x = gen_covariates(3, p, spectrum, rng)
+    return Dataset(x, y, space), Dataset(z, y, space), Dataset(xt, yt, space), eval_x
+
+
+def _count_block_calls(monkeypatch, cls) -> list:
+    """Record the number of blocks of every ``cls.frechet_mean_blocks`` call."""
+    calls = []
+    joint = cls.frechet_mean_blocks
+
+    def counting(self, points, blocks):
+        calls.append(len(blocks))
+        return joint(self, points, blocks)
+
+    monkeypatch.setattr(cls, "frechet_mean_blocks", counting)
+    return calls
+
+
+class TestJointSolveRoute:
+    """A trial solves its l1/sup-norm predictions jointly, with the numbers of one fit per prediction."""
+
+    @pytest.mark.parametrize("space", [L1Space(), LinfSpace()], ids=lambda s: s.kind)
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_matches_per_model_route(self, space, seed, monkeypatch):
+        train, noisy, test, eval_x = _linear_trial(space, seed)
+        grid = lambda_grid(noisy.stats.eigenvalues[0], 6, train.n, 5)
+        profile_grid = lambda_grid(2.0, 6, train.n, 4)
+        calls = _count_block_calls(monkeypatch, type(space))
+        report, eval_preds, profile_part = evaluate_trial(
+            train, noisy, test, grid, 5, eval_x=eval_x, profile_grid=profile_grid
+        )
+        assert len(calls) == 2  # the sweep, then every other prediction of the trial
+        monkeypatch.undo()
+
+        def error(model, covariates, responses):
+            return float(np.mean(space.distances_to(responses, model.predict_many(covariates)) ** 2))
+
+        tuning = [error(fit(noisy, lam), test.covariates, test.responses) for lam in grid]
+        lam_hat = float(grid[int(np.argmin(tuning))])
+        models = {"REF": fit(train, 0.0), "EIV": fit(noisy, 0.0), "SVT": fit(noisy, lam_hat)}
+        mse = {est: error(m, train.covariates, train.responses) for est, m in models.items()}
+        mspe = {est: error(models[est], test.covariates, test.responses) for est in ("REF", "EIV")}
+        mspe["SVT"] = min(tuning)
+        assert report == TrialReport(index=5, mse=mse, mspe=mspe, lambda_hat=lam_hat)
+        for est, m in models.items():
+            assert np.array_equal(eval_preds[est], m.predict_many(eval_x)), est
+        curves = [error(fit(noisy, lam), test.covariates, test.responses) for lam in profile_grid]
+        null_pred = space.frechet_mean(train.responses, np.ones(train.n))
+        null_mspe = float(np.mean(space.distances_to(test.responses, null_pred) ** 2))
+        assert np.array_equal(profile_part[0], curves)
+        assert profile_part[1:] == (mspe["REF"], mspe["EIV"], null_mspe)
+
+    def test_separate_response_arrays_get_separate_solves(self, monkeypatch):
+        train, noisy, test, _ = _linear_trial(L1Space(), 4)
+        clean = Dataset(train.covariates, train.responses.copy(), train.space)
+        calls = _count_block_calls(monkeypatch, L1Space)
+        shared = evaluate_trial(train, noisy, test, [0.1, 0.5])[0]
+        split = evaluate_trial(clean, noisy, test, [0.1, 0.5])[0]
+        assert split == shared
+        # The sweep, then one solve per responses array: REF's, then EIV's and SVT's.
+        assert calls == [calls[0], 5, calls[0], 2, 3]
 
 
 class TestTuneLambda:
