@@ -67,9 +67,19 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
+def _out_dir(text: str) -> Path:
+    """The ``--out`` directory, made if missing; a path that cannot be a directory is a config error."""
+    out = Path(text)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {text!r} is not a usable directory: {exc}") from exc
+    return out
+
+
 def _cmd_simulate(args) -> int:
     configs, snapshot = load_sim_configs(args.config, args.seed, args.grid_points)
-    out = Path(args.out)
+    out = _out_dir(args.out)
     write_manifest(
         out,
         "simulate",
@@ -134,7 +144,7 @@ def _cmd_fit_predict(args) -> int:
         raise SchemaError(
             f"queries have {queries.shape[1]} covariates but training data has {x.shape[1]}"
         )
-    out = Path(args.out)
+    out = _out_dir(args.out)
     write_manifest(
         out,
         "fit-predict",
@@ -193,7 +203,7 @@ def _cmd_diagnose(args) -> int:
         raise ConfigError(f"--x must be finite, got {args.x!r}")
     lam = _check_lambda(args.lam)
 
-    out = Path(args.out)
+    out = _out_dir(args.out)
     write_manifest(
         out,
         "diagnose",
@@ -235,13 +245,12 @@ def _cmd_diagnose(args) -> int:
 def _cmd_verify_lemmas(args) -> int:
     if args.instances < 1:
         raise ConfigError(f"--instances must be at least 1, got {args.instances}")
+    out = _out_dir(args.out) if args.out else None
     results = run_suite(args.seed, args.instances, inject_fault=args.inject_fault)
     lines = [r.line() for r in results]
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         (out / "verify_report.txt").write_text(text)
     if any(not r.passed for r in results):
         failing = [r for r in results if not r.passed]

@@ -95,14 +95,17 @@ def _read_table(path):
     comments and blank lines included.
     """
     lines, records = [], []
-    with open(path, newline="") as fh:
-        # Blank out comments before csv sees them: a quote in a comment would open a
-        # quoted field that swallows the lines after it. A blank line keeps the count.
-        reader = csv.reader("\n" if text.lstrip().startswith("#") else text for text in fh)
-        for row in reader:
-            if row:
-                lines.append(reader.line_num)
-                records.append(row)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            # Blank out comments before csv sees them: a quote in a comment would open a
+            # quoted field that swallows the lines after it. A blank line keeps the count.
+            reader = csv.reader("\n" if text.lstrip().startswith("#") else text for text in fh)
+            for row in reader:
+                if row:
+                    lines.append(reader.line_num)
+                    records.append(row)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise SchemaError(f"{path}: cannot read: {exc}") from exc
     if not records:
         raise SchemaError(f"{path}: empty file")
     # Pair line numbers with rows only after the read: (line, row) tuples made during
@@ -211,8 +214,6 @@ def write_profile_csv(path, cell_results) -> None:
     """Threshold profiles: normalized prediction error per estimator."""
     rows = []
     for cell in cell_results:
-        if cell.profile is None:
-            continue
         cfg, prof, name = cell.config, cell.profile, cell.config.display_name()
         svt = [("SVT", lam, val) for lam, val in zip(prof.lambdas, prof.svt)]
         for est, lam, val in [("REF", 0.0, prof.ref), ("EIV", 0.0, prof.eiv), *svt]:
@@ -227,12 +228,17 @@ def write_diagnostics_csv(path, values: dict) -> None:
 _CAMPAIGN_SECTION = "campaign"
 _CELL_KEYS_REQUIRED = ("n", "p")
 
-_PARSE_BY_TYPE = {
-    "int": int,
-    "float": float,
-    "str": str,
-    "bool": lambda s: s.strip().lower() in ("1", "true", "yes"),
-}
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _parse_bool(text: str) -> bool:
+    word = text.strip().lower()
+    if word not in _BOOL_WORDS:
+        raise ValueError(f"not a boolean: {text!r}")
+    return _BOOL_WORDS[word]
+
+
+_PARSE_BY_TYPE = {"int": int, "float": float, "str": str, "bool": _parse_bool}
 # Every SimConfig field but the label, which comes from the section name.
 _FIELD_PARSERS = {f.name: _PARSE_BY_TYPE[f.type] for f in dataclasses.fields(SimConfig) if f.name != "label"}
 
@@ -245,19 +251,20 @@ def load_sim_configs(path, seed_override=None, grid_points_override=None):
     and the resolved snapshot lines for the manifest.
     """
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+        sections = {s: parser.items(s) for s in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
-    shared: dict = {}
-    if parser.has_section(_CAMPAIGN_SECTION):
-        shared = _parse_section(parser, _CAMPAIGN_SECTION)
-    cells = [s for s in parser.sections() if s != _CAMPAIGN_SECTION]
-    if not cells:
+    shared = _parse_section(_CAMPAIGN_SECTION, sections.pop(_CAMPAIGN_SECTION, []))
+    if not sections:
         raise ConfigError("config defines no cell sections")
     configs = []
-    for section in cells:
+    for section, items in sections.items():
         fields = dict(shared)
-        fields.update(_parse_section(parser, section))
+        fields.update(_parse_section(section, items))
         fields["label"] = section.removeprefix("cell:").strip() or section
         for key in _CELL_KEYS_REQUIRED:
             if key not in fields:
@@ -277,9 +284,9 @@ def load_sim_configs(path, seed_override=None, grid_points_override=None):
     return configs, snapshot
 
 
-def _parse_section(parser, section) -> dict:
+def _parse_section(section, items) -> dict:
     out = {}
-    for key, raw in parser.items(section):
+    for key, raw in items:
         if key not in _FIELD_PARSERS:
             raise ConfigError(f"section [{section}]: unknown key {key!r}")
         try:
@@ -290,10 +297,8 @@ def _parse_section(parser, section) -> dict:
 
 
 def write_manifest(out_dir, command: str, version: str, entries: dict, snapshot=()) -> Path:
-    """Record the resolved run inputs before computation starts."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "manifest.txt"
+    """Record the resolved run inputs in the existing ``out_dir`` before computation starts."""
+    path = Path(out_dir) / "manifest.txt"
     with open(path, "w") as fh:
         fh.write(f"command = {command}\n")
         fh.write(f"version = {version}\n")

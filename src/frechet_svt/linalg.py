@@ -58,11 +58,11 @@ def symmetrize(a) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def numerical_rank(m, zero_tolerance: float = RANK_RTOL) -> int:
+def numerical_rank(m) -> int:
     s = np.linalg.svd(_as_matrix(m), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > zero_tolerance * s[0]))
+    return int(np.count_nonzero(s > RANK_RTOL * s[0]))
 
 
 def svt(m, lam: float) -> np.ndarray:
@@ -82,35 +82,35 @@ def svt(m, lam: float) -> np.ndarray:
     return (u[:, keep] * s[keep]) @ vt[keep]
 
 
-def _kept_triplets(m, zero_tolerance: float):
-    """The SVD triplets ``(u, s, vt)`` whose singular value exceeds ``zero_tolerance * s[0]``.
+def _kept_triplets(m):
+    """The SVD triplets ``(u, s, vt)`` whose singular value exceeds ``RANK_RTOL * s[0]``.
 
     A zero matrix keeps none, so products of the triplets are zero matrices.
     """
     u, s, vt = np.linalg.svd(_as_matrix(m), full_matrices=False)
-    keep = s > zero_tolerance * s[0]
+    keep = s > RANK_RTOL * s[0]
     return u[:, keep], s[keep], vt[keep]
 
 
-def pseudoinverse(m, zero_tolerance: float = RANK_RTOL) -> np.ndarray:
+def pseudoinverse(m) -> np.ndarray:
     """Moore-Penrose pseudoinverse.
 
-    Singular values below ``zero_tolerance`` times the largest one are
+    Singular values at or below ``RANK_RTOL`` times the largest one are
     treated as exact zeros.
     """
-    u, s, vt = _kept_triplets(m, zero_tolerance)
+    u, s, vt = _kept_triplets(m)
     return (vt.T / s) @ u.T
 
 
-def row_projection(m, zero_tolerance: float = RANK_RTOL) -> np.ndarray:
+def row_projection(m) -> np.ndarray:
     """Orthogonal projection onto the row space, ``M^+ M``."""
-    _, _, vt = _kept_triplets(m, zero_tolerance)
+    _, _, vt = _kept_triplets(m)
     return vt.T @ vt
 
 
-def col_projection(m, zero_tolerance: float = RANK_RTOL) -> np.ndarray:
+def col_projection(m) -> np.ndarray:
     """Orthogonal projection onto the column space, ``M M^+``."""
-    u, _, _ = _kept_triplets(m, zero_tolerance)
+    u, _, _ = _kept_triplets(m)
     return u @ u.T
 
 

@@ -186,23 +186,19 @@ class MetricSpace:
         return self.frechet_mean_many(points, w[:, None])[0]
 
     def frechet_mean_many(self, points, weight_matrix) -> np.ndarray:
-        """One weighted mean per column of ``weight_matrix``, stacked.
+        """One weighted mean per column of ``weight_matrix``, stacked."""
+        return self.frechet_mean_blocks(points, [weight_matrix])[0]
+
+    def frechet_mean_blocks(self, points, blocks) -> list:
+        """One stack of means per weight matrix in ``blocks``, each independent of the others.
 
         Affine spaces blend the points with each weight column, normalized
         by its total, and map the blends into the space.
         """
         pts = np.asarray(points, dtype=float)
-        w, totals = _column_totals(weight_matrix)
-        blended = (w.T @ pts.reshape(pts.shape[0], -1)) / totals[:, None]
-        return self.project_blends(blended.reshape(-1, *pts.shape[1:]))
-
-    def frechet_mean_blocks(self, points, blocks) -> list:
-        """``frechet_mean_many(points, w)`` for each weight matrix ``w`` in ``blocks``, bit for bit.
-
-        One call lets a space share work across the blocks; by default
-        each block is its own call.
-        """
-        return [self.frechet_mean_many(points, w) for w in blocks]
+        flat = pts.reshape(pts.shape[0], -1)
+        blends = [(w.T @ flat) / totals[:, None] for w, totals in map(_column_totals, blocks)]
+        return [self.project_blends(b.reshape(-1, *pts.shape[1:])) for b in blends]
 
     def project_blends(self, blended) -> np.ndarray:
         """Map stacked weight-normalized averages of points into the space.
@@ -248,8 +244,8 @@ class _IterativeNormSpace(_VectorSpace):
 
     ``frechet_mean_blocks`` runs one loop over the columns of every
     weight matrix it is given, one step size and incumbent per column,
-    and each block's result equals its own ``frechet_mean_many`` call
-    bit for bit. Two things keep a column independent of its batch
+    and each block's result equals a call with that block alone, bit
+    for bit. Two things keep a column independent of its batch
     mates. Each block's initializer is its own product with the points:
     BLAS rounds a column differently depending on how many columns share
     the call. And a one-column block reduces its lone weight row with
@@ -259,11 +255,8 @@ class _IterativeNormSpace(_VectorSpace):
 
     iterations = 500
 
-    def _norms(self, diff: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def _norm_parts(self, diff: np.ndarray, subgrad: np.ndarray) -> np.ndarray:
-        """``_norms(diff)``, bit for bit; a subgradient of ||.|| at each point goes into ``subgrad``.
+        """The norm of each row of ``diff``; a subgradient of ||.|| at each goes into ``subgrad``.
 
         ``diff`` is overwritten.
         """
@@ -273,14 +266,7 @@ class _IterativeNormSpace(_VectorSpace):
         diff = np.asarray(points, dtype=float) - np.asarray(y, dtype=float)
         if diff.ndim <= 1:
             return np.abs(diff)
-        return self._norms(diff)
-
-    def objective(self, points, weights, y) -> float:
-        w = np.asarray(weights, dtype=float).ravel()
-        return float(w @ self.distances_to(points, y) ** 2)
-
-    def frechet_mean_many(self, points, weight_matrix) -> np.ndarray:
-        return self.frechet_mean_blocks(points, [weight_matrix])[0]
+        return self._norm_parts(diff, np.empty_like(diff))
 
     def frechet_mean_blocks(self, points, blocks) -> list:
         pts = np.asarray(points, dtype=float)
@@ -338,9 +324,6 @@ class _IterativeNormSpace(_VectorSpace):
 class L1Space(_IterativeNormSpace):
     kind = "l1"
 
-    def _norms(self, diff):
-        return np.abs(diff).sum(axis=-1)
-
     def _norm_parts(self, diff, subgrad):
         np.sign(diff, out=subgrad)
         return np.abs(diff, out=diff).sum(axis=-1)
@@ -348,9 +331,6 @@ class L1Space(_IterativeNormSpace):
 
 class LinfSpace(_IterativeNormSpace):
     kind = "linf"
-
-    def _norms(self, diff):
-        return np.abs(diff).max(axis=-1)
 
     def _norm_parts(self, diff, subgrad):
         # Sign at the first largest |coordinate|, +0.0 elsewhere. A running
@@ -449,7 +429,7 @@ class CorrelationSpace(MetricSpace):
         )
 
 
-def space_from_kind(kind: str, *, grid=None, quantile_points: int = 101, size: int | None = None) -> MetricSpace:
+def space_from_kind(kind: str, *, quantile_points: int = 101, size: int | None = None) -> MetricSpace:
     """Build a metric space from its CLI name."""
     name = kind.lower()
     if name == "euclidean":
@@ -459,8 +439,6 @@ def space_from_kind(kind: str, *, grid=None, quantile_points: int = 101, size: i
     if name == "linf":
         return LinfSpace()
     if name == "wasserstein":
-        if grid is not None:
-            return WassersteinSpace(grid)
         return WassersteinSpace.with_uniform_grid(quantile_points)
     if name == "correlation":
         if size is None:

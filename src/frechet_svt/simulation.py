@@ -171,7 +171,7 @@ class CellResult:
     config: SimConfig
     trials: list
     report: AggregateReport
-    profile: ThresholdProfile | None
+    profile: ThresholdProfile
 
     @property
     def lambda_hat_median(self) -> float:
@@ -436,10 +436,9 @@ def evaluate_trial(
     Returns ``(report, eval_preds, profile_part)``. ``eval_preds`` maps
     each estimator to its predictions at ``eval_x`` (None without
     ``eval_x``). ``profile_part`` holds the SVT errors on
-    ``profile_grid``, the REF and EIV test errors, and the test error of
-    the unweighted mean of the training responses (None without
-    ``profile_grid``); the same sweep serves the tuning grid and the
-    profile grid.
+    ``profile_grid`` and the test error of the unweighted mean of the
+    training responses (None without ``profile_grid``); the same sweep
+    serves the tuning grid and the profile grid.
     """
     lam_hat, profile, curves = _tune(train_noisy, test, grid, profile_grid)
     models = {
@@ -469,7 +468,7 @@ def evaluate_trial(
     eval_preds = None if eval_x is None else {est: next(preds) for est in ESTIMATORS}
     profile_part = None
     if profile_grid is not None:
-        profile_part = (curves, mspe["REF"], mspe["EIV"], next_error(test.responses))
+        profile_part = (curves, next_error(test.responses))
     return report, eval_preds, profile_part
 
 
@@ -520,12 +519,7 @@ def _cell_fixtures(config: SimConfig):
         truths = np.stack([true_regression_quantile(x, config) for x in eval_x])
         params = None
     else:
-        rng = config.rng(_MODEL_PARAMS)
-        intercept = np.ones(config.linear_dim) + 0.1 * rng.standard_normal(config.linear_dim)
-        slopes = np.full((config.p, config.linear_dim), config.linear_dim ** -0.5)
-        slopes = slopes + 0.1 * rng.standard_normal((config.p, config.linear_dim))
-        truths = intercept + eval_x @ slopes
-        params = (intercept, slopes)
+        truths, *params = gen_linear_responses(eval_x, config.linear_dim, config.rng(_MODEL_PARAMS), 0.0)
     return spectrum, basis, eval_x, truths, params
 
 
@@ -556,16 +550,14 @@ def _run_trial(args):
         raise TrialFailure(b, exc) from exc
 
 
-def run_cell(config: SimConfig, workers: int = 1, with_profile: bool = True) -> CellResult:
+def run_cell(config: SimConfig, workers: int = 1) -> CellResult:
     """Run every trial of one study cell and aggregate the results.
 
     Trials are independent given their derived seeds, so they can run in
     worker processes; aggregation folds them in trial order either way.
     """
     spectrum, basis, eval_x, truths, params = _cell_fixtures(config)
-    profile_grid = None
-    if with_profile:
-        profile_grid = lambda_grid(spectrum[0], config.p, config.n, config.lambda_points)
+    profile_grid = lambda_grid(spectrum[0], config.p, config.n, config.lambda_points)
     space = _cell_space(config)
     args = [
         (config, spectrum, basis, eval_x, profile_grid, params, b) for b in range(config.trials)
@@ -584,21 +576,16 @@ def run_cell(config: SimConfig, workers: int = 1, with_profile: bool = True) -> 
     }
     report = aggregate(reports, eval_predictions, truths, space)
 
-    profile = None
-    if with_profile:
-        svt_curves = np.stack([out[2][0] for out in outcomes])
-        ref_vals = np.array([out[2][1] for out in outcomes])
-        eiv_vals = np.array([out[2][2] for out in outcomes])
-        null_vals = np.array([out[2][3] for out in outcomes])
-        null_mean = float(null_vals.mean())
-        profile = ThresholdProfile(
-            lambdas=profile_grid,
-            svt=svt_curves.mean(axis=0) / null_mean,
-            ref=float(ref_vals.mean()) / null_mean,
-            eiv=float(eiv_vals.mean()) / null_mean,
-        )
+    svt_curves = np.stack([out[2][0] for out in outcomes])
+    null_mean = float(np.mean([out[2][1] for out in outcomes]))
+    profile = ThresholdProfile(
+        lambdas=profile_grid,
+        svt=svt_curves.mean(axis=0) / null_mean,
+        ref=report.mspe["REF"] / null_mean,
+        eiv=report.mspe["EIV"] / null_mean,
+    )
     return CellResult(config=config, trials=reports, report=report, profile=profile)
 
 
-def run_campaign(configs, workers: int = 1, with_profile: bool = True) -> list:
-    return [run_cell(c, workers=workers, with_profile=with_profile) for c in configs]
+def run_campaign(configs, workers: int = 1) -> list:
+    return [run_cell(c, workers=workers) for c in configs]

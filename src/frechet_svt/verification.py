@@ -28,6 +28,7 @@ from .metric_spaces import EuclideanSpace
 from .regression import CovariateStats, Dataset, kept_rank
 
 IDENTITY_TOL = 1e-8
+GAP_MARGIN = 5.0
 
 
 @dataclass(frozen=True)
@@ -156,10 +157,10 @@ def _projection_perturbation_margin(rng) -> float:
     return float(max(lhs - rhs, 0.0) / (1.0 + rhs))
 
 
-def shared_gap_thresholds(stats: CovariateStats, noise_norm: float, margin: float = 5.0) -> list:
+def shared_gap_thresholds(stats: CovariateStats, noise_norm: float) -> list:
     """Covariance-scale thresholds whose design-scale images sit in
-    spectral gaps of the centered design, at least ``margin`` times the
-    noise norm away from every singular value the design keeps.
+    spectral gaps of the centered design, at least ``GAP_MARGIN`` times
+    the noise norm away from every singular value the design keeps.
 
     By Weyl's inequality the noisy design's singular values move by at
     most the noise norm, so both designs retain identical components at
@@ -168,16 +169,16 @@ def shared_gap_thresholds(stats: CovariateStats, noise_norm: float, margin: floa
     s = stats.centered_svd.values[: int(kept_rank(stats, 0))]
     if not s.size:
         return []
-    candidates = [2.0 * s[0] + margin * noise_norm]
+    candidates = [2.0 * s[0] + GAP_MARGIN * noise_norm]
     # mid-signal gaps only where the bracketing values are well separated;
     # near-ties make the retained subspace hypersensitive to the noise
     candidates += [(a + b) / 2 for a, b in zip(s[:-1], s[1:]) if b <= a / 2]
     candidates.append(s[-1] / 2)
     out = []
     for c in candidates:
-        if c <= margin * noise_norm:  # too close to the noise bulk
+        if c <= GAP_MARGIN * noise_norm:  # too close to the noise bulk
             continue
-        if np.min(np.abs(s - c)) <= margin * noise_norm:  # too close to the spectrum
+        if np.min(np.abs(s - c)) <= GAP_MARGIN * noise_norm:  # too close to the spectrum
             continue
         out.append(float(c**2 / stats.n))
     return out

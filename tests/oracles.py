@@ -5,7 +5,8 @@ solved by enumerating block partitions or by refining grid search, and
 regressions by normal equations or numpy's lstsq. The l1/sup-norm
 subgradient loop is kept frozen in its original form, which evaluates
 norms and subgradients afresh at every step, so the package's solver can
-be held to it bit for bit. The spectral references (``sigma_lambda``,
+be held to it bit for bit, and ``norm_objective`` scores a candidate
+mean with the same norms. The spectral references (``sigma_lambda``,
 ``mahalanobis_seminorm``, ``bias_term_reference``) are the package's
 former matrix-argument routes for the bound quantities: a fresh SVD of
 a design or ``eigh`` of an explicit covariance, each cut at 1e-12 times
@@ -193,6 +194,13 @@ def _linf_subgrad(diff):
     sub = np.zeros_like(diff)
     np.put_along_axis(sub, idx, np.take_along_axis(np.sign(diff), idx, axis=-1), axis=-1)
     return sub
+
+
+def norm_objective(points, weights, y, norm):
+    """The weighted squared-distance objective ``sum_i w_i ||points_i - y||^2``, l1 ("l1") or sup norm ("linf")."""
+    norms_of = {"l1": _l1_norms, "linf": _linf_norms}[norm]
+    w = np.asarray(weights, dtype=float).ravel()
+    return float(w @ norms_of(np.asarray(points, dtype=float) - np.asarray(y, dtype=float)) ** 2)
 
 
 def subgradient_reference(points, weights, norm, iterations=500):

@@ -58,7 +58,7 @@ def table_orderings(cell):
 
 def test_criterion_1_table_ordering_gaussian_cell():
     t0 = time.time()
-    cell = run_cell(desk_cell("gaussian"), with_profile=False)
+    cell = run_cell(desk_cell("gaussian"))
     elapsed = time.time() - t0
     checks = table_orderings(cell)
     ratio = cell.report.mspe["SVT"] / cell.report.mspe["REF"]
@@ -73,7 +73,7 @@ def test_criterion_1_table_ordering_gaussian_cell():
 
 def test_criterion_2_table_ordering_laplace_cell():
     t0 = time.time()
-    cell = run_cell(desk_cell("laplace"), with_profile=False)
+    cell = run_cell(desk_cell("laplace"))
     elapsed = time.time() - t0
     checks = table_orderings(cell)
     ok = all(checks.values())
@@ -269,7 +269,7 @@ def test_criterion_9_threshold_profile_dip():
         metric="euclidean",
         sigma_eps=0.5,
     )
-    cell = run_cell(cfg, with_profile=True)
+    cell = run_cell(cfg)
     prof = cell.profile
     arg = int(np.argmin(prof.svt))
     dip_interior = arg > 0

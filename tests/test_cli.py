@@ -11,7 +11,7 @@ import pytest
 import frechet_svt
 from frechet_svt import regression
 from frechet_svt.cli import main
-from frechet_svt.dataio import SchemaError, read_covariates, read_dataset
+from frechet_svt.dataio import SchemaError, load_sim_configs, read_covariates, read_dataset
 from frechet_svt.metric_spaces import midpoint_grid
 
 SMOKE_CONFIG = """\
@@ -158,6 +158,32 @@ class TestSimulateCommand:
         cfg = write_config(tmp_path, SMOKE_CONFIG + f"ig_scale = {value}\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "ig_scale must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "[cell:a]\nn = 30\np = 5\n\n[cell:a]\nn = 20\np = 5\n",
+        "[cell:a]\nn = 30\nn = 20\np = 5\n",
+        "n = 30\np = 5\n",
+        "[cell:a]\nn = 30\np = 5\nnoise_kind = 100%\n",
+    ], ids=["duplicate-section", "duplicate-key", "no-section-header", "bad-interpolation"])
+    def test_unparsable_config_exits_2(self, tmp_path, capsys, text):
+        cfg = write_config(tmp_path, text)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: ")
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "campaign.cfg"
+        cfg.write_bytes(SMOKE_CONFIG.encode() + b"# caf\xe9\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: ")
+
+    def test_bool_field_takes_only_yes_and_no_words(self, tmp_path, capsys):
+        for value, expected in [("1", True), ("True", True), ("YES", True), ("0", False), ("false", False), ("No", False)]:
+            cfg = write_config(tmp_path, SMOKE_CONFIG + f"laplace_variance_matched = {value}\n")
+            assert load_sim_configs(cfg)[0][0].laplace_variance_matched is expected, value
+        for value in ["maybe", "on", "2", ""]:
+            cfg = write_config(tmp_path, SMOKE_CONFIG + f"laplace_variance_matched = {value}\n")
+            assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2, value
+            assert "key 'laplace_variance_matched': bad value" in capsys.readouterr().err
 
     def test_one_row_test_set_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMOKE_CONFIG + "test_size = 1\n")
@@ -556,6 +582,58 @@ class TestDiagnoseCommand:
                      "--lambda", "0.1", "--x=0,0,0", "--out", str(tmp_path / "o")])
         assert code == 2
         assert f"{train}: training file needs at least two data rows" in capsys.readouterr().err
+
+
+class TestUnusablePaths:
+    """Input files that cannot be read and --out paths that cannot be directories exit 2."""
+
+    def argv(self, tmp_path, command, **paths):
+        rng = np.random.default_rng(21)
+        train, x, *_ = write_euclidean_train(tmp_path, rng)
+        covariates = write_queries(tmp_path, x, name="covariates.csv")
+        files = {"train": train, "queries": covariates, "noisy": covariates, "out": tmp_path / "o", **paths}
+        return {
+            "simulate": ["simulate", "--config", str(write_config(tmp_path))],
+            "fit-predict": ["fit-predict", "--train", str(files["train"]), "--queries", str(files["queries"]),
+                            "--kind", "euclidean", "--lambda", "0"],
+            "diagnose": ["diagnose", "--train", str(files["train"]), "--noisy", str(files["noisy"]),
+                         "--kind", "euclidean", "--lambda", "0.1", "--x=0,0,0"],
+            "verify-lemmas": ["verify-lemmas", "--instances", "2"],
+        }[command] + ["--out", str(files["out"])]
+
+    @pytest.mark.parametrize("command, role", [
+        ("fit-predict", "train"), ("fit-predict", "queries"), ("diagnose", "noisy"),
+    ])
+    def test_missing_input_file_exits_2(self, tmp_path, capsys, command, role):
+        missing = tmp_path / "missing.csv"
+        assert main(self.argv(tmp_path, command, **{role: missing})) == 2
+        assert f"error: {missing}: cannot read" in capsys.readouterr().err
+
+    def test_directory_as_training_file_exits_2(self, tmp_path, capsys):
+        assert main(self.argv(tmp_path, "fit-predict", train=tmp_path)) == 2
+        assert f"error: {tmp_path}: cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [
+        b"x1,x2,x3,y1\n0.5,1.0,2.0,caf\xe9\n",
+        b"x1,x2,x3,y1\n" + b"1" * 200_000 + b",1.0,2.0,3.0\n",
+    ], ids=["non-utf8-byte", "field-over-csv-limit"])
+    def test_undecodable_training_file_exits_2(self, tmp_path, capsys, content):
+        train = tmp_path / "bad.csv"
+        train.write_bytes(content)
+        assert main(self.argv(tmp_path, "fit-predict", train=train)) == 2
+        assert f"error: {train}: cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "fit-predict", "diagnose", "verify-lemmas"])
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "path-under-file"])
+    def test_out_on_a_file_exits_2_before_computing(self, tmp_path, capsys, command, under):
+        blocker = tmp_path / "ok.csv"
+        blocker.write_text("keep\n")
+        out = blocker / "run" if under else blocker
+        assert main(self.argv(tmp_path, command, out=out)) == 2
+        captured = capsys.readouterr()
+        assert f"error: --out {str(out)!r} is not a usable directory" in captured.err
+        assert captured.out == ""  # every command prints only after it computes
+        assert blocker.read_text() == "keep\n"
 
 
 class TestVerifyCommand:

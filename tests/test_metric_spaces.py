@@ -20,7 +20,14 @@ from frechet_svt.metric_spaces import (
     nearest_correlation,
     space_from_kind,
 )
-from oracles import monotone_lsq_partition_oracle, random_correlation_matrix, subgradient_reference
+from oracles import (
+    _l1_norms,
+    _linf_norms,
+    monotone_lsq_partition_oracle,
+    norm_objective,
+    random_correlation_matrix,
+    subgradient_reference,
+)
 
 ALL_VECTOR_SPACES = [EuclideanSpace(), L1Space(), LinfSpace()]
 
@@ -50,6 +57,17 @@ class TestDistances:
     def test_identical_points(self, space):
         y = np.array([1.0, -2.0, 3.0])
         assert space.distance(y, y) == 0.0
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 10_000), st.integers(1, 13))
+    def test_norm_distances_match_oracle_norms(self, seed, dim):
+        # Integer-valued coordinates (one common scale) tie often for the largest |coordinate|.
+        rng = np.random.default_rng(seed)
+        scale = rng.uniform(0.1, 10.0)
+        pts = scale * rng.integers(-3, 4, (int(rng.integers(1, 20)), dim))
+        for y in (scale * rng.integers(-3, 4, dim), pts[::-1]):
+            assert np.array_equal(L1Space().distances_to(pts, y), _l1_norms(pts - y))
+            assert np.array_equal(LinfSpace().distances_to(pts, y), _linf_norms(pts - y))
 
     def test_wasserstein_constant_shift(self):
         space = WassersteinSpace.with_uniform_grid(101)
@@ -240,7 +258,7 @@ class TestFrechetMeans:
         w += 1 - w.mean()
         init = w @ pts / w.sum()
         out = space.frechet_mean(pts, w)
-        assert space.objective(pts, w, out) <= space.objective(pts, w, init) + 1e-12
+        assert norm_objective(pts, w, out, space.kind) <= norm_objective(pts, w, init, space.kind) + 1e-12
 
     def test_degenerate_weights_rejected(self):
         space = EuclideanSpace()
@@ -315,8 +333,8 @@ class TestBatchedMeans:
                 continue
             checked += 1
             out = space.frechet_mean(pts, w)
-            assert space.objective(pts, w, out) <= obj0 + 1e-12
-            if space.objective(pts, w, out) < obj0 - 1e-9:
+            assert norm_objective(pts, w, out, "l1") <= obj0 + 1e-12
+            if norm_objective(pts, w, out, "l1") < obj0 - 1e-9:
                 improved += 1
             if checked >= 10:
                 break

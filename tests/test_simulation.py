@@ -367,7 +367,7 @@ class TestJointSolveRoute:
         null_pred = space.frechet_mean(train.responses, np.ones(train.n))
         null_mspe = float(np.mean(space.distances_to(test.responses, null_pred) ** 2))
         assert np.array_equal(profile_part[0], curves)
-        assert profile_part[1:] == (mspe["REF"], mspe["EIV"], null_mspe)
+        assert profile_part[1:] == (null_mspe,)
 
     def test_separate_response_arrays_get_separate_solves(self, monkeypatch):
         train, noisy, test, _ = _linear_trial(L1Space(), 4)
@@ -564,7 +564,7 @@ class TestRunCell:
 
     def test_linear_model_cell_runs(self):
         cfg = small_config(model="linear", metric="euclidean", linear_dim=2, sigma_eps=0.3)
-        cell = run_cell(cfg, with_profile=True)
+        cell = run_cell(cfg)
         assert set(cell.report.mspe) == {"REF", "EIV", "SVT"}
         assert np.all(np.isfinite(cell.profile.svt))
 
