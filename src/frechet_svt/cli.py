@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +74,13 @@ def _out_dir(text: str) -> Path:
     except OSError as exc:
         raise ConfigError(f"--out {text!r} is not a usable directory: {exc}") from exc
     return out
+
+
+def _broken_pool() -> type:
+    """``BrokenProcessPool``, whose module loads multiprocessing: imported only once an error is in hand."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    return BrokenProcessPool
 
 
 def _cmd_simulate(args) -> int:
@@ -135,6 +141,10 @@ def _read_design(path, kind: str, role: str):
 
 def _cmd_fit_predict(args) -> int:
     lam = _parse_lambda(args.lam)
+    if lam is None and not args.holdout:
+        raise ConfigError("--lambda auto requires --holdout CSV")
+    if lam is not None and args.holdout:
+        raise ConfigError(f"--holdout goes only with --lambda auto, got --lambda {args.lam}")
     if args.grid_points < 1:
         raise ConfigError(f"--grid-points must be at least 1, got {args.grid_points}")
     x, responses, space = _read_design(args.train, args.kind, "training")
@@ -160,8 +170,6 @@ def _cmd_fit_predict(args) -> int:
     )
     lam_hat = None
     if lam is None:
-        if not args.holdout:
-            raise ConfigError("--lambda auto requires --holdout CSV")
         hx, hy, hspace = _read_design(args.holdout, args.kind, "holdout")
         if hx.shape[1] != x.shape[1]:
             raise SchemaError(
@@ -281,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     fp.add_argument("--queries", required=True, help="query covariates CSV")
     fp.add_argument("--kind", required=True, choices=KINDS)
     fp.add_argument("--lambda", dest="lam", default="0", help="threshold value or 'auto'")
-    fp.add_argument("--holdout", default=None, help="holdout CSV for --lambda auto")
+    fp.add_argument("--holdout", default=None, help="holdout CSV, only with --lambda auto")
     fp.add_argument("--grid-points", type=int, default=40, help="grid size for --lambda auto")
     fp.add_argument("--out", required=True, help="output directory")
     fp.set_defaults(func=_cmd_fit_predict)
@@ -312,7 +320,8 @@ def main(argv=None) -> int:
     except (ConfigError, SchemaError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
-    except (TrialFailure, ConvergenceError, DegenerateWeightsError, BrokenProcessPool) as exc:
+    # Python evaluates this tuple only when an exception reaches it.
+    except (TrialFailure, ConvergenceError, DegenerateWeightsError, _broken_pool()) as exc:
         sys.stderr.write(f"solver error: {exc}\n")
         return EXIT_SOLVER
 

@@ -96,7 +96,8 @@ def _read_table(path):
     """
     lines, records = [], []
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark that spreadsheet "CSV UTF-8" exports put first.
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             # Blank out comments before csv sees them: a quote in a comment would open a
             # quoted field that swallows the lines after it. A blank line keeps the count.
             reader = csv.reader("\n" if text.lstrip().startswith("#") else text for text in fh)
@@ -177,23 +178,32 @@ def read_covariates(path) -> np.ndarray:
 
 
 def _write_csv(path, header, rows, comment=None) -> None:
-    """One header row, then ``rows``; an optional ``# comment`` line goes first."""
+    """One header row, then ``rows``; an optional ``# comment`` line goes first.
+
+    A row is a list of cells, which ``csv`` quotes as needed, or a line
+    already rendered in full, which is written as is.
+    """
     with open(path, "w", newline="") as fh:
         if comment is not None:
             fh.write(f"# {comment}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        for row in rows:
+            if isinstance(row, str):
+                fh.write(row)
+            else:
+                writer.writerow(row)
 
 
 def write_predictions(path, kind: str, predictions, grid=None, lambda_hat=None) -> None:
-    # csv writes a Python float as its repr, the same text as format_value. Rows are
-    # converted one at a time, so no second copy of the block is held as Python floats.
+    # Each float goes out as its repr, the text csv writes for it (and never quotes) and
+    # format_value gives. Rows are rendered one at a time, so no copy of the block is held as text.
     preds = np.asarray(predictions, dtype=float)
     block = preds.reshape(len(preds), -1)
     grid_row = [np.asarray(grid, dtype=float).tolist()] if _PREFIX[kind] == "q" else []
     comment = None if lambda_hat is None else f"lambda_hat = {format_value(float(lambda_hat))}"
-    rows = itertools.chain(grid_row, map(np.ndarray.tolist, block))
+    values = itertools.chain(grid_row, map(np.ndarray.tolist, block))
+    rows = (",".join(map(repr, row)) + "\n" for row in values)
     _write_csv(path, _response_names(_PREFIX[kind], block.shape[1]), rows, comment)
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -27,7 +26,6 @@ from .metric_spaces import (
     ConvergenceError,
     DegenerateWeightsError,
     MetricSpace,
-    WassersteinSpace,
     midpoint_grid,
     space_from_kind,
 )
@@ -505,9 +503,8 @@ def aggregate(trial_reports, eval_predictions, truths, space: MetricSpace) -> Ag
 
 
 def _cell_space(config: SimConfig) -> MetricSpace:
-    if config.model == "wasserstein":
-        return WassersteinSpace.with_uniform_grid(config.quantile_points)
-    return space_from_kind(config.metric)
+    kind = config.model if config.model == "wasserstein" else config.metric
+    return space_from_kind(kind, quantile_points=config.quantile_points)
 
 
 def _cell_fixtures(config: SimConfig):
@@ -565,6 +562,9 @@ def run_cell(config: SimConfig, workers: int = 1) -> CellResult:
     # A forked pool starts every worker at once, so never ask for more than there are trials.
     workers = min(workers, config.trials)
     if workers > 1:
+        # Imported here: loading the pool module (multiprocessing, sockets, ...) costs every process.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_trial, args))
     else:

@@ -12,7 +12,9 @@ former matrix-argument routes for the bound quantities: a fresh SVD of
 a design or ``eigh`` of an explicit covariance, each cut at 1e-12 times
 the top of the spectrum it reads. ``write_predictions_reference`` is
 the original per-cell CSV writer, kept to hold the package's writer to
-the same bytes.
+the same bytes. ``nearest_correlation_reference`` is the original
+one-matrix Dykstra loop, kept to hold the stacked projection to the
+same bits.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ import csv
 import itertools
 
 import numpy as np
+
+from frechet_svt.metric_spaces import ConvergenceError
 
 
 def monotone_lsq_partition_oracle(values, weights):
@@ -272,3 +276,32 @@ def write_predictions_reference(path, kind, predictions, grid=None, lambda_hat=N
             writer.writerow([f"y{i}" for i in range(1, flat.shape[1] + 1)])
             for row in flat:
                 writer.writerow([fmt(v) for v in row])
+
+
+def nearest_correlation_reference(a, tol=1e-10, max_iter=1000):
+    """A frozen copy of the original one-matrix Dykstra loop.
+
+    Returns the projection, or raises ``ConvergenceError`` carrying the
+    last iterate after ``max_iter`` steps.
+    """
+
+    def sym(m):
+        return 0.5 * (m + m.T)
+
+    y = sym(np.asarray(a, dtype=float))
+    correction = np.zeros_like(y)
+    for _ in range(max_iter):
+        r = y - correction
+        w, q = np.linalg.eigh(sym(r))
+        x = sym((q * np.clip(w, 0.0, None)) @ q.T)
+        correction = x - r
+        y_next = x.copy()
+        np.fill_diagonal(y_next, 1.0)
+        delta = float(np.linalg.norm(y_next - y, "fro"))
+        y = y_next
+        if delta < tol:
+            return y
+    raise ConvergenceError(
+        f"nearest-correlation projection did not reach tol={tol} in {max_iter} iterations",
+        last_iterate=y,
+    )

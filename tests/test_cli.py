@@ -240,6 +240,29 @@ class TestFitPredictCommand:
         assert main(["fit-predict", "--train", str(train), "--queries", str(qpath),
                      "--kind", "euclidean", "--lambda", "auto", "--out", str(tmp_path / "o")]) == 2
 
+    def test_holdout_with_a_fixed_lambda_exits_2_before_computing(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        train, *_ = write_euclidean_train(tmp_path, rng)
+        qpath = write_queries(tmp_path, rng.standard_normal((2, 3)))
+        out = tmp_path / "o"
+        assert main(["fit-predict", "--train", str(train), "--queries", str(qpath), "--kind", "euclidean",
+                     "--lambda", "0.05", "--holdout", str(tmp_path / "missing.csv"), "--out", str(out)]) == 2
+        assert "--holdout goes only with --lambda auto" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_training_file_with_a_byte_order_mark(self, tmp_path):
+        rng = np.random.default_rng(4)
+        train, *_ = write_euclidean_train(tmp_path, rng)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + train.read_bytes())
+        qpath = write_queries(tmp_path, rng.standard_normal((2, 3)))
+        for path, out in [(train, "plain"), (marked, "marked")]:
+            assert main(["fit-predict", "--train", str(path), "--queries", str(qpath),
+                         "--kind", "euclidean", "--lambda", "0.1", "--out", str(tmp_path / out)]) == 0
+        assert (tmp_path / "marked" / "predictions.csv").read_bytes() == (
+            tmp_path / "plain" / "predictions.csv"
+        ).read_bytes()
+
     def test_auto_holdout_with_wrong_width_exits_2(self, tmp_path):
         rng = np.random.default_rng(9)
         train, *_ = write_euclidean_train(tmp_path, rng)
@@ -473,9 +496,11 @@ class TestColdStart:
         )
 
     def test_import_loads_no_scipy(self):
+        # Nor the process pool: only a simulate with more than one worker starts one.
         code = (
             "import sys, frechet_svt, frechet_svt.cli; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing') "
+            "or m == 'concurrent.futures.process'))"
         )
         done = self.run_python("-c", code)
         assert done.returncode == 0, done.stderr

@@ -24,6 +24,7 @@ from oracles import (
     _l1_norms,
     _linf_norms,
     monotone_lsq_partition_oracle,
+    nearest_correlation_reference,
     norm_objective,
     random_correlation_matrix,
     subgradient_reference,
@@ -202,6 +203,60 @@ class TestNearestCorrelation:
         assert type(back) is ConvergenceError
         assert str(back) == str(err.value)
         assert np.array_equal(back.last_iterate, err.value.last_iterate)
+
+
+def _outcome(project, *args):
+    """What a projection gives: its result, or the message and last iterate it fails with."""
+    try:
+        return project(*args)
+    except ConvergenceError as exc:
+        return str(exc), exc.last_iterate
+
+
+def _same_outcome(got, expected) -> bool:
+    if isinstance(expected, tuple):
+        return isinstance(got, tuple) and got[0] == expected[0] and np.array_equal(got[1], expected[1])
+    return not isinstance(got, tuple) and np.array_equal(got, expected)
+
+
+class TestStackedDykstra:
+    """The stacked projection against the frozen one-matrix loop, bit for bit."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 10_000), st.integers(1, 8), st.integers(1, 40))
+    def test_blends_match_the_loop(self, seed, size, count):
+        rng = np.random.default_rng(seed)
+        pts = np.stack([random_correlation_matrix(size, rng) for _ in range(4)])
+        # Negative weights push blends outside the space, so most need projecting.
+        w = rng.uniform(-1.5, 2.0, (4, count))
+        w[:, w.sum(axis=0) <= 0.0] *= -1.0
+        blends = np.einsum("nk,nij->kij", w, pts) / w.sum(axis=0)[:, None, None]
+        blends[:, 0, -1] += rng.uniform(-0.5, 0.5, count)  # not exactly symmetric either
+        singles = [_outcome(nearest_correlation_reference, b) for b in blends]
+        failed = [o for o in singles if isinstance(o, tuple)]  # the loop stops at the first
+        expected = failed[0] if failed else np.stack(singles)
+        assert _same_outcome(_outcome(CorrelationSpace(size).project_blends, blends.copy()), expected)
+        for b, single in zip(blends, singles):
+            assert _same_outcome(_outcome(nearest_correlation, b), single)
+
+    def test_nonconverging_matrix_raises_as_the_loop(self):
+        rng = np.random.default_rng(5)
+        stack = np.stack([random_correlation_matrix(3, rng) for _ in range(5)])
+        stack[1] = stack[3] = [[1.0, 2.0, 0.0], [2.0, 1.0, 0.5], [0.0, 0.5, 1.0]]
+        stack[3, 0, 2] = stack[3, 2, 0] = -0.3
+        # The valid matrices converge within 3 steps; the two indefinite ones need more.
+        with pytest.raises(ConvergenceError) as loop:
+            for a in stack:
+                nearest_correlation_reference(a, max_iter=3)
+        with pytest.raises(ConvergenceError) as stacked:
+            CorrelationSpace(3, max_iter=3).project_blends(stack.copy())
+        assert str(stacked.value) == str(loop.value)
+        assert np.array_equal(stacked.value.last_iterate, loop.value.last_iterate)
+
+    def test_rejects_what_the_loop_rejected(self):
+        for bad in (np.ones((2, 3)), np.array([[1.0, np.nan], [np.nan, 1.0]]), np.ones(3)):
+            with pytest.raises(ValueError):
+                nearest_correlation(bad)
 
 
 class TestFrechetMeans:

@@ -538,8 +538,6 @@ class TestRunCell:
         assert isinstance(err.value.cause, ConvergenceError)
 
     def test_pool_never_exceeds_the_trial_count(self, monkeypatch):
-        import frechet_svt.simulation as sim
-
         asked = []
 
         class Recorder:
@@ -557,7 +555,7 @@ class TestRunCell:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recorder)
         run_cell(small_config(trials=2), workers=8)
         run_cell(small_config(trials=1), workers=8)
         assert asked == [2]
