@@ -44,7 +44,6 @@ from .regression import (
     covariate_stats,
     fit,
     pcr_coefficients,
-    thresholded_precision,
 )
 from .simulation import (
     AggregateReport,

@@ -6,10 +6,10 @@ points, ``diagnose`` evaluates the error-bound quantities for a
 clean/noisy covariate pair, and ``verify-lemmas`` stress-tests the
 matrix identities on random instances.
 
-Exit codes: 0 success, 2 config or schema error, 3 solver failure
-(including a worker process that died), 4 verification failure. Worker
-count for simulations comes from the FRECHET_SVT_THREADS environment
-variable (default: logical cores).
+Exit codes: 0 success, 2 config or schema error, 3 solver failure (also
+a worker process that died or a covariance that overflows), 4
+verification failure. Worker count for simulations comes from the
+FRECHET_SVT_THREADS environment variable (default: logical cores).
 """
 
 from __future__ import annotations
@@ -321,7 +321,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
     # Python evaluates this tuple only when an exception reaches it.
-    except (TrialFailure, ConvergenceError, DegenerateWeightsError, _broken_pool()) as exc:
+    except (TrialFailure, ConvergenceError, DegenerateWeightsError, FloatingPointError, _broken_pool()) as exc:
         sys.stderr.write(f"solver error: {exc}\n")
         return EXIT_SOLVER
 

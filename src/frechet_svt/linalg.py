@@ -51,13 +51,6 @@ def spectral_norm(m) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
-def symmetrize(a) -> np.ndarray:
-    a = _as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("cannot symmetrize a non-square matrix")
-    return 0.5 * (a + a.T)
-
-
 def numerical_rank(m) -> int:
     s = np.linalg.svd(_as_matrix(m), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:

@@ -1,13 +1,13 @@
 """Globally weighted Frechet regression with spectral truncation.
 
 ``Dataset`` is the library boundary: it validates the responses with
-the space's ``check_points``. The fitted object precomputes the
-covariate statistics and the pseudoinverse of the hard-thresholded
-covariance. Every prediction, single or batched, goes through one route:
-``weight_matrix`` builds one weight column per query, and the space's
-``frechet_mean_many`` blends the responses with each column and projects
-the blend into the space. For Euclidean responses the prediction has the
-principal-component-regression closed form, exposed separately.
+the space's ``check_points``. The fitted object keeps the rank its
+threshold keeps, and ``rank_weights`` reads every weight off the
+design's one thin SVD. Every prediction, single or batched, goes through
+one route: ``weight_matrix`` builds one weight column per query, and the
+space's ``frechet_mean_many`` blends the responses with each column and
+projects the blend into the space. For Euclidean responses the prediction
+has the principal-component-regression closed form, exposed separately.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import RANK_RTOL, SvdFactors, compute_svd, symmetrize
+from .linalg import RANK_RTOL, SvdFactors, compute_svd
 from .metric_spaces import EuclideanSpace, MetricSpace
 
 
@@ -31,11 +31,13 @@ class CovariateStats:
     needed. Hard truncation at any threshold keeps a prefix of these
     components (``kept_rank``), which is what lets a threshold sweep walk
     the rank path instead of refitting at every threshold.
+    ``eigenvalues`` holds ``s**2 / n``, descending, zero-padded to length p.
     """
 
     mean: np.ndarray
     centered: np.ndarray
     centered_svd: SvdFactors
+    eigenvalues: np.ndarray
 
     @property
     def n(self) -> int:
@@ -45,16 +47,9 @@ class CovariateStats:
     def p(self) -> int:
         return self.centered.shape[1]
 
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        """Covariance eigenvalues ``s**2 / n``, descending, zero-padded to length p."""
-        s = self.centered_svd.values
-        ev = np.zeros(self.p)
-        ev[: s.size] = s * s / self.n
-        return ev
-
 
 def covariate_stats(x) -> CovariateStats:
+    """The stats of an n-by-p design; ``FloatingPointError`` if they overflow."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError("covariates must form an n-by-p matrix")
@@ -63,9 +58,17 @@ def covariate_stats(x) -> CovariateStats:
         raise ValueError(f"need at least two samples, got {n}")
     if not np.all(np.isfinite(x)):
         raise ValueError("covariates have non-finite entries")
-    mean = x.mean(axis=0)
-    centered = x - mean
-    return CovariateStats(mean=mean, centered=centered, centered_svd=compute_svd(centered))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=0)
+        centered = x - mean
+        if not np.all(np.isfinite(centered)):
+            raise FloatingPointError("the centered covariates overflow")
+        svd = compute_svd(centered)
+        ev = np.zeros(x.shape[1])
+        ev[: svd.values.size] = svd.values * svd.values / n
+    if not np.isfinite(ev[0]):
+        raise FloatingPointError(f"the covariance eigenvalues overflow (top singular value {svd.values[0]:.3g})")
+    return CovariateStats(mean=mean, centered=centered, centered_svd=svd, eigenvalues=ev)
 
 
 def kept_rank(stats: CovariateStats, lam):
@@ -86,18 +89,16 @@ def kept_rank(stats: CovariateStats, lam):
     return np.count_nonzero(ev > cut[..., None], axis=-1)
 
 
-def thresholded_precision(stats: CovariateStats, lam: float) -> np.ndarray:
-    """Pseudoinverse of the covariance after removing eigenvalues <= lam.
+def rank_weights(stats: CovariateStats, queries: np.ndarray, k: int) -> np.ndarray:
+    """Regression weights keeping the ``k`` leading components, one column per query row.
 
-    Equals ``pseudoinverse(svt(covariance, lam))``. Built from the first
-    ``kept_rank`` rows of the design's ``Vt`` as ``V_k diag(1/ev_k) V_k'``;
-    eigenvalues below the numerical-rank cutoff never survive.
+    With ``centered = U diag(s) Vt`` the thresholded precision is
+    ``V_k diag(n / s_k**2) V_k'``, so ``1 + centered [svt(cov, lam)]^+ (q - mean)``
+    is ``1 + n U_k diag(1/s_k) V_k' (q - mean)``: no p-by-p matrix is formed.
     """
-    k = int(kept_rank(stats, lam))
-    if k == 0:
-        return np.zeros((stats.p, stats.p))
-    vk = stats.centered_svd.right_t[:k].T
-    return symmetrize((vk / stats.eigenvalues[:k]) @ vk.T)
+    f = stats.centered_svd
+    scores = (queries - stats.mean) @ f.right_t[:k].T
+    return 1.0 + (f.left[:, :k] * (stats.n / f.values[:k])) @ scores.T
 
 
 def check_queries(stats: CovariateStats, queries) -> np.ndarray:
@@ -144,23 +145,23 @@ class Dataset:
 
 @dataclass(frozen=True)
 class FittedModel:
-    """Frozen training state; predictions are lazy per-query solves."""
+    """Frozen training state with the rank its threshold keeps; predictions are lazy solves."""
 
     stats: CovariateStats
     lam: float
-    svt_pinv: np.ndarray
+    rank: int
     responses: np.ndarray
     space: MetricSpace
 
     def weight_matrix(self, queries) -> np.ndarray:
         """Regression weights 1 + (X_i - mean)' [svt(cov, lam)]^+ (x - mean).
 
-        One column per query point. Each column averages to one exactly
-        because the centered rows sum to zero; single weights may be
-        negative.
+        One column per query point, read off the ``rank`` leading SVD
+        factors by ``rank_weights``. Each column averages to one up to
+        roundoff because the centered rows sum to zero; single weights may
+        be negative.
         """
-        q = check_queries(self.stats, queries)
-        return 1.0 + self.stats.centered @ (self.svt_pinv @ (q - self.stats.mean).T)
+        return rank_weights(self.stats, check_queries(self.stats, queries), self.rank)
 
     def predict(self, x) -> np.ndarray:
         """Prediction at one query point."""
@@ -175,7 +176,7 @@ def fit(data: Dataset, lam: float) -> FittedModel:
     return FittedModel(
         stats=stats,
         lam=float(lam),
-        svt_pinv=thresholded_precision(stats, lam),
+        rank=int(kept_rank(stats, lam)),
         responses=data.responses,
         space=data.space,
     )
@@ -184,8 +185,9 @@ def fit(data: Dataset, lam: float) -> FittedModel:
 def pcr_coefficients(data: Dataset, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Intercept and slope of the Euclidean-response closed form.
 
-    Returns ``(ybar, beta)`` with ``beta = [svt(cov, lam)]^+ C`` where
-    ``C`` is the covariate-response cross-covariance; predictions
+    Returns ``(ybar, beta)``: ``beta = [svt(cov, lam)]^+ C`` for the
+    covariate-response cross-covariance ``C``, which the kept SVD factors
+    give as ``V_k diag(1/s_k) U_k' (Y - ybar)``; predictions
     ``ybar + beta' (x - mean)`` coincide with the weighted-mean route.
     Responses regressed jointly column by column when vector-valued.
     """
@@ -196,8 +198,9 @@ def pcr_coefficients(data: Dataset, lam: float) -> tuple[np.ndarray, np.ndarray]
     y2 = y[:, None] if squeeze else y
     stats = data.stats
     ybar = y2.mean(axis=0)
-    cross = stats.centered.T @ (y2 - ybar) / data.n
-    beta = thresholded_precision(stats, lam) @ cross
+    k = int(kept_rank(stats, lam))
+    f = stats.centered_svd
+    beta = f.right_t[:k].T @ ((f.left[:, :k].T @ (y2 - ybar)) / f.values[:k, None])
     if squeeze:
         return float(ybar[0]), beta[:, 0]
     return ybar, beta

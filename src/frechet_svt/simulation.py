@@ -29,7 +29,7 @@ from .metric_spaces import (
     midpoint_grid,
     space_from_kind,
 )
-from .regression import CovariateStats, Dataset, check_queries, fit, kept_rank
+from .regression import CovariateStats, Dataset, check_queries, fit, kept_rank, rank_weights
 
 ESTIMATORS = ("REF", "EIV", "SVT")
 
@@ -368,13 +368,12 @@ def mspe_profile(train_noisy: Dataset, test: Dataset, grid) -> np.ndarray:
     A threshold only decides how many leading covariance components the
     fit keeps (``kept_rank``), so each distinct rank on the grid is
     evaluated once, in increasing order, and grid points that keep the
-    same rank get bit-identical values. Affine response spaces walk the
-    rank path of the design's single SVD (``_blend_path``) and form no
-    precision or weight matrix. The l1 and sup-norm solvers need the
-    weights, and their result can move far more than roundoff when a
-    weight moves by one ulp, so those spaces take exactly the weights
-    ``fit`` builds at each distinct rank, all solved in one
-    ``frechet_mean_blocks`` call.
+    same rank get bit-identical values. Both branches read the factors of
+    the design's single SVD. Affine response spaces walk the rank path
+    (``_blend_path``) and form no weight matrix. The l1 and sup-norm
+    solvers need the weights, so those spaces take ``rank_weights`` at
+    each distinct rank, the columns ``FittedModel.weight_matrix`` gives,
+    all solved in one ``frechet_mean_blocks`` call.
     """
     grid = np.asarray(grid, dtype=float).ravel()
     if grid.size == 0:
@@ -387,7 +386,7 @@ def mspe_profile(train_noisy: Dataset, test: Dataset, grid) -> np.ndarray:
     if space.affine:
         path = _blend_path(stats, y, space, queries, distinct)
     else:
-        weights = [fit(train_noisy, grid[ranks == k][0]).weight_matrix(queries) for k in distinct]
+        weights = [rank_weights(stats, queries, k) for k in distinct]
         path = space.frechet_mean_blocks(y, weights)
     errors = np.empty(distinct.size)
     for i, preds in enumerate(path):
@@ -543,7 +542,7 @@ def _run_trial(args):
             Dataset(x, y, space), noisy, Dataset(x_new, y_new, space), grid, b,
             eval_x=eval_x, profile_grid=profile_grid,
         )
-    except (ConvergenceError, DegenerateWeightsError) as exc:
+    except (ConvergenceError, DegenerateWeightsError, FloatingPointError) as exc:
         raise TrialFailure(b, exc) from exc
 
 

@@ -36,8 +36,8 @@ def write_config(tmp_path, text=SMOKE_CONFIG):
     return path
 
 
-def write_euclidean_train(tmp_path, rng, n=30, p=3, name="train.csv"):
-    x = rng.standard_normal((n, p))
+def write_euclidean_train(tmp_path, rng, n=30, p=3, name="train.csv", scale=1.0):
+    x = scale * rng.standard_normal((n, p))
     beta = np.array([1.0, -2.0, 0.5])
     y = 0.7 + x @ beta
     path = tmp_path / name
@@ -486,15 +486,17 @@ class TestReadCovariates:
             read_covariates(path)
 
 
-class TestColdStart:
-    def run_python(self, *args):
-        src = str(Path(frechet_svt.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        return subprocess.run(
-            [sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
-            capture_output=True, text=True, timeout=120,
-        )
+def run_python(*args, **env):
+    """Run a fresh interpreter on this checkout's package, with extra environment variables."""
+    src = str(Path(frechet_svt.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env={**os.environ, "PYTHONPATH": path, **env},
+        capture_output=True, text=True, timeout=120,
+    )
 
+
+class TestColdStart:
     def test_import_loads_no_scipy(self):
         # Nor the process pool: only a simulate with more than one worker starts one.
         code = (
@@ -502,12 +504,12 @@ class TestColdStart:
             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing') "
             "or m == 'concurrent.futures.process'))"
         )
-        done = self.run_python("-c", code)
+        done = run_python("-c", code)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
 
     def test_version_exits_0(self):
-        done = self.run_python("-m", "frechet_svt", "--version")
+        done = run_python("-m", "frechet_svt", "--version")
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == frechet_svt.__version__
 
@@ -523,6 +525,35 @@ class TestSolverExitCode:
         code = main(["simulate", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "o")])
         assert code == 3
         assert capsys.readouterr().err.startswith("solver error: a worker process died")
+
+    @staticmethod
+    def assert_overflow_exit(done):
+        assert done.returncode == 3, done.stderr
+        assert done.stderr.startswith("solver error: "), done.stderr
+        assert "overflow" in done.stderr
+        assert "Traceback" not in done.stderr and "Warning" not in done.stderr
+
+    def test_fit_predict_on_overflowing_covariance_exits_3(self, tmp_path):
+        # Covariates near 1e200 are finite, but the covariance eigenvalues
+        # overflow; this once kept no component and printed the mean.
+        rng = np.random.default_rng(11)
+        train, *_ = write_euclidean_train(tmp_path, rng, n=20, scale=1e200)
+        queries = write_queries(tmp_path, 1e200 * rng.standard_normal((4, 3)))
+        done = run_python(
+            "-m", "frechet_svt", "fit-predict", "--train", str(train),
+            "--queries", str(queries), "--kind", "euclidean", "--out", str(tmp_path / "o"),
+        )
+        self.assert_overflow_exit(done)
+        assert not (tmp_path / "o" / "predictions.csv").exists()
+
+    def test_simulate_with_overflowing_noise_exits_3(self, tmp_path):
+        cfg = write_config(tmp_path, SMOKE_CONFIG + "sigma_eps = 1e300\n")
+        done = run_python(
+            "-m", "frechet_svt", "simulate", "--config", str(cfg), "--out", str(tmp_path / "o"),
+            FRECHET_SVT_THREADS="1",
+        )
+        self.assert_overflow_exit(done)
+        assert "trial 0 failed" in done.stderr
 
 
 class TestDiagnoseCommand:

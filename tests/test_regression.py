@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from frechet_svt.linalg import pseudoinverse, svt
 from frechet_svt.metric_spaces import CorrelationSpace, EuclideanSpace, WassersteinSpace
@@ -10,7 +12,6 @@ from frechet_svt.regression import (
     fit,
     kept_rank,
     pcr_coefficients,
-    thresholded_precision,
 )
 from oracles import monotone_grid_search, ols_with_intercept, pcr_fit_oracle, brute_covariance
 
@@ -29,6 +30,12 @@ def svd_covariance(stats):
     """The covariance as the stats' one SVD gives it: ``Vt' diag(s**2 / n) Vt``."""
     vt = stats.centered_svd.right_t
     return (vt.T * stats.eigenvalues[: vt.shape[0]]) @ vt
+
+
+def generic_pcr_beta(x, y, lam):
+    """``pseudoinverse(svt(cov, lam)) @ cross`` from the brute-force covariance."""
+    cross = (x - x.mean(axis=0)).T @ (y - y.mean(axis=0)) / len(x)
+    return pseudoinverse(svt(brute_covariance(x), lam)) @ cross
 
 
 def weights_at(x, lam, query):
@@ -64,6 +71,19 @@ class TestCovariateStats:
     def test_rejects_single_row(self):
         with pytest.raises(ValueError):
             covariate_stats(np.ones((1, 3)))
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            1e200 * np.array([[1.0, 0.0], [-1.0, 2.0], [0.5, -1.0]]),  # s**2 overflows
+            np.array([[1.7e308, 0.0], [1.7e308, 1.0], [-1e308, 2.0]]),  # the mean overflows
+        ],
+    )
+    def test_overflow_raises_without_warning(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="overflow"):
+                covariate_stats(x)
 
     def test_kept_rank_rejects_nan_threshold(self):
         stats = covariate_stats(np.random.default_rng(31).standard_normal((8, 3)))
@@ -106,20 +126,43 @@ class TestWeights:
         w = weights_at(x, lam, rng.standard_normal(p))
         assert abs(w.mean() - 1.0) <= 1e-10
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(0, 10_000), st.floats(1e-3, 1.5), st.booleans())
+    def test_matches_generic_route_above_zero_and_below_full_rank(self, seed, frac, wide):
+        # The SVD-factor weights against 1 + Xc pinv(svt(cov, lam)) (q - mean),
+        # for a positive threshold on a tall design, or on one with n < p.
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(3, 12))
+        n = int(rng.integers(2, p)) if wide else int(rng.integers(p + 1, 30))
+        x = rng.standard_normal((n, p)) * rng.uniform(0.2, 3.0, p)
+        stats = covariate_stats(x)
+        lam = frac * stats.eigenvalues[0]
+        # A threshold on an eigenvalue could keep different ranks in the two routes.
+        assume(np.all(np.abs(stats.eigenvalues - lam) > 1e-6 * stats.eigenvalues[0]))
+        q = rng.standard_normal((4, p))
+        generic = 1.0 + (x - stats.mean) @ pseudoinverse(svt(brute_covariance(x), lam)) @ (q - stats.mean).T
+        ours = fit(Dataset(x, np.zeros(n), EUCLID), lam).weight_matrix(q)
+        assert np.max(np.abs(ours - generic)) <= 1e-10 * np.max(np.abs(generic))
+
 
 class TestFit:
     def test_zero_threshold_full_rank_inverts_covariance(self):
         rng = np.random.default_rng(25)
         data, _, _ = linear_euclidean_dataset(rng, n=40, p=4)
         model = fit(data, 0.0)
-        assert np.allclose(model.svt_pinv, np.linalg.inv(brute_covariance(data.covariates)), atol=1e-8)
+        q = rng.standard_normal((3, 4))
+        centered = data.covariates - model.stats.mean
+        inv = np.linalg.inv(brute_covariance(data.covariates))
+        assert model.rank == 4
+        assert np.allclose(model.weight_matrix(q), 1.0 + centered @ inv @ (q - model.stats.mean).T, atol=1e-8)
 
     def test_threshold_above_top_gives_zero(self):
         rng = np.random.default_rng(26)
         data, _, _ = linear_euclidean_dataset(rng)
         stats = covariate_stats(data.covariates)
         model = fit(data, stats.eigenvalues[0] * 1.5)
-        assert np.all(model.svt_pinv == 0)
+        assert model.rank == 0
+        assert np.all(model.weight_matrix(rng.standard_normal((3, stats.p))) == 1.0)
 
     def test_diagonal_covariance_inverts_retained_directions_only(self):
         # orthogonal centered design -> exactly diagonal sample covariance
@@ -127,18 +170,23 @@ class TestFit:
         u1 = np.array([1.0, -1.0, 0.0, 0.0]) / np.sqrt(2)
         u2 = np.array([0.0, 0.0, 1.0, -1.0]) / np.sqrt(2)
         x = s1 * np.outer(u1, [1, 0]) + s2 * np.outer(u2, [0, 1])
+        y = np.array([1.0, -2.0, 0.5, 3.0])
         stats = covariate_stats(x)
         assert np.allclose(svd_covariance(stats), np.diag([s1**2 / 4, s2**2 / 4]), atol=1e-12)
         lam = (s2**2 / 4 + s1**2 / 4) / 2
-        assert np.allclose(thresholded_precision(stats, lam), np.diag([4 / s1**2, 0.0]), atol=1e-12)
+        cross = x.T @ (y - y.mean()) / 4  # the design is already centered
+        _, beta = pcr_coefficients(Dataset(x, y, EUCLID), lam)
+        assert np.allclose(beta, np.diag([4 / s1**2, 0.0]) @ cross, atol=1e-12)
+        assert np.allclose(beta, generic_pcr_beta(x, y, lam), atol=1e-12)
 
-    def test_thresholded_precision_matches_generic_route(self):
+    def test_pcr_coefficients_match_generic_route(self):
         rng = np.random.default_rng(27)
         x = rng.standard_normal((12, 5))
+        y = rng.standard_normal((12, 2))
         stats = covariate_stats(x)
         for lam in [0.0, float(np.median(stats.eigenvalues)), 10.0]:
-            generic = pseudoinverse(svt(brute_covariance(x), lam))
-            assert np.allclose(thresholded_precision(stats, lam), generic, atol=1e-9)
+            _, beta = pcr_coefficients(Dataset(x, y, EUCLID), lam)
+            assert np.allclose(beta, generic_pcr_beta(x, y, lam), atol=1e-9)
 
 
 class TestPredict:

@@ -684,7 +684,8 @@ class TestRankPathSweep:
         # An uncentered design breaks the zero column sums, so the weight
         # totals can turn negative; the sweep must refuse like the direct route.
         x = np.array([[1.0], [2.0], [3.0], [4.0]])
-        stats = CovariateStats(mean=np.zeros(1), centered=x, centered_svd=compute_svd(x))
+        svd = compute_svd(x)
+        stats = CovariateStats(mean=np.zeros(1), centered=x, centered_svd=svd, eigenvalues=svd.values**2 / 4)
         path = _blend_path(stats, np.arange(4.0), EuclideanSpace(), np.array([[-50.0]]), [1])
         with pytest.raises(DegenerateWeightsError):
             next(path)
