@@ -7,9 +7,11 @@ clean/noisy covariate pair, and ``verify-lemmas`` stress-tests the
 matrix identities on random instances.
 
 Exit codes: 0 success, 2 config or schema error, 3 solver failure (also
-a worker process that died or a covariance that overflows), 4
-verification failure. Worker count for simulations comes from the
-FRECHET_SVT_THREADS environment variable (default: logical cores).
+a worker process that died, a covariance that overflows, or a
+``simulate`` table value that is not finite, in which case neither
+table is written), 4 verification failure. Worker count for simulations
+comes from the FRECHET_SVT_THREADS environment variable (default:
+logical cores).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .dataio import (
     KINDS,
     ConfigError,
     SchemaError,
+    check_tables,
     load_sim_configs,
     read_covariates,
     read_dataset,
@@ -99,6 +102,7 @@ def _cmd_simulate(args) -> int:
         snapshot,
     )
     results = run_campaign(configs, workers=_worker_count())
+    check_tables(results)
     write_results_csv(out / "results.csv", results)
     write_profile_csv(out / "profile.csv", results)
     for cell in results:

@@ -207,28 +207,53 @@ def write_predictions(path, kind: str, predictions, grid=None, lambda_hat=None) 
     _write_csv(path, _response_names(_PREFIX[kind], block.shape[1]), rows, comment)
 
 
-def write_results_csv(path, cell_results) -> None:
-    """Table-shaped summary: one row per cell and estimator."""
-    rows = []
+def _tables(cell_results) -> dict:
+    """Each simulate table's value columns and rows, a row being ``(config, estimator, values)``."""
+    results, profile = [], []
     for cell in cell_results:
-        cfg, rep = cell.config, cell.report
+        cfg, rep, prof = cell.config, cell.report, cell.profile
         for est in ESTIMATORS:
             lam = cell.lambda_hat_median if est == "SVT" else 0.0
             values = (math.sqrt(rep.bias_sq[est]), math.sqrt(rep.var[est]), rep.mse[est], rep.mspe[est], lam)
-            rows.append([cfg.n, cfg.p, cfg.noise_kind, est, *map(format_value, values), cfg.display_name()])
-    header = ["n", "p", "noise_kind", "estimator", "bias", "sqrt_var", "mse", "mspe", "lambda_hat", "cell"]
-    _write_csv(path, header, rows)
+            results.append((cfg, est, values))
+        svt = [("SVT", lam, val) for lam, val in zip(prof.lambdas, prof.svt)]
+        for est, lam, val in [("REF", 0.0, prof.ref), ("EIV", 0.0, prof.eiv), *svt]:
+            profile.append((cfg, est, (lam, val)))
+    return {
+        "results.csv": (("bias", "sqrt_var", "mse", "mspe", "lambda_hat"), results),
+        "profile.csv": (("lambda", "nmspe"), profile),
+    }
+
+
+def check_tables(cell_results) -> None:
+    """Raise ``FloatingPointError`` at the first value of either table that is not finite.
+
+    The message names the table, the cell, the estimator and the column.
+    """
+    for table, (columns, rows) in _tables(cell_results).items():
+        for cfg, est, values in rows:
+            for column, v in zip(columns, values):
+                if not math.isfinite(v):
+                    name = cfg.display_name()
+                    raise FloatingPointError(f"{table}: cell {name}, estimator {est}, column {column} is {v!r}")
+
+
+def _write_table(path, columns, rows) -> None:
+    body = [
+        [cfg.n, cfg.p, cfg.noise_kind, est, *map(format_value, values), cfg.display_name()]
+        for cfg, est, values in rows
+    ]
+    _write_csv(path, ["n", "p", "noise_kind", "estimator", *columns, "cell"], body)
+
+
+def write_results_csv(path, cell_results) -> None:
+    """Table-shaped summary: one row per cell and estimator."""
+    _write_table(path, *_tables(cell_results)["results.csv"])
 
 
 def write_profile_csv(path, cell_results) -> None:
     """Threshold profiles: normalized prediction error per estimator."""
-    rows = []
-    for cell in cell_results:
-        cfg, prof, name = cell.config, cell.profile, cell.config.display_name()
-        svt = [("SVT", lam, val) for lam, val in zip(prof.lambdas, prof.svt)]
-        for est, lam, val in [("REF", 0.0, prof.ref), ("EIV", 0.0, prof.eiv), *svt]:
-            rows.append([cfg.n, cfg.p, cfg.noise_kind, est, format_value(lam), format_value(val), name])
-    _write_csv(path, ["n", "p", "noise_kind", "estimator", "lambda", "nmspe", "cell"], rows)
+    _write_table(path, *_tables(cell_results)["profile.csv"])
 
 
 def write_diagnostics_csv(path, values: dict) -> None:

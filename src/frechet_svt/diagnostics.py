@@ -7,12 +7,11 @@ thin SVD that each design caches in ``Dataset.stats``. The threshold is
 always on the estimator's scale (it truncates the covariance eigenvalues
 ``s**2 / n``), and ``kept_rank`` alone decides which components count,
 exactly as in the fit. The raw covariates are read only for the noise
-norm ``||Z - X||``, which takes one SVD per clean/noisy pair.
+norm ``||Z - X||``, which takes one SVD of the noise per call.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +20,6 @@ from .linalg import spectral_norm
 from .regression import CovariateStats, Dataset, check_queries, fit, kept_rank
 
 ROWSPACE_RTOL = 1e-8
-
-# ||Z - X|| per noisy Dataset and clean Dataset; entries die with the
-# Datasets, so every bound evaluated on one pair shares one SVD.
-_NOISE_NORMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -61,13 +56,10 @@ class DenoisingReport:
 
 
 def _noise_norm(clean: Dataset, noisy: Dataset) -> float:
-    """Spectral norm of the covariate noise ``Z - X``, computed once per pair."""
-    per_clean = _NOISE_NORMS.setdefault(noisy, weakref.WeakKeyDictionary())
-    if clean not in per_clean:
-        if noisy.covariates.shape != clean.covariates.shape:
-            raise ValueError(f"shape mismatch: {clean.covariates.shape} vs {noisy.covariates.shape}")
-        per_clean[clean] = spectral_norm(noisy.covariates - clean.covariates)
-    return per_clean[clean]
+    """Spectral norm of the covariate noise ``Z - X``."""
+    if noisy.covariates.shape != clean.covariates.shape:
+        raise ValueError(f"shape mismatch: {clean.covariates.shape} vs {noisy.covariates.shape}")
+    return spectral_norm(noisy.covariates - clean.covariates)
 
 
 def _centered_query(stats: CovariateStats, x) -> np.ndarray:

@@ -184,7 +184,7 @@ class MetricSpace:
 
     kind: str = "abstract"
     # True when the weighted Frechet mean is the weight-normalized average
-    # of the points followed by ``project_blends``. The threshold sweep then
+    # of the points followed by ``project_blends``. ``rank_predictions`` then
     # updates the averages along the rank path and never forms weights.
     affine: bool = False
 

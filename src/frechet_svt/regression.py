@@ -2,12 +2,14 @@
 
 ``Dataset`` is the library boundary: it validates the responses with
 the space's ``check_points``. The fitted object keeps the rank its
-threshold keeps, and ``rank_weights`` reads every weight off the
-design's one thin SVD. Every prediction, single or batched, goes through
-one route: ``weight_matrix`` builds one weight column per query, and the
-space's ``frechet_mean_many`` blends the responses with each column and
-projects the blend into the space. For Euclidean responses the prediction
-has the principal-component-regression closed form, exposed separately.
+threshold keeps. Every prediction, of a fit, of the threshold sweep or
+of a simulation trial, goes through one route, ``rank_predictions``,
+which reads the design's one thin SVD at the asked ranks. Affine spaces
+stream the weighted response sums along the rank path and never form a
+weight matrix; the l1 and sup-norm solvers take the weights from
+``rank_weights``, which ``FittedModel.weight_matrix`` also returns for
+diagnostics. For Euclidean responses the prediction has the
+principal-component-regression closed form, exposed separately.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import RANK_RTOL, SvdFactors, compute_svd
-from .metric_spaces import EuclideanSpace, MetricSpace
+from .metric_spaces import DegenerateWeightsError, EuclideanSpace, MetricSpace
 
 
 @dataclass(frozen=True)
@@ -101,6 +103,58 @@ def rank_weights(stats: CovariateStats, queries: np.ndarray, k: int) -> np.ndarr
     return 1.0 + (f.left[:, :k] * (stats.n / f.values[:k])) @ scores.T
 
 
+def _blend_path(stats: CovariateStats, responses, space: MetricSpace, queries, ranks):
+    """Affine-space predictions at ``queries`` for each of ``ranks`` (increasing), streamed.
+
+    With ``centered = U diag(s) Vt``, eigenvalues ``ev`` and query scores
+    ``A = (queries - mean) Vt'``, the fit keeping k components weighs the
+    training points by ``1 + (U diag(s))[:, :k] diag(1/ev[:k]) A[:, :k]'``,
+    so a larger rank only adds terms. The weights are never formed: the
+    weighted response sums and the weight-column totals are updated as
+    ``+= (A[:, k0:k1] / ev[k0:k1]) @ C[k0:k1]`` with ``C = (U diag(s))' Y``,
+    then normalized and handed to ``space.project_blends``.
+    """
+    y = np.asarray(responses, dtype=float)
+    n, m = stats.n, queries.shape[0]
+    flat = y.reshape(n, -1)
+    us = stats.centered_svd.left * stats.centered_svd.values
+    ev = stats.eigenvalues
+    scores = (queries - stats.mean) @ stats.centered_svd.right_t.T
+    # The last column carries the weight totals along with the sums.
+    cross = np.column_stack([us.T @ flat, us.sum(axis=0)])
+    acc = np.tile(np.append(flat.sum(axis=0), float(n)), (m, 1))
+    done = 0
+    for k in ranks:
+        # np.dot, not @: numpy's matmul is several times slower when a
+        # single component is added.
+        acc += np.dot(scores[:, done:k] / ev[done:k], cross[done:k])
+        done = k
+        totals = acc[:, -1]
+        if np.any(totals <= 0.0):
+            raise DegenerateWeightsError("every weight column must have a positive total")
+        blended = acc[:, :-1] / totals[:, None]
+        yield space.project_blends(blended.reshape(m, *y.shape[1:]))
+
+
+def rank_predictions(space: MetricSpace, responses, asks):
+    """Predictions from ``responses`` at each asked rank: one stack per rank, in order.
+
+    Each ask is ``(stats, queries, ranks)``: a design's stats, checked
+    query rows and increasing ranks; the fit keeping k components predicts
+    with ``rank_weights(stats, queries, k)``, and rank 0 (a column of ones)
+    is the unweighted mean. Affine spaces stream each ask's ranks along
+    ``_blend_path`` and never form a weight matrix, so keep only the stacks
+    still needed. The l1 and sup-norm solvers need the weights, so those
+    spaces solve every rank of every ask in one ``frechet_mean_blocks`` call.
+    """
+    if space.affine:
+        for stats, queries, ranks in asks:
+            yield from _blend_path(stats, responses, space, queries, ranks)
+    else:
+        weights = [rank_weights(stats, queries, k) for stats, queries, ranks in asks for k in ranks]
+        yield from space.frechet_mean_blocks(responses, weights)
+
+
 def check_queries(stats: CovariateStats, queries) -> np.ndarray:
     """Query points as a finite (m, p) array; one 1-D query becomes one row."""
     q = np.atleast_2d(np.asarray(queries, dtype=float))
@@ -159,7 +213,8 @@ class FittedModel:
         One column per query point, read off the ``rank`` leading SVD
         factors by ``rank_weights``. Each column averages to one up to
         roundoff because the centered rows sum to zero; single weights may
-        be negative.
+        be negative. ``predict_many`` forms these weights only for the l1
+        and sup-norm solvers; affine spaces predict without them.
         """
         return rank_weights(self.stats, check_queries(self.stats, queries), self.rank)
 
@@ -168,7 +223,9 @@ class FittedModel:
         return self.predict_many(np.ravel(x)[None])[0]
 
     def predict_many(self, queries) -> np.ndarray:
-        return self.space.frechet_mean_many(self.responses, self.weight_matrix(queries))
+        """Predictions at the query rows, through ``rank_predictions`` at the fit's rank."""
+        ask = (self.stats, check_queries(self.stats, queries), [self.rank])
+        return next(rank_predictions(self.space, self.responses, [ask]))
 
 
 def fit(data: Dataset, lam: float) -> FittedModel:

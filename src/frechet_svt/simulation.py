@@ -29,7 +29,7 @@ from .metric_spaces import (
     midpoint_grid,
     space_from_kind,
 )
-from .regression import CovariateStats, Dataset, check_queries, fit, kept_rank, rank_weights
+from .regression import Dataset, check_queries, fit, kept_rank, rank_predictions
 
 ESTIMATORS = ("REF", "EIV", "SVT")
 
@@ -312,85 +312,24 @@ def lambda_grid(top_eigenvalue: float, p: int, n: int, points: int = 40) -> np.n
     return np.linspace(upper / points, upper, points)
 
 
-def _frechet_means(space: MetricSpace, jobs) -> list:
-    """The means for each ``(points, weight_matrix)`` job, in order.
-
-    Jobs on the same points array share one ``frechet_mean_blocks`` call,
-    so the l1 and sup-norm solvers run one loop for all of them.
-    """
-    means = [None] * len(jobs)
-    groups: dict = {}
-    for i, (points, _) in enumerate(jobs):
-        groups.setdefault(id(points), []).append(i)
-    for idx in groups.values():
-        blocks = space.frechet_mean_blocks(jobs[idx[0]][0], [jobs[i][1] for i in idx])
-        for i, block in zip(idx, blocks):
-            means[i] = block
-    return means
-
-
-def _blend_path(stats: CovariateStats, responses, space: MetricSpace, queries, ranks):
-    """Affine-space predictions at ``queries`` for each of ``ranks`` (increasing), streamed.
-
-    With ``centered = U diag(s) Vt``, eigenvalues ``ev`` and query scores
-    ``A = (queries - mean) Vt'``, the fit keeping k components weighs the
-    training points by ``1 + (U diag(s))[:, :k] diag(1/ev[:k]) A[:, :k]'``,
-    so a larger rank only adds terms. The weights are never formed: the
-    weighted response sums and the weight-column totals are updated as
-    ``+= (A[:, k0:k1] / ev[k0:k1]) @ C[k0:k1]`` with ``C = (U diag(s))' Y``,
-    then normalized and handed to ``space.project_blends``.
-    """
-    y = np.asarray(responses, dtype=float)
-    n, m = stats.n, queries.shape[0]
-    flat = y.reshape(n, -1)
-    us = stats.centered_svd.left * stats.centered_svd.values
-    ev = stats.eigenvalues
-    scores = (queries - stats.mean) @ stats.centered_svd.right_t.T
-    # The last column carries the weight totals along with the sums.
-    cross = np.column_stack([us.T @ flat, us.sum(axis=0)])
-    acc = np.tile(np.append(flat.sum(axis=0), float(n)), (m, 1))
-    done = 0
-    for k in ranks:
-        # np.dot, not @: numpy's matmul is several times slower when a
-        # single component is added.
-        acc += np.dot(scores[:, done:k] / ev[done:k], cross[done:k])
-        done = k
-        totals = acc[:, -1]
-        if np.any(totals <= 0.0):
-            raise DegenerateWeightsError("every weight column must have a positive total")
-        blended = acc[:, :-1] / totals[:, None]
-        yield space.project_blends(blended.reshape(m, *y.shape[1:]))
-
-
 def mspe_profile(train_noisy: Dataset, test: Dataset, grid) -> np.ndarray:
     """Out-of-sample error of the noisy-covariate fit along a threshold grid.
 
     A threshold only decides how many leading covariance components the
     fit keeps (``kept_rank``), so each distinct rank on the grid is
-    evaluated once, in increasing order, and grid points that keep the
-    same rank get bit-identical values. Both branches read the factors of
-    the design's single SVD. Affine response spaces walk the rank path
-    (``_blend_path``) and form no weight matrix. The l1 and sup-norm
-    solvers need the weights, so those spaces take ``rank_weights`` at
-    each distinct rank, the columns ``FittedModel.weight_matrix`` gives,
-    all solved in one ``frechet_mean_blocks`` call.
+    evaluated once, in increasing order, by one ``rank_predictions`` ask,
+    and grid points that keep the same rank get bit-identical values.
     """
     grid = np.asarray(grid, dtype=float).ravel()
     if grid.size == 0:
         raise ValueError("empty threshold grid")
     stats = train_noisy.stats
-    queries = check_queries(stats, test.covariates)
     ranks = kept_rank(stats, grid)
     distinct = np.unique(ranks)
-    y, space = train_noisy.responses, train_noisy.space
-    if space.affine:
-        path = _blend_path(stats, y, space, queries, distinct)
-    else:
-        weights = [rank_weights(stats, queries, k) for k in distinct]
-        path = space.frechet_mean_blocks(y, weights)
-    errors = np.empty(distinct.size)
-    for i, preds in enumerate(path):
-        errors[i] = np.mean(space.distances_to(test.responses, preds) ** 2)
+    space = train_noisy.space
+    ask = (stats, check_queries(stats, test.covariates), distinct)
+    path = rank_predictions(space, train_noisy.responses, [ask])
+    errors = np.array([np.mean(space.distances_to(test.responses, preds) ** 2) for preds in path])
     return errors[np.searchsorted(distinct, ranks)]
 
 
@@ -426,9 +365,13 @@ def evaluate_trial(
 ):
     """Fit REF, EIV, and tuned SVT, reporting training and test errors.
 
-    In-sample errors are measured at the clean training covariates for
-    every estimator (the noisy fits act as predictors of the responses
-    at the true covariates); test covariates are noiseless too.
+    ``train`` and ``train_noisy`` must hold the same responses, on the
+    clean and on the noisy covariates (the errors-in-variables setting);
+    a mismatch raises ``ValueError``. In-sample errors are measured at the
+    clean training covariates for every estimator (the noisy fits act as
+    predictors of the responses at the true covariates); test covariates
+    are noiseless too. Every prediction goes through one
+    ``rank_predictions`` call on the shared responses.
 
     Returns ``(report, eval_preds, profile_part)``. ``eval_preds`` maps
     each estimator to its predictions at ``eval_x`` (None without
@@ -437,6 +380,8 @@ def evaluate_trial(
     training responses (None without ``profile_grid``); the same sweep
     serves the tuning grid and the profile grid.
     """
+    if not np.array_equal(train.responses, train_noisy.responses):
+        raise ValueError("the clean and the noisy training sets must hold the same responses")
     lam_hat, profile, curves = _tune(train_noisy, test, grid, profile_grid)
     models = {
         "REF": fit(train, 0.0),
@@ -444,16 +389,17 @@ def evaluate_trial(
         "SVT": fit(train_noisy, lam_hat),
     }
     space = train.space
-    # Every prediction of the trial, solved together: in-sample for each
-    # estimator, test for REF and EIV, eval, then the null model.
+    # Every prediction of the trial, in the order read below: in-sample for
+    # each estimator, test for REF and EIV, eval, then the null model.
     asks = [(m, train.covariates) for m in models.values()]
     asks += [(models[est], test.covariates) for est in ("REF", "EIV")]
     if eval_x is not None:
         asks += [(m, eval_x) for m in models.values()]
-    jobs = [(m.responses, m.weight_matrix(q)) for m, q in asks]
+    asks = [(m.stats, check_queries(m.stats, q), [m.rank]) for m, q in asks]
     if profile_grid is not None:
-        jobs.append((train.responses, np.ones(train.n)[:, None]))
-    preds = iter(_frechet_means(space, jobs))
+        # Rank 0 weighs every training response by one: the null model.
+        asks.append((train.stats, train.stats.mean[None], [0]))
+    preds = rank_predictions(space, train.responses, asks)
 
     def next_error(responses) -> float:
         return float(np.mean(space.distances_to(responses, next(preds)) ** 2))

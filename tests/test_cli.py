@@ -555,6 +555,19 @@ class TestSolverExitCode:
         self.assert_overflow_exit(done)
         assert "trial 0 failed" in done.stderr
 
+    def test_simulate_with_overflowing_intercept_writes_no_table(self, tmp_path):
+        # Responses near 1e308 are finite, but their blends and distances
+        # overflow; this once exited 0 with inf and nan in both tables.
+        cfg = write_config(tmp_path, SMOKE_CONFIG + "alpha_intercept = 1e308\n")
+        out = tmp_path / "o"
+        done = run_python(
+            "-m", "frechet_svt", "simulate", "--config", str(cfg), "--out", str(out), FRECHET_SVT_THREADS="1",
+        )
+        assert done.returncode == 3, done.stderr
+        assert "solver error: results.csv: cell smoke, estimator REF, column bias is nan" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not (out / "results.csv").exists() and not (out / "profile.csv").exists()
+
 
 class TestDiagnoseCommand:
     def run_diagnose(self, tmp_path, noisy_name="noisy.csv", lam="0.1", corrupt=False):
@@ -627,7 +640,8 @@ class TestDiagnoseCommand:
         code = main(["diagnose", "--train", str(train), "--noisy", str(npath), "--kind", "euclidean",
                      "--lambda", "0.05", "--x=" + query, "--out", str(tmp_path / "o")])
         assert code == 0
-        assert 0 < calls["svd"] <= 3  # X, Z and Z - X
+        # X and Z once each; Z - X once per bound quantity (bound, snr_reciprocal, weight check).
+        assert calls["svd"] == 5
         assert calls["eigh"] == 0
 
     def test_one_row_training_file_exits_2(self, tmp_path, capsys):

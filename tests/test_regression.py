@@ -4,16 +4,24 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from frechet_svt import regression
 from frechet_svt.linalg import pseudoinverse, svt
-from frechet_svt.metric_spaces import CorrelationSpace, EuclideanSpace, WassersteinSpace
+from frechet_svt.metric_spaces import CorrelationSpace, EuclideanSpace, L1Space, MetricSpace, WassersteinSpace
 from frechet_svt.regression import (
     Dataset,
     covariate_stats,
     fit,
     kept_rank,
     pcr_coefficients,
+    rank_predictions,
 )
-from oracles import monotone_grid_search, ols_with_intercept, pcr_fit_oracle, brute_covariance
+from oracles import (
+    brute_covariance,
+    monotone_grid_search,
+    ols_with_intercept,
+    pcr_fit_oracle,
+    random_correlation_matrix,
+)
 
 EUCLID = EuclideanSpace()
 
@@ -258,6 +266,66 @@ class TestPredict:
         q = rng.standard_normal(4)
         for lam in [floor * 0.1, floor * 0.9]:
             assert abs(float(fit(data, lam).predict(q)) - float(base.predict(q))) <= 1e-10
+
+
+def extrapolating_instance(kind, seed):
+    """Training data of one response kind and queries four times wider than the design.
+
+    The wide queries give negative weights, so Wasserstein blends can
+    decrease (PAVA) and correlation blends can leave the PSD cone (Dykstra).
+    """
+    rng = np.random.default_rng(seed)
+    n, p = 9, 3
+    x = rng.standard_normal((n, p))
+    queries = 4.0 * rng.standard_normal((6, p))
+    slope = rng.standard_normal(p)
+    if kind == "euclidean-scalar":
+        return Dataset(x, x @ slope + rng.standard_normal(n), EUCLID), queries
+    if kind in ("euclidean-vector", "l1"):
+        y = x @ rng.standard_normal((p, 2)) + rng.standard_normal((n, 2))
+        return Dataset(x, y, EUCLID if kind == "euclidean-vector" else L1Space()), queries
+    if kind == "wasserstein":
+        space = WassersteinSpace.with_uniform_grid(7)
+        spread = np.exp(x @ slope)  # quantile slopes that extrapolate below zero
+        y = (x @ slope)[:, None] + spread[:, None] * np.linspace(-1.0, 1.0, 7)
+        return Dataset(x, y, space), queries
+    y = np.stack([random_correlation_matrix(3, rng) for _ in range(n)])
+    return Dataset(x, y, CorrelationSpace(3)), queries
+
+
+AFFINE_KINDS = ("euclidean-scalar", "euclidean-vector", "wasserstein", "correlation")
+
+
+class TestRankPredictions:
+    @pytest.mark.parametrize("kind", AFFINE_KINDS)
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_affine_predict_many_forms_no_weights(self, kind, lam, monkeypatch):
+        data, queries = extrapolating_instance(kind, 5)
+        model = fit(data, lam)
+        w = model.weight_matrix(queries)
+        expected = data.space.frechet_mean_many(data.responses, w)
+        raw = np.tensordot(w / w.sum(axis=0), data.responses, axes=(0, 0))
+        if kind == "wasserstein":
+            assert np.any(np.diff(raw, axis=1) < 0.0)  # PAVA runs
+        if kind == "correlation":
+            assert np.linalg.eigvalsh(raw)[:, 0].min() < -1e-3  # Dykstra runs
+
+        def refuse(name):
+            def call(*args):
+                raise AssertionError(f"{name} called")
+            return call
+
+        monkeypatch.setattr(regression, "rank_weights", refuse("rank_weights"))
+        monkeypatch.setattr(MetricSpace, "frechet_mean_blocks", refuse("frechet_mean_blocks"))
+        preds = model.predict_many(queries)
+        np.testing.assert_allclose(preds, expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kind", [*AFFINE_KINDS, "l1"])
+    def test_rank_zero_is_the_unweighted_mean(self, kind):
+        data, queries = extrapolating_instance(kind, 6)
+        null = next(rank_predictions(data.space, data.responses, [(data.stats, queries[:1], [0])]))
+        mean = data.space.frechet_mean(data.responses, np.ones(data.n))
+        np.testing.assert_allclose(null[0], mean, rtol=0, atol=1e-12)
 
 
 class TestPcr:

@@ -18,7 +18,7 @@ from frechet_svt.metric_spaces import (
     WassersteinSpace,
     midpoint_grid,
 )
-from frechet_svt.regression import CovariateStats, Dataset, covariate_stats, fit, kept_rank
+from frechet_svt.regression import CovariateStats, Dataset, covariate_stats, fit, kept_rank, rank_predictions
 from frechet_svt.simulation import (
     AggregateReport,
     SimConfig,
@@ -36,7 +36,6 @@ from frechet_svt.simulation import (
     run_cell,
     TrialFailure,
     TrialReport,
-    _blend_path,
     _normal_quantiles,
     true_regression_quantile,
     tune_lambda,
@@ -369,15 +368,21 @@ class TestJointSolveRoute:
         assert np.array_equal(profile_part[0], curves)
         assert profile_part[1:] == (null_mspe,)
 
-    def test_separate_response_arrays_get_separate_solves(self, monkeypatch):
+    def test_equal_response_copies_share_one_solve(self, monkeypatch):
         train, noisy, test, _ = _linear_trial(L1Space(), 4)
         clean = Dataset(train.covariates, train.responses.copy(), train.space)
         calls = _count_block_calls(monkeypatch, L1Space)
         shared = evaluate_trial(train, noisy, test, [0.1, 0.5])[0]
         split = evaluate_trial(clean, noisy, test, [0.1, 0.5])[0]
         assert split == shared
-        # The sweep, then one solve per responses array: REF's, then EIV's and SVT's.
-        assert calls == [calls[0], 5, calls[0], 2, 3]
+        # The sweep, then one solve for REF, EIV and SVT together, whichever array holds the responses.
+        assert calls == [calls[0], 5, calls[0], 5]
+
+    def test_different_responses_raise(self):
+        train, noisy, test, _ = _linear_trial(L1Space(), 4)
+        clean = Dataset(train.covariates, train.responses + 1.0, train.space)
+        with pytest.raises(ValueError, match="same responses"):
+            evaluate_trial(clean, noisy, test, [0.1, 0.5])
 
 
 class TestTuneLambda:
@@ -592,10 +597,10 @@ class TestConfigValidation:
 
 
 def _direct_profile(train, test, grid):
-    """One refit and one batch prediction per threshold: the route the sweep replaces."""
+    """One refit and one weight matrix per threshold, blended by ``frechet_mean_many``."""
     out = []
     for lam in grid:
-        preds = fit(train, lam).predict_many(test.covariates)
+        preds = train.space.frechet_mean_many(train.responses, fit(train, lam).weight_matrix(test.covariates))
         out.append(np.mean(train.space.distances_to(test.responses, preds) ** 2))
     return np.array(out)
 
@@ -686,7 +691,7 @@ class TestRankPathSweep:
         x = np.array([[1.0], [2.0], [3.0], [4.0]])
         svd = compute_svd(x)
         stats = CovariateStats(mean=np.zeros(1), centered=x, centered_svd=svd, eigenvalues=svd.values**2 / 4)
-        path = _blend_path(stats, np.arange(4.0), EuclideanSpace(), np.array([[-50.0]]), [1])
+        path = rank_predictions(EuclideanSpace(), np.arange(4.0), [(stats, np.array([[-50.0]]), [1])])
         with pytest.raises(DegenerateWeightsError):
             next(path)
 
