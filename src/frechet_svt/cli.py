@@ -7,7 +7,8 @@ clean/noisy covariate pair, and ``verify-lemmas`` stress-tests the
 matrix identities on random instances.
 
 Exit codes: 0 success, 2 config or schema error, 3 solver failure (also
-a worker process that died, a covariance that overflows, or a
+a worker process that died, a covariance that overflows, an overflow
+inside a ``simulate`` trial or the ``diagnose`` numerics, or a
 ``simulate`` table value that is not finite, in which case neither
 table is written), 4 verification failure. Worker count for simulations
 comes from the FRECHET_SVT_THREADS environment variable (default:
@@ -230,14 +231,15 @@ def _cmd_diagnose(args) -> int:
         },
     )
     train, noisy = Dataset(x, responses, space), Dataset(z, responses, space)
-    report = denoising_report_for(train, noisy, lam, query)
-    rowspace_ok = rowspace_residual(train.stats, query - train.stats.mean) <= ROWSPACE_RTOL
-    weight_lhs, weight_rhs = (
-        weight_stability_check(train, noisy, lam, query) if rowspace_ok else (float("nan"), float("nan"))
-    )
-    write_diagnostics_csv(
-        out / "diagnostics.csv",
-        {
+    # Finite extreme inputs can still overflow; that is a FloatingPointError
+    # (exit 3), not an inf or nan in the table.
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        report = denoising_report_for(train, noisy, lam, query)
+        rowspace_ok = rowspace_residual(train.stats, query - train.stats.mean) <= ROWSPACE_RTOL
+        weight_lhs, weight_rhs = (
+            weight_stability_check(train, noisy, lam, query) if rowspace_ok else (float("nan"), float("nan"))
+        )
+        values = {
             "b_lambda": bias_term(train.stats, lam, query),
             "snr_reciprocal": snr_reciprocal(train, noisy, lam),
             "noise_norm": report.noise_norm,
@@ -248,8 +250,8 @@ def _cmd_diagnose(args) -> int:
             "observed_lhs": report.observed_lhs,
             "weight_lhs": weight_lhs,
             "weight_rhs": weight_rhs,
-        },
-    )
+        }
+    write_diagnostics_csv(out / "diagnostics.csv", values)
     print(f"wrote {out / 'diagnostics.csv'}")
     return EXIT_OK
 

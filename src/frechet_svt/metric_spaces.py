@@ -274,22 +274,37 @@ class _IterativeNormSpace(_VectorSpace):
     the call. And a one-column block reduces its lone weight row with
     the contiguous summation a call of its own uses; rows of wider
     blocks sum in order over the points.
+
+    The loop's two work arrays, the offsets and the subgradient, are
+    held query-minor, as (points, dim, queries), so every elementwise
+    pass over them runs one long contiguous inner loop however small
+    ``dim`` is. Each reduction keeps the order of the query-major loop
+    that ``tests/oracles.subgradient_reference`` freezes, so the result
+    is the same bit for bit. The gradient adds the points' (dim, queries)
+    planes in order, as ``einsum("kn,knd->kd")`` does, and a trailing
+    ``+= 0.0`` gives that einsum's +0.0 for a sum of signed zeros. The
+    objective runs the reference's ``einsum("kn,kn->k")`` on a C-ordered
+    (queries, points) copy of the squared norms. The norms reduce over
+    ``dim`` as a contiguous row of the query-major layout would; see
+    ``L1Space._norm_parts``. Beyond the two work arrays, only the sup
+    norm's boolean mask of each offset's largest coordinate has their
+    shape.
     """
 
     iterations = 500
-
-    def _norm_parts(self, diff: np.ndarray, subgrad: np.ndarray) -> np.ndarray:
-        """The norm of each row of ``diff``; a subgradient of ||.|| at each goes into ``subgrad``.
-
-        ``diff`` is overwritten.
-        """
-        raise NotImplementedError
+    _combine: np.ufunc  # folds the |coordinates| of an offset into its norm
 
     def distances_to(self, points, y) -> np.ndarray:
-        diff = np.asarray(points, dtype=float) - np.asarray(y, dtype=float)
-        if diff.ndim <= 1:
-            return np.abs(diff)
-        return self._norm_parts(diff, np.empty_like(diff))
+        a = np.abs(np.asarray(points, dtype=float) - np.asarray(y, dtype=float))
+        return a if a.ndim <= 1 else self._combine.reduce(a, axis=-1)
+
+    def _norm_parts(self, diff: np.ndarray, subgrad: np.ndarray) -> np.ndarray:
+        """Norms of the (points, dim, queries) offsets ``diff``, as (points, queries).
+
+        A subgradient of ||.|| at each offset goes into ``subgrad``, laid
+        out as ``diff``; ``diff`` may be overwritten.
+        """
+        raise NotImplementedError
 
     def frechet_mean_blocks(self, points, blocks) -> list:
         pts = np.asarray(points, dtype=float)
@@ -299,7 +314,9 @@ class _IterativeNormSpace(_VectorSpace):
         if pts.ndim == 1:  # scalar responses: every norm coincides, mean is exact
             return [(w.T @ pts) / totals for w, totals in parts]
         y = np.concatenate([(w.T @ pts) / totals[:, None] for w, totals in parts])  # (queries, dim)
-        wt = np.hstack([w for w, _ in parts]).T  # (queries, n), strided like each block's own w.T
+        # (n, queries), C-ordered; one block is used as it is, without a copy
+        w = np.ascontiguousarray(parts[0][0]) if len(parts) == 1 else np.hstack([w for w, _ in parts])
+        wt = w.T  # strided like each block's own w.T
         ends = np.cumsum([w.shape[1] for w, _ in parts])
         # numpy sums a lone contiguous weight row pairwise, a strided row in order.
         lone = [(end - 1, w.T) for end, (w, _) in zip(ends, parts) if w.shape[1] == 1]
@@ -310,26 +327,44 @@ class _IterativeNormSpace(_VectorSpace):
                 out[row] = np.einsum("kn,kn->k", w_row, sq[row : row + 1])[0]
             return out
 
-        def offsets(y):  # y[:, None, :] - pts, (queries, n, dim); a repeated y gives numpy long inner loops
-            diff = np.repeat(y[:, None, :], pts.shape[0], axis=1)
-            diff -= pts
-            return diff
+        def squares(norms):  # (queries, n), C-ordered as the einsums above expect
+            sq = norms.T.copy()
+            return np.square(sq, out=sq)
 
-        subgrad = np.empty((y.shape[0], *pts.shape))  # reused by every iterate
-        norms = self._norm_parts(offsets(y), subgrad)  # (queries, n)
+        diff = np.empty((*pts.shape, y.shape[0]))  # offsets y - pts, reused by every iterate
+        subgrad = np.empty_like(diff)
+
+        def offsets(y):
+            np.copyto(diff, y.T)
+            return np.subtract(diff, pts[:, :, None], out=diff)
+
+        def gradient(norms):  # 2 sum_i w_i ||y - p_i|| g_i per query; overwrites norms and subgrad
+            norms *= w
+            np.multiply(subgrad, norms[:, None, :], out=subgrad)
+            grad = np.empty((subgrad.shape[2], subgrad.shape[1]))  # (queries, dim)
+            np.add.reduce(subgrad, axis=0, out=grad.T)  # in order over the points
+            grad += 0.0  # einsum sums from +0.0, so a sum of signed zeros is +0.0
+            grad *= 2.0
+            return grad
+
+        norms = self._norm_parts(offsets(y), subgrad)  # (n, queries)
+        sq = squares(norms)
+        grad = gradient(norms)
+        del norms  # from here on no more (n, queries) arrays are alive than in a step
         best_y = y.copy()
-        best_obj = weighted(wt, lone, norms**2)
+        best_obj = weighted(wt, lone, sq)
         # Step length from the absolute-weight objective: with negative
         # weights the signed objective can vanish or go negative at the
         # initializer while the spread of the points is still large.
+        abs_wt = np.abs(wt)
         abs_lone = [(row, np.abs(w_row)) for row, w_row in lone]
-        spread = weighted(np.abs(wt), abs_lone, norms**2)
-        mass = np.abs(wt).sum(axis=1)
+        spread = weighted(abs_wt, abs_lone, sq)
+        mass = abs_wt.sum(axis=1)
         for row, w_row in abs_lone:
             mass[row] = w_row.sum(axis=1)[0]
         scales = np.sqrt(spread / np.maximum(mass, 1e-300))
+        del sq, abs_wt
         for k in range(1, self.iterations + 1):
-            grad = 2.0 * np.einsum("kn,knd->kd", wt * norms, subgrad)
             gn = np.linalg.norm(grad, axis=1)
             active = gn > 0.0
             if not np.any(active):
@@ -337,36 +372,44 @@ class _IterativeNormSpace(_VectorSpace):
             step = np.where(active, scales / (np.sqrt(k) * np.where(active, gn, 1.0)), 0.0)
             y = y - step[:, None] * grad
             norms = self._norm_parts(offsets(y), subgrad)
-            obj = weighted(wt, lone, norms**2)
+            obj = weighted(wt, lone, squares(norms))
             improved = obj < best_obj
             best_obj = np.where(improved, obj, best_obj)
             best_y[improved] = y[improved]
+            grad = gradient(norms)
         return np.split(best_y, ends[:-1])
 
 
 class L1Space(_IterativeNormSpace):
     kind = "l1"
+    _combine = np.add
 
     def _norm_parts(self, diff, subgrad):
+        # numpy sums fewer than 8 terms in order whatever the layout, but a
+        # longer contiguous row pairwise. For those rows the subgradient
+        # buffer first holds |diff| row-contiguous, so no third array is made.
+        if diff.shape[1] < 8:
+            np.sign(diff, out=subgrad)
+            return np.abs(diff, out=diff).sum(axis=1)
+        rows = subgrad.reshape(diff.shape[0], diff.shape[2], diff.shape[1])
+        np.abs(diff, out=rows.transpose(0, 2, 1))
+        norms = rows.sum(axis=-1)
         np.sign(diff, out=subgrad)
-        return np.abs(diff, out=diff).sum(axis=-1)
+        return norms
 
 
 class LinfSpace(_IterativeNormSpace):
     kind = "linf"
+    _combine = np.maximum
 
     def _norm_parts(self, diff, subgrad):
-        # Sign at the first largest |coordinate|, +0.0 elsewhere. A running
-        # maximum over the coordinates is cheaper than a reduction along
-        # the short last axis, and the maximum is exact either way.
+        # Sign at the first largest |coordinate|, +0.0 elsewhere.
         np.sign(diff, out=subgrad)
         a = np.abs(diff, out=diff)
-        top = a[..., 0].copy()
-        for j in range(1, a.shape[-1]):
-            np.maximum(top, a[..., j], out=top)
-        hot = a == top[..., None]
+        top = a.max(axis=1)
+        hot = a == top[:, None, :]
         if np.count_nonzero(hot) > top.size:  # ties: only the first one counts
-            hot &= np.cumsum(hot, axis=-1) == 1
+            hot &= np.cumsum(hot, axis=1) == 1
         subgrad *= hot
         subgrad += 0.0  # turns the -0.0 of a masked negative sign into +0.0
         return top

@@ -475,19 +475,22 @@ def _run_trial(args):
     """Draw one trial's data and run it through ``evaluate_trial``."""
     config, spectrum, basis, eval_x, profile_grid, params, b = args
     try:
-        rng = config.rng(_TRIAL, b)
-        space = _cell_space(config)
-        x = gen_covariates(config.n, config.p, spectrum, rng, basis)
-        y = _draw_responses(x, config, params, rng)
-        z = add_noise(x, config.noise_kind, config.sigma_eps, rng, config.laplace_variance_matched)
-        x_new = gen_covariates(config.test_size, config.p, spectrum, rng, basis)
-        y_new = _draw_responses(x_new, config, params, rng)
-        noisy = Dataset(z, y, space)
-        grid = lambda_grid(noisy.stats.eigenvalues[0], config.p, config.n, config.lambda_points)
-        return evaluate_trial(
-            Dataset(x, y, space), noisy, Dataset(x_new, y_new, space), grid, b,
-            eval_x=eval_x, profile_grid=profile_grid,
-        )
+        # Overflow fails the trial instead of printing warnings. The setting
+        # is per thread, so it holds in a pool worker too.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            rng = config.rng(_TRIAL, b)
+            space = _cell_space(config)
+            x = gen_covariates(config.n, config.p, spectrum, rng, basis)
+            y = _draw_responses(x, config, params, rng)
+            z = add_noise(x, config.noise_kind, config.sigma_eps, rng, config.laplace_variance_matched)
+            x_new = gen_covariates(config.test_size, config.p, spectrum, rng, basis)
+            y_new = _draw_responses(x_new, config, params, rng)
+            noisy = Dataset(z, y, space)
+            grid = lambda_grid(noisy.stats.eigenvalues[0], config.p, config.n, config.lambda_points)
+            return evaluate_trial(
+                Dataset(x, y, space), noisy, Dataset(x_new, y_new, space), grid, b,
+                eval_x=eval_x, profile_grid=profile_grid,
+            )
     except (ConvergenceError, DegenerateWeightsError, FloatingPointError) as exc:
         raise TrialFailure(b, exc) from exc
 

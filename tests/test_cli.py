@@ -557,16 +557,55 @@ class TestSolverExitCode:
 
     def test_simulate_with_overflowing_intercept_writes_no_table(self, tmp_path):
         # Responses near 1e308 are finite, but their blends and distances
-        # overflow; this once exited 0 with inf and nan in both tables.
+        # overflow; this once exited 0 with inf and nan in both tables, and
+        # later exited 3 after printing numpy RuntimeWarnings. The trial now
+        # fails at the overflow, in a pool worker as in the main process.
         cfg = write_config(tmp_path, SMOKE_CONFIG + "alpha_intercept = 1e308\n")
+        for workers in ("1", "2"):
+            out = tmp_path / f"o{workers}"
+            done = run_python(
+                "-m", "frechet_svt", "simulate", "--config", str(cfg), "--out", str(out),
+                FRECHET_SVT_THREADS=workers,
+            )
+            self.assert_overflow_exit(done)
+            assert "trial 0 failed" in done.stderr
+            assert "RuntimeWarning" not in done.stderr
+            assert not (out / "results.csv").exists() and not (out / "profile.csv").exists()
+
+    def test_non_finite_table_value_writes_no_table(self, tmp_path, capsys, monkeypatch):
+        # A value that reaches a table non-finite without raising on the way
+        # is caught before either table is written.
+        import dataclasses
+
+        import frechet_svt.cli as cli
+
+        def with_nan(configs, workers=1):
+            cells = run_campaign(configs, workers=workers)
+            profile = dataclasses.replace(cells[0].profile, eiv=float("nan"))
+            return [dataclasses.replace(cells[0], profile=profile), *cells[1:]]
+
+        run_campaign = cli.run_campaign
+        monkeypatch.setattr(cli, "run_campaign", with_nan)
+        out = tmp_path / "o"
+        code = main(["simulate", "--config", str(write_config(tmp_path)), "--out", str(out)])
+        assert code == 3
+        assert "solver error: profile.csv: cell smoke, estimator EIV, column nmspe is nan" in capsys.readouterr().err
+        assert not (out / "results.csv").exists() and not (out / "profile.csv").exists()
+
+    def test_diagnose_with_overflowing_threshold_and_query_exits_3(self, tmp_path):
+        # A finite threshold and query near 1e308 overflow in the bias term
+        # and the weight check; this once exited 0 with inf and nan in the table.
+        rng = np.random.default_rng(7)
+        train, x, *_ = write_euclidean_train(tmp_path, rng, n=20)
+        noisy = write_queries(tmp_path, x + 0.01 * rng.standard_normal(x.shape), name="noisy.csv")
         out = tmp_path / "o"
         done = run_python(
-            "-m", "frechet_svt", "simulate", "--config", str(cfg), "--out", str(out), FRECHET_SVT_THREADS="1",
+            "-m", "frechet_svt", "diagnose", "--train", str(train), "--noisy", str(noisy),
+            "--kind", "euclidean", "--lambda", "1e308", "--x=1e308,1e308,1e308", "--out", str(out),
         )
-        assert done.returncode == 3, done.stderr
-        assert "solver error: results.csv: cell smoke, estimator REF, column bias is nan" in done.stderr
-        assert "Traceback" not in done.stderr
-        assert not (out / "results.csv").exists() and not (out / "profile.csv").exists()
+        self.assert_overflow_exit(done)
+        assert "RuntimeWarning" not in done.stderr
+        assert not (out / "diagnostics.csv").exists()
 
 
 class TestDiagnoseCommand:

@@ -476,6 +476,36 @@ class TestFrechetMeanBlocks:
                 assert np.array_equal(out, subgradient_reference(pts, w, space.kind)), space.kind
                 assert np.array_equal(out, space.frechet_mean_many(pts, w)), space.kind
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(2, 16),
+        dim=st.integers(0, 12),  # 0: scalar responses; from 8 on numpy sums a row pairwise
+        sizes=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+        integer_points=st.booleans(),  # coordinate ties: the sup norm's first largest one wins
+        repeats=st.integers(0, 3),
+        spread=st.floats(0.0, 3.0),
+    )
+    @example(seed=5, n=10, dim=9, sizes=[1, 4, 2], integer_points=False, repeats=1, spread=2.0)
+    @example(seed=6, n=12, dim=12, sizes=[3, 1], integer_points=True, repeats=2, spread=1.5)
+    @example(seed=7, n=8, dim=1, sizes=[1, 1, 5], integer_points=True, repeats=3, spread=2.5)
+    def test_bits_and_zero_signs_match_reference(self, seed, n, dim, sizes, integer_points, repeats, spread):
+        # The solver holds its work arrays (points, dim, queries); every block
+        # must still equal the frozen query-major loop, signs of zero included.
+        rng = np.random.default_rng(seed)
+        shape = (n,) if dim == 0 else (n, dim)
+        pts = rng.integers(-2, 3, size=shape).astype(float) if integer_points else rng.standard_normal(shape)
+        pts[rng.integers(n, size=repeats)] = pts[0]  # repeated points
+        blocks = []
+        for size in sizes:
+            w = spread * rng.standard_normal((n, size))
+            blocks.append(w - w.mean(axis=0) + 1.0)  # columns average one; many weights are negative
+        for space in (L1Space(), LinfSpace()):
+            for w, out in zip(blocks, space.frechet_mean_blocks(pts, blocks)):
+                ref = subgradient_reference(pts, w, space.kind)
+                assert np.array_equal(out, ref), space.kind
+                assert np.array_equal(np.signbit(out), np.signbit(ref)), space.kind
+
     @pytest.mark.parametrize("space", ALL_VECTOR_SPACES + [WassersteinSpace.with_uniform_grid(5)], ids=lambda s: s.kind)
     def test_no_blocks_and_degenerate_blocks(self, space):
         pts = np.sort(np.random.default_rng(5).standard_normal((4, 5)), axis=1)
