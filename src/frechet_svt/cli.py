@@ -8,7 +8,8 @@ matrix identities on random instances.
 
 Exit codes: 0 success, 2 config or schema error, 3 solver failure (also
 a worker process that died, a covariance that overflows, an overflow
-inside a ``simulate`` trial or the ``diagnose`` numerics, or a
+inside a ``simulate`` trial or its cell aggregation, the ``fit-predict``
+tuning, fit and prediction or the ``diagnose`` numerics, or a
 ``simulate`` table value that is not finite, in which case neither
 table is written), 4 verification failure. Worker count for simulations
 comes from the FRECHET_SVT_THREADS environment variable (default:
@@ -191,10 +192,12 @@ def _cmd_fit_predict(args) -> int:
         if top <= 0.0:
             raise SchemaError(f"{args.train}: training covariates are constant, so --lambda auto has no threshold grid")
         grid = lambda_grid(top, x.shape[1], x.shape[0], args.grid_points)
-        lam_hat = tune_lambda(train, holdout, grid)
-        lam = lam_hat
-    model = fit(train, lam)
-    preds = model.predict_many(queries)
+    # Finite extreme responses can still overflow in the blends; that is a
+    # FloatingPointError (exit 3), not an inf or nan prediction.
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        if lam is None:
+            lam_hat = lam = tune_lambda(train, holdout, grid)
+        preds = fit(train, lam).predict_many(queries)
     grid_levels = space.grid if isinstance(space, WassersteinSpace) else None
     write_predictions(out / "predictions.csv", args.kind, preds, grid=grid_levels, lambda_hat=lam_hat)
     print(f"wrote {out / 'predictions.csv'}" + (f" (lambda_hat={lam_hat!r})" if lam_hat is not None else ""))

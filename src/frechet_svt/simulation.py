@@ -15,10 +15,11 @@ worker count never change the results.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import zlib
 from dataclasses import dataclass
-from statistics import NormalDist
+from statistics import NormalDist, median
 
 import numpy as np
 
@@ -173,7 +174,8 @@ class CellResult:
 
     @property
     def lambda_hat_median(self) -> float:
-        return float(np.median([t.lambda_hat for t in self.trials]))
+        # statistics.median, not np.median: that loads numpy.ma into the process.
+        return float(median([t.lambda_hat for t in self.trials]))
 
 
 def make_spectrum(p: int, condition_number: float = 1e3) -> np.ndarray:
@@ -325,7 +327,8 @@ def mspe_profile(train_noisy: Dataset, test: Dataset, grid) -> np.ndarray:
         raise ValueError("empty threshold grid")
     stats = train_noisy.stats
     ranks = kept_rank(stats, grid)
-    distinct = np.unique(ranks)
+    # Not np.unique, which loads numpy.ma into every sweeping process.
+    distinct = np.flatnonzero(np.bincount(ranks))
     space = train_noisy.space
     ask = (stats, check_queries(stats, test.covariates), distinct)
     path = rank_predictions(space, train_noisy.responses, [ask])
@@ -499,7 +502,11 @@ def run_cell(config: SimConfig, workers: int = 1) -> CellResult:
     """Run every trial of one study cell and aggregate the results.
 
     Trials are independent given their derived seeds, so they can run in
-    worker processes; aggregation folds them in trial order either way.
+    worker processes; either way their outcomes are read one at a time, in
+    trial order, as they arrive. Each trial's evaluation predictions are
+    copied into one ``(trials, eval_points, ...)`` array per estimator and
+    the outcome is dropped before the next one is read, so the caller never
+    holds every trial's predictions twice.
     """
     spectrum, basis, eval_x, truths, params = _cell_fixtures(config)
     profile_grid = lambda_grid(spectrum[0], config.p, config.n, config.lambda_points)
@@ -507,31 +514,40 @@ def run_cell(config: SimConfig, workers: int = 1) -> CellResult:
     args = [
         (config, spectrum, basis, eval_x, profile_grid, params, b) for b in range(config.trials)
     ]
+    reports = []
+    eval_predictions = {est: np.empty((config.trials, *truths.shape)) for est in ESTIMATORS}
+    svt_curves = np.empty((config.trials, profile_grid.size))
+    null_errors = np.empty(config.trials)
     # A forked pool starts every worker at once, so never ask for more than there are trials.
     workers = min(workers, config.trials)
-    if workers > 1:
-        # Imported here: loading the pool module (multiprocessing, sockets, ...) costs every process.
-        from concurrent.futures import ProcessPoolExecutor
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            # Imported here: loading the pool module (multiprocessing, sockets, ...) costs every process.
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_trial, args))
-    else:
-        outcomes = [_run_trial(a) for a in args]
+            outcomes = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map(_run_trial, args)
+        else:
+            outcomes = map(_run_trial, args)
+        for b in range(config.trials):
+            # next(), not enumerate, and del preds: enumerate's cached result
+            # tuple or a live name would keep trial b's outcome while trial
+            # b + 1 runs.
+            report, preds, (svt_curves[b], null_errors[b]) = next(outcomes)
+            reports.append(report)
+            for est in ESTIMATORS:
+                eval_predictions[est][b] = preds[est]
+            del preds
 
-    reports = [out[0] for out in outcomes]
-    eval_predictions = {
-        est: np.stack([out[1][est] for out in outcomes]) for est in ESTIMATORS
-    }
-    report = aggregate(reports, eval_predictions, truths, space)
-
-    svt_curves = np.stack([out[2][0] for out in outcomes])
-    null_mean = float(np.mean([out[2][1] for out in outcomes]))
-    profile = ThresholdProfile(
-        lambdas=profile_grid,
-        svt=svt_curves.mean(axis=0) / null_mean,
-        ref=report.mspe["REF"] / null_mean,
-        eiv=report.mspe["EIV"] / null_mean,
-    )
+    # Overflow in the across-trial folds is an error too, as inside a trial.
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        report = aggregate(reports, eval_predictions, truths, space)
+        null_mean = float(null_errors.mean())
+        profile = ThresholdProfile(
+            lambdas=profile_grid,
+            svt=svt_curves.mean(axis=0) / null_mean,
+            ref=report.mspe["REF"] / null_mean,
+            eiv=report.mspe["EIV"] / null_mean,
+        )
     return CellResult(config=config, trials=reports, report=report, profile=profile)
 
 

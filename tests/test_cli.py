@@ -508,6 +508,27 @@ class TestColdStart:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
 
+    def test_sweeps_load_no_masked_arrays(self, tmp_path):
+        # np.unique and np.median import numpy.ma, which costs every process
+        # that sweeps a threshold grid time and memory for nothing.
+        rng = np.random.default_rng(2)
+        train, *_ = write_euclidean_train(tmp_path, rng)
+        holdout, *_ = write_euclidean_train(tmp_path, rng, name="holdout.csv")
+        queries = write_queries(tmp_path, rng.standard_normal((2, 3)))
+        calls = [
+            ["simulate", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "sim")],
+            ["fit-predict", "--train", str(train), "--queries", str(queries), "--kind", "euclidean",
+             "--lambda", "auto", "--holdout", str(holdout), "--out", str(tmp_path / "fit")],
+        ]
+        code = (
+            "import sys; from frechet_svt.cli import main; "
+            f"codes = [main(argv) for argv in {calls!r}]; "
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))"
+        )
+        done = run_python("-c", code, FRECHET_SVT_THREADS="1")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[0, 0] []"
+
     def test_version_exits_0(self):
         done = run_python("-m", "frechet_svt", "--version")
         assert done.returncode == 0, done.stderr
@@ -545,6 +566,28 @@ class TestSolverExitCode:
         )
         self.assert_overflow_exit(done)
         assert not (tmp_path / "o" / "predictions.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["euclidean", "l1"])
+    def test_fit_predict_with_overflowing_responses_exits_3(self, tmp_path, kind):
+        # Responses up to 1.7e308 are finite, but their blends overflow; this
+        # once exited 0 with inf and nan predictions after RuntimeWarnings.
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((20, 3))
+        y = 1.7e308 * rng.uniform(-1.0, 1.0, (20, 2))
+        y[0, 0] = 1.7e308
+        train = tmp_path / "train.csv"
+        with open(train, "w") as fh:
+            fh.write("x1,x2,x3,y1,y2\n")
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in np.column_stack([x, y]).tolist())
+        queries = write_queries(tmp_path, rng.standard_normal((3, 3)))
+        out = tmp_path / "o"
+        done = run_python(
+            "-m", "frechet_svt", "fit-predict", "--train", str(train), "--queries", str(queries),
+            "--kind", kind, "--lambda", "0", "--out", str(out),
+        )
+        self.assert_overflow_exit(done)
+        assert "RuntimeWarning" not in done.stderr
+        assert not (out / "predictions.csv").exists()
 
     def test_simulate_with_overflowing_noise_exits_3(self, tmp_path):
         cfg = write_config(tmp_path, SMOKE_CONFIG + "sigma_eps = 1e300\n")

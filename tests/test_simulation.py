@@ -1,6 +1,7 @@
 import dataclasses
 import multiprocessing
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -454,6 +455,22 @@ def _plain_report(i):
     return TrialReport(index=i, mse=dict(zeros), mspe=dict(zeros), lambda_hat=0.0)
 
 
+class LazyPool:
+    """Stands in for the process pool: runs each trial in process when its outcome is read."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
 class TestRunCell:
     def test_bit_identical_reruns(self):
         cfg = small_config()
@@ -545,25 +562,39 @@ class TestRunCell:
     def test_pool_never_exceeds_the_trial_count(self, monkeypatch):
         asked = []
 
-        class Recorder:
-            """Stands in for the pool: records its size and runs the trials in process."""
+        class Recorder(LazyPool):
+            """Records the pool size asked for."""
 
             def __init__(self, max_workers):
                 asked.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recorder)
         run_cell(small_config(trials=2), workers=8)
         run_cell(small_config(trials=1), workers=8)
         assert asked == [2]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_outcome_is_dropped_before_the_next_trial(self, monkeypatch, workers):
+        # The cell holds one (trials, eval_points, ...) array per estimator,
+        # not every trial's outcome: trial b's evaluation predictions are
+        # gone before trial b + 1 runs, serial or pooled.
+        import frechet_svt.simulation as sim
+
+        real_trial = sim._run_trial
+        refs, alive = [], []
+
+        def tracked(args):
+            alive.append(sum(ref() is not None for ref in refs))
+            outcome = real_trial(args)
+            refs.extend(weakref.ref(preds) for preds in outcome[1].values())
+            return outcome
+
+        monkeypatch.setattr(sim, "_run_trial", tracked)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", LazyPool)
+        cell = run_cell(small_config(trials=3), workers=workers)
+        assert alive == [0, 0, 0]
+        assert len(refs) == 3 * len(sim.ESTIMATORS)
+        assert [t.index for t in cell.trials] == [0, 1, 2]
 
     def test_linear_model_cell_runs(self):
         cfg = small_config(model="linear", metric="euclidean", linear_dim=2, sigma_eps=0.3)
