@@ -7,11 +7,8 @@ high dimension and covariate measurement error.
 """
 
 from .diagnostics import (
-    DenoisingReport,
-    GrowthConstants,
     bias_term,
-    denoising_bound,
-    denoising_report_for,
+    diagnose,
     signal_floor,
     snr_reciprocal,
     weight_stability_check,

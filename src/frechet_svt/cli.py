@@ -40,14 +40,7 @@ from .dataio import (
     write_profile_csv,
     write_results_csv,
 )
-from .diagnostics import (
-    ROWSPACE_RTOL,
-    bias_term,
-    denoising_report_for,
-    rowspace_residual,
-    snr_reciprocal,
-    weight_stability_check,
-)
+from .diagnostics import diagnose
 from .metric_spaces import ConvergenceError, DegenerateWeightsError, WassersteinSpace
 from .regression import Dataset, fit
 from .simulation import TrialFailure, lambda_grid, run_campaign, tune_lambda
@@ -237,23 +230,7 @@ def _cmd_diagnose(args) -> int:
     # Finite extreme inputs can still overflow; that is a FloatingPointError
     # (exit 3), not an inf or nan in the table.
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        report = denoising_report_for(train, noisy, lam, query)
-        rowspace_ok = rowspace_residual(train.stats, query - train.stats.mean) <= ROWSPACE_RTOL
-        weight_lhs, weight_rhs = (
-            weight_stability_check(train, noisy, lam, query) if rowspace_ok else (float("nan"), float("nan"))
-        )
-        values = {
-            "b_lambda": bias_term(train.stats, lam, query),
-            "snr_reciprocal": snr_reciprocal(train, noisy, lam),
-            "noise_norm": report.noise_norm,
-            "signal_floor": report.signal_floor,
-            "rowspace_ok": rowspace_ok,
-            "precondition_ok": report.precondition_ok,
-            "bound_rhs": report.bound_rhs,
-            "observed_lhs": report.observed_lhs,
-            "weight_lhs": weight_lhs,
-            "weight_rhs": weight_rhs,
-        }
+        values = diagnose(train, noisy, lam, query)
     write_diagnostics_csv(out / "diagnostics.csv", values)
     print(f"wrote {out / 'diagnostics.csv'}")
     return EXIT_OK

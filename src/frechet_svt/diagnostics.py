@@ -1,58 +1,28 @@
 """Computable quantities behind the estimator's error bounds.
 
-These functions turn the truncation-bias functional, the de-noising
-bound, and the weight-stability bound into numbers that can be checked
-on data. They take the clean and the noisy ``Dataset`` and read the one
-thin SVD that each design caches in ``Dataset.stats``. The threshold is
-always on the estimator's scale (it truncates the covariance eigenvalues
+``diagnose`` turns the truncation-bias functional, the de-noising bound
+and the weight-stability bound into the ten columns of
+``diagnostics.csv`` for one clean/noisy pair of designs, in one pass
+that computes each piece once. ``signal_floor``, ``snr_reciprocal``,
+``bias_term``, ``rowspace_residual`` and ``weight_stability_check``
+return single pieces, for the verification suite and the tests; they
+share ``diagnose``'s private formulas. Everything reads the one thin SVD
+that each design caches in ``Dataset.stats``. The threshold is always on
+the estimator's scale (it truncates the covariance eigenvalues
 ``s**2 / n``), and ``kept_rank`` alone decides which components count,
 exactly as in the fit. The raw covariates are read only for the noise
-norm ``||Z - X||``, which takes one SVD of the noise per call.
+norm ``||Z - X||``, one SVD of the noise per call, so ``diagnose`` takes
+three SVDs: of X, of Z and of Z - X.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import spectral_norm
-from .regression import CovariateStats, Dataset, check_queries, fit, kept_rank
+from .regression import CovariateStats, Dataset, FittedModel, check_queries, fit, kept_rank
 
 ROWSPACE_RTOL = 1e-8
-
-
-@dataclass(frozen=True)
-class GrowthConstants:
-    """Curvature constants of the response space's risk landscape.
-
-    Defaults hold for Euclidean, 1-D Wasserstein, and correlation-matrix
-    responses. An infinite ``d_growth`` removes the query-radius
-    precondition from the de-noising bound.
-    """
-
-    c_growth: float = 1.0
-    alpha: float = 2.0
-    d_growth: float = np.inf
-
-    def __post_init__(self):
-        if self.c_growth <= 0:
-            raise ValueError("c_growth must be positive")
-        if self.alpha <= 1:
-            raise ValueError("alpha must exceed 1")
-        if self.d_growth <= 0:
-            raise ValueError("d_growth must be positive")
-
-
-@dataclass(frozen=True)
-class DenoisingReport:
-    """Inputs and output of the covariate de-noising bound."""
-
-    noise_norm: float
-    signal_floor: float
-    precondition_ok: bool
-    bound_rhs: float
-    observed_lhs: float
 
 
 def _noise_norm(clean: Dataset, noisy: Dataset) -> float:
@@ -62,14 +32,19 @@ def _noise_norm(clean: Dataset, noisy: Dataset) -> float:
     return spectral_norm(noisy.covariates - clean.covariates)
 
 
-def _centered_query(stats: CovariateStats, x) -> np.ndarray:
-    return check_queries(stats, np.ravel(x))[0] - stats.mean
-
-
 def _seminorm(stats: CovariateStats, v, lo: int, hi: int) -> float:
     """Covariance seminorm of ``v`` over the components ``lo .. hi - 1``."""
     coords = stats.centered_svd.right_t[lo:hi] @ v
     return float(np.sqrt(np.sum(coords * coords / stats.eigenvalues[lo:hi])))
+
+
+def _residual(stats: CovariateStats, v, nonzero: int) -> float:
+    v = np.asarray(v, dtype=float).ravel()
+    norm = float(np.linalg.norm(v))
+    if norm == 0.0:
+        return 0.0
+    basis = stats.centered_svd.right_t[:nonzero]
+    return float(np.linalg.norm(v - basis.T @ (basis @ v))) / norm
 
 
 def rowspace_residual(stats: CovariateStats, v) -> float:
@@ -77,12 +52,11 @@ def rowspace_residual(stats: CovariateStats, v) -> float:
 
     The row space is spanned by the components ``kept_rank(stats, 0)`` keeps.
     """
-    v = np.asarray(v, dtype=float).ravel()
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        return 0.0
-    basis = stats.centered_svd.right_t[: int(kept_rank(stats, 0))]
-    return float(np.linalg.norm(v - basis.T @ (basis @ v))) / norm
+    return _residual(stats, v, int(kept_rank(stats, 0)))
+
+
+def _floor(*fits: FittedModel) -> float:
+    return min([np.inf] + [float(m.stats.centered_svd.values[m.rank - 1]) for m in fits if m.rank])
 
 
 def signal_floor(clean: Dataset, noisy: Dataset, lam: float) -> float:
@@ -90,12 +64,11 @@ def signal_floor(clean: Dataset, noisy: Dataset, lam: float) -> float:
 
     ``inf`` when the threshold removes every component of both.
     """
-    floors = [np.inf]
-    for stats in (clean.stats, noisy.stats):
-        k = int(kept_rank(stats, lam))
-        if k:
-            floors.append(float(stats.centered_svd.values[k - 1]))
-    return min(floors)
+    return _floor(fit(clean, lam), fit(noisy, lam))
+
+
+def _snr(noise: float, floor: float) -> float:
+    return 0.0 if noise == 0.0 or np.isinf(floor) else noise / floor
 
 
 def snr_reciprocal(clean: Dataset, noisy: Dataset, lam: float) -> float:
@@ -104,11 +77,13 @@ def snr_reciprocal(clean: Dataset, noisy: Dataset, lam: float) -> float:
     Zero when noiseless; also zero (vacuous bound) when the floor is
     infinite, so callers should inspect the floor separately.
     """
-    noise = _noise_norm(clean, noisy)
-    if noise == 0.0:
+    return _snr(_noise_norm(clean, noisy), signal_floor(clean, noisy, lam))
+
+
+def _bias(stats: CovariateStats, v, kept: int, nonzero: int) -> float:
+    if kept >= nonzero:
         return 0.0
-    floor = signal_floor(clean, noisy, lam)
-    return 0.0 if np.isinf(floor) else noise / floor
+    return float(np.sqrt(nonzero - kept) * _seminorm(stats, v, kept, nonzero))
 
 
 def bias_term(stats: CovariateStats, lam: float, x) -> float:
@@ -119,11 +94,14 @@ def bias_term(stats: CovariateStats, lam: float, x) -> float:
     ``kept_rank(stats, lam)`` drops. Zero whenever the threshold sits
     below the smallest nonzero eigenvalue, and zero at the mean.
     """
-    v = _centered_query(stats, x)
-    kept, nonzero = int(kept_rank(stats, lam)), int(kept_rank(stats, 0))
-    if kept >= nonzero:
-        return 0.0
-    return float(np.sqrt(nonzero - kept) * _seminorm(stats, v, kept, nonzero))
+    v = check_queries(stats, np.ravel(x))[0] - stats.mean
+    return _bias(stats, v, int(kept_rank(stats, lam)), int(kept_rank(stats, 0)))
+
+
+def _weight_bound(clean_fit: FittedModel, noisy_fit: FittedModel, q, snr: float, maha: float):
+    gap = noisy_fit.weight_matrix(q)[:, 0] - clean_fit.weight_matrix(q)[:, 0]
+    rhs = np.sqrt(clean_fit.stats.n) * snr * (2.0 * maha + 1.0)
+    return float(np.linalg.norm(gap)), float(rhs)
 
 
 def weight_stability_check(clean: Dataset, noisy: Dataset, lam: float, x) -> tuple[float, float]:
@@ -137,117 +115,80 @@ def weight_stability_check(clean: Dataset, noisy: Dataset, lam: float, x) -> tup
     stats = clean.stats
     q = check_queries(stats, np.ravel(x))
     v = q[0] - stats.mean
-    resid = rowspace_residual(stats, v)
+    nonzero = int(kept_rank(stats, 0))
+    resid = _residual(stats, v, nonzero)
     if resid > ROWSPACE_RTOL:
         raise ValueError(
             f"query point leaves the design row space (relative residual {resid:.3e})"
         )
-    maha = _seminorm(stats, v, 0, int(kept_rank(stats, 0)))
-    rhs = np.sqrt(stats.n) * snr_reciprocal(clean, noisy, lam) * (2.0 * maha + 1.0)
-    gap = fit(noisy, lam).weight_matrix(q)[:, 0] - fit(clean, lam).weight_matrix(q)[:, 0]
-    return float(np.linalg.norm(gap)), float(rhs)
+    fits = fit(clean, lam), fit(noisy, lam)
+    snr = _snr(_noise_norm(clean, noisy), _floor(*fits))
+    return _weight_bound(*fits, q, snr, _seminorm(stats, v, 0, nonzero))
 
 
-def denoising_bound(
-    clean: Dataset,
-    noisy: Dataset,
-    lam: float,
-    x,
-    constants: GrowthConstants,
-    dist_phi,
-    dist_phi_tilde,
-    observed_lhs: float = np.nan,
-    diameter: float | None = None,
-) -> DenoisingReport:
-    """Evaluate the covariate de-noising bound at a query point.
+def diagnose(clean: Dataset, noisy: Dataset, lam: float, x) -> dict:
+    """The ``diagnostics.csv`` columns for one clean/noisy pair at threshold ``lam`` and query ``x``.
 
-    ``dist_phi`` and ``dist_phi_tilde`` are the squared distances from
-    each training response to the clean-fit and noisy-fit predictions at
-    the query. The bound right-hand side is
+    ``noisy`` holds the training responses on the noisy covariates. Each
+    design is fitted once, and the noise norm, the signal floor, the SNR,
+    the kept ranks, the covariance seminorm and the row-space residual
+    are each computed once. The columns, in order:
 
-        ( noise/floor * (2 ||x - mean||_cov + 1)/c_growth
-          * (||d~|| + ||d||)/sqrt(n) )^(1/alpha)
+    - ``b_lambda``: ``bias_term`` of the clean design;
+    - ``snr_reciprocal``, ``noise_norm`` (``||Z - X||``) and
+      ``signal_floor``, as their namesake functions return them;
+    - ``rowspace_ok``: the centered query lies in the clean design's row
+      space, the bounds' precondition; ``precondition_ok`` repeats it;
+    - ``bound_rhs``: the de-noising bound
 
-    reported as infinite when the threshold leaves no signal. The
-    precondition flag records row-space membership of the query and,
-    for finite ``d_growth`` (requires ``diameter``), the query-radius
-    condition.
+          ( noise/floor * (2 ||x - mean||_cov + 1)
+            * (||d~|| + ||d||)/sqrt(n) )^(1/2)
+
+      with ``d`` and ``d~`` the squared distances from each training
+      response to the clean-fit and the noisy-fit predictions at the
+      query; zero when noiseless and infinite when the threshold leaves
+      no signal. Its growth constants are fixed at C = 1, alpha = 2 and
+      D = inf, which hold for Euclidean, 1-D Wasserstein and correlation
+      responses; for l1 and sup-norm responses the column carries no
+      guarantee;
+    - ``observed_lhs``: the distance between the noisy-fit and the
+      clean-fit predictions, which the bound caps;
+    - ``weight_lhs`` and ``weight_rhs``: ``weight_stability_check``, or
+      ``nan`` when the query leaves the row space.
     """
-    d_phi = np.asarray(dist_phi, dtype=float).ravel()
-    d_phi_tilde = np.asarray(dist_phi_tilde, dtype=float).ravel()
-    n = clean.n
-    if d_phi.size != n or d_phi_tilde.size != n:
-        raise ValueError("squared-distance vectors must have one entry per sample")
-
     stats = clean.stats
-    v = _centered_query(stats, x)
+    q = check_queries(stats, np.ravel(x))
+    v = q[0] - stats.mean
+    clean_fit, noisy_fit = fit(clean, lam), fit(noisy, lam)
+    clean_pred, noisy_pred = clean_fit.predict(q), noisy_fit.predict(q)
+    space = clean.space
+    d_phi = space.distances_to(clean.responses, clean_pred) ** 2
+    d_phi_tilde = space.distances_to(clean.responses, noisy_pred) ** 2
     noise = _noise_norm(clean, noisy)
-    floor = signal_floor(clean, noisy, lam)
-    maha = _seminorm(stats, v, 0, int(kept_rank(stats, 0)))
-
-    in_rowspace = rowspace_residual(stats, v) <= ROWSPACE_RTOL
-    if np.isinf(constants.d_growth):
-        radius_ok = True
-    else:
-        if diameter is None:
-            raise ValueError("finite d_growth requires the space diameter")
-        cap = 0.5 * (
-            constants.c_growth
-            * constants.d_growth**constants.alpha
-            / (2.0 * diameter)
-            * (floor / noise if noise > 0.0 else np.inf)
-            - 1.0
-        )
-        radius_ok = maha <= cap
-
+    floor = _floor(clean_fit, noisy_fit)
+    snr = _snr(noise, floor)
+    nonzero = int(kept_rank(stats, 0))
+    maha = _seminorm(stats, v, 0, nonzero)
+    rowspace_ok = _residual(stats, v, nonzero) <= ROWSPACE_RTOL
     if noise == 0.0:
         rhs = 0.0
     elif np.isinf(floor):
-        rhs = np.inf
+        rhs = np.inf  # the threshold leaves no signal
     else:
-        rhs = (
-            noise
-            / floor
-            * (2.0 * maha + 1.0)
-            / constants.c_growth
-            * (np.linalg.norm(d_phi_tilde) + np.linalg.norm(d_phi))
-            / np.sqrt(n)
-        ) ** (1.0 / constants.alpha)
-
-    return DenoisingReport(
-        noise_norm=float(noise),
-        signal_floor=float(floor),
-        precondition_ok=bool(in_rowspace and radius_ok),
-        bound_rhs=float(rhs),
-        observed_lhs=float(observed_lhs),
-    )
-
-
-def denoising_report_for(
-    train: Dataset,
-    noisy: Dataset,
-    lam: float,
-    x,
-    constants: GrowthConstants = GrowthConstants(),
-    diameter: float | None = None,
-) -> DenoisingReport:
-    """Fit on the clean and the noisy design and evaluate the bound end to end.
-
-    ``noisy`` holds the training responses on the noisy covariates.
-    """
-    clean_pred = fit(train, lam).predict(x)
-    noisy_pred = fit(noisy, lam).predict(x)
-    space = train.space
-    d_phi = space.distances_to(train.responses, clean_pred) ** 2
-    d_phi_tilde = space.distances_to(train.responses, noisy_pred) ** 2
-    return denoising_bound(
-        train,
-        noisy,
-        lam,
-        x,
-        constants,
-        d_phi,
-        d_phi_tilde,
-        observed_lhs=space.distance(noisy_pred, clean_pred),
-        diameter=diameter,
-    )
+        spread = np.linalg.norm(d_phi_tilde) + np.linalg.norm(d_phi)
+        # Left to right as written: a regrouping moves the last bit.
+        rhs = (snr * (2.0 * maha + 1.0) * spread / np.sqrt(clean.n)) ** 0.5
+    nan = float("nan")
+    weight_lhs, weight_rhs = _weight_bound(clean_fit, noisy_fit, q, snr, maha) if rowspace_ok else (nan, nan)
+    return {
+        "b_lambda": _bias(stats, v, clean_fit.rank, nonzero),
+        "snr_reciprocal": snr,
+        "noise_norm": noise,
+        "signal_floor": floor,
+        "rowspace_ok": rowspace_ok,
+        "precondition_ok": rowspace_ok,
+        "bound_rhs": float(rhs),
+        "observed_lhs": float(space.distance(noisy_pred, clean_pred)),
+        "weight_lhs": weight_lhs,
+        "weight_rhs": weight_rhs,
+    }

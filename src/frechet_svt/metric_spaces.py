@@ -459,13 +459,13 @@ class CorrelationSpace(MetricSpace):
 
     kind = "correlation"
     affine = True
+    tol = 1e-10  # Dykstra's stopping tolerance and iteration cap
+    max_iter = 1000
 
-    def __init__(self, size: int, tol: float = 1e-10, max_iter: int = 1000):
+    def __init__(self, size: int):
         if size < 1:
             raise ValueError("matrix size must be positive")
         self.size = size
-        self.tol = tol
-        self.max_iter = max_iter
 
     def check_points(self, points) -> np.ndarray:
         """Symmetric, unit diagonal, spectrum bounded below by -1e-8."""

@@ -698,17 +698,38 @@ class TestDiagnoseCommand:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o" / "diagnostics.csv").exists()
 
+    @staticmethod
+    def write_linear_pair(tmp_path, x, rng):
+        """A training file with linear responses on ``x``, and a noisy copy of ``x``."""
+        n, p = x.shape
+        train = tmp_path / "train.csv"
+        with open(train, "w") as fh:
+            fh.write(",".join(f"x{i}" for i in range(1, p + 1)) + ",y1\n")
+            for xi, yi in zip(x, x @ rng.standard_normal(p)):
+                fh.write(",".join(repr(float(v)) for v in xi) + f",{float(yi)!r}\n")
+        return train, write_queries(tmp_path, x + 0.01 * rng.standard_normal((n, p)), name="noisy.csv")
+
+    def test_query_outside_the_row_space(self, tmp_path):
+        # The bounds' precondition fails: flagged, and the weight check is skipped.
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal((30, 3)) @ rng.standard_normal((3, 10))
+        train, npath = self.write_linear_pair(tmp_path, x, rng)
+        query = ",".join(repr(float(v)) for v in x.mean(axis=0) + rng.standard_normal(10))
+        out = tmp_path / "out"
+        code = main(["diagnose", "--train", str(train), "--noisy", str(npath), "--kind", "euclidean",
+                     "--lambda", "0.1", "--x=" + query, "--out", str(out)])
+        assert code == 0
+        header, row = read_csv_rows(out / "diagnostics.csv")
+        record = dict(zip(header, row))
+        assert record["rowspace_ok"] == record["precondition_ok"] == "false"
+        assert record["weight_lhs"] == record["weight_rhs"] == "nan"
+        assert np.isfinite(float(record["bound_rhs"]))
+
     def test_one_svd_per_design_and_no_eigh(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(20)
         n, p = 200, 10
         x = rng.standard_normal((n, p)) * np.geomspace(1.0, 0.1, p)
-        beta = rng.standard_normal(p)
-        train = tmp_path / "train.csv"
-        with open(train, "w") as fh:
-            fh.write(",".join(f"x{i}" for i in range(1, p + 1)) + ",y1\n")
-            for xi, yi in zip(x, x @ beta):
-                fh.write(",".join(repr(float(v)) for v in xi) + f",{float(yi)!r}\n")
-        npath = write_queries(tmp_path, x + 0.01 * rng.standard_normal((n, p)), name="noisy.csv")
+        train, npath = self.write_linear_pair(tmp_path, x, rng)
         query = ",".join(repr(float(v)) for v in x.mean(axis=0))
         calls = {"svd": 0, "eigh": 0}
         for name in calls:
@@ -722,8 +743,8 @@ class TestDiagnoseCommand:
         code = main(["diagnose", "--train", str(train), "--noisy", str(npath), "--kind", "euclidean",
                      "--lambda", "0.05", "--x=" + query, "--out", str(tmp_path / "o")])
         assert code == 0
-        # X and Z once each; Z - X once per bound quantity (bound, snr_reciprocal, weight check).
-        assert calls["svd"] == 5
+        # X, Z and the noise Z - X once each.
+        assert calls["svd"] == 3
         assert calls["eigh"] == 0
 
     def test_one_row_training_file_exits_2(self, tmp_path, capsys):

@@ -3,11 +3,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from frechet_svt.diagnostics import (
-    GrowthConstants,
+    ROWSPACE_RTOL,
     _seminorm,
     bias_term,
-    denoising_bound,
-    denoising_report_for,
+    diagnose,
     rowspace_residual,
     signal_floor,
     snr_reciprocal,
@@ -179,10 +178,10 @@ class TestDenoisingBound:
         x, _ = low_rank_pair(rng)
         y = x @ rng.standard_normal(10) + 0.1 * rng.standard_normal(30)
         train = Dataset(x, y, EuclideanSpace())
-        report = denoising_report_for(train, noisy_twin(train, x), 0.1, rowspace_query(x, rng))
-        assert report.noise_norm == 0.0
-        assert report.bound_rhs == 0.0
-        assert report.observed_lhs <= 1e-12
+        report = diagnose(train, noisy_twin(train, x), 0.1, rowspace_query(x, rng))
+        assert report["noise_norm"] == 0.0
+        assert report["bound_rhs"] == 0.0
+        assert report["observed_lhs"] <= 1e-12
 
     def test_euclidean_toy_inequality(self):
         rng = np.random.default_rng(46)
@@ -192,9 +191,9 @@ class TestDenoisingBound:
             train = Dataset(x, y, EuclideanSpace())
             evals = covariate_stats(x).eigenvalues
             lam = float((evals[1] + evals[2]) / 2)  # inside the spectral gap
-            report = denoising_report_for(train, noisy_twin(train, z), lam, rowspace_query(x, rng))
-            assert report.precondition_ok
-            assert report.observed_lhs <= report.bound_rhs + 1e-12
+            report = diagnose(train, noisy_twin(train, z), lam, rowspace_query(x, rng))
+            assert report["precondition_ok"]
+            assert report["observed_lhs"] <= report["bound_rhs"] + 1e-12
 
     def test_wasserstein_toy_inequality(self):
         rng = np.random.default_rng(47)
@@ -208,9 +207,9 @@ class TestDenoisingBound:
             train = Dataset(x, q, space)
             evals = covariate_stats(x).eigenvalues
             lam = float((evals[1] + evals[2]) / 2)
-            report = denoising_report_for(train, noisy_twin(train, z), lam, rowspace_query(x, rng))
-            assert report.precondition_ok
-            assert report.observed_lhs <= report.bound_rhs + 1e-12
+            report = diagnose(train, noisy_twin(train, z), lam, rowspace_query(x, rng))
+            assert report["precondition_ok"]
+            assert report["observed_lhs"] <= report["bound_rhs"] + 1e-12
 
     def test_infinite_floor_reports_vacuous_bound(self):
         rng = np.random.default_rng(48)
@@ -219,38 +218,67 @@ class TestDenoisingBound:
         train = Dataset(x, y, EuclideanSpace())
         evals = covariate_stats(x).eigenvalues
         lam = float(evals[0] * 4)
-        report = denoising_report_for(train, noisy_twin(train, z), lam, rowspace_query(x, rng))
-        assert report.signal_floor == np.inf
-        assert report.bound_rhs == np.inf
+        report = diagnose(train, noisy_twin(train, z), lam, rowspace_query(x, rng))
+        assert report["signal_floor"] == np.inf
+        assert report["bound_rhs"] == np.inf
 
     def test_rowspace_violation_flagged_not_fatal(self):
         rng = np.random.default_rng(49)
         x, z = low_rank_pair(rng, n=10, p=6, rank=2)
         y = x @ rng.standard_normal(6)
         train = Dataset(x, y, EuclideanSpace())
-        report = denoising_report_for(
-            train, noisy_twin(train, z), 0.1, covariate_stats(x).mean + rng.standard_normal(6)
-        )
-        assert not report.precondition_ok
+        report = diagnose(train, noisy_twin(train, z), 0.1, covariate_stats(x).mean + rng.standard_normal(6))
+        assert not report["precondition_ok"]
 
-    def test_finite_growth_radius_needs_diameter(self):
-        rng = np.random.default_rng(50)
-        x, z = low_rank_pair(rng)
-        with pytest.raises(ValueError):
-            denoising_bound(
-                *designs(x, z),
-                0.1,
-                rowspace_query(x, rng),
-                GrowthConstants(d_growth=1.0),
-                np.ones(30),
-                np.ones(30),
-            )
 
-    def test_growth_constants_validation(self):
-        with pytest.raises(ValueError):
-            GrowthConstants(c_growth=0.0)
-        with pytest.raises(ValueError):
-            GrowthConstants(alpha=1.0)
+class TestDiagnose:
+    """``diagnose``'s columns are its pieces, bit for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from(["euclidean", "wasserstein"]),
+        st.booleans(),
+        st.floats(0.0, 1.2),
+        st.booleans(),
+    )
+    def test_columns_equal_the_pieces(self, seed, kind, full_rank, frac, inside):
+        rng = np.random.default_rng(seed)
+        n, p = int(rng.integers(8, 30)), int(rng.integers(2, 7))
+        if full_rank:
+            x = rng.standard_normal((n, p))
+        else:
+            x, _ = low_rank_pair(rng, n=n, p=p, rank=int(rng.integers(1, p)))
+        z = x + 1e-2 * rng.standard_normal((n, p))
+        loc = x @ rng.standard_normal(p) + 0.1 * rng.standard_normal(n)
+        if kind == "euclidean":
+            space, y = EuclideanSpace(), loc
+        else:
+            space = WassersteinSpace.with_uniform_grid(11)
+            y = loc[:, None] + np.linspace(-2.0, 2.0, 11)[None, :]
+        clean, noisy = Dataset(x, y, space), Dataset(z, y, space)
+        stats = clean.stats
+        lam = frac * stats.eigenvalues[0]
+        query = rowspace_query(x, rng) if inside else stats.mean + rng.standard_normal(p)
+
+        cols = diagnose(clean, noisy, lam, query)
+        assert list(cols) == [
+            "b_lambda", "snr_reciprocal", "noise_norm", "signal_floor", "rowspace_ok",
+            "precondition_ok", "bound_rhs", "observed_lhs", "weight_lhs", "weight_rhs",
+        ]
+        assert cols["b_lambda"] == bias_term(stats, lam, query)
+        assert cols["snr_reciprocal"] == snr_reciprocal(clean, noisy, lam)
+        assert cols["noise_norm"] == spectral_norm(z - x)
+        assert cols["signal_floor"] == signal_floor(clean, noisy, lam)
+        in_rowspace = rowspace_residual(stats, query - stats.mean) <= ROWSPACE_RTOL
+        assert in_rowspace or not (inside or full_rank)
+        assert cols["rowspace_ok"] is cols["precondition_ok"] is in_rowspace
+        clean_pred, noisy_pred = fit(clean, lam).predict(query), fit(noisy, lam).predict(query)
+        assert cols["observed_lhs"] == space.distance(noisy_pred, clean_pred)
+        if in_rowspace:
+            assert (cols["weight_lhs"], cols["weight_rhs"]) == weight_stability_check(clean, noisy, lam, query)
+        else:
+            assert np.isnan(cols["weight_lhs"]) and np.isnan(cols["weight_rhs"])
 
 
 class TestRateTrend:

@@ -239,7 +239,7 @@ class TestStackedDykstra:
         for b, single in zip(blends, singles):
             assert _same_outcome(_outcome(nearest_correlation, b), single)
 
-    def test_nonconverging_matrix_raises_as_the_loop(self):
+    def test_nonconverging_matrix_raises_as_the_loop(self, monkeypatch):
         rng = np.random.default_rng(5)
         stack = np.stack([random_correlation_matrix(3, rng) for _ in range(5)])
         stack[1] = stack[3] = [[1.0, 2.0, 0.0], [2.0, 1.0, 0.5], [0.0, 0.5, 1.0]]
@@ -248,8 +248,9 @@ class TestStackedDykstra:
         with pytest.raises(ConvergenceError) as loop:
             for a in stack:
                 nearest_correlation_reference(a, max_iter=3)
+        monkeypatch.setattr(CorrelationSpace, "max_iter", 3)
         with pytest.raises(ConvergenceError) as stacked:
-            CorrelationSpace(3, max_iter=3).project_blends(stack.copy())
+            CorrelationSpace(3).project_blends(stack.copy())
         assert str(stacked.value) == str(loop.value)
         assert np.array_equal(stacked.value.last_iterate, loop.value.last_iterate)
 

@@ -726,12 +726,11 @@ class TestRankPathSweep:
         with pytest.raises(DegenerateWeightsError):
             next(path)
 
-    def test_dykstra_failure_propagates(self):
+    def test_dykstra_failure_propagates(self, monkeypatch):
         train, test = _sweep_instance("correlation", 5, 2, 4, 4)
-        tight = Dataset(train.covariates, train.responses, CorrelationSpace(3, max_iter=1))
-        probe = Dataset(test.covariates, test.responses, tight.space)
+        monkeypatch.setattr(CorrelationSpace, "max_iter", 1)
         with pytest.raises(ConvergenceError):
-            mspe_profile(tight, probe, [0.0])
+            mspe_profile(train, test, [0.0])
 
     @pytest.mark.parametrize("bad", [np.ones((2, 1)), np.array([[0.0, np.nan, 1.0], [0.0, 0.0, 1.0]])])
     def test_rejects_bad_test_covariates(self, bad):
