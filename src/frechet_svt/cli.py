@@ -13,7 +13,9 @@ tuning, fit and prediction or the ``diagnose`` numerics, or a
 ``simulate`` table value that is not finite, in which case neither
 table is written), 4 verification failure. Worker count for simulations
 comes from the FRECHET_SVT_THREADS environment variable (default:
-logical cores).
+logical cores). Every command runs numpy's BLAS on one thread per
+process (see ``linalg.pin_blas_threads``); the manifest names the library
+and the thread count.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .dataio import (
     write_results_csv,
 )
 from .diagnostics import diagnose
+from .linalg import pin_blas_threads
 from .metric_spaces import ConvergenceError, DegenerateWeightsError, WassersteinSpace
 from .regression import Dataset, fit
 from .simulation import TrialFailure, lambda_grid, run_campaign, tune_lambda
@@ -93,6 +96,7 @@ def _cmd_simulate(args) -> int:
             "seed": configs[0].master_seed,
             "out": str(out),
             "workers_env": os.environ.get(THREADS_ENV, ""),
+            **args.blas,
         },
         snapshot,
     )
@@ -165,6 +169,7 @@ def _cmd_fit_predict(args) -> int:
             "lambda": args.lam,
             "holdout": args.holdout or "",
             "out": str(out),
+            **args.blas,
         },
     )
     lam_hat = None
@@ -224,6 +229,7 @@ def _cmd_diagnose(args) -> int:
             "lambda": lam,
             "x": args.x,
             "out": str(out),
+            **args.blas,
         },
     )
     train, noisy = Dataset(x, responses, space), Dataset(z, responses, space)
@@ -301,6 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # One BLAS thread, so outputs do not depend on OPENBLAS_NUM_THREADS;
+    # after parsing, since --version and --help use no BLAS.
+    args.blas = pin_blas_threads()
     try:
         return args.func(args)
     except (ConfigError, SchemaError) as exc:

@@ -3,7 +3,9 @@
 Everything is SVD-based and pure: hard singular value thresholding,
 Moore-Penrose pseudoinverses with an explicit numerical-rank cutoff,
 row/column projections, and the exact pseudoinverse perturbation
-identity used by the verification suite.
+identity used by the verification suite. ``pin_blas_threads`` sets the
+BLAS under numpy to one thread, so that products round the same way
+whatever the environment asks for.
 """
 
 from __future__ import annotations
@@ -14,6 +16,9 @@ import numpy as np
 
 # Relative cutoff below which a singular value is treated as exactly zero.
 RANK_RTOL = 1e-12
+
+# Thread-count setters of numpy's bundled OpenBLAS: the 64-bit-integer build's name first.
+_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads")
 
 
 @dataclass(frozen=True)
@@ -135,3 +140,29 @@ def pinv_perturbation_residual(x, z) -> float:
         - (np.eye(p) - prz) @ prx @ xp
     )
     return float(np.linalg.norm((zp - xp) - rhs, "fro"))
+
+
+def pin_blas_threads() -> dict:
+    """Set numpy's bundled OpenBLAS to one thread in this process.
+
+    A threaded BLAS splits a product's sums across threads, so the same
+    inputs round differently under different ``OPENBLAS_NUM_THREADS``
+    values; with one thread every run computes the same bits. The setting
+    holds for the calling process only, so each pool worker makes this
+    call too. Returns manifest entries: the library file and the thread
+    count, ``unpinned`` when no library with a known setter is found.
+    """
+    import ctypes  # here, not at import: only the CLI and pool workers pin
+    from pathlib import Path
+
+    # Where numpy's Linux wheels put their OpenBLAS, next to the package.
+    for lib in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*")):
+        try:
+            handle = ctypes.CDLL(str(lib))  # the copy numpy loaded: same file, same handle
+        except OSError:
+            continue
+        for name in _BLAS_SETTERS:
+            if hasattr(handle, name):
+                getattr(handle, name)(1)
+                return {"blas": lib.name, "blas_threads": 1}
+    return {"blas": "unpinned", "blas_threads": "unpinned"}

@@ -403,7 +403,11 @@ class LinfSpace(_IterativeNormSpace):
     _combine = np.maximum
 
     def _norm_parts(self, diff, subgrad):
-        # Sign at the first largest |coordinate|, +0.0 elsewhere.
+        # Sign at the first largest |coordinate|, a signed zero elsewhere (a
+        # masked negative sign gives -0.0). The sign of a zero reaches the
+        # gradient only through products and the in-order sum over the
+        # points, and ``gradient``'s ``grad += 0.0`` turns a sum of zeros into
+        # +0.0, so the result is the same bit for bit.
         np.sign(diff, out=subgrad)
         a = np.abs(diff, out=diff)
         top = a.max(axis=1)
@@ -411,7 +415,6 @@ class LinfSpace(_IterativeNormSpace):
         if np.count_nonzero(hot) > top.size:  # ties: only the first one counts
             hot &= np.cumsum(hot, axis=1) == 1
         subgrad *= hot
-        subgrad += 0.0  # turns the -0.0 of a masked negative sign into +0.0
         return top
 
 

@@ -23,6 +23,7 @@ from statistics import NormalDist, median
 
 import numpy as np
 
+from .linalg import pin_blas_threads
 from .metric_spaces import (
     ConvergenceError,
     DegenerateWeightsError,
@@ -424,7 +425,9 @@ def aggregate(trial_reports, eval_predictions, truths, space: MetricSpace) -> Ag
     The across-trial center at each evaluation point is the equal-weight
     Frechet mean of the trial predictions; squared bias measures its
     distance to the truth and variance the spread of trials around it,
-    both averaged over evaluation points.
+    both averaged over evaluation points. ``run_cell`` calls it for
+    l1/sup-norm cells; for the other spaces its ``_TrialFold`` gives the
+    same values, up to rounding, without storing the predictions.
     """
     if not trial_reports:
         raise ValueError("need at least one trial")
@@ -445,9 +448,66 @@ def aggregate(trial_reports, eval_predictions, truths, space: MetricSpace) -> Ag
                 [np.mean(space.distances_to(preds[:, m], centers[m]) ** 2) for m in range(n_eval)]
             )
         )
+    return AggregateReport(bias_sq, var, *_mean_errors(trial_reports))
+
+
+def _mean_errors(trial_reports) -> tuple[dict, dict]:
+    """Each estimator's in-sample and test error, averaged over the trials."""
     mse = {est: float(np.mean([t.mse[est] for t in trial_reports])) for est in ESTIMATORS}
     mspe = {est: float(np.mean([t.mspe[est] for t in trial_reports])) for est in ESTIMATORS}
-    return AggregateReport(bias_sq=bias_sq, var=var, mse=mse, mspe=mspe)
+    return mse, mspe
+
+
+class _TrialFold:
+    """Takes each trial's evaluation predictions as it arrives; ``report`` gives ``aggregate``'s result.
+
+    In an affine space the across-trial center at an evaluation point is
+    ``project_blends`` of the trials' average, and the distance is a
+    Euclidean norm of the difference. So the trials' mean squared
+    distance to the center is m2 / T + d(average, center)^2, where m2 is
+    their summed squared distance to the average. The average and m2 are
+    updated one trial at a time, as in Welford (1962), and the fold
+    holds one ``(eval_points, ...)`` average and one ``(eval_points,)``
+    m2 per estimator, whatever the number of trials. Its results equal
+    ``aggregate``'s up to rounding, in the last digits.
+
+    The l1/sup-norm center is a solver's output over every trial at once,
+    so for those spaces the fold stores the predictions in one
+    ``(trials, eval_points, ...)`` array per estimator and calls
+    ``aggregate``.
+    """
+
+    def __init__(self, space: MetricSpace, truths: np.ndarray, trials: int):
+        self.space = space
+        self.truths = truths
+        self.count = 0
+        if space.affine:
+            self.mean = {est: np.zeros(truths.shape) for est in ESTIMATORS}
+            self.m2 = {est: np.zeros(truths.shape[0]) for est in ESTIMATORS}
+        else:
+            self.stored = {est: np.empty((trials, *truths.shape)) for est in ESTIMATORS}
+
+    def add(self, eval_preds: dict) -> None:
+        k = self.count = self.count + 1
+        for est, x in eval_preds.items():
+            if not self.space.affine:
+                self.stored[est][k - 1] = x
+                continue
+            mean = self.mean[est]
+            self.m2[est] += (k - 1) / k * self.space.distances_to(x, mean) ** 2
+            mean += (x - mean) / k
+
+    def report(self, trial_reports) -> AggregateReport:
+        if not self.space.affine:
+            return aggregate(trial_reports, self.stored, self.truths, self.space)
+        bias_sq: dict = {}
+        var: dict = {}
+        for est, mean in self.mean.items():
+            centers = self.space.project_blends(mean.copy())  # all evaluation points in one call
+            bias_sq[est] = float(np.mean(self.space.distances_to(self.truths, centers) ** 2))
+            spread = self.space.distances_to(mean, centers) ** 2
+            var[est] = float(np.mean(self.m2[est] / self.count + spread))
+        return AggregateReport(bias_sq, var, *_mean_errors(trial_reports))
 
 
 def _cell_space(config: SimConfig) -> MetricSpace:
@@ -475,7 +535,10 @@ def _draw_responses(x, config: SimConfig, params, rng) -> np.ndarray:
 
 
 def _run_trial(args):
-    """Draw one trial's data and run it through ``evaluate_trial``."""
+    """Draw one trial's data and run it through ``evaluate_trial``.
+
+    ``args`` is the cell's fixtures followed by the trial index.
+    """
     config, spectrum, basis, eval_x, profile_grid, params, b = args
     try:
         # Overflow fails the trial instead of printing warnings. The setting
@@ -498,49 +561,68 @@ def _run_trial(args):
         raise TrialFailure(b, exc) from exc
 
 
+# A pool worker's cell fixtures, set once per worker by ``_start_worker``.
+# The parent process never sets it.
+_worker_fixtures = None
+
+
+def _start_worker(fixtures) -> None:
+    """Pool initializer: one BLAS thread, and the cell's fixtures kept for every trial."""
+    global _worker_fixtures
+    pin_blas_threads()
+    _worker_fixtures = fixtures
+
+
+def _pooled_trial(b: int):
+    return _run_trial((*_worker_fixtures, b))
+
+
 def run_cell(config: SimConfig, workers: int = 1) -> CellResult:
     """Run every trial of one study cell and aggregate the results.
 
     Trials are independent given their derived seeds, so they can run in
-    worker processes; either way their outcomes are read one at a time, in
-    trial order, as they arrive. Each trial's evaluation predictions are
-    copied into one ``(trials, eval_points, ...)`` array per estimator and
-    the outcome is dropped before the next one is read, so the caller never
-    holds every trial's predictions twice.
+    worker processes. Each worker receives the cell's fixtures once, from
+    the pool initializer, which also sets its BLAS to one thread, and
+    then gets only trial indices. Either way the outcomes are read one at
+    a time, in trial order, as they arrive. Each outcome's evaluation
+    predictions go into the cell's ``_TrialFold`` and the outcome is
+    dropped before the next one is read. For Euclidean, Wasserstein and
+    correlation responses the fold keeps a running average and spread,
+    so memory does not grow with the number of trials, and ``bias`` and
+    ``sqrt_var`` can differ from ``aggregate`` over the stored
+    predictions in the last digits. For l1 and sup-norm responses it
+    stores one ``(trials, eval_points, ...)`` array per estimator.
     """
     spectrum, basis, eval_x, truths, params = _cell_fixtures(config)
     profile_grid = lambda_grid(spectrum[0], config.p, config.n, config.lambda_points)
-    space = _cell_space(config)
-    args = [
-        (config, spectrum, basis, eval_x, profile_grid, params, b) for b in range(config.trials)
-    ]
+    fixtures = (config, spectrum, basis, eval_x, profile_grid, params)
     reports = []
-    eval_predictions = {est: np.empty((config.trials, *truths.shape)) for est in ESTIMATORS}
+    fold = _TrialFold(_cell_space(config), truths, config.trials)
     svt_curves = np.empty((config.trials, profile_grid.size))
     null_errors = np.empty(config.trials)
     # A forked pool starts every worker at once, so never ask for more than there are trials.
     workers = min(workers, config.trials)
-    with contextlib.ExitStack() as stack:
-        if workers > 1:
-            # Imported here: loading the pool module (multiprocessing, sockets, ...) costs every process.
-            from concurrent.futures import ProcessPoolExecutor
-
-            outcomes = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map(_run_trial, args)
-        else:
-            outcomes = map(_run_trial, args)
-        for b in range(config.trials):
-            # next(), not enumerate, and del preds: enumerate's cached result
-            # tuple or a live name would keep trial b's outcome while trial
-            # b + 1 runs.
-            report, preds, (svt_curves[b], null_errors[b]) = next(outcomes)
-            reports.append(report)
-            for est in ESTIMATORS:
-                eval_predictions[est][b] = preds[est]
-            del preds
-
     # Overflow in the across-trial folds is an error too, as inside a trial.
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        report = aggregate(reports, eval_predictions, truths, space)
+        with contextlib.ExitStack() as stack:
+            if workers > 1:
+                # Imported here: loading the pool module (multiprocessing, sockets, ...) costs every process.
+                from concurrent.futures import ProcessPoolExecutor
+
+                pool = ProcessPoolExecutor(max_workers=workers, initializer=_start_worker, initargs=(fixtures,))
+                outcomes = stack.enter_context(pool).map(_pooled_trial, range(config.trials))
+            else:
+                outcomes = map(_run_trial, ((*fixtures, b) for b in range(config.trials)))
+            for b in range(config.trials):
+                # next(), not enumerate, and del preds: enumerate's cached result
+                # tuple or a live name would keep trial b's outcome while trial
+                # b + 1 runs.
+                report, preds, (svt_curves[b], null_errors[b]) = next(outcomes)
+                reports.append(report)
+                fold.add(preds)
+                del preds
+
+        report = fold.report(reports)
         null_mean = float(null_errors.mean())
         profile = ThresholdProfile(
             lambdas=profile_grid,

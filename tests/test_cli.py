@@ -487,13 +487,52 @@ class TestReadCovariates:
 
 
 def run_python(*args, **env):
-    """Run a fresh interpreter on this checkout's package, with extra environment variables."""
+    """Run a fresh interpreter on this checkout's package, with extra environment variables.
+
+    A variable given as None is removed from the environment.
+    """
     src = str(Path(frechet_svt.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args], env={**os.environ, "PYTHONPATH": path, **env},
-        capture_output=True, text=True, timeout=120,
-    )
+    env = {k: v for k, v in {**os.environ, "PYTHONPATH": path, **env}.items() if v is not None}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+# A desk-scale design (n = 100, p = 150) whose tables, before the program
+# set BLAS to one thread itself, changed with OPENBLAS_NUM_THREADS.
+BLAS_SENSITIVE_CONFIG = """\
+[campaign]
+master_seed = 1
+trials = 2
+test_size = 100
+eval_points = 10
+quantile_points = 101
+sigma_eps = 0.05
+lambda_points = 40
+
+[cell:gaussian]
+n = 100
+p = 150
+noise_kind = gaussian
+"""
+
+
+class TestBlasThreads:
+    def test_tables_do_not_depend_on_the_blas_environment(self, tmp_path):
+        cfg = write_config(tmp_path, BLAS_SENSITIVE_CONFIG)
+        runs = [("1", None), ("1", "1"), ("1", "2"), ("2", None)]  # (workers, OPENBLAS_NUM_THREADS)
+        tables = []
+        for workers, blas in runs:
+            out = tmp_path / f"out-{workers}-{blas}"
+            done = run_python(
+                "-m", "frechet_svt", "simulate", "--config", str(cfg), "--out", str(out),
+                FRECHET_SVT_THREADS=workers, OPENBLAS_NUM_THREADS=blas,
+            )
+            assert done.returncode == 0, done.stderr
+            tables.append([(out / name).read_bytes() for name in ("results.csv", "profile.csv")])
+            manifest = (out / "manifest.txt").read_text().splitlines()
+            assert "blas_threads = 1" in manifest
+            assert any(line.startswith("blas = ") and "openblas" in line for line in manifest)
+        assert all(t == tables[0] for t in tables[1:])
 
 
 class TestColdStart:

@@ -455,16 +455,162 @@ def _plain_report(i):
     return TrialReport(index=i, mse=dict(zeros), mspe=dict(zeros), lambda_hat=0.0)
 
 
+@pytest.fixture
+def fold_inputs(monkeypatch):
+    """Copies of the evaluation predictions ``run_cell`` hands its fold, one dict per trial."""
+    import frechet_svt.simulation as sim
+
+    seen = []
+    real_add = sim._TrialFold.add
+
+    def spy(fold, eval_preds):
+        seen.append({est: preds.copy() for est, preds in eval_preds.items()})
+        real_add(fold, eval_preds)
+
+    monkeypatch.setattr(sim._TrialFold, "add", spy)
+    return seen
+
+
+def _fold_points(kind, rng, trials, n_eval=5):
+    """Predictions (trials, n_eval, ...) and truths (n_eval, ...) of one space, off the space."""
+    if kind == "euclidean-scalar":
+        return EuclideanSpace(), rng.standard_normal((trials, n_eval)), rng.standard_normal(n_eval)
+    if kind == "euclidean-vector":
+        return EuclideanSpace(), rng.standard_normal((trials, n_eval, 3)), rng.standard_normal((n_eval, 3))
+    if kind == "wasserstein":
+        # Unsorted rows, so the centers need PAVA.
+        space = WassersteinSpace.with_uniform_grid(21)
+        return space, rng.standard_normal((trials, n_eval, 21)), np.sort(rng.standard_normal((n_eval, 21)), axis=1)
+    # Unit-diagonal symmetric matrices off the PSD cone, so the centers need Dykstra.
+    mats = [random_correlation_matrix(4, rng) for _ in range(trials * n_eval + n_eval)]
+    noise = rng.standard_normal((trials * n_eval, 4, 4))
+    noise = 0.8 * (noise + noise.transpose(0, 2, 1))
+    noise[:, np.arange(4), np.arange(4)] = 0.0
+    preds = (np.stack(mats[:-n_eval]) + noise).reshape(trials, n_eval, 4, 4)
+    return CorrelationSpace(4), preds, np.stack(mats[-n_eval:])
+
+
+def _fold(space, preds, truths):
+    """The fold's report over stacked predictions, one trial at a time, for every estimator."""
+    import frechet_svt.simulation as sim
+
+    fold = sim._TrialFold(space, truths, len(preds))
+    for x in preds:
+        fold.add({est: x for est in sim.ESTIMATORS})
+    return fold.report([_plain_report(i) for i in range(len(preds))])
+
+
+def assert_close_reports(folded, stored, rtol=1e-12):
+    for name in ("bias_sq", "var"):
+        for est, want in getattr(stored, name).items():
+            got = getattr(folded, name)[est]
+            assert abs(got - want) <= rtol * abs(want), (name, est, got, want)
+    assert (folded.mse, folded.mspe) == (stored.mse, stored.mspe)
+
+
+class TestTrialFold:
+    KINDS = ("euclidean-scalar", "euclidean-vector", "wasserstein", "correlation")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_aggregate_on_the_stored_predictions(self, kind):
+        space, preds, truths = _fold_points(kind, np.random.default_rng(5), trials=7)
+        stored = aggregate(
+            [_plain_report(i) for i in range(len(preds))], dict.fromkeys(("REF", "EIV", "SVT"), preds), truths, space
+        )
+        folded = _fold(space, preds, truths)
+        assert_close_reports(folded, stored)
+        assert folded.var["REF"] > 0.0 and folded.bias_sq["REF"] > 0.0
+
+    @pytest.mark.parametrize("kind", ["euclidean-scalar", "euclidean-vector", "wasserstein"])
+    @pytest.mark.parametrize("trials", [1, 4])
+    def test_one_or_identical_trials_have_zero_variance(self, kind, trials):
+        space, preds, truths = _fold_points(kind, np.random.default_rng(6), trials=1)
+        if kind == "wasserstein":
+            preds = np.sort(preds, axis=-1)  # in the space, as a trial's predictions are
+        report = _fold(space, np.repeat(preds, trials, axis=0), truths)
+        assert all(v == 0.0 for v in report.var.values())
+        assert report.bias_sq == _fold(space, preds, truths).bias_sq
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, dict(model="linear", metric="euclidean", linear_dim=1), dict(model="linear", metric="euclidean", linear_dim=3)],
+        ids=["wasserstein", "euclidean-scalar", "euclidean-vector"],
+    )
+    def test_run_cell_matches_aggregate(self, fold_inputs, overrides):
+        import frechet_svt.simulation as sim
+
+        cfg = small_config(trials=4, **overrides)
+        cell = run_cell(cfg)
+        stacked = {est: np.stack([s[est] for s in fold_inputs]) for est in sim.ESTIMATORS}
+        truths = sim._cell_fixtures(cfg)[3]
+        assert_close_reports(cell.report, aggregate(cell.trials, stacked, truths, sim._cell_space(cfg)))
+
+    @pytest.mark.parametrize("overrides", [{}, dict(model="linear", metric="euclidean", linear_dim=2)])
+    def test_one_trial_cell_has_zero_variance(self, overrides):
+        report = run_cell(small_config(trials=1, **overrides)).report
+        assert all(v == 0.0 for v in report.var.values())
+
+    def test_l1_cell_keeps_the_stored_route(self, monkeypatch):
+        import frechet_svt.simulation as sim
+
+        calls = []
+        real_aggregate = sim.aggregate
+
+        def spy(reports, eval_predictions, truths, space):
+            calls.append({est: preds.shape for est, preds in eval_predictions.items()})
+            return real_aggregate(reports, eval_predictions, truths, space)
+
+        monkeypatch.setattr(sim, "aggregate", spy)
+        cfg = small_config(trials=2, eval_points=3, test_size=10, lambda_points=3, model="linear", metric="l1", linear_dim=2)
+        run_cell(cfg)
+        assert calls == [dict.fromkeys(sim.ESTIMATORS, (2, 3, 2))]
+
+    @pytest.mark.parametrize(
+        "overrides", [{}, dict(model="linear", metric="euclidean", linear_dim=30)], ids=["wasserstein", "euclidean"]
+    )
+    def test_affine_cell_memory_does_not_grow_with_trials(self, overrides):
+        # Ten trials peak no higher than two, give or take less than one
+        # trial's evaluation predictions: nothing of size (trials, ...) is held.
+        import tracemalloc
+
+        def cfg(trials):
+            return small_config(trials=trials, eval_points=400, quantile_points=101, lambda_points=4, **overrides)
+
+        run_cell(cfg(1))  # one-time allocations happen outside the measurement
+        peaks = []
+        for trials in (2, 10):
+            tracemalloc.start()
+            try:
+                run_cell(cfg(trials))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        one_trial = 3 * 400 * overrides.get("linear_dim", 101) * 8  # bytes, for every estimator
+        assert peaks[1] - peaks[0] < one_trial, peaks
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_leaves_no_fixture_state_in_the_parent(self, workers):
+        import frechet_svt.simulation as sim
+
+        run_cell(small_config(trials=2), workers=workers)
+        assert sim._worker_fixtures is None
+
+
 class LazyPool:
     """Stands in for the process pool: runs each trial in process when its outcome is read."""
 
-    def __init__(self, max_workers):
-        pass
+    def __init__(self, max_workers, initializer=None, initargs=()):
+        if initializer is not None:
+            initializer(*initargs)
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
+        # A worker's state ends with the worker; here that state lives in this process.
+        import frechet_svt.simulation as sim
+
+        sim._worker_fixtures = None
         return False
 
     def map(self, fn, items):
@@ -521,23 +667,17 @@ class TestRunCell:
         report, _, _ = evaluate_trial(train, noisy, test, grid)
         assert report.mspe["SVT"] <= report.mspe["EIV"] + 1e-12
 
-    def test_two_workers_match_one(self, monkeypatch):
+    def test_two_workers_match_one(self, fold_inputs):
         import frechet_svt.simulation as sim
 
-        seen = []
-        real_aggregate = sim.aggregate
-
-        def spy(reports, eval_predictions, truths, space):
-            seen.append(eval_predictions)
-            return real_aggregate(reports, eval_predictions, truths, space)
-
-        monkeypatch.setattr(sim, "aggregate", spy)
         cfg = small_config(trials=4)
         serial = run_cell(cfg, workers=1)
         pooled = run_cell(cfg, workers=2)
         assert serial.trials == pooled.trials
-        for est in sim.ESTIMATORS:
-            assert np.array_equal(seen[0][est], seen[1][est])
+        assert len(fold_inputs) == 2 * cfg.trials
+        for one, two in zip(fold_inputs[: cfg.trials], fold_inputs[cfg.trials :]):
+            for est in sim.ESTIMATORS:
+                assert np.array_equal(one[est], two[est])
         assert np.array_equal(serial.profile.lambdas, pooled.profile.lambdas)
         assert np.array_equal(serial.profile.svt, pooled.profile.svt)
         assert (serial.profile.ref, serial.profile.eiv) == (pooled.profile.ref, pooled.profile.eiv)
@@ -565,8 +705,9 @@ class TestRunCell:
         class Recorder(LazyPool):
             """Records the pool size asked for."""
 
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **kwargs):
                 asked.append(max_workers)
+                super().__init__(max_workers, **kwargs)
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recorder)
         run_cell(small_config(trials=2), workers=8)
@@ -575,9 +716,9 @@ class TestRunCell:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_each_outcome_is_dropped_before_the_next_trial(self, monkeypatch, workers):
-        # The cell holds one (trials, eval_points, ...) array per estimator,
-        # not every trial's outcome: trial b's evaluation predictions are
-        # gone before trial b + 1 runs, serial or pooled.
+        # The cell folds each trial's evaluation predictions as they arrive
+        # and keeps no outcome: trial b's predictions are gone before trial
+        # b + 1 runs, serial or pooled.
         import frechet_svt.simulation as sim
 
         real_trial = sim._run_trial
