@@ -15,10 +15,8 @@ from .diagnostics import (
 )
 from .linalg import (
     SvdFactors,
-    col_projection,
+    compute_svd,
     pinv_perturbation_residual,
-    pseudoinverse,
-    row_projection,
     spectral_norm,
     svt,
 )

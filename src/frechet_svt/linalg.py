@@ -1,8 +1,9 @@
 """Dense linear-algebra primitives used throughout the package.
 
-Everything is SVD-based and pure: hard singular value thresholding,
-Moore-Penrose pseudoinverses with an explicit numerical-rank cutoff,
-row/column projections, and the exact pseudoinverse perturbation
+Everything is SVD-based and pure: ``compute_svd(m).kept()`` factors a
+matrix once, with an explicit numerical-rank cutoff, and gives its
+Moore-Penrose pseudoinverse and row/column projections; also hard
+singular value thresholding and the exact pseudoinverse perturbation
 identity used by the verification suite. ``pin_blas_threads`` sets the
 BLAS under numpy to one thread, so that products round the same way
 whatever the environment asks for.
@@ -32,6 +33,23 @@ class SvdFactors:
     left: np.ndarray
     values: np.ndarray
     right_t: np.ndarray
+
+    def kept(self) -> SvdFactors:
+        """The triplets with a singular value above ``RANK_RTOL * values[0]``; a zero matrix keeps none."""
+        keep = self.values > RANK_RTOL * self.values[0]
+        return SvdFactors(left=self.left[:, keep], values=self.values[keep], right_t=self.right_t[keep])
+
+    def pinv(self) -> np.ndarray:
+        """Moore-Penrose pseudoinverse ``M^+``, when the factors are ``kept()``."""
+        return (self.right_t.T / self.values) @ self.left.T
+
+    def row_projection(self) -> np.ndarray:
+        """Orthogonal projection onto the row space, ``M^+ M``, when the factors are ``kept()``."""
+        return self.right_t.T @ self.right_t
+
+    def col_projection(self) -> np.ndarray:
+        """Orthogonal projection onto the column space, ``M M^+``, when the factors are ``kept()``."""
+        return self.left @ self.left.T
 
 
 def _as_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -80,38 +98,6 @@ def svt(m, lam: float) -> np.ndarray:
     return (u[:, keep] * s[keep]) @ vt[keep]
 
 
-def _kept_triplets(m):
-    """The SVD triplets ``(u, s, vt)`` whose singular value exceeds ``RANK_RTOL * s[0]``.
-
-    A zero matrix keeps none, so products of the triplets are zero matrices.
-    """
-    u, s, vt = np.linalg.svd(_as_matrix(m), full_matrices=False)
-    keep = s > RANK_RTOL * s[0]
-    return u[:, keep], s[keep], vt[keep]
-
-
-def pseudoinverse(m) -> np.ndarray:
-    """Moore-Penrose pseudoinverse.
-
-    Singular values at or below ``RANK_RTOL`` times the largest one are
-    treated as exact zeros.
-    """
-    u, s, vt = _kept_triplets(m)
-    return (vt.T / s) @ u.T
-
-
-def row_projection(m) -> np.ndarray:
-    """Orthogonal projection onto the row space, ``M^+ M``."""
-    _, _, vt = _kept_triplets(m)
-    return vt.T @ vt
-
-
-def col_projection(m) -> np.ndarray:
-    """Orthogonal projection onto the column space, ``M M^+``."""
-    u, _, _ = _kept_triplets(m)
-    return u @ u.T
-
-
 def pinv_perturbation_residual(x, z) -> float:
     """Frobenius residual of the exact pseudoinverse perturbation identity.
 
@@ -128,8 +114,8 @@ def pinv_perturbation_residual(x, z) -> float:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     n, p = a.shape
-    xp = pseudoinverse(a)
-    zp = pseudoinverse(b)
+    xp = compute_svd(a).kept().pinv()
+    zp = compute_svd(b).kept().pinv()
     pcx = a @ xp
     pcz = b @ zp
     prx = xp @ a

@@ -24,6 +24,10 @@ import numpy as np
 # Slack allowed when checking that quantile values are nondecreasing.
 MONOTONE_SLACK = 1e-10
 
+# Dykstra's stopping tolerance and iteration cap for the nearest correlation matrix.
+DYKSTRA_TOL = 1e-10
+DYKSTRA_MAX_ITER = 1000
+
 
 class DegenerateWeightsError(ValueError):
     """Raised when the weight total is nonpositive and no mean exists."""
@@ -163,7 +167,7 @@ def _nearest_correlations(stack, tol: float, max_iter: int) -> np.ndarray:
     return out
 
 
-def nearest_correlation(a, tol: float = 1e-10, max_iter: int = 1000) -> np.ndarray:
+def nearest_correlation(a, tol: float = DYKSTRA_TOL, max_iter: int = DYKSTRA_MAX_ITER) -> np.ndarray:
     """Frobenius-nearest correlation matrix to the square matrix ``a``; see ``_nearest_correlations``."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
@@ -462,8 +466,8 @@ class CorrelationSpace(MetricSpace):
 
     kind = "correlation"
     affine = True
-    tol = 1e-10  # Dykstra's stopping tolerance and iteration cap
-    max_iter = 1000
+    tol = DYKSTRA_TOL
+    max_iter = DYKSTRA_MAX_ITER
 
     def __init__(self, size: int):
         if size < 1:

@@ -3,9 +3,12 @@
 Exact identities (pseudoinverse axioms, projection properties, the
 pseudoinverse perturbation identity) must hold to roundoff on every
 instance, including rank-deficient ones; the perturbation and
-weight-stability bounds must never be violated. The fault-injection
-switch deliberately corrupts one identity so the harness can prove it
-would catch a regression.
+weight-stability bounds must never be violated. Instance ``i`` draws
+one matrix pair from ``default_rng([seed, i])`` and factors each matrix
+once for all the matrix checks; the weight-stability check draws from a
+fresh generator of the same seed. The fault-injection switch
+deliberately corrupts one identity so the harness can prove it would
+catch a regression.
 """
 
 from __future__ import annotations
@@ -16,11 +19,10 @@ import numpy as np
 
 from .diagnostics import weight_stability_check
 from .linalg import (
-    col_projection,
+    SvdFactors,
+    compute_svd,
     numerical_rank,
     pinv_perturbation_residual,
-    pseudoinverse,
-    row_projection,
     spectral_norm,
     svt,
 )
@@ -66,9 +68,8 @@ def _random_instance(rng):
     return x, z
 
 
-def _lambda_probes(m) -> list:
-    s = np.linalg.svd(np.asarray(m, dtype=float), compute_uv=False)
-    s = s[s > 1e-12 * s[0]] if s.size and s[0] > 0 else s
+def _lambda_probes(s) -> list:
+    """Thresholds for kept singular values ``s``: zero, between the top two, below all, above all."""
     probes = [0.0]
     if s.size >= 2:
         probes.append(float(np.sqrt(s[0] * s[1])))
@@ -78,30 +79,8 @@ def _lambda_probes(m) -> list:
     return probes
 
 
-def _run_check(name, seed, instances, limit, residual_fn) -> CheckResult:
-    worst = 0.0
-    failing = None
-    for i in range(instances):
-        inst_seed = [int(seed), i]
-        rng = np.random.default_rng(inst_seed)
-        res = residual_fn(rng)
-        if res > worst:
-            worst = res
-            if res > limit:
-                failing = i
-    return CheckResult(
-        name=name,
-        instances=instances,
-        worst=worst,
-        limit=limit,
-        passed=worst <= limit,
-        failing_seed=failing,
-    )
-
-
-def _moore_penrose_residual(rng) -> float:
-    x, _ = _random_instance(rng)
-    xp = pseudoinverse(x)
+def _moore_penrose_residual(x, fx: SvdFactors) -> float:
+    xp = fx.pinv()
     scale = 1.0 + np.linalg.norm(x, "fro") + np.linalg.norm(xp, "fro")
     res = max(
         np.linalg.norm(x @ xp @ x - x, "fro"),
@@ -112,48 +91,46 @@ def _moore_penrose_residual(rng) -> float:
     return float(res / scale)
 
 
-def _projection_residual(rng) -> float:
-    x, _ = _random_instance(rng)
+def _projection_residual(x, fx: SvdFactors) -> float:
+    # the rank from a values-only SVD, independent of the factors under test
+    rank = numerical_rank(x)
     worst = 0.0
-    for proj in (row_projection(x), col_projection(x)):
+    for proj in (fx.row_projection(), fx.col_projection()):
         worst = max(
             worst,
             float(np.linalg.norm(proj @ proj - proj, "fro")),
             float(np.linalg.norm(proj - proj.T, "fro")),
-            abs(numerical_rank(x) - round(float(np.trace(proj)))),
+            abs(rank - round(float(np.trace(proj)))),
         )
     return worst
 
 
-def _projection_identity_residual(rng) -> float:
-    x, _ = _random_instance(rng)
-    xp = pseudoinverse(x)
+def _projection_identity_residual(x, fx: SvdFactors) -> float:
+    xp = fx.pinv()
+    scale = 1.0 + np.linalg.norm(xp, "fro")
     worst = 0.0
-    for lam in _lambda_probes(x):
-        truncated = svt(x, lam)
-        scale = 1.0 + np.linalg.norm(xp, "fro")
-        res1 = np.linalg.norm(x @ row_projection(truncated) @ xp - col_projection(truncated), "fro")
-        res2 = np.linalg.norm(xp @ col_projection(truncated) @ x - row_projection(truncated), "fro")
+    for lam in _lambda_probes(fx.values):
+        # the truncated matrix is factored on its own, or the identity would test nothing
+        ft = compute_svd(svt(x, lam)).kept()
+        rows, cols = ft.row_projection(), ft.col_projection()
+        res1 = np.linalg.norm(x @ rows @ xp - cols, "fro")
+        res2 = np.linalg.norm(xp @ cols @ x - rows, "fro")
         worst = max(worst, float(res1 / scale), float(res2 / scale))
     return worst
 
 
-def _pinv_perturbation(rng, fault: bool = False) -> float:
-    x, z = _random_instance(rng)
+def _pinv_perturbation(x, z, fx: SvdFactors, fz: SvdFactors, fault: bool = False) -> float:
     res = pinv_perturbation_residual(x, z)
     if fault:
         res += 1e-3
-    xp = pseudoinverse(x)
-    zp = pseudoinverse(z)
-    scale = 1.0 + np.linalg.norm(xp, "fro") + np.linalg.norm(zp, "fro")
+    scale = 1.0 + np.linalg.norm(fx.pinv(), "fro") + np.linalg.norm(fz.pinv(), "fro")
     return float(res / scale)
 
 
-def _projection_perturbation_margin(rng) -> float:
-    x, z = _random_instance(rng)
-    lhs = spectral_norm(col_projection(z) - col_projection(x))
+def _projection_perturbation_margin(x, z, fx: SvdFactors, fz: SvdFactors) -> float:
+    lhs = spectral_norm(fz.col_projection() - fx.col_projection())
     e = z - x
-    rhs = max(spectral_norm(e @ pseudoinverse(x)), spectral_norm(e @ pseudoinverse(z)))
+    rhs = max(spectral_norm(e @ fx.pinv()), spectral_norm(e @ fz.pinv()))
     return float(max(lhs - rhs, 0.0) / (1.0 + rhs))
 
 
@@ -204,18 +181,42 @@ def _weight_stability_margin(rng) -> float:
     return float(worst)
 
 
-def run_suite(seed: int, instances: int = 100, inject_fault: bool = False) -> list:
-    """Run every check; returns one CheckResult per identity or bound."""
-    checks = [
-        ("moore-penrose identities", IDENTITY_TOL, _moore_penrose_residual),
-        ("projection idempotence/symmetry/rank", IDENTITY_TOL, _projection_residual),
-        ("truncated projection identities", IDENTITY_TOL, _projection_identity_residual),
-        (
-            "pseudoinverse perturbation identity",
-            IDENTITY_TOL,
-            lambda rng: _pinv_perturbation(rng, fault=inject_fault),
-        ),
-        ("projection perturbation bound", 1e-10, _projection_perturbation_margin),
-        ("weight stability bound", 1e-10, _weight_stability_margin),
+# (name, limit) of each check, in the order of _instance_residuals.
+_CHECKS = (
+    ("moore-penrose identities", IDENTITY_TOL),
+    ("projection idempotence/symmetry/rank", IDENTITY_TOL),
+    ("truncated projection identities", IDENTITY_TOL),
+    ("pseudoinverse perturbation identity", IDENTITY_TOL),
+    ("projection perturbation bound", 1e-10),
+    ("weight stability bound", 1e-10),
+)
+
+
+def _instance_residuals(seed: int, i: int, inject_fault: bool) -> list:
+    """Every check's residual on instance ``i``, in the order of ``_CHECKS``."""
+    x, z = _random_instance(np.random.default_rng([seed, i]))
+    fx, fz = compute_svd(x).kept(), compute_svd(z).kept()
+    return [
+        _moore_penrose_residual(x, fx),
+        _projection_residual(x, fx),
+        _projection_identity_residual(x, fx),
+        _pinv_perturbation(x, z, fx, fz, fault=inject_fault),
+        _projection_perturbation_margin(x, z, fx, fz),
+        _weight_stability_margin(np.random.default_rng([seed, i])),
     ]
-    return [_run_check(name, seed, instances, limit, fn) for name, limit, fn in checks]
+
+
+def run_suite(seed: int, instances: int = 100, inject_fault: bool = False) -> list:
+    """Run every check; returns one CheckResult per identity or bound.
+
+    ``failing_seed`` is the first instance with the worst residual, set
+    only when that residual is over the limit.
+    """
+    rows = [_instance_residuals(int(seed), i, inject_fault) for i in range(instances)]
+    results = []
+    for k, (name, limit) in enumerate(_CHECKS):
+        residuals = [row[k] for row in rows]
+        worst = max([0.0, *residuals])
+        failing = None if worst <= limit else residuals.index(worst)
+        results.append(CheckResult(name, instances, worst, limit, worst <= limit, failing))
+    return results

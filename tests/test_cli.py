@@ -2,11 +2,13 @@ import csv
 import os
 import subprocess
 import sys
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import frechet_svt
 from frechet_svt import regression
@@ -688,6 +690,43 @@ class TestSolverExitCode:
         self.assert_overflow_exit(done)
         assert "RuntimeWarning" not in done.stderr
         assert not (out / "diagnostics.csv").exists()
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 10_000),
+        exponents=st.lists(st.integers(-300, 300), min_size=3, max_size=3),
+        kind=st.sampled_from(["euclidean", "l1"]),
+        lam=st.sampled_from(["0", "1", "1e300"]),
+    )
+    @example(seed=0, exponents=[300, 300, 300], kind="euclidean", lam="0")
+    @example(seed=1, exponents=[-300, -300, -300], kind="l1", lam="0")
+    @example(seed=2, exponents=[-300, 0, 300], kind="euclidean", lam="1")
+    def test_fit_predict_on_extreme_covariates_exits_cleanly(self, tmp_path_factory, seed, exponents, kind, lam):
+        # Finite covariates and queries of any magnitude either predict
+        # finite values or exit with a documented code, with no warning.
+        tmp_path = tmp_path_factory.mktemp("extreme")
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** np.array(exponents, dtype=float)
+        x = scale * rng.standard_normal((20, 3))
+        train = tmp_path / "train.csv"
+        with open(train, "w") as fh:
+            fh.write("x1,x2,x3,y1,y2\n")
+            rows = np.column_stack([x, rng.standard_normal((20, 2))]).tolist()
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+        queries = write_queries(tmp_path, scale * rng.standard_normal((4, 3)))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(
+                ["fit-predict", "--train", str(train), "--queries", str(queries),
+                 "--kind", kind, "--lambda", lam, "--out", str(out)]
+            )
+        assert code in (0, 2, 3)
+        if code == 0:
+            preds = np.array([[float(v) for v in r] for r in read_csv_rows(out / "predictions.csv")[1:]])
+            assert preds.shape == (4, 2) and np.all(np.isfinite(preds))
+        else:
+            assert not (out / "predictions.csv").exists()
 
 
 class TestDiagnoseCommand:

@@ -12,7 +12,7 @@ from frechet_svt.diagnostics import (
     snr_reciprocal,
     weight_stability_check,
 )
-from frechet_svt.linalg import row_projection, spectral_norm
+from frechet_svt.linalg import compute_svd, spectral_norm
 from frechet_svt.metric_spaces import EuclideanSpace, WassersteinSpace
 from frechet_svt.regression import Dataset, covariate_stats, fit, kept_rank
 from oracles import bias_term_reference, brute_covariance, mahalanobis_seminorm, sigma_lambda
@@ -347,7 +347,7 @@ class TestStatsRouteMatchesOracles:
         np.testing.assert_allclose(
             bias_term(stats, lam, query), bias_term_reference(cov, stats.mean, lam, query), rtol=1e-10
         )
-        resid = np.linalg.norm(v - row_projection(stats.centered) @ v) / np.linalg.norm(v)
+        resid = np.linalg.norm(v - compute_svd(stats.centered).kept().row_projection() @ v) / np.linalg.norm(v)
         np.testing.assert_allclose(rowspace_residual(stats, v), resid, rtol=1e-10, atol=1e-12)
 
     def test_floor_is_smallest_singular_value_the_fit_keeps(self):

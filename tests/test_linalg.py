@@ -3,11 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frechet_svt.linalg import (
-    col_projection,
+    compute_svd,
     numerical_rank,
     pinv_perturbation_residual,
-    pseudoinverse,
-    row_projection,
     spectral_norm,
     svt,
 )
@@ -64,15 +62,15 @@ class TestSvt:
 
 class TestPseudoinverse:
     def test_identity(self):
-        assert np.allclose(pseudoinverse(np.eye(3)), np.eye(3), atol=1e-12)
+        assert np.allclose(compute_svd(np.eye(3)).kept().pinv(), np.eye(3), atol=1e-12)
 
     def test_diagonal(self):
-        assert np.allclose(pseudoinverse(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]), atol=1e-12)
+        assert np.allclose(compute_svd(np.diag([2.0, 0.0])).kept().pinv(), np.diag([0.5, 0.0]), atol=1e-12)
 
     def test_moore_penrose_identities_rank_deficient(self):
         rng = np.random.default_rng(2)
         m = random_matrix(rng, 4, 3, rank=2)
-        mp = pseudoinverse(m)
+        mp = compute_svd(m).kept().pinv()
         scale = 1e-8 * (1 + np.linalg.norm(m, "fro") + np.linalg.norm(mp, "fro"))
         assert np.linalg.norm(m @ mp @ m - m, "fro") <= scale
         assert np.linalg.norm(mp @ m @ mp - mp, "fro") <= scale
@@ -84,25 +82,30 @@ class TestProjections:
     def test_full_column_rank_row_projection_is_identity(self):
         rng = np.random.default_rng(3)
         m = rng.standard_normal((8, 3))
-        assert np.allclose(row_projection(m), np.eye(3), atol=1e-10)
+        assert np.allclose(compute_svd(m).kept().row_projection(), np.eye(3), atol=1e-10)
 
     def test_zero_matrix(self):
         z = np.zeros((4, 3))
-        assert np.all(row_projection(z) == 0)
-        assert np.all(col_projection(z) == 0)
+        f = compute_svd(z).kept()
+        assert f.values.size == 0
+        assert f.pinv().shape == (3, 4) and np.all(f.pinv() == 0)
+        assert np.all(f.row_projection() == 0)
+        assert np.all(f.col_projection() == 0)
 
     def test_rank_one_closed_form(self):
         rng = np.random.default_rng(4)
         u = rng.standard_normal(5)
         v = rng.standard_normal(3)
         m = np.outer(u, v)
-        assert np.allclose(row_projection(m), np.outer(v, v) / (v @ v), atol=1e-10)
-        assert np.allclose(col_projection(m), np.outer(u, u) / (u @ u), atol=1e-10)
+        f = compute_svd(m).kept()
+        assert np.allclose(f.row_projection(), np.outer(v, v) / (v @ v), atol=1e-10)
+        assert np.allclose(f.col_projection(), np.outer(u, u) / (u @ u), atol=1e-10)
 
     def test_idempotent_symmetric(self):
         rng = np.random.default_rng(5)
         m = random_matrix(rng, 6, 4, rank=2)
-        for proj in (row_projection(m), col_projection(m)):
+        f = compute_svd(m).kept()
+        for proj in (f.row_projection(), f.col_projection()):
             assert np.allclose(proj @ proj, proj, atol=1e-10)
             assert np.allclose(proj, proj.T, atol=1e-12)
 
@@ -111,24 +114,25 @@ class TestProjections:
         rng = np.random.default_rng(6)
         for _ in range(20):
             m = random_matrix(rng)
-            mp = pseudoinverse(m)
+            mp = compute_svd(m).kept().pinv()
             s = np.linalg.svd(m, compute_uv=False)
             for lam in [0.0, float(s.mean()), float(s[0] * 1.5)]:
-                t = svt(m, lam)
-                lhs = m @ row_projection(t) @ mp
+                t = compute_svd(svt(m, lam)).kept()
+                lhs = m @ t.row_projection() @ mp
                 scale = 1e-8 * (1 + np.linalg.norm(mp, "fro"))
-                assert np.linalg.norm(lhs - col_projection(t), "fro") <= scale
-                rhs = mp @ col_projection(t) @ m
-                assert np.linalg.norm(rhs - row_projection(t), "fro") <= scale
+                assert np.linalg.norm(lhs - t.col_projection(), "fro") <= scale
+                rhs = mp @ t.col_projection() @ m
+                assert np.linalg.norm(rhs - t.row_projection(), "fro") <= scale
 
     def test_projection_perturbation_bound(self):
         rng = np.random.default_rng(7)
         for _ in range(30):
             x = random_matrix(rng, rank=int(rng.integers(1, 3)))
             z = x + float(rng.choice([1e-3, 1e-1, 1.0])) * rng.standard_normal(x.shape)
-            lhs = spectral_norm(col_projection(z) - col_projection(x))
+            fx, fz = compute_svd(x).kept(), compute_svd(z).kept()
+            lhs = spectral_norm(fz.col_projection() - fx.col_projection())
             e = z - x
-            bound = max(spectral_norm(e @ pseudoinverse(x)), spectral_norm(e @ pseudoinverse(z)))
+            bound = max(spectral_norm(e @ fx.pinv()), spectral_norm(e @ fz.pinv()))
             assert lhs <= bound + 1e-10
 
 
@@ -175,8 +179,8 @@ class TestPinvPerturbation:
         z = x + 0.01 * rng.standard_normal((4, 4))
         scale = 1e-8 * (
             1
-            + np.linalg.norm(pseudoinverse(x), "fro")
-            + np.linalg.norm(pseudoinverse(z), "fro")
+            + np.linalg.norm(compute_svd(x).kept().pinv(), "fro")
+            + np.linalg.norm(compute_svd(z).kept().pinv(), "fro")
         )
         assert pinv_perturbation_residual(x, z) <= scale
 
@@ -186,8 +190,8 @@ class TestPinvPerturbation:
         z = rng.standard_normal((6, 4))
         scale = 1e-8 * (
             1
-            + np.linalg.norm(pseudoinverse(x), "fro")
-            + np.linalg.norm(pseudoinverse(z), "fro")
+            + np.linalg.norm(compute_svd(x).kept().pinv(), "fro")
+            + np.linalg.norm(compute_svd(z).kept().pinv(), "fro")
         )
         assert pinv_perturbation_residual(x, z) <= scale
 
