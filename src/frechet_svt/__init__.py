@@ -6,13 +6,7 @@ truncation of the covariate covariance to stabilize the weights under
 high dimension and covariate measurement error.
 """
 
-from .diagnostics import (
-    bias_term,
-    diagnose,
-    signal_floor,
-    snr_reciprocal,
-    weight_stability_check,
-)
+from .diagnostics import diagnose
 from .linalg import (
     SvdFactors,
     compute_svd,

@@ -124,7 +124,7 @@ def isotonic_project(values, grid_weights) -> np.ndarray:
     return np.repeat(means, counts)
 
 
-def _nearest_correlations(stack, tol: float, max_iter: int) -> np.ndarray:
+def _nearest_correlations(stack) -> np.ndarray:
     """Frobenius-nearest correlation matrix to each of a stack of matrices, by Dykstra's projections.
 
     Alternates between the PSD cone (eigenvalue clipping, with Dykstra's
@@ -132,8 +132,9 @@ def _nearest_correlations(stack, tol: float, max_iter: int) -> np.ndarray:
     stacked ``eigh`` and one stacked product over the matrices still
     moving; numpy makes the same LAPACK and BLAS call per matrix as for
     one matrix alone. A matrix stops on the step where its own
-    successive-iterate Frobenius change drops below ``tol``, so its
-    result does not depend on the rest of the stack.
+    successive-iterate Frobenius change drops below ``DYKSTRA_TOL``, so
+    its result does not depend on the rest of the stack; a matrix still
+    moving after ``DYKSTRA_MAX_ITER`` steps raises ``ConvergenceError``.
     """
     stack = np.asarray(stack, dtype=float)
     if not np.isfinite(stack).all():
@@ -143,7 +144,7 @@ def _nearest_correlations(stack, tol: float, max_iter: int) -> np.ndarray:
     live = np.arange(len(y))  # stack index of each matrix still moving, in order
     correction = np.zeros_like(y)
     diag = np.arange(y.shape[-1])
-    for _ in range(max_iter):
+    for _ in range(DYKSTRA_MAX_ITER):
         if not live.size:
             break
         r = y - correction
@@ -155,24 +156,24 @@ def _nearest_correlations(stack, tol: float, max_iter: int) -> np.ndarray:
         d = (x - y).reshape(len(x), 1, -1)
         delta = np.sqrt((d @ d.swapaxes(1, 2))[:, 0, 0])  # a dot per matrix, as np.linalg.norm(., "fro")
         y = x
-        done = delta < tol
+        done = delta < DYKSTRA_TOL
         if done.any():
             out[live[done]] = y[done]
             live, y, correction = live[~done], y[~done], correction[~done]
     if live.size:
         raise ConvergenceError(
-            f"nearest-correlation projection did not reach tol={tol} in {max_iter} iterations",
+            f"nearest-correlation projection did not reach tol={DYKSTRA_TOL} in {DYKSTRA_MAX_ITER} iterations",
             last_iterate=y[0].copy(),
         )
     return out
 
 
-def nearest_correlation(a, tol: float = DYKSTRA_TOL, max_iter: int = DYKSTRA_MAX_ITER) -> np.ndarray:
+def nearest_correlation(a) -> np.ndarray:
     """Frobenius-nearest correlation matrix to the square matrix ``a``; see ``_nearest_correlations``."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise ValueError(f"expected a nonempty square matrix, got shape {a.shape}")
-    return _nearest_correlations(a[None], tol, max_iter)[0]
+    return _nearest_correlations(a[None])[0]
 
 
 def _column_totals(weight_matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -466,8 +467,6 @@ class CorrelationSpace(MetricSpace):
 
     kind = "correlation"
     affine = True
-    tol = DYKSTRA_TOL
-    max_iter = DYKSTRA_MAX_ITER
 
     def __init__(self, size: int):
         if size < 1:
@@ -497,7 +496,7 @@ class CorrelationSpace(MetricSpace):
 
     def project_blends(self, blended) -> np.ndarray:
         """Nearest correlation matrix to each stacked blend, in one stacked Dykstra loop."""
-        return _nearest_correlations(blended, self.tol, self.max_iter)
+        return _nearest_correlations(blended)
 
 
 def space_from_kind(kind: str, *, quantile_points: int = 101, size: int | None = None) -> MetricSpace:

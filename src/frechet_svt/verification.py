@@ -6,7 +6,9 @@ instance, including rank-deficient ones; the perturbation and
 weight-stability bounds must never be violated. Instance ``i`` draws
 one matrix pair from ``default_rng([seed, i])`` and factors each matrix
 once for all the matrix checks; the weight-stability check draws from a
-fresh generator of the same seed. The fault-injection switch
+fresh generator of the same seed and reads ``diagnose``'s weight
+columns, and a query that leaves the row space fails it with an
+infinite margin. The fault-injection switch
 deliberately corrupts one identity so the harness can prove it would
 catch a regression.
 """
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import weight_stability_check
+from .diagnostics import diagnose
 from .linalg import (
     SvdFactors,
     compute_svd,
@@ -176,7 +178,10 @@ def _weight_stability_margin(rng) -> float:
     query = stats.mean + stats.centered.T @ coeff / n  # stays in the design row space
     worst = 0.0
     for lam in shared_gap_thresholds(stats, spectral_norm(noise)):
-        lhs, rhs = weight_stability_check(clean, noisy, lam, query)
+        cols = diagnose(clean, noisy, lam, query)
+        if not cols["rowspace_ok"]:
+            return np.inf  # the bound's precondition failed: a failure, never a skipped instance
+        lhs, rhs = cols["weight_lhs"], cols["weight_rhs"]
         worst = max(worst, (lhs - rhs) / (1.0 + rhs))
     return float(worst)
 

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from frechet_svt.diagnostics import diagnose, weight_stability_check
+from frechet_svt.diagnostics import diagnose
 from frechet_svt.linalg import spectral_norm
 from frechet_svt.metric_spaces import EuclideanSpace, WassersteinSpace
 from frechet_svt.regression import Dataset, covariate_stats, fit, pcr_coefficients
@@ -177,12 +177,11 @@ def test_criterion_5_denoising_and_weight_stability_bounds():
         data, noisy = Dataset(x, responses, space), Dataset(z, responses, space)
         for lam in lams[:2]:
             rep = diagnose(data, noisy, lam, query)
-            lhs, rhs = weight_stability_check(data, noisy, lam, query)
             if not rep["precondition_ok"]:
                 continue
             if rep["observed_lhs"] > rep["bound_rhs"] + 1e-12:
                 violations += 1
-            if lhs > rhs + 1e-12:
+            if rep["weight_lhs"] > rep["weight_rhs"] + 1e-12:
                 violations += 1
             instances += 1
     elapsed = time.time() - t0

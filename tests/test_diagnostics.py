@@ -2,16 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from frechet_svt.diagnostics import (
-    ROWSPACE_RTOL,
-    _seminorm,
-    bias_term,
-    diagnose,
-    rowspace_residual,
-    signal_floor,
-    snr_reciprocal,
-    weight_stability_check,
-)
+from frechet_svt import diagnostics
+from frechet_svt.diagnostics import ROWSPACE_RTOL, _seminorm, diagnose
 from frechet_svt.linalg import compute_svd, spectral_norm
 from frechet_svt.metric_spaces import EuclideanSpace, WassersteinSpace
 from frechet_svt.regression import Dataset, covariate_stats, fit, kept_rank
@@ -37,12 +29,35 @@ def noisy_twin(train, z):
     return Dataset(z, train.responses, train.space)
 
 
-def diag41_stats(mu=(0.0, 0.0)):
-    """Stats of a four-row design with mean ``mu`` and covariance exactly diag(4, 1)."""
+def columns(clean, noisy, lam, x=None):
+    """``diagnose``'s columns, at the clean design's mean unless a query ``x`` is given."""
+    return diagnose(clean, noisy, lam, clean.stats.mean if x is None else x)
+
+
+def b_lambda(x, lam, query):
+    """``diagnose``'s truncation bias of the design ``x`` (noiseless pair)."""
+    (train,) = designs(x)
+    return columns(train, train, lam, query)["b_lambda"]
+
+
+def weight_columns(clean, noisy, lam, query):
+    cols = columns(clean, noisy, lam, query)
+    return cols["weight_lhs"], cols["weight_rhs"]
+
+
+def rowspace_ok_at(rtol, clean, noisy, lam, query):
+    """``diagnose``'s row-space verdict with the residual tolerance set to ``rtol``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diagnostics, "ROWSPACE_RTOL", rtol)
+        return columns(clean, noisy, lam, query)["rowspace_ok"]
+
+
+def diag41_design(mu=(0.0, 0.0)):
+    """A four-row design with mean ``mu`` and covariance exactly diag(4, 1)."""
     u1 = np.array([1.0, -1.0, 0.0, 0.0]) / np.sqrt(2)
     u2 = np.array([0.0, 0.0, 1.0, -1.0]) / np.sqrt(2)
     x = 4.0 * np.outer(u1, [1.0, 0.0]) + 2.0 * np.outer(u2, [0.0, 1.0])
-    return covariate_stats(x + np.asarray(mu))
+    return x + np.asarray(mu)
 
 
 def spectral_design(rng, n, p, values):
@@ -68,33 +83,30 @@ def low_rank_pair(rng, n=30, p=10, rank=2, scale=1e-3):
 
 class TestBiasTerm:
     def test_zero_below_smallest_nonzero_eigenvalue(self):
-        stats = diag41_stats()
-        assert bias_term(stats, 0.5, [3.0, -2.0]) == 0.0
+        assert b_lambda(diag41_design(), 0.5, [3.0, -2.0]) == 0.0
 
     def test_zero_at_the_mean(self):
         mu = np.array([1.0, 2.0])
-        stats = diag41_stats(mu)
-        assert bias_term(stats, 2.0, mu) == 0.0
+        assert b_lambda(diag41_design(mu), 2.0, mu) == 0.0
 
     def test_diagonal_hand_computation(self):
         # truncated part is diag(0, 1): rank 1, seminorm of (1,1) equals 1
-        assert np.isclose(bias_term(diag41_stats(), 2.0, [1.0, 1.0]), 1.0)
+        assert np.isclose(b_lambda(diag41_design(), 2.0, [1.0, 1.0]), 1.0)
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(40)
         g = rng.standard_normal((6, 4))
         mu = rng.standard_normal(4)
         x = rng.standard_normal(4)
-        stats = covariate_stats(g + mu)
-        lams = np.linspace(0, stats.eigenvalues[0] * 1.2, 25)
-        vals = [bias_term(stats, lam, x) for lam in lams]
+        lams = np.linspace(0, covariate_stats(g + mu).eigenvalues[0] * 1.2, 25)
+        vals = [b_lambda(g + mu, lam, x) for lam in lams]
         assert all(b - a >= -1e-12 for a, b in zip(vals, vals[1:]))
 
 
 class TestSnrReciprocal:
     def test_noiseless(self):
         x, _ = crafted_design()
-        assert snr_reciprocal(*designs(x, x), 0.3) == 0.0
+        assert columns(*designs(x, x), 0.3)["snr_reciprocal"] == 0.0
 
     def test_hand_computed_ratio(self):
         x, z = crafted_design()
@@ -102,23 +114,24 @@ class TestSnrReciprocal:
         # estimator threshold 0.5 sits between the covariance eigenvalues
         # 4**2 / 4 and 1**2 / 4, so only the top singular value (4) is retained
         assert kept_rank(clean.stats, 0.5) == kept_rank(noisy.stats, 0.5) == 1
-        assert np.isclose(snr_reciprocal(clean, noisy, 0.5), 0.1 / 4.0, atol=1e-6)
+        assert np.isclose(columns(clean, noisy, 0.5)["snr_reciprocal"], 0.1 / 4.0, atol=1e-6)
 
     def test_infinite_floor_surfaced_separately(self):
         x, z = crafted_design()
-        assert signal_floor(*designs(x, z), 5.0) == np.inf
-        assert snr_reciprocal(*designs(x, z), 5.0) == 0.0
+        cols = columns(*designs(x, z), 5.0)
+        assert cols["signal_floor"] == np.inf
+        assert cols["snr_reciprocal"] == 0.0
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            snr_reciprocal(*designs(np.ones((3, 2)), np.ones((2, 2))), 0.0)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            columns(*designs(np.ones((3, 2)), np.ones((2, 2))), 0.0)
 
 
 class TestWeightStability:
     def test_noiseless_lhs_zero(self):
         rng = np.random.default_rng(41)
         x, _ = low_rank_pair(rng)
-        lhs, rhs = weight_stability_check(*designs(x, x), 0.2, rowspace_query(x, rng))
+        lhs, rhs = weight_columns(*designs(x, x), 0.2, rowspace_query(x, rng))
         assert lhs <= 1e-10
         assert rhs == 0.0
 
@@ -127,7 +140,7 @@ class TestWeightStability:
         x, z = low_rank_pair(rng)
         stats = covariate_stats(x)
         lam = 0.1
-        lhs, rhs = weight_stability_check(*designs(x, z), lam, stats.mean)
+        lhs, rhs = weight_columns(*designs(x, z), lam, stats.mean)
         n = x.shape[0]
         lam_sv = np.sqrt(n * lam)  # the covariance threshold on the design scale
         floor = min(
@@ -153,7 +166,7 @@ class TestWeightStability:
                 float(evals[0]) * 4,  # keeps nothing
             ]
             for lam in sweep:
-                lhs, rhs = weight_stability_check(*designs(x, z), lam, query)
+                lhs, rhs = weight_columns(*designs(x, z), lam, query)
                 assert lhs <= rhs + 1e-12
 
     def test_inequality_full_rank_at_zero_threshold(self):
@@ -161,15 +174,16 @@ class TestWeightStability:
         for _ in range(5):
             x = rng.standard_normal((25, 4))
             z = x + 1e-3 * rng.standard_normal((25, 4))
-            lhs, rhs = weight_stability_check(*designs(x, z), 0.0, rowspace_query(x, rng))
+            lhs, rhs = weight_columns(*designs(x, z), 0.0, rowspace_query(x, rng))
             assert lhs <= rhs + 1e-12
 
     def test_rowspace_precondition_enforced(self):
         rng = np.random.default_rng(44)
         x, z = low_rank_pair(rng, n=10, p=6, rank=2)
         outside = covariate_stats(x).mean + rng.standard_normal(6)
-        with pytest.raises(ValueError):
-            weight_stability_check(*designs(x, z), 0.1, outside)
+        cols = columns(*designs(x, z), 0.1, outside)
+        assert not cols["rowspace_ok"]
+        assert np.isnan(cols["weight_lhs"]) and np.isnan(cols["weight_rhs"])
 
 
 class TestDenoisingBound:
@@ -230,9 +244,18 @@ class TestDenoisingBound:
         report = diagnose(train, noisy_twin(train, z), 0.1, covariate_stats(x).mean + rng.standard_normal(6))
         assert not report["precondition_ok"]
 
+    def test_noisy_responses_must_be_the_clean_ones(self):
+        # other responses would give finite observed_lhs/bound_rhs values that bound nothing
+        rng = np.random.default_rng(50)
+        x, z = low_rank_pair(rng)
+        y = x @ rng.standard_normal(10)
+        train = Dataset(x, y, EuclideanSpace())
+        with pytest.raises(ValueError, match="same responses"):
+            diagnose(train, Dataset(z, y + 1.0, train.space), 0.1, rowspace_query(x, rng))
+
 
 class TestDiagnose:
-    """``diagnose``'s columns are its pieces, bit for bit."""
+    """``diagnose``'s columns are their formulas over the two fits, bit for bit."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -266,17 +289,28 @@ class TestDiagnose:
             "b_lambda", "snr_reciprocal", "noise_norm", "signal_floor", "rowspace_ok",
             "precondition_ok", "bound_rhs", "observed_lhs", "weight_lhs", "weight_rhs",
         ]
-        assert cols["b_lambda"] == bias_term(stats, lam, query)
-        assert cols["snr_reciprocal"] == snr_reciprocal(clean, noisy, lam)
-        assert cols["noise_norm"] == spectral_norm(z - x)
-        assert cols["signal_floor"] == signal_floor(clean, noisy, lam)
-        in_rowspace = rowspace_residual(stats, query - stats.mean) <= ROWSPACE_RTOL
+        clean_fit, noisy_fit = fit(clean, lam), fit(noisy, lam)
+        v = query - stats.mean
+        nonzero, kept = int(kept_rank(stats, 0)), clean_fit.rank
+        assert kept == kept_rank(stats, lam)
+        bias = 0.0 if kept >= nonzero else np.sqrt(nonzero - kept) * _seminorm(stats, v, kept, nonzero)
+        assert cols["b_lambda"] == bias
+        noise = spectral_norm(z - x)
+        assert cols["noise_norm"] == noise
+        floor = min([np.inf] + [m.stats.centered_svd.values[m.rank - 1] for m in (clean_fit, noisy_fit) if m.rank])
+        assert cols["signal_floor"] == floor
+        assert cols["snr_reciprocal"] == (0.0 if np.isinf(floor) else noise / floor)
+        basis = stats.centered_svd.right_t[:nonzero]
+        in_rowspace = float(np.linalg.norm(v - basis.T @ (basis @ v)) / np.linalg.norm(v)) <= ROWSPACE_RTOL
         assert in_rowspace or not (inside or full_rank)
         assert cols["rowspace_ok"] is cols["precondition_ok"] is in_rowspace
-        clean_pred, noisy_pred = fit(clean, lam).predict(query), fit(noisy, lam).predict(query)
+        clean_pred, noisy_pred = clean_fit.predict(query), noisy_fit.predict(query)
         assert cols["observed_lhs"] == space.distance(noisy_pred, clean_pred)
         if in_rowspace:
-            assert (cols["weight_lhs"], cols["weight_rhs"]) == weight_stability_check(clean, noisy, lam, query)
+            gap = noisy_fit.weight_matrix(query)[:, 0] - clean_fit.weight_matrix(query)[:, 0]
+            assert cols["weight_lhs"] == np.linalg.norm(gap)
+            maha = _seminorm(stats, v, 0, nonzero)
+            assert cols["weight_rhs"] == np.sqrt(n) * cols["snr_reciprocal"] * (2.0 * maha + 1.0)
         else:
             assert np.isnan(cols["weight_lhs"]) and np.isnan(cols["weight_rhs"])
 
@@ -307,10 +341,11 @@ class TestRowspaceResidual:
     def test_zero_for_rowspace_vectors(self):
         rng = np.random.default_rng(52)
         x, _ = low_rank_pair(rng)
-        stats = covariate_stats(x)
+        (train,) = designs(x)
+        stats = train.stats
         v = stats.centered.T @ rng.standard_normal(30)
-        assert rowspace_residual(stats, v) <= 1e-10
-        assert rowspace_residual(stats, np.zeros(10)) == 0.0
+        assert rowspace_ok_at(1e-10, train, train, 0.0, stats.mean + v)
+        assert rowspace_ok_at(0.0, train, train, 0.0, stats.mean)
 
 
 class TestStatsRouteMatchesOracles:
@@ -338,17 +373,21 @@ class TestStatsRouteMatchesOracles:
         v = query - stats.mean
         cov = brute_covariance(x)
 
+        cols = columns(clean, noisy, lam, query)
         lam_sv = np.sqrt(n * lam)
         floor = min(sigma_lambda(stats.centered, lam_sv), sigma_lambda(noisy.stats.centered, lam_sv))
-        np.testing.assert_allclose(signal_floor(clean, noisy, lam), floor, rtol=1e-10)
+        np.testing.assert_allclose(cols["signal_floor"], floor, rtol=1e-10)
         np.testing.assert_allclose(
             _seminorm(stats, v, 0, int(kept_rank(stats, 0))), mahalanobis_seminorm(v, cov), rtol=1e-10
         )
         np.testing.assert_allclose(
-            bias_term(stats, lam, query), bias_term_reference(cov, stats.mean, lam, query), rtol=1e-10
+            cols["b_lambda"], bias_term_reference(cov, stats.mean, lam, query), rtol=1e-10
         )
         resid = np.linalg.norm(v - compute_svd(stats.centered).kept().row_projection() @ v) / np.linalg.norm(v)
-        np.testing.assert_allclose(rowspace_residual(stats, v), resid, rtol=1e-10, atol=1e-12)
+        # diagnose's residual lies within assert_allclose(rtol=1e-10, atol=1e-12) of resid
+        tol = 1e-12 + 1e-10 * resid
+        assert rowspace_ok_at(resid + tol, clean, noisy, lam, query)
+        assert not rowspace_ok_at(resid - tol, clean, noisy, lam, query)
 
     def test_floor_is_smallest_singular_value_the_fit_keeps(self):
         # 2.7e-9 is above the former cut 1e-12 * 8.19 but its eigenvalue
@@ -359,5 +398,6 @@ class TestStatsRouteMatchesOracles:
         clean, noisy = designs(x, x + 0.01 * np.outer(f.left[:, 0], f.right_t[0]))
         assert kept_rank(clean.stats, 0.0) == kept_rank(noisy.stats, 0.0) == 3
         assert sigma_lambda(clean.stats.centered, 0.0) == pytest.approx(2.7e-9, rel=1e-3)
-        assert signal_floor(clean, noisy, 0.0) == pytest.approx(3.95, rel=1e-10)
-        assert snr_reciprocal(clean, noisy, 0.0) == pytest.approx(0.01 / 3.95, rel=1e-8)
+        cols = columns(clean, noisy, 0.0)
+        assert cols["signal_floor"] == pytest.approx(3.95, rel=1e-10)
+        assert cols["snr_reciprocal"] == pytest.approx(0.01 / 3.95, rel=1e-8)

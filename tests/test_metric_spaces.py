@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import ndtri
 
+from frechet_svt import metric_spaces
 from frechet_svt.metric_spaces import (
     ConvergenceError,
     CorrelationSpace,
@@ -189,16 +190,20 @@ class TestNearestCorrelation:
         assert np.linalg.eigvalsh((crude + crude.T) / 2)[0] >= -1e-8
         assert np.linalg.norm(out - a, "fro") <= np.linalg.norm(crude - a, "fro") + 1e-8
 
-    def test_nonconvergence_carries_last_iterate(self):
+    def test_nonconvergence_carries_last_iterate(self, monkeypatch):
         a = np.array([[1.0, 2.0], [2.0, 1.0]])
+        monkeypatch.setattr(metric_spaces, "DYKSTRA_TOL", 1e-16)
+        monkeypatch.setattr(metric_spaces, "DYKSTRA_MAX_ITER", 3)
         with pytest.raises(ConvergenceError) as err:
-            nearest_correlation(a, tol=1e-16, max_iter=3)
+            nearest_correlation(a)
         assert err.value.last_iterate.shape == (2, 2)
 
-    def test_convergence_error_survives_pickling(self):
+    def test_convergence_error_survives_pickling(self, monkeypatch):
         a = np.array([[1.0, 2.0], [2.0, 1.0]])
+        monkeypatch.setattr(metric_spaces, "DYKSTRA_TOL", 1e-16)
+        monkeypatch.setattr(metric_spaces, "DYKSTRA_MAX_ITER", 3)
         with pytest.raises(ConvergenceError) as err:
-            nearest_correlation(a, tol=1e-16, max_iter=3)
+            nearest_correlation(a)
         back = pickle.loads(pickle.dumps(err.value))
         assert type(back) is ConvergenceError
         assert str(back) == str(err.value)
@@ -248,7 +253,7 @@ class TestStackedDykstra:
         with pytest.raises(ConvergenceError) as loop:
             for a in stack:
                 nearest_correlation_reference(a, max_iter=3)
-        monkeypatch.setattr(CorrelationSpace, "max_iter", 3)
+        monkeypatch.setattr(metric_spaces, "DYKSTRA_MAX_ITER", 3)
         with pytest.raises(ConvergenceError) as stacked:
             CorrelationSpace(3).project_blends(stack.copy())
         assert str(stacked.value) == str(loop.value)

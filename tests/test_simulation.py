@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import gammaln, ndtri
 
+from frechet_svt import metric_spaces
 from frechet_svt.linalg import compute_svd
 from frechet_svt.metric_spaces import (
     ConvergenceError,
@@ -869,7 +870,7 @@ class TestRankPathSweep:
 
     def test_dykstra_failure_propagates(self, monkeypatch):
         train, test = _sweep_instance("correlation", 5, 2, 4, 4)
-        monkeypatch.setattr(CorrelationSpace, "max_iter", 1)
+        monkeypatch.setattr(metric_spaces, "DYKSTRA_MAX_ITER", 1)
         with pytest.raises(ConvergenceError):
             mspe_profile(train, test, [0.0])
 

@@ -1,6 +1,6 @@
 import numpy as np
 
-from frechet_svt import verification
+from frechet_svt import cli, diagnostics, verification
 from frechet_svt.linalg import compute_svd, pinv_perturbation_residual
 from frechet_svt.verification import run_suite
 
@@ -44,3 +44,15 @@ def test_failing_seed_is_first_worst_instance():
     others = [r for r in results if r is not faulty[0]]
     assert len(others) == 5
     assert all(r.passed and r.failing_seed is None for r in others)
+
+
+def test_rowspace_failure_is_a_failure_not_a_traceback(monkeypatch, capsys):
+    # No residual is below a negative tolerance, so every query leaves the row space.
+    monkeypatch.setattr(diagnostics, "ROWSPACE_RTOL", -1.0)
+    results = run_suite(seed=0, instances=5)
+    weight = [r for r in results if r.name == "weight stability bound"]
+    assert len(weight) == 1 and not weight[0].passed
+    assert weight[0].worst == np.inf and weight[0].failing_seed is not None
+    assert all(r.passed for r in results if r is not weight[0])
+    assert cli.main(["verify-lemmas", "--instances", "5"]) == 4
+    assert "FAIL  weight stability bound" in capsys.readouterr().out
