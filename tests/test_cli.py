@@ -1,4 +1,6 @@
 import csv
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -499,6 +501,33 @@ def run_python(*args, **env):
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
 
 
+class TestWorkerCount:
+    def test_default_counts_the_cores_this_process_may_run_on(self, monkeypatch):
+        import frechet_svt.cli as cli
+
+        monkeypatch.delenv(cli.THREADS_ENV, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        assert cli._worker_count() == 2
+
+    def test_default_falls_back_to_cpu_count_without_affinity(self, monkeypatch):
+        import frechet_svt.cli as cli
+
+        monkeypatch.delenv(cli.THREADS_ENV, raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert cli._worker_count() == 8
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._worker_count() == 1
+
+    def test_environment_overrides_the_default(self, monkeypatch):
+        import frechet_svt.cli as cli
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        monkeypatch.setenv(cli.THREADS_ENV, "5")
+        assert cli._worker_count() == 5
+
+
 # A desk-scale design (n = 100, p = 150) whose tables, before the program
 # set BLAS to one thread itself, changed with OPENBLAS_NUM_THREADS.
 BLAS_SENSITIVE_CONFIG = """\
@@ -569,6 +598,52 @@ class TestColdStart:
         done = run_python("-c", code, FRECHET_SVT_THREADS="1")
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[0, 0] []"
+
+    @staticmethod
+    def run_commands_and_probe(tmp_path, name, preload_hashlib):
+        """simulate (smoke, two workers) and verify-lemmas through one fresh ``main``; the probe as a dict."""
+        calls = [
+            ["simulate", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / name)],
+            ["verify-lemmas", "--instances", "3"],
+        ]
+        code = (
+            ("import hashlib\n" if preload_hashlib else "")
+            + "import json, sys\n"
+            "from frechet_svt.cli import main\n"
+            "eager = 'numpy.random' in sys.modules\n"
+            f"codes = [main(argv) for argv in {calls!r}]\n"
+            "with open('/proc/self/maps') as fh:\n"
+            "    libcrypto = 'libcrypto' in fh.read()\n"
+            "import hashlib\n"
+            "print(json.dumps({'eager': eager, 'codes': codes, 'libcrypto': libcrypto,\n"
+            "                  'blocked': sys.modules.get('_hashlib', False) is None,\n"
+            "                  'sha256': hashlib.sha256(b'abc').hexdigest()}))\n"
+        )
+        done = run_python("-c", code, FRECHET_SVT_THREADS="2")
+        assert done.returncode == 0, done.stderr
+        probe = json.loads(done.stdout.splitlines()[-1])
+        assert probe["codes"] == [0, 0]
+        probe["tables"] = [(tmp_path / name / t).read_bytes() for t in ("results.csv", "profile.csv")]
+        return probe
+
+    @pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc/self/maps")
+    def test_commands_keep_openssl_out_of_the_process(self, tmp_path):
+        if importlib.util.find_spec("_hashlib") is None:
+            pytest.skip("this Python has no OpenSSL module")
+        # Control: an interpreter that imported hashlib before main keeps OpenSSL.
+        kept = self.run_commands_and_probe(tmp_path, "kept", preload_hashlib=True)
+        if not kept["libcrypto"]:
+            pytest.skip("this Python maps no libcrypto library even with hashlib loaded")
+        assert not kept["blocked"]
+        fresh = self.run_commands_and_probe(tmp_path, "fresh", preload_hashlib=False)
+        if fresh["eager"]:
+            pytest.skip("numpy loaded numpy.random at import, before main could block OpenSSL")
+        assert fresh["blocked"]
+        assert not fresh["libcrypto"]
+        # The built-in digests give the standard answers, and the tables do not change.
+        sha256_abc = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        assert fresh["sha256"] == kept["sha256"] == sha256_abc
+        assert fresh["tables"] == kept["tables"]
 
     def test_version_exits_0(self):
         done = run_python("-m", "frechet_svt", "--version")

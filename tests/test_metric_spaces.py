@@ -151,6 +151,47 @@ class TestIsotonicProjection:
         assert dist(pa, pb) <= dist(a, b) + 1e-10
 
 
+class TestWassersteinBlendProjection:
+    def test_projects_exactly_the_rows_with_a_negative_step(self, monkeypatch):
+        # The reference rule is np.diff(row) < 0 somewhere; project_blends,
+        # which compares neighbours, must send exactly those rows to PAVA.
+        rng = np.random.default_rng(21)
+        tiny, big, inf, nan = 5e-324, 1e308, np.inf, np.nan
+        special = [
+            [1.0, 1.0, 1.0, 1.0],
+            [0.0, -0.0, 0.0, -0.0],
+            [-0.0, 0.0, 0.0, 1.0],
+            [0.0, tiny, 2 * tiny, 2 * tiny],
+            [0.0, tiny, 0.0, tiny],
+            [-tiny, -2 * tiny, 0.0, 1.0],
+            [-big, big, big, big],
+            [big, -big, 0.0, 1.0],
+            [-inf, 0.0, inf, inf],
+            [inf, inf, inf, inf],
+            [-inf, -inf, 0.0, -inf],
+            [inf, 0.0, 1.0, 2.0],
+            [nan, 0.0, 1.0, 2.0],
+            [0.0, nan, -1.0, 2.0],
+            [2.0, 1.0, nan, nan],
+            [nan, nan, nan, nan],
+        ]
+        random_rows = rng.standard_normal((40, 4))
+        random_rows[::3] = np.sort(random_rows[::3], axis=1)
+        ties = np.round(rng.standard_normal((40, 4)))
+        ties[::2] = np.sort(ties[::2], axis=1)
+        blends = np.vstack([special, random_rows, ties])
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = np.any(np.diff(blends, axis=1) < 0.0, axis=1)
+        assert expected.any() and not expected.all()
+
+        marker = np.pi  # no test row is all pi
+        monkeypatch.setattr(metric_spaces, "isotonic_project", lambda row, w: np.full_like(row, marker))
+        with np.errstate(all="raise"):
+            out = WassersteinSpace.with_uniform_grid(4).project_blends(blends.copy())
+        assert np.array_equal(np.all(out == marker, axis=1), expected)
+        assert np.array_equal(out[~expected], blends[~expected], equal_nan=True)
+
+
 class TestNearestCorrelation:
     def test_valid_input_unmoved(self):
         a = np.array([[1.0, 0.4, 0.1], [0.4, 1.0, -0.2], [0.1, -0.2, 1.0]])
