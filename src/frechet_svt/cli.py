@@ -6,7 +6,8 @@ points, ``diagnose`` evaluates the error-bound quantities for a
 clean/noisy covariate pair, and ``verify-lemmas`` stress-tests the
 matrix identities on random instances.
 
-Exit codes: 0 success, 2 config or schema error, 3 solver failure (also
+Exit codes: 0 success, 2 config or schema error or an output file that
+cannot be written (files written before it stay), 3 solver failure (also
 a worker process that died, a covariance that overflows, an overflow
 inside a ``simulate`` trial or its cell aggregation, the ``fit-predict``
 tuning, fit and prediction or the ``diagnose`` numerics, or a
@@ -327,6 +328,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, SchemaError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_CONFIG
+    except OSError as exc:  # an output file that cannot be written; its message names the path
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
     # Python evaluates this tuple only when an exception reaches it.

@@ -25,29 +25,30 @@ from .metric_spaces import DegenerateWeightsError, EuclideanSpace, MetricSpace
 
 @dataclass(frozen=True)
 class CovariateStats:
-    """Sample mean, the row-centered design, and its one thin SVD.
+    """Sample mean and the one thin SVD of the row-centered design.
 
-    With ``centered = U diag(s) Vt`` the covariance is
+    With ``x - mean = U diag(s) Vt`` the covariance is
     ``Vt' diag(s**2 / n) Vt``: its eigenvalues are ``s**2 / n`` and its
     eigenvectors the rows of ``Vt``, so no separate eigendecomposition is
     needed. Hard truncation at any threshold keeps a prefix of these
     components (``kept_rank``), which is what lets a threshold sweep walk
     the rank path instead of refitting at every threshold.
     ``eigenvalues`` holds ``s**2 / n``, descending, zero-padded to length p.
+    The centered design itself is not kept: one copy of each design lives
+    in its ``Dataset``.
     """
 
     mean: np.ndarray
-    centered: np.ndarray
     centered_svd: SvdFactors
     eigenvalues: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.centered.shape[0]
+        return self.centered_svd.left.shape[0]
 
     @property
     def p(self) -> int:
-        return self.centered.shape[1]
+        return self.centered_svd.right_t.shape[1]
 
 
 def covariate_stats(x) -> CovariateStats:
@@ -70,7 +71,7 @@ def covariate_stats(x) -> CovariateStats:
         ev[: svd.values.size] = svd.values * svd.values / n
     if not np.isfinite(ev[0]):
         raise FloatingPointError(f"the covariance eigenvalues overflow (top singular value {svd.values[0]:.3g})")
-    return CovariateStats(mean=mean, centered=centered, centered_svd=svd, eigenvalues=ev)
+    return CovariateStats(mean=mean, centered_svd=svd, eigenvalues=ev)
 
 
 def kept_rank(stats: CovariateStats, lam):

@@ -237,7 +237,11 @@ def expected_tau(shape: float, scale: float) -> float:
     """Mean of tau where tau^2 is inverse-gamma: sqrt(s2) G(s1-1/2)/G(s1)."""
     if shape <= 0.5:
         raise ValueError("shape must exceed 1/2")
-    return math.exp(0.5 * math.log(scale) + math.lgamma(shape - 0.5) - math.lgamma(shape))
+    if shape < 1e4:
+        return math.exp(0.5 * math.log(scale) + math.lgamma(shape - 0.5) - math.lgamma(shape))
+    # Past 1e4 the lgamma difference loses digits (and lgamma overflows near
+    # 1.7e308); the ratio's series s^(-1/2) (1 + 3/(8s) + 25/(128s^2)) holds to rounding.
+    return math.exp(0.5 * math.log(scale) - 0.5 * math.log(shape) + math.log1p((0.375 + 25 / 128 / shape) / shape))
 
 
 def draw_tau_squared(shape: float, scale: float, size: int, rng) -> np.ndarray:
@@ -337,36 +341,13 @@ def mspe_profile(train_noisy: Dataset, test: Dataset, grid) -> np.ndarray:
     return errors[np.searchsorted(distinct, ranks)]
 
 
-def _tune(train_noisy: Dataset, test: Dataset, grid, profile_grid=None):
-    """One ``mspe_profile`` sweep over the sorted tuning grid and ``profile_grid``.
-
-    Returns the tuned threshold (the first minimizer on the sorted grid,
-    so ties pick the smallest), the tuning-grid errors, and the errors on
-    ``profile_grid`` (None without one).
-    """
-    grid = np.sort(np.asarray(grid, dtype=float).ravel())
-    sweep = grid if profile_grid is None else np.concatenate([grid, profile_grid])
-    curves = mspe_profile(train_noisy, test, sweep)
-    profile = curves[: grid.size]
-    extra = None if profile_grid is None else curves[grid.size :]
-    return float(grid[int(np.argmin(profile))]), profile, extra
-
-
 def tune_lambda(train_noisy: Dataset, test: Dataset, grid) -> float:
     """Threshold minimizing the out-of-sample error; ties pick the smallest."""
-    return _tune(train_noisy, test, grid)[0]
+    grid = np.sort(np.asarray(grid, dtype=float).ravel())
+    return float(grid[int(np.argmin(mspe_profile(train_noisy, test, grid)))])
 
 
-def evaluate_trial(
-    train: Dataset,
-    train_noisy: Dataset,
-    test: Dataset,
-    grid,
-    index: int = 0,
-    *,
-    eval_x=None,
-    profile_grid=None,
-):
+def evaluate_trial(train: Dataset, train_noisy: Dataset, test: Dataset, grid, eval_x, profile_grid, index: int = 0):
     """Fit REF, EIV, and tuned SVT, reporting training and test errors.
 
     ``train`` and ``train_noisy`` must hold the same responses, on the
@@ -374,19 +355,24 @@ def evaluate_trial(
     a mismatch raises ``ValueError``. In-sample errors are measured at the
     clean training covariates for every estimator (the noisy fits act as
     predictors of the responses at the true covariates); test covariates
-    are noiseless too. Every prediction goes through one
-    ``rank_predictions`` call on the shared responses.
+    are noiseless too. One ``mspe_profile`` sweep covers the sorted
+    tuning grid and ``profile_grid``; the tuned threshold is the first
+    minimizer on the tuning part, so ties pick the smallest. Every other
+    prediction goes through one ``rank_predictions`` call on the shared
+    responses.
 
-    Returns ``(report, eval_preds, profile_part)``. ``eval_preds`` maps
-    each estimator to its predictions at ``eval_x`` (None without
-    ``eval_x``). ``profile_part`` holds the SVT errors on
-    ``profile_grid`` and the test error of the unweighted mean of the
-    training responses (None without ``profile_grid``); the same sweep
-    serves the tuning grid and the profile grid.
+    Returns ``(report, eval_preds, (svt_curve, null_error))``:
+    ``eval_preds`` maps each estimator to its predictions at ``eval_x``,
+    ``svt_curve`` holds the SVT test errors on ``profile_grid``, and
+    ``null_error`` is the test error of the unweighted mean of the
+    training responses.
     """
     if not np.array_equal(train.responses, train_noisy.responses):
         raise ValueError("the clean and the noisy training sets must hold the same responses")
-    lam_hat, profile, curves = _tune(train_noisy, test, grid, profile_grid)
+    grid = np.sort(np.asarray(grid, dtype=float).ravel())
+    curves = mspe_profile(train_noisy, test, np.concatenate([grid, profile_grid]))
+    tuning = curves[: grid.size]
+    lam_hat = float(grid[int(np.argmin(tuning))])
     models = {
         "REF": fit(train, 0.0),
         "EIV": fit(train_noisy, 0.0),
@@ -397,12 +383,10 @@ def evaluate_trial(
     # each estimator, test for REF and EIV, eval, then the null model.
     asks = [(m, train.covariates) for m in models.values()]
     asks += [(models[est], test.covariates) for est in ("REF", "EIV")]
-    if eval_x is not None:
-        asks += [(m, eval_x) for m in models.values()]
+    asks += [(m, eval_x) for m in models.values()]
     asks = [(m.stats, check_queries(m.stats, q), [m.rank]) for m, q in asks]
-    if profile_grid is not None:
-        # Rank 0 weighs every training response by one: the null model.
-        asks.append((train.stats, train.stats.mean[None], [0]))
+    # Rank 0 weighs every training response by one: the null model.
+    asks.append((train.stats, train.stats.mean[None], [0]))
     preds = rank_predictions(space, train.responses, asks)
 
     def next_error(responses) -> float:
@@ -410,13 +394,10 @@ def evaluate_trial(
 
     mse = {est: next_error(train.responses) for est in ESTIMATORS}
     mspe = {est: next_error(test.responses) for est in ("REF", "EIV")}
-    mspe["SVT"] = float(profile.min())  # the SVT fit's test error is the sweep's minimum
+    mspe["SVT"] = float(tuning.min())  # the SVT fit's test error is the sweep's minimum
     report = TrialReport(index=index, mse=mse, mspe=mspe, lambda_hat=lam_hat)
-    eval_preds = None if eval_x is None else {est: next(preds) for est in ESTIMATORS}
-    profile_part = None
-    if profile_grid is not None:
-        profile_part = (curves, next_error(test.responses))
-    return report, eval_preds, profile_part
+    eval_preds = {est: next(preds) for est in ESTIMATORS}
+    return report, eval_preds, (curves[grid.size :], next_error(test.responses))
 
 
 def aggregate(trial_reports, eval_predictions, truths, space: MetricSpace) -> AggregateReport:
@@ -554,8 +535,7 @@ def _run_trial(args):
             noisy = Dataset(z, y, space)
             grid = lambda_grid(noisy.stats.eigenvalues[0], config.p, config.n, config.lambda_points)
             return evaluate_trial(
-                Dataset(x, y, space), noisy, Dataset(x_new, y_new, space), grid, b,
-                eval_x=eval_x, profile_grid=profile_grid,
+                Dataset(x, y, space), noisy, Dataset(x_new, y_new, space), grid, eval_x, profile_grid, b
             )
     except (ConvergenceError, DegenerateWeightsError, FloatingPointError) as exc:
         raise TrialFailure(b, exc) from exc
@@ -580,6 +560,8 @@ def _pooled_trial(b: int):
 def run_cell(config: SimConfig, workers: int = 1) -> CellResult:
     """Run every trial of one study cell and aggregate the results.
 
+    Every trial predicts at the cell's evaluation points and sweeps the
+    cell's profile grid with its own tuning grid (``evaluate_trial``).
     Trials are independent given their derived seeds, so they can run in
     worker processes. Each worker receives the cell's fixtures once, from
     the pool initializer, which also sets its BLAS to one thread, and

@@ -175,7 +175,7 @@ def _weight_stability_margin(rng) -> float:
     clean, noisy = (Dataset(m, np.zeros(n), EuclideanSpace()) for m in (x, x + noise))
     stats = clean.stats
     coeff = rng.standard_normal(n)
-    query = stats.mean + stats.centered.T @ coeff / n  # stays in the design row space
+    query = stats.mean + (x - stats.mean).T @ coeff / n  # stays in the design row space
     worst = 0.0
     for lam in shared_gap_thresholds(stats, spectral_norm(noise)):
         cols = diagnose(clean, noisy, lam, query)

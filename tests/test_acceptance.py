@@ -164,7 +164,7 @@ def test_criterion_5_denoising_and_weight_stability_bounds():
         lams = shared_gap_thresholds(stats, spectral_norm(noise))
         if not lams:
             continue
-        query = stats.mean + stats.centered.T @ rng.standard_normal(n) / n
+        query = stats.mean + (x - stats.mean).T @ rng.standard_normal(n) / n
         if euclid:
             space = EuclideanSpace()
             responses = x @ rng.standard_normal(p) + 0.2 * rng.standard_normal(n)

@@ -651,6 +651,27 @@ class TestColdStart:
         assert done.stdout.strip() == frechet_svt.__version__
 
 
+_EXTREMES = [sign * v for sign in (1.0, -1.0) for v in (0.0, 5e-324, 1e-300, 1e-8, 1.0, 1e8, 1e150, 1e300, 1.7e308)]
+# The campaign floats, each with the values a config accepts for it.
+_CAMPAIGN_FLOATS = {
+    "sigma_eps": lambda v: v >= 0,
+    "sigma_eta": lambda v: v >= 0,
+    "alpha_intercept": lambda v: True,
+    "ig_shape": lambda v: v > 2,
+    "ig_scale": lambda v: v > 0,
+    "condition_number": lambda v: v > 1,
+}
+_CAMPAIGN_FLOAT_DRAWS = st.one_of(
+    # Any extreme value for every field: nearly every draw is a config error ...
+    st.fixed_dictionaries({name: st.sampled_from(_EXTREMES) for name in _CAMPAIGN_FLOATS}),
+    # ... so as many draws take only accepted values, and reach the trials.
+    st.fixed_dictionaries(
+        {name: st.sampled_from([v for v in _EXTREMES if ok(v)]) for name, ok in _CAMPAIGN_FLOATS.items()}
+    ),
+)
+_CAMPAIGN_MODELS = ["model = wasserstein", *(f"model = linear\nmetric = {m}" for m in ("euclidean", "l1", "linf"))]
+
+
 class TestSolverExitCode:
     def test_broken_process_pool_exits_3(self, tmp_path, capsys, monkeypatch):
         import frechet_svt.cli as cli
@@ -802,6 +823,44 @@ class TestSolverExitCode:
             assert preds.shape == (4, 2) and np.all(np.isfinite(preds))
         else:
             assert not (out / "predictions.csv").exists()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        floats=_CAMPAIGN_FLOAT_DRAWS,
+        model=st.sampled_from(_CAMPAIGN_MODELS),
+    )
+    # The truth's mean scale once overflowed lgamma here: a traceback and exit 1.
+    @example(
+        floats={"sigma_eps": 1e-300, "sigma_eta": 1.0, "alpha_intercept": 1.0,
+                "ig_shape": 1.7e308, "ig_scale": 1.7e308, "condition_number": 1e8},
+        model="model = wasserstein",
+    )
+    def test_simulate_on_extreme_campaign_floats_exits_cleanly(self, tmp_path_factory, floats, model):
+        # Finite campaign floats of any magnitude either give tables of
+        # finite values or exit with a documented code, writing no table and
+        # no warning.
+        tmp_path = tmp_path_factory.mktemp("extreme-sim")
+        lines = [f"{name} = {value!r}" for name, value in floats.items()]
+        cfg = write_config(tmp_path, "\n".join([
+            "[campaign]", "master_seed = 0", "trials = 2", "test_size = 3", "eval_points = 2",
+            "quantile_points = 5", "lambda_points = 2", *lines, "[cell:c]", "n = 6", "p = 3", model, "",
+        ]))
+        out = tmp_path / "o"
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            mp.setenv("FRECHET_SVT_THREADS", "1")
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        assert code in (0, 2, 3)
+        tables = [out / "results.csv", out / "profile.csv"]
+        if code == 0:
+            for table in tables:
+                with open(table, newline="") as fh:
+                    for row in csv.DictReader(fh):
+                        for column, value in row.items():
+                            if column not in ("noise_kind", "estimator", "cell"):
+                                assert np.isfinite(float(value)), (table.name, column, value)
+        else:
+            assert not any(table.exists() for table in tables)
 
 
 class TestDiagnoseCommand:
@@ -960,6 +1019,22 @@ class TestUnusablePaths:
         assert f"error: --out {str(out)!r} is not a usable directory" in captured.err
         assert captured.out == ""  # every command prints only after it computes
         assert blocker.read_text() == "keep\n"
+
+    @pytest.mark.parametrize("command, blocked, kept", [
+        ("simulate", "manifest.txt", []),
+        ("simulate", "profile.csv", ["manifest.txt", "results.csv"]),
+        ("fit-predict", "predictions.csv", ["manifest.txt"]),
+    ])
+    def test_output_file_that_cannot_be_written_exits_2(self, tmp_path, command, blocked, kept):
+        # A directory in the place of an output file; this once ended in an
+        # IsADirectoryError traceback with exit 1.
+        out = tmp_path / "o"
+        (out / blocked).mkdir(parents=True)
+        done = run_python("-m", "frechet_svt", *self.argv(tmp_path, command, out=out), FRECHET_SVT_THREADS="1")
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error: ") and str(out / blocked) in done.stderr, done.stderr
+        assert "Traceback" not in done.stderr
+        assert sorted(f.name for f in out.iterdir() if f.is_file()) == kept
 
 
 class TestVerifyCommand:

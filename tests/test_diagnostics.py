@@ -72,7 +72,7 @@ def spectral_design(rng, n, p, values):
 
 def rowspace_query(x, rng):
     stats = covariate_stats(x)
-    return stats.mean + stats.centered.T @ rng.standard_normal(x.shape[0]) / x.shape[0]
+    return stats.mean + (x - stats.mean).T @ rng.standard_normal(x.shape[0]) / x.shape[0]
 
 
 def low_rank_pair(rng, n=30, p=10, rank=2, scale=1e-3):
@@ -144,8 +144,8 @@ class TestWeightStability:
         n = x.shape[0]
         lam_sv = np.sqrt(n * lam)  # the covariance threshold on the design scale
         floor = min(
-            sigma_lambda(stats.centered, lam_sv),
-            sigma_lambda(covariate_stats(z).centered, lam_sv),
+            sigma_lambda(x - stats.mean, lam_sv),
+            sigma_lambda(z - covariate_stats(z).mean, lam_sv),
         )
         assert np.isclose(rhs, np.sqrt(n) * spectral_norm(z - x) / floor)
         assert lhs <= rhs
@@ -343,7 +343,7 @@ class TestRowspaceResidual:
         x, _ = low_rank_pair(rng)
         (train,) = designs(x)
         stats = train.stats
-        v = stats.centered.T @ rng.standard_normal(30)
+        v = (x - stats.mean).T @ rng.standard_normal(30)
         assert rowspace_ok_at(1e-10, train, train, 0.0, stats.mean + v)
         assert rowspace_ok_at(0.0, train, train, 0.0, stats.mean)
 
@@ -375,7 +375,7 @@ class TestStatsRouteMatchesOracles:
 
         cols = columns(clean, noisy, lam, query)
         lam_sv = np.sqrt(n * lam)
-        floor = min(sigma_lambda(stats.centered, lam_sv), sigma_lambda(noisy.stats.centered, lam_sv))
+        floor = min(sigma_lambda(x - stats.mean, lam_sv), sigma_lambda(noisy.covariates - noisy.stats.mean, lam_sv))
         np.testing.assert_allclose(cols["signal_floor"], floor, rtol=1e-10)
         np.testing.assert_allclose(
             _seminorm(stats, v, 0, int(kept_rank(stats, 0))), mahalanobis_seminorm(v, cov), rtol=1e-10
@@ -383,7 +383,7 @@ class TestStatsRouteMatchesOracles:
         np.testing.assert_allclose(
             cols["b_lambda"], bias_term_reference(cov, stats.mean, lam, query), rtol=1e-10
         )
-        resid = np.linalg.norm(v - compute_svd(stats.centered).kept().row_projection() @ v) / np.linalg.norm(v)
+        resid = np.linalg.norm(v - compute_svd(x - stats.mean).kept().row_projection() @ v) / np.linalg.norm(v)
         # diagnose's residual lies within assert_allclose(rtol=1e-10, atol=1e-12) of resid
         tol = 1e-12 + 1e-10 * resid
         assert rowspace_ok_at(resid + tol, clean, noisy, lam, query)
@@ -397,7 +397,7 @@ class TestStatsRouteMatchesOracles:
         f = covariate_stats(x).centered_svd
         clean, noisy = designs(x, x + 0.01 * np.outer(f.left[:, 0], f.right_t[0]))
         assert kept_rank(clean.stats, 0.0) == kept_rank(noisy.stats, 0.0) == 3
-        assert sigma_lambda(clean.stats.centered, 0.0) == pytest.approx(2.7e-9, rel=1e-3)
+        assert sigma_lambda(x - clean.stats.mean, 0.0) == pytest.approx(2.7e-9, rel=1e-3)
         cols = columns(clean, noisy, 0.0)
         assert cols["signal_floor"] == pytest.approx(3.95, rel=1e-10)
         assert cols["snr_reciprocal"] == pytest.approx(0.01 / 3.95, rel=1e-8)

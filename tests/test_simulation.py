@@ -1,12 +1,11 @@
 import dataclasses
-import multiprocessing
 import pickle
 import weakref
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.special import gammaln, ndtri
+from scipy.special import gammaln, ndtri, poch
 
 from frechet_svt import metric_spaces
 from frechet_svt.linalg import compute_svd
@@ -139,6 +138,17 @@ class TestScaleNoise:
         want = float(np.exp(0.5 * np.log(scale) + gammaln(shape - 0.5) - gammaln(shape)))
         assert np.isclose(expected_tau(shape, scale), want, rtol=1e-13, atol=0.0)
 
+    @pytest.mark.parametrize("shape", [1e3, 9999.0, 1e4, 1e5, 1e8, 1e13])
+    def test_expected_tau_for_large_shapes_matches_poch(self, shape):
+        # poch(s, -1/2) = G(s - 1/2) / G(s); the lgamma difference loses digits as the shape grows.
+        assert np.isclose(expected_tau(shape, 3.0), np.sqrt(3.0) * poch(shape, -0.5), rtol=1e-11, atol=0.0)
+
+    @pytest.mark.parametrize("shape", [1e13, 1e150, 1e300, 1.7e308])
+    def test_expected_tau_for_huge_shapes_is_finite_and_exact(self, shape):
+        # E[tau] = sqrt(scale / shape) (1 + O(1/shape)); lgamma once overflowed or cancelled to sqrt(scale).
+        assert expected_tau(shape, shape) == pytest.approx(1.0, rel=1e-12)
+        assert expected_tau(shape, 1e-300) == pytest.approx(1e-150 / np.sqrt(shape), rel=1e-12, abs=0.0)
+
     def test_expected_tau_closed_form_vs_monte_carlo(self):
         want = float(np.exp(0.5 * np.log(17.0) + gammaln(17.5) - gammaln(18.0)))
         assert np.isclose(expected_tau(18.0, 17.0), want)
@@ -247,7 +257,7 @@ class TestEvaluateTrial:
         cfg = small_config()
         train, noisy, test = make_trial_data(cfg, np.random.default_rng(14), sigma_eps=0.0)
         grid = lambda_grid(covariate_stats(train.covariates).eigenvalues[0], cfg.p, cfg.n, 8)
-        report, _, _ = evaluate_trial(train, noisy, test, grid)
+        report, _, _ = evaluate_trial(train, noisy, test, grid, test.covariates[:3], grid)
         assert report.mse["REF"] == report.mse["EIV"]
         assert report.mspe["REF"] == report.mspe["EIV"]
 
@@ -261,10 +271,13 @@ class TestEvaluateTrial:
         qt = np.tile(np.linspace(0, 1, cfg.quantile_points), (10, 1))
         train = Dataset(x, q, space)
         test = Dataset(xt, qt, space)
-        report, _, _ = evaluate_trial(train, train, test, [0.5])
+        report, eval_preds, (curve, null_error) = evaluate_trial(train, train, test, [0.5], xt[:3], np.array([0.5]))
         for est in ("REF", "EIV", "SVT"):
             assert report.mse[est] <= 1e-16
             assert report.mspe[est] <= 1e-16
+            np.testing.assert_allclose(eval_preds[est], qt[:3], atol=1e-12)
+        assert curve.shape == (1,) and curve[0] <= 1e-16
+        assert null_error <= 1e-16
 
     def test_micro_instance_matches_independent_reimplementation(self):
         # full独立 recomputation: explicit pinv, explicit weights, explicit
@@ -275,7 +288,7 @@ class TestEvaluateTrial:
         rng = np.random.default_rng(16)
         train, noisy, test = make_trial_data(cfg, rng)
         grid = [0.3]
-        report, _, _ = evaluate_trial(train, noisy, test, grid)
+        report, _, _ = evaluate_trial(train, noisy, test, grid, test.covariates[:2], np.array(grid))
 
         space = train.space
         w_levels = space.cell_weights
@@ -304,7 +317,7 @@ class TestEvaluateTrial:
         cfg = small_config()
         train, noisy, test = make_trial_data(cfg, np.random.default_rng(17))
         grid = lambda_grid(covariate_stats(noisy.covariates).eigenvalues[0], cfg.p, cfg.n, 5)
-        report, _, _ = evaluate_trial(train, noisy, test, grid)
+        report, _, _ = evaluate_trial(train, noisy, test, grid, test.covariates[:3], grid)
         assert all(v >= 0 for v in report.mse.values())
         assert all(v >= 0 for v in report.mspe.values())
 
@@ -346,9 +359,7 @@ class TestJointSolveRoute:
         grid = lambda_grid(noisy.stats.eigenvalues[0], 6, train.n, 5)
         profile_grid = lambda_grid(2.0, 6, train.n, 4)
         calls = _count_block_calls(monkeypatch, type(space))
-        report, eval_preds, profile_part = evaluate_trial(
-            train, noisy, test, grid, 5, eval_x=eval_x, profile_grid=profile_grid
-        )
+        report, eval_preds, profile_part = evaluate_trial(train, noisy, test, grid, eval_x, profile_grid, 5)
         assert len(calls) == 2  # the sweep, then every other prediction of the trial
         monkeypatch.undo()
 
@@ -371,20 +382,22 @@ class TestJointSolveRoute:
         assert profile_part[1:] == (null_mspe,)
 
     def test_equal_response_copies_share_one_solve(self, monkeypatch):
-        train, noisy, test, _ = _linear_trial(L1Space(), 4)
+        train, noisy, test, eval_x = _linear_trial(L1Space(), 4)
         clean = Dataset(train.covariates, train.responses.copy(), train.space)
         calls = _count_block_calls(monkeypatch, L1Space)
-        shared = evaluate_trial(train, noisy, test, [0.1, 0.5])[0]
-        split = evaluate_trial(clean, noisy, test, [0.1, 0.5])[0]
+        profile_grid = np.array([0.2, 0.4])
+        shared = evaluate_trial(train, noisy, test, [0.1, 0.5], eval_x, profile_grid)[0]
+        split = evaluate_trial(clean, noisy, test, [0.1, 0.5], eval_x, profile_grid)[0]
         assert split == shared
-        # The sweep, then one solve for REF, EIV and SVT together, whichever array holds the responses.
-        assert calls == [calls[0], 5, calls[0], 5]
+        # The sweep, then one solve for REF, EIV and SVT together, whichever array holds the
+        # responses: 3 in-sample blocks, 2 test blocks, 3 eval blocks and the null model's.
+        assert calls == [calls[0], 9, calls[0], 9]
 
     def test_different_responses_raise(self):
-        train, noisy, test, _ = _linear_trial(L1Space(), 4)
+        train, noisy, test, eval_x = _linear_trial(L1Space(), 4)
         clean = Dataset(train.covariates, train.responses + 1.0, train.space)
         with pytest.raises(ValueError, match="same responses"):
-            evaluate_trial(clean, noisy, test, [0.1, 0.5])
+            evaluate_trial(clean, noisy, test, [0.1, 0.5], eval_x, np.array([0.2]))
 
 
 class TestTuneLambda:
@@ -635,7 +648,7 @@ class TestRunCell:
 
         spectrum, basis, eval_x, truths, params = _cell_fixtures(cfg)
         outs = [
-            _run_trial((cfg, spectrum, basis, eval_x, None, params, b))
+            _run_trial((cfg, spectrum, basis, eval_x, lambda_grid(spectrum[0], cfg.p, cfg.n, 4), params, b))
             for b in range(cfg.trials)
         ]
         space = WassersteinSpace.with_uniform_grid(cfg.quantile_points)
@@ -665,7 +678,7 @@ class TestRunCell:
         floor = covariate_stats(z).eigenvalues
         floor = floor[floor > 1e-10][-1]
         grid = np.concatenate([[floor * 0.5], lambda_grid(floor * 50, cfg.p, cfg.n, 6)])
-        report, _, _ = evaluate_trial(train, noisy, test, grid)
+        report, _, _ = evaluate_trial(train, noisy, test, grid, eval_x, grid)
         assert report.mspe["SVT"] <= report.mspe["EIV"] + 1e-12
 
     def test_two_workers_match_one(self, fold_inputs):
@@ -684,21 +697,12 @@ class TestRunCell:
         assert (serial.profile.ref, serial.profile.eiv) == (pooled.profile.ref, pooled.profile.eiv)
         assert serial.report == pooled.report
 
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="the patched solver reaches the workers only when they are forked",
-    )
-    def test_solver_failure_in_a_worker_reaches_the_caller(self, monkeypatch):
-        import frechet_svt.simulation as sim
-
-        def failing(*args, **kwargs):
-            raise ConvergenceError("forced", last_iterate=np.eye(2))
-
-        monkeypatch.setattr(sim, "evaluate_trial", failing)
+    def test_solver_failure_in_a_worker_reaches_the_caller(self):
+        # The fault comes with the config, so every worker sees it whatever the start method.
         with pytest.raises(TrialFailure) as err:
-            run_cell(small_config(trials=2), workers=2)
+            run_cell(small_config(trials=2, alpha_intercept=1e308), workers=2)
         assert err.value.trial_index == 0
-        assert isinstance(err.value.cause, ConvergenceError)
+        assert isinstance(err.value.cause, FloatingPointError)
 
     def test_pool_never_exceeds_the_trial_count(self, monkeypatch):
         asked = []
@@ -863,7 +867,7 @@ class TestRankPathSweep:
         # totals can turn negative; the sweep must refuse like the direct route.
         x = np.array([[1.0], [2.0], [3.0], [4.0]])
         svd = compute_svd(x)
-        stats = CovariateStats(mean=np.zeros(1), centered=x, centered_svd=svd, eigenvalues=svd.values**2 / 4)
+        stats = CovariateStats(mean=np.zeros(1), centered_svd=svd, eigenvalues=svd.values**2 / 4)
         path = rank_predictions(EuclideanSpace(), np.arange(4.0), [(stats, np.array([[-50.0]]), [1])])
         with pytest.raises(DegenerateWeightsError):
             next(path)
