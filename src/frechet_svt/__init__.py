@@ -40,7 +40,6 @@ from .simulation import (
     SimConfig,
     TrialReport,
     add_noise,
-    aggregate,
     evaluate_trial,
     expected_tau,
     gen_covariates,

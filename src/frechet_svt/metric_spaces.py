@@ -14,7 +14,8 @@ batched queries: the weight-normalized blend of the points, then the
 space's ``project_blends`` (identity, PAVA, Dykstra). It only requires
 each weight total to be positive, which the regression weights guarantee
 (they average to one). The l1 and sup-norm spaces run a batched
-subgradient solver instead.
+subgradient solver instead, which also takes a point set per query
+(``frechet_mean_columns``), as a simulation cell's trial centers need.
 """
 
 from __future__ import annotations
@@ -209,14 +210,6 @@ class MetricSpace:
         """Distances from each stacked point to ``y``, vectorized."""
         raise NotImplementedError
 
-    def frechet_mean(self, points, weights) -> np.ndarray:
-        w = np.asarray(weights, dtype=float).ravel()
-        return self.frechet_mean_many(points, w[:, None])[0]
-
-    def frechet_mean_many(self, points, weight_matrix) -> np.ndarray:
-        """One weighted mean per column of ``weight_matrix``, stacked."""
-        return self.frechet_mean_blocks(points, [weight_matrix])[0]
-
     def frechet_mean_blocks(self, points, blocks) -> list:
         """One stack of means per weight matrix in ``blocks``, each independent of the others.
 
@@ -270,15 +263,18 @@ class _IterativeNormSpace(_VectorSpace):
     evaluated once per iterate: the ones that score an iterate also give
     the next step.
 
-    ``frechet_mean_blocks`` runs one loop over the columns of every
-    weight matrix it is given, one step size and incumbent per column,
-    and each block's result equals a call with that block alone, bit
-    for bit. Two things keep a column independent of its batch
-    mates. Each block's initializer is its own product with the points:
-    BLAS rounds a column differently depending on how many columns share
-    the call. And a one-column block reduces its lone weight row with
-    the contiguous summation a call of its own uses; rows of wider
-    blocks sum in order over the points.
+    Both entries run one loop, ``_descend``, with one step size and
+    incumbent per query. ``frechet_mean_blocks`` solves the columns of
+    every weight matrix it is given on shared points, and each block's
+    result equals a call with that block alone, bit for bit.
+    ``frechet_mean_columns`` solves an equal-weight mean of each column
+    of a point stack, and each equals that column's one-point call. Two
+    things keep a query independent of its batch mates. Each block, or
+    column, is its own initializer product with the points: BLAS rounds
+    a column differently depending on how many columns share the call.
+    And a lone weight row (a one-column block's, or any row of the
+    stack's C-ordered weights) sums contiguously, as a call of its own
+    does; rows of wider blocks sum in order over the points.
 
     The loop's two work arrays, the offsets and the subgradient, are
     held query-minor, as (points, dim, queries), so every elementwise
@@ -321,10 +317,27 @@ class _IterativeNormSpace(_VectorSpace):
         y = np.concatenate([(w.T @ pts) / totals[:, None] for w, totals in parts])  # (queries, dim)
         # (n, queries), C-ordered; one block is used as it is, without a copy
         w = np.ascontiguousarray(parts[0][0]) if len(parts) == 1 else np.hstack([w for w, _ in parts])
-        wt = w.T  # strided like each block's own w.T
         ends = np.cumsum([w.shape[1] for w, _ in parts])
         # numpy sums a lone contiguous weight row pairwise, a strided row in order.
         lone = [(end - 1, w.T) for end, (w, _) in zip(ends, parts) if w.shape[1] == 1]
+        return np.split(self._descend(pts[:, :, None], w, y, lone), ends[:-1])
+
+    def frechet_mean_columns(self, stacks) -> np.ndarray:
+        """Equal-weight mean of each column of a (points, queries, dim) stack, as (queries, dim)."""
+        stacks = np.asarray(stacks, dtype=float)
+        n, queries = stacks.shape[:2]
+        ones = np.ones((1, n))
+        y = np.concatenate([ones @ stacks[:, m] / n for m in range(queries)])
+        pts = np.ascontiguousarray(stacks.transpose(0, 2, 1))  # (points, dim, queries)
+        return self._descend(pts, np.ones((queries, n)).T, y, [])
+
+    def _descend(self, pts, w, y, lone) -> np.ndarray:
+        """Best iterate per query from initializers ``y`` (queries, dim) and weights ``w`` (n, queries).
+
+        ``pts`` is (n, dim, 1) when the queries share the points, else
+        (n, dim, queries). ``lone`` pairs a query with its own (1, n) weight row.
+        """
+        wt = w.T  # one weight row per query
 
         def weighted(weights, lone_rows, sq):  # per query: sum of weight * squared norm
             out = np.einsum("kn,kn->k", weights, sq)
@@ -336,12 +349,12 @@ class _IterativeNormSpace(_VectorSpace):
             sq = norms.T.copy()
             return np.square(sq, out=sq)
 
-        diff = np.empty((*pts.shape, y.shape[0]))  # offsets y - pts, reused by every iterate
+        diff = np.empty((*pts.shape[:2], y.shape[0]))  # offsets y - pts, reused by every iterate
         subgrad = np.empty_like(diff)
 
         def offsets(y):
             np.copyto(diff, y.T)
-            return np.subtract(diff, pts[:, :, None], out=diff)
+            return np.subtract(diff, pts, out=diff)
 
         def gradient(norms):  # 2 sum_i w_i ||y - p_i|| g_i per query; overwrites norms and subgrad
             norms *= w
@@ -382,7 +395,7 @@ class _IterativeNormSpace(_VectorSpace):
             best_obj = np.where(improved, obj, best_obj)
             best_y[improved] = y[improved]
             grad = gradient(norms)
-        return np.split(best_y, ends[:-1])
+        return best_y
 
 
 class L1Space(_IterativeNormSpace):

@@ -37,17 +37,18 @@ ESTIMATORS = ("REF", "EIV", "SVT")
 
 
 class TrialFailure(RuntimeError):
-    """A solver failed inside one Monte Carlo trial."""
+    """A solver failed inside one Monte Carlo trial of the cell named ``cell``."""
 
-    def __init__(self, trial_index: int, cause: Exception):
-        super().__init__(f"trial {trial_index} failed: {cause}")
+    def __init__(self, cell: str, trial_index: int, cause: Exception):
+        super().__init__(f"cell {cell}: trial {trial_index} failed: {cause}")
+        self.cell = cell
         self.trial_index = trial_index
         self.cause = cause
 
     def __reduce__(self):
         # Rebuild from the constructor arguments, so a failure raised in a
         # worker process reaches the parent intact.
-        return type(self), (self.trial_index, self.cause)
+        return type(self), (self.cell, self.trial_index, self.cause)
 
 
 _NOISE_KINDS = ("gaussian", "laplace")
@@ -400,62 +401,27 @@ def evaluate_trial(train: Dataset, train_noisy: Dataset, test: Dataset, grid, ev
     return report, eval_preds, (curves[grid.size :], next_error(test.responses))
 
 
-def aggregate(trial_reports, eval_predictions, truths, space: MetricSpace) -> AggregateReport:
-    """Fold per-trial results into bias-squared, variance, and mean errors.
-
-    The across-trial center at each evaluation point is the equal-weight
-    Frechet mean of the trial predictions; squared bias measures its
-    distance to the truth and variance the spread of trials around it,
-    both averaged over evaluation points. ``run_cell`` calls it for
-    l1/sup-norm cells; for the other spaces its ``_TrialFold`` gives the
-    same values, up to rounding, without storing the predictions.
-    """
-    if not trial_reports:
-        raise ValueError("need at least one trial")
-    truths = np.asarray(truths, dtype=float)
-    n_eval = truths.shape[0]
-    bias_sq: dict = {}
-    var: dict = {}
-    for est, preds in eval_predictions.items():
-        preds = np.asarray(preds, dtype=float)
-        n_trials = preds.shape[0]
-        if preds.shape[1] != n_eval:
-            raise ValueError("prediction and truth evaluation points disagree")
-        ones = np.ones(n_trials)
-        centers = np.stack([space.frechet_mean(preds[:, m], ones) for m in range(n_eval)])
-        bias_sq[est] = float(np.mean(space.distances_to(truths, centers) ** 2))
-        var[est] = float(
-            np.mean(
-                [np.mean(space.distances_to(preds[:, m], centers[m]) ** 2) for m in range(n_eval)]
-            )
-        )
-    return AggregateReport(bias_sq, var, *_mean_errors(trial_reports))
-
-
-def _mean_errors(trial_reports) -> tuple[dict, dict]:
-    """Each estimator's in-sample and test error, averaged over the trials."""
-    mse = {est: float(np.mean([t.mse[est] for t in trial_reports])) for est in ESTIMATORS}
-    mspe = {est: float(np.mean([t.mspe[est] for t in trial_reports])) for est in ESTIMATORS}
-    return mse, mspe
-
-
 class _TrialFold:
-    """Takes each trial's evaluation predictions as it arrives; ``report`` gives ``aggregate``'s result.
+    """Takes each trial's evaluation predictions as it arrives; ``report`` gives the cell's bias and variance.
 
-    In an affine space the across-trial center at an evaluation point is
-    ``project_blends`` of the trials' average, and the distance is a
-    Euclidean norm of the difference. So the trials' mean squared
-    distance to the center is m2 / T + d(average, center)^2, where m2 is
-    their summed squared distance to the average. The average and m2 are
-    updated one trial at a time, as in Welford (1962), and the fold
-    holds one ``(eval_points, ...)`` average and one ``(eval_points,)``
-    m2 per estimator, whatever the number of trials. Its results equal
-    ``aggregate``'s up to rounding, in the last digits.
+    The center at an evaluation point is the trials' equal-weight Frechet
+    mean there: squared bias is its distance to the truth, variance the
+    trials' spread around it, each averaged over the evaluation points.
+
+    In an affine space the center is ``project_blends`` of the trials'
+    average, and the distance is a Euclidean norm of the difference. So
+    the trials' mean squared distance to the center is
+    m2 / T + d(average, center)^2, where m2 is their summed squared
+    distance to the average. The average and m2 are updated one trial
+    at a time, as in Welford (1962), and the fold holds one
+    ``(eval_points, ...)`` average and one ``(eval_points,)`` m2 per
+    estimator, whatever the number of trials. Its results equal a
+    one-point mean per evaluation point up to rounding, in the last digits.
 
     The l1/sup-norm center is a solver's output over every trial at once,
     so for those spaces the fold stores the predictions in one
-    ``(trials, eval_points, ...)`` array per estimator and calls
-    ``aggregate``.
+    ``(trials, eval_points, ...)`` array per estimator, and ``report``
+    makes one ``frechet_mean_columns`` call per estimator.
     """
 
     def __init__(self, space: MetricSpace, truths: np.ndarray, trials: int):
@@ -479,16 +445,23 @@ class _TrialFold:
             mean += (x - mean) / k
 
     def report(self, trial_reports) -> AggregateReport:
-        if not self.space.affine:
-            return aggregate(trial_reports, self.stored, self.truths, self.space)
+        space = self.space
         bias_sq: dict = {}
         var: dict = {}
-        for est, mean in self.mean.items():
-            centers = self.space.project_blends(mean.copy())  # all evaluation points in one call
-            bias_sq[est] = float(np.mean(self.space.distances_to(self.truths, centers) ** 2))
-            spread = self.space.distances_to(mean, centers) ** 2
-            var[est] = float(np.mean(self.m2[est] / self.count + spread))
-        return AggregateReport(bias_sq, var, *_mean_errors(trial_reports))
+        for est in ESTIMATORS:
+            if space.affine:
+                mean = self.mean[est]
+                centers = space.project_blends(mean.copy())  # all evaluation points in one call
+                var[est] = float(np.mean(self.m2[est] / self.count + space.distances_to(mean, centers) ** 2))
+            else:
+                preds = self.stored[est]
+                centers = space.frechet_mean_columns(preds)
+                spreads = [np.mean(space.distances_to(preds[:, m], c) ** 2) for m, c in enumerate(centers)]
+                var[est] = float(np.mean(spreads))
+            bias_sq[est] = float(np.mean(space.distances_to(self.truths, centers) ** 2))
+        mse = {est: float(np.mean([t.mse[est] for t in trial_reports])) for est in ESTIMATORS}
+        mspe = {est: float(np.mean([t.mspe[est] for t in trial_reports])) for est in ESTIMATORS}
+        return AggregateReport(bias_sq, var, mse, mspe)
 
 
 def _cell_space(config: SimConfig) -> MetricSpace:
@@ -538,7 +511,7 @@ def _run_trial(args):
                 Dataset(x, y, space), noisy, Dataset(x_new, y_new, space), grid, eval_x, profile_grid, b
             )
     except (ConvergenceError, DegenerateWeightsError, FloatingPointError) as exc:
-        raise TrialFailure(b, exc) from exc
+        raise TrialFailure(config.display_name(), b, exc) from exc
 
 
 # A pool worker's cell fixtures, set once per worker by ``_start_worker``.
@@ -570,10 +543,11 @@ def run_cell(config: SimConfig, workers: int = 1) -> CellResult:
     predictions go into the cell's ``_TrialFold`` and the outcome is
     dropped before the next one is read. For Euclidean, Wasserstein and
     correlation responses the fold keeps a running average and spread,
-    so memory does not grow with the number of trials, and ``bias`` and
-    ``sqrt_var`` can differ from ``aggregate`` over the stored
-    predictions in the last digits. For l1 and sup-norm responses it
-    stores one ``(trials, eval_points, ...)`` array per estimator.
+    so memory does not grow with the number of trials. For l1 and
+    sup-norm responses it stores one ``(trials, eval_points, ...)`` array
+    per estimator. The profile is divided by the null model's mean test
+    error; where that is 0 (every response one point), ``FloatingPointError``
+    names the cell.
     """
     spectrum, basis, eval_x, truths, params = _cell_fixtures(config)
     profile_grid = lambda_grid(spectrum[0], config.p, config.n, config.lambda_points)
@@ -606,6 +580,11 @@ def run_cell(config: SimConfig, workers: int = 1) -> CellResult:
 
         report = fold.report(reports)
         null_mean = float(null_errors.mean())
+        if null_mean == 0.0:
+            raise FloatingPointError(
+                f"profile.csv: cell {config.display_name()}: the null model's test error,"
+                " which the profile is divided by, is 0 in every trial"
+            )
         profile = ThresholdProfile(
             lambdas=profile_grid,
             svt=svt_curves.mean(axis=0) / null_mean,

@@ -14,7 +14,12 @@ the top of the spectrum it reads. ``write_predictions_reference`` is
 the original per-cell CSV writer, kept to hold the package's writer to
 the same bytes. ``nearest_correlation_reference`` is the original
 one-matrix Dykstra loop, kept to hold the stacked projection to the
-same bits.
+same bits. ``aggregate`` is the original stored-prediction route to a
+cell's bias and variance. It is the one oracle here that calls the
+package's solvers: one one-point ``frechet_mean_blocks`` call per
+evaluation point (``one_point_centers``), as the package made them
+before its trial fold, so the fold and the stacked l1/sup-norm solve
+can be held to it.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import itertools
 import numpy as np
 
 from frechet_svt.metric_spaces import ConvergenceError
+from frechet_svt.simulation import ESTIMATORS, AggregateReport
 
 
 def monotone_lsq_partition_oracle(values, weights):
@@ -305,3 +311,39 @@ def nearest_correlation_reference(a, tol=1e-10, max_iter=1000):
         f"nearest-correlation projection did not reach tol={tol} in {max_iter} iterations",
         last_iterate=y,
     )
+
+
+def one_point_centers(space, preds):
+    """The equal-weight Frechet mean of each column of a (trials, eval_points, ...) stack, one solver call each."""
+    ones = np.ones(preds.shape[0])[:, None]
+    return np.stack([space.frechet_mean_blocks(preds[:, m], [ones])[0][0] for m in range(preds.shape[1])])
+
+
+def aggregate(trial_reports, eval_predictions, truths, space):
+    """Fold per-trial results into bias-squared, variance, and mean errors.
+
+    The across-trial center at each evaluation point is the equal-weight
+    Frechet mean of the trial predictions; squared bias measures its
+    distance to the truth and variance the spread of trials around it,
+    both averaged over evaluation points.
+    """
+    if not trial_reports:
+        raise ValueError("need at least one trial")
+    truths = np.asarray(truths, dtype=float)
+    n_eval = truths.shape[0]
+    bias_sq: dict = {}
+    var: dict = {}
+    for est, preds in eval_predictions.items():
+        preds = np.asarray(preds, dtype=float)
+        if preds.shape[1] != n_eval:
+            raise ValueError("prediction and truth evaluation points disagree")
+        centers = one_point_centers(space, preds)
+        bias_sq[est] = float(np.mean(space.distances_to(truths, centers) ** 2))
+        var[est] = float(
+            np.mean(
+                [np.mean(space.distances_to(preds[:, m], centers[m]) ** 2) for m in range(n_eval)]
+            )
+        )
+    mse = {est: float(np.mean([t.mse[est] for t in trial_reports])) for est in ESTIMATORS}
+    mspe = {est: float(np.mean([t.mspe[est] for t in trial_reports])) for est in ESTIMATORS}
+    return AggregateReport(bias_sq, var, mse, mspe)

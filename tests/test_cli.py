@@ -748,9 +748,36 @@ class TestSolverExitCode:
                 FRECHET_SVT_THREADS=workers,
             )
             self.assert_overflow_exit(done)
-            assert "trial 0 failed" in done.stderr
+            assert "cell smoke: trial 0 failed" in done.stderr
             assert "RuntimeWarning" not in done.stderr
             assert not (out / "results.csv").exists() and not (out / "profile.csv").exists()
+
+    def test_degenerate_cell_exits_3_naming_the_cell(self, tmp_path):
+        # At this intercept the response noise rounds away, so every response
+        # is one point and the null model's test error, the profile's
+        # divisor, is 0. This once ended in a bare "invalid value
+        # encountered in divide".
+        cfg = write_config(tmp_path, """\
+[campaign]
+trials = 2
+test_size = 4
+eval_points = 2
+quantile_points = 5
+lambda_points = 3
+alpha_intercept = -1e150
+
+[cell:flat]
+n = 6
+p = 3
+""")
+        out = tmp_path / "o"
+        done = run_python(
+            "-m", "frechet_svt", "simulate", "--config", str(cfg), "--out", str(out), FRECHET_SVT_THREADS="1"
+        )
+        assert done.returncode == 3, done.stderr
+        assert done.stderr.startswith("solver error: profile.csv: cell flat: "), done.stderr
+        assert "Traceback" not in done.stderr and "Warning" not in done.stderr
+        assert not (out / "results.csv").exists() and not (out / "profile.csv").exists()
 
     def test_non_finite_table_value_writes_no_table(self, tmp_path, capsys, monkeypatch):
         # A value that reaches a table non-finite without raising on the way

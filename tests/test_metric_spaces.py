@@ -25,6 +25,7 @@ from oracles import (
     _l1_norms,
     _linf_norms,
     monotone_lsq_partition_oracle,
+    one_point_centers,
     nearest_correlation_reference,
     norm_objective,
     random_correlation_matrix,
@@ -32,6 +33,11 @@ from oracles import (
 )
 
 ALL_VECTOR_SPACES = [EuclideanSpace(), L1Space(), LinfSpace()]
+
+
+def one_mean(space, points, weights):
+    """The weighted mean for one weight vector: a one-column block."""
+    return space.frechet_mean_blocks(points, [np.asarray(weights, dtype=float)[:, None]])[0][0]
 
 
 class TestGrid:
@@ -310,12 +316,12 @@ class TestFrechetMeans:
     def test_single_point(self):
         for space in ALL_VECTOR_SPACES:
             y = np.array([[1.0, 2.0]])
-            assert np.allclose(space.frechet_mean(y, [1.0]), y[0])
+            assert np.allclose(one_mean(space, y, [1.0]), y[0])
 
     def test_euclidean_unweighted_mean(self):
         space = EuclideanSpace()
         pts = np.array([[0.0, 0.0], [2.0, 0.0]])
-        assert np.allclose(space.frechet_mean(pts, [1.0, 1.0]), [1.0, 0.0])
+        assert np.allclose(one_mean(space, pts, [1.0, 1.0]), [1.0, 0.0])
 
     def test_euclidean_stationarity(self):
         rng = np.random.default_rng(15)
@@ -323,7 +329,7 @@ class TestFrechetMeans:
         pts = rng.standard_normal((6, 3))
         w = rng.uniform(-0.5, 2.0, 6)
         w += 1 - w.mean()  # regression-style weights averaging one
-        mean = space.frechet_mean(pts, w)
+        mean = one_mean(space, pts, w)
         assert np.linalg.norm(w @ (pts - mean)) <= 1e-10
 
     def test_wasserstein_negative_weights_match_pava_and_oracle(self):
@@ -333,7 +339,7 @@ class TestFrechetMeans:
         q2 = np.sort(rng.standard_normal(5))
         w = np.array([1.5, -0.5])
         combo = 1.5 * q1 - 0.5 * q2
-        ours = space.frechet_mean(np.stack([q1, q2]), w)
+        ours = one_mean(space, np.stack([q1, q2]), w)
         assert np.allclose(ours, isotonic_project(combo, space.cell_weights), atol=1e-12)
         oracle = monotone_lsq_partition_oracle(combo, space.cell_weights)
         assert np.allclose(ours, oracle, atol=1e-8)
@@ -342,14 +348,14 @@ class TestFrechetMeans:
         space = WassersteinSpace.with_uniform_grid(7)
         base = np.linspace(0, 1, 7)
         pts = np.stack([base, base + 1.0])
-        out = space.frechet_mean(pts, [0.3, 0.7])
+        out = one_mean(space, pts, [0.3, 0.7])
         assert np.array_equal(out, 0.3 * base + 0.7 * (base + 1.0))
 
     def test_correlation_mean_of_psd_average_is_average(self):
         a = np.array([[1.0, 0.5], [0.5, 1.0]])
         b = np.array([[1.0, -0.3], [-0.3, 1.0]])
         space = CorrelationSpace(2)
-        out = space.frechet_mean(np.stack([a, b]), [1.0, 1.0])
+        out = one_mean(space, np.stack([a, b]), [1.0, 1.0])
         assert np.allclose(out, (a + b) / 2, atol=1e-9)
 
     @pytest.mark.parametrize("space", [L1Space(), LinfSpace()], ids=lambda s: s.kind)
@@ -359,13 +365,13 @@ class TestFrechetMeans:
         w = rng.uniform(-0.5, 2.0, 8)
         w += 1 - w.mean()
         init = w @ pts / w.sum()
-        out = space.frechet_mean(pts, w)
+        out = one_mean(space, pts, w)
         assert norm_objective(pts, w, out, space.kind) <= norm_objective(pts, w, init, space.kind) + 1e-12
 
     def test_degenerate_weights_rejected(self):
         space = EuclideanSpace()
         with pytest.raises(DegenerateWeightsError):
-            space.frechet_mean(np.ones((2, 2)), [-1.0, 0.5])
+            one_mean(space, np.ones((2, 2)), [-1.0, 0.5])
 
 
 class TestBatchedMeans:
@@ -384,9 +390,9 @@ class TestBatchedMeans:
             (WassersteinSpace.with_uniform_grid(8), np.sort(rng.standard_normal((n, 8)), axis=1)),
         ]
         for space, pts in cases:
-            batch = space.frechet_mean_many(pts, w)
+            batch = space.frechet_mean_blocks(pts, [w])[0]
             for j in range(k):
-                single = space.frechet_mean(pts, w[:, j])
+                single = one_mean(space, pts, w[:, j])
                 assert np.allclose(batch[j], single, atol=1e-12), space.kind
 
     def test_correlation_batch_uses_default_loop(self):
@@ -394,13 +400,13 @@ class TestBatchedMeans:
         space = CorrelationSpace(3)
         pts = np.stack([random_correlation_matrix(3, rng) for _ in range(4)])
         w = np.ones((4, 2))
-        batch = space.frechet_mean_many(pts, w)
-        assert np.allclose(batch[0], space.frechet_mean(pts, w[:, 0]), atol=1e-12)
+        batch = space.frechet_mean_blocks(pts, [w])[0]
+        assert np.allclose(batch[0], one_mean(space, pts, w[:, 0]), atol=1e-12)
         # Reference: one tensordot blend and one projection per column. The
         # batched blend sums in another order; Dykstra's 1e-10 tolerance
         # absorbs the difference.
         w = np.column_stack([np.ones(4), [2.0, -1.5, 1.5, 1.0]])
-        batch = space.frechet_mean_many(pts, w)
+        batch = space.frechet_mean_blocks(pts, [w])[0]
         for j in range(w.shape[1]):
             loop = nearest_correlation(np.tensordot(w[:, j], pts, axes=(0, 0)) / w[:, j].sum())
             assert np.allclose(batch[j], loop, atol=1e-9)
@@ -409,7 +415,7 @@ class TestBatchedMeans:
         space = EuclideanSpace()
         w = np.array([[1.0, -1.0], [1.0, 0.5]])
         with pytest.raises(DegenerateWeightsError):
-            space.frechet_mean_many(np.ones((2, 2)), w)
+            space.frechet_mean_blocks(np.ones((2, 2)), [w])
 
     def test_negative_objective_initializer_still_descends(self):
         # negative weights can make the signed objective negative at the
@@ -434,7 +440,7 @@ class TestBatchedMeans:
             if obj0 >= 0 or np.linalg.norm(grad) <= 1.0:
                 continue
             checked += 1
-            out = space.frechet_mean(pts, w)
+            out = one_mean(space, pts, w)
             assert norm_objective(pts, w, out, "l1") <= obj0 + 1e-12
             if norm_objective(pts, w, out, "l1") < obj0 - 1e-9:
                 improved += 1
@@ -467,7 +473,7 @@ class TestSubgradientMatchesReference:
         w = spread * rng.standard_normal((n, queries))
         w = w - w.mean(axis=0) + 1.0
         for space in (L1Space(), LinfSpace()):
-            out = space.frechet_mean_many(pts, w)
+            out = space.frechet_mean_blocks(pts, [w])[0]
             assert np.array_equal(out, subgradient_reference(pts, w, space.kind)), space.kind
 
     @pytest.mark.parametrize("space", [L1Space(), LinfSpace()], ids=lambda s: s.kind)
@@ -476,12 +482,12 @@ class TestSubgradientMatchesReference:
         pts = rng.standard_normal((5, 3))
         # Column 0 sits on one point, so its gradient vanishes while column 1 moves.
         w = np.column_stack([[1.0, 0.0, 0.0, 0.0, 0.0], rng.uniform(0.5, 1.5, 5)])
-        out = space.frechet_mean_many(pts, w)
+        out = space.frechet_mean_blocks(pts, [w])[0]
         assert np.array_equal(out, subgradient_reference(pts, w, space.kind))
         assert np.array_equal(out[0], pts[0])
         # Coincident points: every gradient vanishes at the start and the loop exits.
         same = np.repeat(pts[:1], 4, axis=0)
-        out = space.frechet_mean_many(same, w[:4])
+        out = space.frechet_mean_blocks(same, [w[:4]])[0]
         assert np.array_equal(out, subgradient_reference(same, w[:4], space.kind))
         assert np.array_equal(out, same[:2])
 
@@ -521,7 +527,7 @@ class TestFrechetMeanBlocks:
             assert len(joint) == len(blocks)
             for w, out in zip(blocks, joint):
                 assert np.array_equal(out, subgradient_reference(pts, w, space.kind)), space.kind
-                assert np.array_equal(out, space.frechet_mean_many(pts, w)), space.kind
+                assert np.array_equal(out, space.frechet_mean_blocks(pts, [w])[0]), space.kind
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -561,6 +567,35 @@ class TestFrechetMeanBlocks:
             space.frechet_mean_blocks(pts, [np.ones((4, 2)), np.array([[1.0], [-1.0], [-1.0], [0.5]])])
 
 
+class TestFrechetMeanColumns:
+    """One stacked solve over per-query point sets equals a one-point call per query, bit for bit."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 10_000),
+        trials=st.integers(1, 12),
+        queries=st.integers(1, 6),
+        dim=st.sampled_from([1, 2, 3, 5, 8, 9, 12]),  # from 8 on numpy sums a row pairwise
+        integer_points=st.booleans(),  # ties in |diff|: the sup norm's first largest one wins
+        shift=st.sampled_from([0.0, -3.0, -1e6, -1e15]),  # negative and large negative coordinates
+    )
+    @example(seed=1, trials=1, queries=4, dim=3, integer_points=False, shift=-3.0)  # one trial
+    @example(seed=2, trials=9, queries=1, dim=8, integer_points=True, shift=0.0)  # one query
+    @example(seed=3, trials=12, queries=5, dim=12, integer_points=True, shift=-1e15)
+    @example(seed=4, trials=10, queries=6, dim=9, integer_points=False, shift=-1e6)
+    def test_each_column_matches_its_one_point_call(self, seed, trials, queries, dim, integer_points, shift):
+        rng = np.random.default_rng(seed)
+        shape = (trials, queries, dim)
+        stacks = rng.integers(-2, 3, size=shape).astype(float) if integer_points else rng.standard_normal(shape)
+        stacks += shift
+        for space in (L1Space(), LinfSpace()):
+            out = space.frechet_mean_columns(stacks)
+            ref = one_point_centers(space, stacks)
+            assert out.shape == (queries, dim)
+            assert np.array_equal(out, ref), space.kind
+            assert np.array_equal(np.signbit(out), np.signbit(ref)), space.kind
+
+
 class TestMeansStayInSpace:
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(st.integers(0, 10_000), st.floats(0.5, 3.0))
@@ -581,7 +616,7 @@ class TestMeansStayInSpace:
             (CorrelationSpace(3), np.stack([random_correlation_matrix(3, rng) for _ in range(n)])),
         ]
         for space, pts in cases:
-            out = space.frechet_mean_many(space.check_points(pts), w)
+            out = space.frechet_mean_blocks(space.check_points(pts), [w])[0]
             assert out.shape == (k, *pts.shape[1:]), space.kind
             space.check_points(out)
 

@@ -303,7 +303,7 @@ class TestRankPredictions:
         data, queries = extrapolating_instance(kind, 5)
         model = fit(data, lam)
         w = model.weight_matrix(queries)
-        expected = data.space.frechet_mean_many(data.responses, w)
+        expected = data.space.frechet_mean_blocks(data.responses, [w])[0]
         raw = np.tensordot(w / w.sum(axis=0), data.responses, axes=(0, 0))
         if kind == "wasserstein":
             assert np.any(np.diff(raw, axis=1) < 0.0)  # PAVA runs
@@ -324,7 +324,7 @@ class TestRankPredictions:
     def test_rank_zero_is_the_unweighted_mean(self, kind):
         data, queries = extrapolating_instance(kind, 6)
         null = next(rank_predictions(data.space, data.responses, [(data.stats, queries[:1], [0])]))
-        mean = data.space.frechet_mean(data.responses, np.ones(data.n))
+        mean = data.space.frechet_mean_blocks(data.responses, [np.ones(data.n)[:, None]])[0][0]
         np.testing.assert_allclose(null[0], mean, rtol=0, atol=1e-12)
 
 

@@ -23,7 +23,6 @@ from frechet_svt.regression import CovariateStats, Dataset, covariate_stats, fit
 from frechet_svt.simulation import (
     AggregateReport,
     SimConfig,
-    aggregate,
     add_noise,
     draw_tau_squared,
     evaluate_trial,
@@ -41,7 +40,7 @@ from frechet_svt.simulation import (
     true_regression_quantile,
     tune_lambda,
 )
-from oracles import random_correlation_matrix
+from oracles import aggregate, one_point_centers, random_correlation_matrix
 
 
 def small_config(**overrides):
@@ -197,7 +196,7 @@ class TestResponses:
         x = rng.standard_normal(cfg.p)
         q, _ = gen_wasserstein_responses(np.tile(x, (cfg.n, 1)), cfg, rng)
         space = WassersteinSpace.with_uniform_grid(cfg.quantile_points)
-        mean = space.frechet_mean(q, np.ones(cfg.n))
+        mean = space.frechet_mean_blocks(q, [np.ones(cfg.n)[:, None]])[0][0]
         assert space.distance(mean, true_regression_quantile(x, cfg)) <= 0.02
 
     def test_linear_responses_exact_when_noiseless(self):
@@ -376,7 +375,7 @@ class TestJointSolveRoute:
         for est, m in models.items():
             assert np.array_equal(eval_preds[est], m.predict_many(eval_x)), est
         curves = [error(fit(noisy, lam), test.covariates, test.responses) for lam in profile_grid]
-        null_pred = space.frechet_mean(train.responses, np.ones(train.n))
+        null_pred = space.frechet_mean_blocks(train.responses, [np.ones(train.n)[:, None]])[0][0]
         null_mspe = float(np.mean(space.distances_to(test.responses, null_pred) ** 2))
         assert np.array_equal(profile_part[0], curves)
         assert profile_part[1:] == (null_mspe,)
@@ -487,6 +486,9 @@ def fold_inputs(monkeypatch):
 
 def _fold_points(kind, rng, trials, n_eval=5):
     """Predictions (trials, n_eval, ...) and truths (n_eval, ...) of one space, off the space."""
+    if kind in ("l1", "linf"):
+        space = L1Space() if kind == "l1" else LinfSpace()
+        return space, rng.standard_normal((trials, n_eval, 3)), rng.standard_normal((n_eval, 3))
     if kind == "euclidean-scalar":
         return EuclideanSpace(), rng.standard_normal((trials, n_eval)), rng.standard_normal(n_eval)
     if kind == "euclidean-vector":
@@ -525,7 +527,7 @@ def assert_close_reports(folded, stored, rtol=1e-12):
 class TestTrialFold:
     KINDS = ("euclidean-scalar", "euclidean-vector", "wasserstein", "correlation")
 
-    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("kind", [*KINDS, "l1", "linf"])
     def test_matches_aggregate_on_the_stored_predictions(self, kind):
         space, preds, truths = _fold_points(kind, np.random.default_rng(5), trials=7)
         stored = aggregate(
@@ -533,6 +535,8 @@ class TestTrialFold:
         )
         folded = _fold(space, preds, truths)
         assert_close_reports(folded, stored)
+        if not space.affine:  # the same one-point solves, stacked: equal bit for bit
+            assert folded == stored
         assert folded.var["REF"] > 0.0 and folded.bias_sq["REF"] > 0.0
 
     @pytest.mark.parametrize("kind", ["euclidean-scalar", "euclidean-vector", "wasserstein"])
@@ -564,20 +568,24 @@ class TestTrialFold:
         report = run_cell(small_config(trials=1, **overrides)).report
         assert all(v == 0.0 for v in report.var.values())
 
-    def test_l1_cell_keeps_the_stored_route(self, monkeypatch):
+    def test_l1_cell_keeps_the_stored_route(self, fold_inputs, monkeypatch):
+        # The stored (trials, eval_points, dim) predictions go to one stacked
+        # solve per estimator, which gives the oracle's report bit for bit.
         import frechet_svt.simulation as sim
 
-        calls = []
-        real_aggregate = sim.aggregate
+        shapes = []
+        real_columns = L1Space.frechet_mean_columns
 
-        def spy(reports, eval_predictions, truths, space):
-            calls.append({est: preds.shape for est, preds in eval_predictions.items()})
-            return real_aggregate(reports, eval_predictions, truths, space)
+        def spy(space, stacks):
+            shapes.append(stacks.shape)
+            return real_columns(space, stacks)
 
-        monkeypatch.setattr(sim, "aggregate", spy)
+        monkeypatch.setattr(L1Space, "frechet_mean_columns", spy)
         cfg = small_config(trials=2, eval_points=3, test_size=10, lambda_points=3, model="linear", metric="l1", linear_dim=2)
-        run_cell(cfg)
-        assert calls == [dict.fromkeys(sim.ESTIMATORS, (2, 3, 2))]
+        cell = run_cell(cfg)
+        assert shapes == [(2, 3, 2)] * len(sim.ESTIMATORS)
+        stacked = {est: np.stack([s[est] for s in fold_inputs]) for est in sim.ESTIMATORS}
+        assert cell.report == aggregate(cell.trials, stacked, sim._cell_fixtures(cfg)[3], sim._cell_space(cfg))
 
     @pytest.mark.parametrize(
         "overrides", [{}, dict(model="linear", metric="euclidean", linear_dim=30)], ids=["wasserstein", "euclidean"]
@@ -699,9 +707,12 @@ class TestRunCell:
 
     def test_solver_failure_in_a_worker_reaches_the_caller(self):
         # The fault comes with the config, so every worker sees it whatever the start method.
+        cfg = small_config(trials=2, alpha_intercept=1e308, label="huge")
         with pytest.raises(TrialFailure) as err:
-            run_cell(small_config(trials=2, alpha_intercept=1e308), workers=2)
+            run_cell(cfg, workers=2)
         assert err.value.trial_index == 0
+        assert err.value.cell == "huge"
+        assert str(err.value).startswith("cell huge: trial 0 failed: ")
         assert isinstance(err.value.cause, FloatingPointError)
 
     def test_pool_never_exceeds_the_trial_count(self, monkeypatch):
@@ -752,9 +763,9 @@ class TestRunCell:
 class TestTrialFailure:
     def test_survives_pickling(self):
         cause = ConvergenceError("no convergence", last_iterate=np.eye(2))
-        back = pickle.loads(pickle.dumps(TrialFailure(4, cause)))
-        assert back.trial_index == 4
-        assert str(back) == "trial 4 failed: no convergence"
+        back = pickle.loads(pickle.dumps(TrialFailure("gaussian-20x4", 4, cause)))
+        assert (back.cell, back.trial_index) == ("gaussian-20x4", 4)
+        assert str(back) == "cell gaussian-20x4: trial 4 failed: no convergence"
         assert type(back.cause) is ConvergenceError
         assert np.array_equal(back.cause.last_iterate, np.eye(2))
 
@@ -774,10 +785,10 @@ class TestConfigValidation:
 
 
 def _direct_profile(train, test, grid):
-    """One refit and one weight matrix per threshold, blended by ``frechet_mean_many``."""
+    """One refit and one weight matrix per threshold, blended by a one-block ``frechet_mean_blocks`` call."""
     out = []
     for lam in grid:
-        preds = train.space.frechet_mean_many(train.responses, fit(train, lam).weight_matrix(test.covariates))
+        preds = train.space.frechet_mean_blocks(train.responses, [fit(train, lam).weight_matrix(test.covariates)])[0]
         out.append(np.mean(train.space.distances_to(test.responses, preds) ** 2))
     return np.array(out)
 
