@@ -254,6 +254,8 @@ def _cmd_diagnose(args) -> int:
 def _cmd_verify_lemmas(args) -> int:
     if args.instances < 1:
         raise ConfigError(f"--instances must be at least 1, got {args.instances}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     out = _out_dir(args.out) if args.out else None
     results = run_suite(args.seed, args.instances, inject_fault=args.inject_fault)
     lines = [r.line() for r in results]

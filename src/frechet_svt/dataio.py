@@ -60,21 +60,16 @@ def _parse_row(line: int, cells, names) -> list[float]:
     return [_parse_float(c, line, name) for c, name in zip(cells, names)]
 
 
-def _parse_block(rows, names) -> np.ndarray:
-    """The cells under ``names`` (the leading ones) of every row as one float array.
+def _parse_block(lines, body, names) -> np.ndarray:
+    """The columns under ``names`` (the leading ones) of a table body as one float array.
 
-    One pass converts each row with ``float``; only a bad value sends the
-    block through ``_parse_row``, whose error names its row and column.
-    Both use ``float``, so they accept the same text and give the same bits.
+    ``body`` is the C reader's array, passed through, or the csv route's
+    rows of cells, parsed by ``_parse_row``, whose error names the row
+    (its number in ``lines``) and the column.
     """
-    k = len(names)
-    try:
-        block = np.array([list(map(float, cells[:k])) for _, cells in rows])
-        if np.isfinite(block).all():
-            return block
-    except ValueError:
-        pass
-    return np.array([_parse_row(line, cells, names) for line, cells in rows])
+    if isinstance(body, np.ndarray):
+        return np.ascontiguousarray(body[:, : len(names)])
+    return np.array([_parse_row(line, cells, names) for line, cells in zip(lines, body)])
 
 
 def _response_names(prefix: str, width: int) -> list[str]:
@@ -85,22 +80,103 @@ def _response_names(prefix: str, width: int) -> list[str]:
     return [f"{prefix}{i}" for i in range(1, width + 1)]
 
 
-def _read_table(path):
-    """Split a dataset CSV into ``(covariates, responses, grid, rows)``.
+def _records(fh):
+    """A ``csv.reader`` over an open dataset file that reads comment lines as blank lines."""
+    # Blank out comments before csv sees them: a quote in a comment would open a
+    # quoted field that swallows the lines after it. A blank line keeps the count.
+    return csv.reader("\n" if text.lstrip().startswith("#") else text for text in fh)
+
+
+def _columns(header):
+    """The covariate and the response column names of a header row, checked."""
+    names = [h.strip() for h in header]
+    p = sum(h.startswith("x") for h in names)
+    covs, resp = names[:p], names[p:]
+    if covs != _response_names("x", p):
+        raise SchemaError(f"covariate columns must be x1..xp, ahead of the responses, got {names}")
+    if resp and (resp[0][:1] not in _PREFIX.values() or resp != _response_names(resp[0][0], len(resp))):
+        raise SchemaError(f"response columns must be y1..yd, q1..qm or c11..crr row-major, got {resp}")
+    return covs, resp
+
+
+def _check_grid(grid, p: int) -> None:
+    line, cells = grid
+    if any(c.strip() for c in cells[:p]):
+        raise SchemaError(f"row {line}: grid row must leave covariate cells empty")
+
+
+# Lines that csv reads as no row at all.
+_BLANK_LINES = frozenset(("\n", "\r\n", "\r"))
+
+
+def _data_lines(fh, start: int, numbers: list):
+    """The rest of ``fh``'s lines that csv reads as rows, numbered into ``numbers`` as they go.
+
+    Lines are counted from ``start`` + 1. A line longer than csv's field
+    size limit is a ValueError, as csv could not read it.
+    """
+    limit = csv.field_size_limit()
+    for n, text in enumerate(fh, start + 1):
+        if len(text) > limit:
+            raise ValueError(f"line {n} is longer than csv's field size limit")
+        if text not in _BLANK_LINES:
+            numbers.append(n)
+            yield text
+
+
+def _read_fast(path):
+    """``_read_csv``'s result with the body read by numpy's C reader, or None when in doubt.
+
+    The header and the grid row go through ``csv`` as on the csv route,
+    the body through one ``np.loadtxt`` call that takes it line by line,
+    so no copy of the text is kept. Both routes parse numbers with
+    CPython's ``PyOS_string_to_double``, and the C reader rejects what
+    only ``float`` or csv would accept (underscores, non-ASCII digits,
+    comments, quotes), so a table returned here is the csv route's to the
+    bit. Any fault gives None, and so the csv route, which names it: a
+    header or grid row fault, a cell the C reader rejects, a width or row
+    count csv would not see, a value that is not finite, a line longer
+    than csv's field size limit, an unreadable file or no data rows.
+    """
+    lines = []
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = _records(fh)
+            records = filter(None, reader)
+            covs, resp = _columns(next(records))
+            width = len(covs) + len(resp)
+            grid = None
+            if resp and resp[0][0] == "q":
+                cells = next(records)
+                grid = (reader.line_num, cells)
+                if len(cells) != width:
+                    return None
+                _check_grid(grid, len(covs))
+            body = _data_lines(fh, reader.line_num, lines)
+            # Take the first data line here: on an empty body loadtxt warns "input contained no data".
+            first = next(body)
+            table = np.loadtxt(itertools.chain([first], body), delimiter=",", comments=None, quotechar=None, ndmin=2)
+    except (OSError, ValueError, csv.Error, StopIteration):
+        return None
+    if table.shape != (len(lines), width) or not np.isfinite(table).all():
+        return None
+    return covs, resp, grid, lines, table
+
+
+def _read_csv(path):
+    """Split a dataset CSV into ``(covariates, responses, grid, lines, rows)`` with ``csv`` alone.
 
     ``covariates`` and ``responses`` are the checked column names,
-    ``grid`` is the companion grid row when the responses are ``q``
-    columns (None otherwise) and ``rows`` the data rows. Each row is a
-    ``(line, cells)`` pair, ``line`` being its line number in the file,
-    comments and blank lines included.
+    ``grid`` is the companion grid row as a ``(line, cells)`` pair when
+    the responses are ``q`` columns (None otherwise), ``rows`` the data
+    rows' cells and ``lines`` their line numbers in the file, comments and
+    blank lines included.
     """
     lines, records = [], []
     try:
         # utf-8-sig drops the byte-order mark that spreadsheet "CSV UTF-8" exports put first.
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            # Blank out comments before csv sees them: a quote in a comment would open a
-            # quoted field that swallows the lines after it. A blank line keeps the count.
-            reader = csv.reader("\n" if text.lstrip().startswith("#") else text for text in fh)
+            reader = _records(fh)
             for row in reader:
                 if row:
                     lines.append(reader.line_num)
@@ -109,29 +185,31 @@ def _read_table(path):
         raise SchemaError(f"{path}: cannot read: {exc}") from exc
     if not records:
         raise SchemaError(f"{path}: empty file")
-    # Pair line numbers with rows only after the read: (line, row) tuples made during
-    # it kept ~14 MB of a 2000x121 file resident after the read returned.
-    (_, header), *rows = zip(lines, records)
-    names = [h.strip() for h in header]
-    p = sum(h.startswith("x") for h in names)
-    covs, resp = names[:p], names[p:]
-    if covs != _response_names("x", p):
-        raise SchemaError(f"covariate columns must be x1..xp, ahead of the responses, got {names}")
-    if resp and (resp[0][:1] not in _PREFIX.values() or resp != _response_names(resp[0][0], len(resp))):
-        raise SchemaError(f"response columns must be y1..yd, q1..qm or c11..crr row-major, got {resp}")
-    for line, cells in rows:
-        if len(cells) != len(names):
-            raise SchemaError(f"row {line}: expected {len(names)} cells, got {len(cells)}")
-    grid = None
+    covs, resp = _columns(records[0])
+    width = len(covs) + len(resp)
+    grid, lines, rows = None, lines[1:], records[1:]
+    for line, cells in zip(lines, rows):
+        if len(cells) != width:
+            raise SchemaError(f"row {line}: expected {width} cells, got {len(cells)}")
     if resp and resp[0][0] == "q":
         if not rows:
             raise SchemaError(f"{path}: missing companion grid row under the header")
-        grid, *rows = rows
-        if any(c.strip() for c in grid[1][:p]):
-            raise SchemaError(f"row {grid[0]}: grid row must leave covariate cells empty")
+        grid, lines, rows = (lines[0], rows[0]), lines[1:], rows[1:]
+        _check_grid(grid, len(covs))
     if not rows:
         raise SchemaError(f"{path}: no data rows")
-    return covs, resp, grid, rows
+    return covs, resp, grid, lines, rows
+
+
+def _read_table(path):
+    """``(covariates, responses, grid, lines, body)`` of a dataset CSV.
+
+    ``body`` is a float array of every column when numpy's C reader takes
+    the whole body, else the csv route's rows of cells (``_read_csv``),
+    which ``_parse_block`` parses and whose faults it names by row and
+    column. Both give the same bits for every file the csv route accepts.
+    """
+    return _read_fast(path) or _read_csv(path)
 
 
 def read_dataset(path, kind: str):
@@ -142,7 +220,7 @@ def read_dataset(path, kind: str):
     """
     if kind not in KINDS:
         raise SchemaError(f"unknown kind {kind!r}")
-    covs, resp, grid, rows = _read_table(path)
+    covs, resp, grid, lines, body = _read_table(path)
     if not resp or resp[0][0] != _PREFIX[kind]:
         raise SchemaError(f"kind {kind!r} expects {_PREFIX[kind]} response columns, got {resp}")
     p = len(covs)
@@ -156,25 +234,25 @@ def read_dataset(path, kind: str):
         except ValueError as exc:
             raise SchemaError(f"row {line}: bad grid levels: {exc}") from exc
 
-    table = _parse_block(rows, covs + resp)
+    table = _parse_block(lines, body, covs + resp)
     x = np.ascontiguousarray(table[:, :p]) if p else None
     responses = np.ascontiguousarray(table[:, p:])
     if kind == "correlation":
-        responses = responses.reshape(len(rows), space.size, space.size)
+        responses = responses.reshape(len(lines), space.size, space.size)
     try:
         responses = space.check_points(responses)
     except InvalidPointError as exc:
-        where = "" if exc.index is None else f"row {rows[exc.index][0]}: "
+        where = "" if exc.index is None else f"row {lines[exc.index]}: "
         raise SchemaError(where + exc.reason) from exc
     return x, responses, space
 
 
 def read_covariates(path) -> np.ndarray:
-    """Read only the x1..xp columns; response columns are checked, not parsed."""
-    covs, _, _, rows = _read_table(path)
+    """Read only the x1..xp columns; response columns are checked, but their cells need not be numbers."""
+    covs, _, _, lines, body = _read_table(path)
     if not covs:
         raise SchemaError(f"{path}: no covariate columns")
-    return _parse_block(rows, covs)
+    return _parse_block(lines, body, covs)
 
 
 def _write_csv(path, header, rows, comment=None) -> None:
@@ -296,11 +374,14 @@ def load_sim_configs(path, seed_override=None, grid_points_override=None):
     shared = _parse_section(_CAMPAIGN_SECTION, sections.pop(_CAMPAIGN_SECTION, []))
     if not sections:
         raise ConfigError("config defines no cell sections")
-    configs = []
+    configs, named = [], {}
     for section, items in sections.items():
         fields = dict(shared)
         fields.update(_parse_section(section, items))
-        fields["label"] = section.removeprefix("cell:").strip() or section
+        label = fields["label"] = section.removeprefix("cell:").strip() or section
+        if label in named:
+            raise ConfigError(f"sections [{named[label]}] and [{section}] both name cell {label!r}")
+        named[label] = section
         for key in _CELL_KEYS_REQUIRED:
             if key not in fields:
                 raise ConfigError(f"section [{section}]: missing required key {key!r}")

@@ -19,17 +19,29 @@ cell's bias and variance. It is the one oracle here that calls the
 package's solvers: one one-point ``frechet_mean_blocks`` call per
 evaluation point (``one_point_centers``), as the package made them
 before its trial fold, so the fold and the stacked l1/sup-norm solve
-can be held to it.
+can be held to it. ``read_dataset_reference`` and
+``read_covariates_reference`` are the original dataset reader, which
+parsed every cell with ``float`` after ``csv`` split the file, kept
+with its helpers to hold the package's reader to the same bits and the
+same ``SchemaError`` text.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
+import math
 
 import numpy as np
 
-from frechet_svt.metric_spaces import ConvergenceError
+from frechet_svt.dataio import _PREFIX, KINDS, SchemaError
+from frechet_svt.metric_spaces import (
+    ConvergenceError,
+    InvalidPointError,
+    MetricSpace,
+    WassersteinSpace,
+    space_from_kind,
+)
 from frechet_svt.simulation import ESTIMATORS, AggregateReport
 
 
@@ -347,3 +359,135 @@ def aggregate(trial_reports, eval_predictions, truths, space):
     mse = {est: float(np.mean([t.mse[est] for t in trial_reports])) for est in ESTIMATORS}
     mspe = {est: float(np.mean([t.mspe[est] for t in trial_reports])) for est in ESTIMATORS}
     return AggregateReport(bias_sq, var, mse, mspe)
+
+
+def _parse_float(text: str, row: int, col: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise SchemaError(f"row {row}: column {col}: cannot parse {text!r} as a number") from exc
+    if not math.isfinite(value):
+        raise SchemaError(f"row {row}: column {col}: non-finite value {text!r}")
+    return value
+
+
+def _parse_row(line: int, cells, names) -> list[float]:
+    """The cells under ``names`` (the leading ones) as floats."""
+    return [_parse_float(c, line, name) for c, name in zip(cells, names)]
+
+
+def _parse_block(rows, names) -> np.ndarray:
+    """The cells under ``names`` (the leading ones) of every row as one float array.
+
+    One pass converts each row with ``float``; only a bad value sends the
+    block through ``_parse_row``, whose error names its row and column.
+    Both use ``float``, so they accept the same text and give the same bits.
+    """
+    k = len(names)
+    try:
+        block = np.array([list(map(float, cells[:k])) for _, cells in rows])
+        if np.isfinite(block).all():
+            return block
+    except ValueError:
+        pass
+    return np.array([_parse_row(line, cells, names) for line, cells in rows])
+
+
+def _response_names(prefix: str, width: int) -> list[str]:
+    """Column names of a ``width``-wide block: ``x1..``, ``y1..``, ``q1..`` or row-major ``c11..``."""
+    if prefix == "c":
+        r = math.isqrt(width)
+        return [f"c{i}{j}" for i in range(1, r + 1) for j in range(1, r + 1)]
+    return [f"{prefix}{i}" for i in range(1, width + 1)]
+
+
+def _read_table(path):
+    """Split a dataset CSV into ``(covariates, responses, grid, rows)``.
+
+    ``covariates`` and ``responses`` are the checked column names,
+    ``grid`` is the companion grid row when the responses are ``q``
+    columns (None otherwise) and ``rows`` the data rows. Each row is a
+    ``(line, cells)`` pair, ``line`` being its line number in the file,
+    comments and blank lines included.
+    """
+    lines, records = [], []
+    try:
+        # utf-8-sig drops the byte-order mark that spreadsheet "CSV UTF-8" exports put first.
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            # Blank out comments before csv sees them: a quote in a comment would open a
+            # quoted field that swallows the lines after it. A blank line keeps the count.
+            reader = csv.reader("\n" if text.lstrip().startswith("#") else text for text in fh)
+            for row in reader:
+                if row:
+                    lines.append(reader.line_num)
+                    records.append(row)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise SchemaError(f"{path}: cannot read: {exc}") from exc
+    if not records:
+        raise SchemaError(f"{path}: empty file")
+    # Pair line numbers with rows only after the read: (line, row) tuples made during
+    # it kept ~14 MB of a 2000x121 file resident after the read returned.
+    (_, header), *rows = zip(lines, records)
+    names = [h.strip() for h in header]
+    p = sum(h.startswith("x") for h in names)
+    covs, resp = names[:p], names[p:]
+    if covs != _response_names("x", p):
+        raise SchemaError(f"covariate columns must be x1..xp, ahead of the responses, got {names}")
+    if resp and (resp[0][:1] not in _PREFIX.values() or resp != _response_names(resp[0][0], len(resp))):
+        raise SchemaError(f"response columns must be y1..yd, q1..qm or c11..crr row-major, got {resp}")
+    for line, cells in rows:
+        if len(cells) != len(names):
+            raise SchemaError(f"row {line}: expected {len(names)} cells, got {len(cells)}")
+    grid = None
+    if resp and resp[0][0] == "q":
+        if not rows:
+            raise SchemaError(f"{path}: missing companion grid row under the header")
+        grid, *rows = rows
+        if any(c.strip() for c in grid[1][:p]):
+            raise SchemaError(f"row {grid[0]}: grid row must leave covariate cells empty")
+    if not rows:
+        raise SchemaError(f"{path}: no data rows")
+    return covs, resp, grid, rows
+
+
+def read_dataset_reference(path, kind: str):
+    """Read covariates plus responses; returns ``(X, responses, space)``.
+
+    ``X`` is None when the file has no covariate columns (a pure
+    response file, e.g. re-ingested predictions).
+    """
+    if kind not in KINDS:
+        raise SchemaError(f"unknown kind {kind!r}")
+    covs, resp, grid, rows = _read_table(path)
+    if not resp or resp[0][0] != _PREFIX[kind]:
+        raise SchemaError(f"kind {kind!r} expects {_PREFIX[kind]} response columns, got {resp}")
+    p = len(covs)
+    if grid is None:
+        space: MetricSpace = space_from_kind(kind, size=math.isqrt(len(resp)))
+    else:
+        line, cells = grid
+        levels = np.array(_parse_row(line, cells[p:], resp))
+        try:
+            space = WassersteinSpace(levels)
+        except ValueError as exc:
+            raise SchemaError(f"row {line}: bad grid levels: {exc}") from exc
+
+    table = _parse_block(rows, covs + resp)
+    x = np.ascontiguousarray(table[:, :p]) if p else None
+    responses = np.ascontiguousarray(table[:, p:])
+    if kind == "correlation":
+        responses = responses.reshape(len(rows), space.size, space.size)
+    try:
+        responses = space.check_points(responses)
+    except InvalidPointError as exc:
+        where = "" if exc.index is None else f"row {rows[exc.index][0]}: "
+        raise SchemaError(where + exc.reason) from exc
+    return x, responses, space
+
+
+def read_covariates_reference(path) -> np.ndarray:
+    """Read only the x1..xp columns; response columns are checked, not parsed."""
+    covs, _, _, rows = _read_table(path)
+    if not covs:
+        raise SchemaError(f"{path}: no covariate columns")
+    return _parse_block(rows, covs)

@@ -174,6 +174,14 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {cfg}: ")
 
+    @pytest.mark.parametrize("second", ["a", "cell: a"])
+    def test_two_sections_naming_one_cell_exit_2(self, tmp_path, capsys, second):
+        cfg = write_config(tmp_path, f"[cell:a]\nn = 20\np = 4\n\n[{second}]\nn = 20\np = 4\n")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: sections [cell:a] and [{second}] both name cell 'a'\n"
+        assert not (out / "results.csv").exists()
+
     def test_non_utf8_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "campaign.cfg"
         cfg.write_bytes(SMOKE_CONFIG.encode() + b"# caf\xe9\n")
@@ -1080,6 +1088,12 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert "--instances must be at least 1" in captured.err
         assert "pass" not in captured.out
+
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["verify-lemmas", "--seed", "-1", "--instances", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --seed must be nonnegative, got -1\n"
+        assert captured.out == ""
 
     def test_covariate_stats_once_per_design(self, capsys, monkeypatch):
         import frechet_svt
