@@ -94,6 +94,10 @@ def _broken_pool() -> type:
 
 
 def _cmd_simulate(args) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
+    if args.grid_points is not None and args.grid_points < 1:
+        raise ConfigError(f"--grid-points must be at least 1, got {args.grid_points}")
     configs, snapshot = load_sim_configs(args.config, args.seed, args.grid_points)
     out = _out_dir(args.out)
     write_manifest(

@@ -20,6 +20,8 @@ subgradient solver instead, which also takes a point set per query
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Slack allowed when checking that quantile values are nondecreasing.
@@ -281,29 +283,35 @@ class _IterativeNormSpace(_VectorSpace):
     pass over them runs one long contiguous inner loop however small
     ``dim`` is. Each reduction keeps the order of the query-major loop
     that ``tests/oracles.subgradient_reference`` freezes, so the result
-    is the same bit for bit. The gradient adds the points' (dim, queries)
-    planes in order, as ``einsum("kn,knd->kd")`` does, and a trailing
-    ``+= 0.0`` gives that einsum's +0.0 for a sum of signed zeros. The
-    objective runs the reference's ``einsum("kn,kn->k")`` on a C-ordered
-    (queries, points) copy of the squared norms. The norms reduce over
-    ``dim`` as a contiguous row of the query-major layout would; see
-    ``L1Space._norm_parts``. Beyond the two work arrays, only the sup
-    norm's boolean mask of each offset's largest coordinate has their
-    shape.
+    is the same bit for bit. A step copies the iterate once into a
+    contiguous (dim, queries) buffer, broadcasts it into the offsets and
+    subtracts the points in place. The gradient is one
+    ``einsum("nq,ndq->dq")`` of the weighted norms and the subgradient,
+    doubled into a C-ordered (queries, dim) array: it adds the points'
+    (dim, queries) planes in order from +0.0, as the reference's
+    ``einsum("kn,knd->kd")`` does, so a sum of signed zeros is +0.0 in
+    both. The objective runs the reference's
+    ``einsum("kn,kn->k")`` on a C-ordered (queries, points) copy of the
+    squared norms. The norms reduce over ``dim`` as a contiguous row of
+    the query-major layout would; see ``L1Space._norm_parts``. Beyond the
+    two work arrays, only the sup norm's boolean mask of each offset's
+    largest coordinate has their shape, one buffer per solve.
     """
 
     iterations = 500
     _combine: np.ufunc  # folds the |coordinates| of an offset into its norm
+    _masked = False  # True when ``_norm_parts`` takes a bool work array shaped as the offsets
 
     def distances_to(self, points, y) -> np.ndarray:
         a = np.abs(np.asarray(points, dtype=float) - np.asarray(y, dtype=float))
         return a if a.ndim <= 1 else self._combine.reduce(a, axis=-1)
 
-    def _norm_parts(self, diff: np.ndarray, subgrad: np.ndarray) -> np.ndarray:
+    def _norm_parts(self, diff: np.ndarray, subgrad: np.ndarray, hot) -> np.ndarray:
         """Norms of the (points, dim, queries) offsets ``diff``, as (points, queries).
 
         A subgradient of ||.|| at each offset goes into ``subgrad``, laid
-        out as ``diff``; ``diff`` may be overwritten.
+        out as ``diff``; ``diff`` may be overwritten, and so may ``hot``,
+        a bool array of that shape when ``_masked`` is set, else None.
         """
         raise NotImplementedError
 
@@ -351,21 +359,25 @@ class _IterativeNormSpace(_VectorSpace):
 
         diff = np.empty((*pts.shape[:2], y.shape[0]))  # offsets y - pts, reused by every iterate
         subgrad = np.empty_like(diff)
+        hot = np.empty(diff.shape, dtype=bool) if self._masked else None
+        yt = np.empty(diff.shape[1:])  # the iterate, (dim, queries) and contiguous
 
         def offsets(y):
-            np.copyto(diff, y.T)
+            # A broadcast copy and an in-place subtract measured faster than
+            # one out-of-place subtract while the work arrays fit in cache.
+            np.copyto(yt, y.T)
+            np.copyto(diff, yt)
             return np.subtract(diff, pts, out=diff)
 
-        def gradient(norms):  # 2 sum_i w_i ||y - p_i|| g_i per query; overwrites norms and subgrad
+        def gradient(norms):  # 2 sum_i w_i ||y - p_i|| g_i per query, as (queries, dim); overwrites norms
             norms *= w
-            np.multiply(subgrad, norms[:, None, :], out=subgrad)
-            grad = np.empty((subgrad.shape[2], subgrad.shape[1]))  # (queries, dim)
-            np.add.reduce(subgrad, axis=0, out=grad.T)  # in order over the points
-            grad += 0.0  # einsum sums from +0.0, so a sum of signed zeros is +0.0
-            grad *= 2.0
-            return grad
+            # numpy's contiguous einsum loop may fuse each multiply-add, but the
+            # subgradient's entries are +-1 or +-0, so every product is exact and
+            # the sum rounds as the reference's does. A C-ordered result keeps
+            # the step norm's row sums pairwise, as np.linalg.norm's are there.
+            return np.multiply(np.einsum("nq,ndq->dq", norms, subgrad).T, 2.0, order="C")
 
-        norms = self._norm_parts(offsets(y), subgrad)  # (n, queries)
+        norms = self._norm_parts(offsets(y), subgrad, hot)  # (n, queries)
         sq = squares(norms)
         grad = gradient(norms)
         del norms  # from here on no more (n, queries) arrays are alive than in a step
@@ -383,17 +395,17 @@ class _IterativeNormSpace(_VectorSpace):
         scales = np.sqrt(spread / np.maximum(mass, 1e-300))
         del sq, abs_wt
         for k in range(1, self.iterations + 1):
-            gn = np.linalg.norm(grad, axis=1)
+            gn = np.sqrt(np.add.reduce(grad * grad, axis=1))  # np.linalg.norm(grad, axis=1), bit for bit
             active = gn > 0.0
-            if not np.any(active):
+            if not active.any():
                 break
-            step = np.where(active, scales / (np.sqrt(k) * np.where(active, gn, 1.0)), 0.0)
+            step = np.divide(scales, math.sqrt(k) * gn, out=np.zeros_like(gn), where=active)
             y = y - step[:, None] * grad
-            norms = self._norm_parts(offsets(y), subgrad)
+            norms = self._norm_parts(offsets(y), subgrad, hot)
             obj = weighted(wt, lone, squares(norms))
             improved = obj < best_obj
-            best_obj = np.where(improved, obj, best_obj)
-            best_y[improved] = y[improved]
+            np.copyto(best_obj, obj, where=improved)
+            np.copyto(best_y, y, where=improved[:, None])
             grad = gradient(norms)
         return best_y
 
@@ -402,7 +414,7 @@ class L1Space(_IterativeNormSpace):
     kind = "l1"
     _combine = np.add
 
-    def _norm_parts(self, diff, subgrad):
+    def _norm_parts(self, diff, subgrad, hot):
         # numpy sums fewer than 8 terms in order whatever the layout, but a
         # longer contiguous row pairwise. For those rows the subgradient
         # buffer first holds |diff| row-contiguous, so no third array is made.
@@ -419,17 +431,18 @@ class L1Space(_IterativeNormSpace):
 class LinfSpace(_IterativeNormSpace):
     kind = "linf"
     _combine = np.maximum
+    _masked = True
 
-    def _norm_parts(self, diff, subgrad):
+    def _norm_parts(self, diff, subgrad, hot):
         # Sign at the first largest |coordinate|, a signed zero elsewhere (a
         # masked negative sign gives -0.0). The sign of a zero reaches the
         # gradient only through products and the in-order sum over the
-        # points, and ``gradient``'s ``grad += 0.0`` turns a sum of zeros into
-        # +0.0, so the result is the same bit for bit.
+        # points, which starts from +0.0 and so turns a sum of zeros into
+        # +0.0: the result is the same bit for bit.
         np.sign(diff, out=subgrad)
         a = np.abs(diff, out=diff)
         top = a.max(axis=1)
-        hot = a == top[:, None, :]
+        np.equal(a, top[:, None, :], out=hot)
         if np.count_nonzero(hot) > top.size:  # ties: only the first one counts
             hot &= np.cumsum(hot, axis=1) == 1
         subgrad *= hot

@@ -144,10 +144,18 @@ class TestSimulateCommand:
         assert "thin" in err and "p must be at least 2" in err
 
     @pytest.mark.parametrize("points", ["0", "-2"])
-    def test_grid_points_below_one_exits_2(self, tmp_path, points):
+    def test_grid_points_below_one_exits_2(self, tmp_path, capsys, points):
         cfg = write_config(tmp_path)
         assert main(["simulate", "--config", str(cfg), "--grid-points", points,
                      "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: --grid-points must be at least 1, got {points}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["simulate", "--config", str(cfg), "--seed", "-3", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: --seed must be nonnegative, got -3\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "key", ["sigma_eps", "sigma_eta", "ig_shape", "ig_scale", "alpha_intercept", "condition_number"]

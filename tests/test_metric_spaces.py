@@ -559,6 +559,24 @@ class TestFrechetMeanBlocks:
                 assert np.array_equal(out, ref), space.kind
                 assert np.array_equal(np.signbit(out), np.signbit(ref)), space.kind
 
+    def test_workload_widths_match_reference(self):
+        # The cases above stop at a few columns. A linear-norms trial solves
+        # 166 columns and a lone one on 40 points at dim 5; the dim-9 block
+        # runs the pairwise row sums at a width of its own.
+        rng = np.random.default_rng(23)
+        for n, dim, sizes in ((40, 5, [166, 1]), (24, 9, [120])):
+            pts = rng.standard_normal((n, dim))
+            pts[1] = pts[0]  # a repeated point
+            blocks = []
+            for size in sizes:
+                w = 1.5 * rng.standard_normal((n, size))
+                blocks.append(w - w.mean(axis=0) + 1.0)  # columns average one; many weights are negative
+            for space in (L1Space(), LinfSpace()):
+                for w, out in zip(blocks, space.frechet_mean_blocks(pts, blocks)):
+                    ref = subgradient_reference(pts, w, space.kind)
+                    assert np.array_equal(out, ref), (space.kind, dim)
+                    assert np.array_equal(np.signbit(out), np.signbit(ref)), (space.kind, dim)
+
     @pytest.mark.parametrize("space", ALL_VECTOR_SPACES + [WassersteinSpace.with_uniform_grid(5)], ids=lambda s: s.kind)
     def test_no_blocks_and_degenerate_blocks(self, space):
         pts = np.sort(np.random.default_rng(5).standard_normal((4, 5)), axis=1)
