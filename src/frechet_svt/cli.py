@@ -14,15 +14,10 @@ tuning, fit and prediction or the ``diagnose`` numerics, or a
 ``simulate`` table value that is not finite, in which case neither
 table is written), 4 verification failure. Worker count for simulations
 comes from the FRECHET_SVT_THREADS environment variable (default: the
-cores this process may run on). Every command runs numpy's BLAS on one
-thread per process (see ``linalg.pin_blas_threads``); the manifest names
-the library and the thread count. Every command also keeps OpenSSL out of
-its process: numpy >= 2 loads ``numpy.random`` on first use, whose
-``secrets`` import reaches ``hmac`` and ``_hashlib``, which maps
-``libcrypto`` (3.3 MB resident) for a program that never hashes.
-``main`` blocks ``_hashlib``, so ``hashlib`` and ``hmac`` fall back to
-CPython's built-in digests with the same results; peak RSS of a
-desk-scale ``simulate`` cell went 40.8 -> 37.5 MB.
+cores this process may run on). Every command, and every ``simulate``
+pool worker under any start method, runs numpy's BLAS on one thread and
+keeps OpenSSL out of its process (``linalg.settle_process``); the
+manifest names the library and the thread count.
 """
 
 from __future__ import annotations
@@ -50,7 +45,7 @@ from .dataio import (
     write_results_csv,
 )
 from .diagnostics import diagnose
-from .linalg import pin_blas_threads
+from .linalg import settle_process
 from .metric_spaces import ConvergenceError, DegenerateWeightsError, WassersteinSpace
 from .regression import Dataset, fit
 from .simulation import TrialFailure, lambda_grid, run_campaign, tune_lambda
@@ -86,19 +81,13 @@ def _out_dir(text: str) -> Path:
     return out
 
 
-def _broken_pool() -> type:
-    """``BrokenProcessPool``, whose module loads multiprocessing: imported only once an error is in hand."""
-    from concurrent.futures.process import BrokenProcessPool
-
-    return BrokenProcessPool
-
-
 def _cmd_simulate(args) -> int:
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     if args.grid_points is not None and args.grid_points < 1:
         raise ConfigError(f"--grid-points must be at least 1, got {args.grid_points}")
     configs, snapshot = load_sim_configs(args.config, args.seed, args.grid_points)
+    workers = _worker_count()
     out = _out_dir(args.out)
     write_manifest(
         out,
@@ -109,11 +98,12 @@ def _cmd_simulate(args) -> int:
             "seed": configs[0].master_seed,
             "out": str(out),
             "workers_env": os.environ.get(THREADS_ENV, ""),
+            "workers": workers,
             **args.blas,
         },
         snapshot,
     )
-    results = run_campaign(configs, workers=_worker_count())
+    results = run_campaign(configs, workers=workers)
     check_tables(results)
     write_results_csv(out / "results.csv", results)
     write_profile_csv(out / "profile.csv", results)
@@ -170,22 +160,6 @@ def _cmd_fit_predict(args) -> int:
         raise SchemaError(
             f"queries have {queries.shape[1]} covariates but training data has {x.shape[1]}"
         )
-    out = _out_dir(args.out)
-    write_manifest(
-        out,
-        "fit-predict",
-        __version__,
-        {
-            "train": args.train,
-            "queries": args.queries,
-            "kind": args.kind,
-            "lambda": args.lam,
-            "holdout": args.holdout or "",
-            "out": str(out),
-            **args.blas,
-        },
-    )
-    lam_hat = None
     if lam is None:
         hx, hy, hspace = _read_design(args.holdout, args.kind, "holdout")
         if hx.shape[1] != x.shape[1]:
@@ -203,6 +177,22 @@ def _cmd_fit_predict(args) -> int:
         if top <= 0.0:
             raise SchemaError(f"{args.train}: training covariates are constant, so --lambda auto has no threshold grid")
         grid = lambda_grid(top, x.shape[1], x.shape[0], args.grid_points)
+    out = _out_dir(args.out)
+    write_manifest(
+        out,
+        "fit-predict",
+        __version__,
+        {
+            "train": args.train,
+            "queries": args.queries,
+            "kind": args.kind,
+            "lambda": args.lam,
+            "holdout": args.holdout or "",
+            "out": str(out),
+            **args.blas,
+        },
+    )
+    lam_hat = None
     # Finite extreme responses can still overflow in the blends; that is a
     # FloatingPointError (exit 3), not an inf or nan prediction.
     with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -322,25 +312,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # One BLAS thread, so outputs do not depend on OPENBLAS_NUM_THREADS;
-    # after parsing, since --version and --help use no BLAS.
-    args.blas = pin_blas_threads()
-    # Block OpenSSL before any command first draws from np.random: numpy's
-    # bit generators import secrets -> hmac -> _hashlib, which maps
-    # libcrypto (3.3 MB resident) for nothing. hashlib and hmac then use
-    # CPython's built-in digests, and forked pool workers inherit the
-    # block. An interpreter that has already loaded _hashlib keeps it.
-    sys.modules.setdefault("_hashlib", None)
+    # After parsing, since --version and --help compute nothing.
+    args.blas = settle_process()
     try:
         return args.func(args)
-    except (ConfigError, SchemaError) as exc:
+    # OSError: an output file that cannot be written; its message names the path.
+    except (ConfigError, SchemaError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
-    except OSError as exc:  # an output file that cannot be written; its message names the path
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CONFIG
-    # Python evaluates this tuple only when an exception reaches it.
-    except (TrialFailure, ConvergenceError, DegenerateWeightsError, FloatingPointError, _broken_pool()) as exc:
+    except (TrialFailure, ConvergenceError, DegenerateWeightsError, FloatingPointError) as exc:
         sys.stderr.write(f"solver error: {exc}\n")
         return EXIT_SOLVER
 

@@ -112,13 +112,14 @@ _BLANK_LINES = frozenset(("\n", "\r\n", "\r"))
 def _data_lines(fh, start: int, numbers: list):
     """The rest of ``fh``'s lines that csv reads as rows, numbered into ``numbers`` as they go.
 
-    Lines are counted from ``start`` + 1. A line longer than csv's field
-    size limit is a ValueError, as csv could not read it.
+    Lines are counted from ``start`` + 1. A line with a comma-separated
+    field longer than csv's field size limit is a ValueError, as csv could
+    not read it; the last field counts the line end, which errs towards csv.
     """
     limit = csv.field_size_limit()
     for n, text in enumerate(fh, start + 1):
-        if len(text) > limit:
-            raise ValueError(f"line {n} is longer than csv's field size limit")
+        if len(text) > limit and max(map(len, text.split(","))) > limit:
+            raise ValueError(f"line {n} holds a field longer than csv's field size limit")
         if text not in _BLANK_LINES:
             numbers.append(n)
             yield text
@@ -135,7 +136,7 @@ def _read_fast(path):
     comments, quotes), so a table returned here is the csv route's to the
     bit. Any fault gives None, and so the csv route, which names it: a
     header or grid row fault, a cell the C reader rejects, a width or row
-    count csv would not see, a value that is not finite, a line longer
+    count csv would not see, a value that is not finite, a field longer
     than csv's field size limit, an unreadable file or no data rows.
     """
     lines = []

@@ -4,13 +4,14 @@ Everything is SVD-based and pure: ``compute_svd(m).kept()`` factors a
 matrix once, with an explicit numerical-rank cutoff, and gives its
 Moore-Penrose pseudoinverse and row/column projections; also hard
 singular value thresholding and the exact pseudoinverse perturbation
-identity used by the verification suite. ``pin_blas_threads`` sets the
-BLAS under numpy to one thread, so that products round the same way
-whatever the environment asks for.
+identity used by the verification suite. ``settle_process`` sets up a
+process that computes: one BLAS thread, so that products round the same
+way whatever the environment asks for, and no OpenSSL.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,19 +129,27 @@ def pinv_perturbation_residual(x, z) -> float:
     return float(np.linalg.norm((zp - xp) - rhs, "fro"))
 
 
-def pin_blas_threads() -> dict:
-    """Set numpy's bundled OpenBLAS to one thread in this process.
+def settle_process() -> dict:
+    """Set up this process to compute: numpy's BLAS on one thread, and no OpenSSL.
 
     A threaded BLAS splits a product's sums across threads, so the same
     inputs round differently under different ``OPENBLAS_NUM_THREADS``
-    values; with one thread every run computes the same bits. The setting
-    holds for the calling process only, so each pool worker makes this
-    call too. Returns manifest entries: the library file and the thread
-    count, ``unpinned`` when no library with a known setter is found.
+    values; with one thread every run computes the same bits. numpy >= 2
+    loads ``numpy.random`` on first use, and its bit generators import
+    ``secrets`` -> ``hmac`` -> ``_hashlib``, which maps ``libcrypto``
+    (3.3 MB resident) into a program that never hashes. Blocking
+    ``_hashlib`` before the first draw makes ``hashlib`` and ``hmac`` use
+    CPython's built-in digests, with the same results; an interpreter
+    that has already loaded ``_hashlib`` keeps it. Both settings hold for
+    the calling process only, so the CLI and every pool worker, whatever
+    the start method, make this call. Returns manifest entries: the BLAS
+    library file and the thread count, ``unpinned`` when no library with
+    a known setter is found.
     """
-    import ctypes  # here, not at import: only the CLI and pool workers pin
+    import ctypes  # here, not at import: only the CLI and pool workers settle
     from pathlib import Path
 
+    sys.modules.setdefault("_hashlib", None)
     # Where numpy's Linux wheels put their OpenBLAS, next to the package.
     for lib in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*")):
         try:

@@ -23,7 +23,7 @@ from statistics import NormalDist, median
 
 import numpy as np
 
-from .linalg import pin_blas_threads
+from .linalg import settle_process
 from .metric_spaces import (
     ConvergenceError,
     DegenerateWeightsError,
@@ -520,9 +520,9 @@ _worker_fixtures = None
 
 
 def _start_worker(fixtures) -> None:
-    """Pool initializer: one BLAS thread, and the cell's fixtures kept for every trial."""
+    """Pool initializer: ``settle_process``, and the cell's fixtures kept for every trial."""
     global _worker_fixtures
-    pin_blas_threads()
+    settle_process()
     _worker_fixtures = fixtures
 
 
@@ -537,17 +537,18 @@ def run_cell(config: SimConfig, workers: int = 1) -> CellResult:
     cell's profile grid with its own tuning grid (``evaluate_trial``).
     Trials are independent given their derived seeds, so they can run in
     worker processes. Each worker receives the cell's fixtures once, from
-    the pool initializer, which also sets its BLAS to one thread, and
-    then gets only trial indices. Either way the outcomes are read one at
-    a time, in trial order, as they arrive. Each outcome's evaluation
-    predictions go into the cell's ``_TrialFold`` and the outcome is
-    dropped before the next one is read. For Euclidean, Wasserstein and
-    correlation responses the fold keeps a running average and spread,
-    so memory does not grow with the number of trials. For l1 and
-    sup-norm responses it stores one ``(trials, eval_points, ...)`` array
-    per estimator. The profile is divided by the null model's mean test
-    error; where that is 0 (every response one point), ``FloatingPointError``
-    names the cell.
+    the pool initializer, which also calls ``settle_process`` as the CLI
+    does, and then gets only trial indices. A worker that dies breaks the
+    pool, and the first trial whose outcome is still unread raises
+    ``TrialFailure``. Either way the outcomes are read one at a time, in
+    trial order, as they arrive. Each outcome's evaluation predictions go
+    into the cell's ``_TrialFold`` and the outcome is dropped before the
+    next one is read. For Euclidean, Wasserstein and correlation responses
+    the fold keeps a running average and spread, so memory does not grow
+    with the number of trials. For l1 and sup-norm responses it stores one
+    ``(trials, eval_points, ...)`` array per estimator. The profile is
+    divided by the null model's mean test error; where that is 0 (every
+    response one point), ``FloatingPointError`` names the cell.
     """
     spectrum, basis, eval_x, truths, params = _cell_fixtures(config)
     profile_grid = lambda_grid(spectrum[0], config.p, config.n, config.lambda_points)
@@ -558,12 +559,14 @@ def run_cell(config: SimConfig, workers: int = 1) -> CellResult:
     null_errors = np.empty(config.trials)
     # A forked pool starts every worker at once, so never ask for more than there are trials.
     workers = min(workers, config.trials)
+    lost_worker = ()  # what a dead worker raises; a serial run has none
     # Overflow in the across-trial folds is an error too, as inside a trial.
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         with contextlib.ExitStack() as stack:
             if workers > 1:
                 # Imported here: loading the pool module (multiprocessing, sockets, ...) costs every process.
                 from concurrent.futures import ProcessPoolExecutor
+                from concurrent.futures.process import BrokenProcessPool as lost_worker
 
                 pool = ProcessPoolExecutor(max_workers=workers, initializer=_start_worker, initargs=(fixtures,))
                 outcomes = stack.enter_context(pool).map(_pooled_trial, range(config.trials))
@@ -573,7 +576,10 @@ def run_cell(config: SimConfig, workers: int = 1) -> CellResult:
                 # next(), not enumerate, and del preds: enumerate's cached result
                 # tuple or a live name would keep trial b's outcome while trial
                 # b + 1 runs.
-                report, preds, (svt_curves[b], null_errors[b]) = next(outcomes)
+                try:
+                    report, preds, (svt_curves[b], null_errors[b]) = next(outcomes)
+                except lost_worker as exc:
+                    raise TrialFailure(config.display_name(), b, exc) from exc
                 reports.append(report)
                 fold.add(preds)
                 del preds

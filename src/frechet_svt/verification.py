@@ -5,12 +5,16 @@ pseudoinverse perturbation identity) must hold to roundoff on every
 instance, including rank-deficient ones; the perturbation and
 weight-stability bounds must never be violated. Instance ``i`` draws
 one matrix pair from ``default_rng([seed, i])`` and factors each matrix
-once for all the matrix checks; the weight-stability check draws from a
+once for the checks that take factors. Three checks factor X again,
+each for its own reason: the rank check takes a values-only SVD as an
+independent rank, ``svt`` factors X at each threshold probe to build
+the truncated matrix the identity is about, and the stand-alone
+``pinv_perturbation_residual`` factors both matrices (7 SVDs of X and 2
+of Z on instance 0 of seed 0). The weight-stability check draws from a
 fresh generator of the same seed and reads ``diagnose``'s weight
 columns, and a query that leaves the row space fails it with an
-infinite margin. The fault-injection switch
-deliberately corrupts one identity so the harness can prove it would
-catch a regression.
+infinite margin. The fault-injection switch deliberately corrupts one
+identity so the harness can prove it would catch a regression.
 """
 
 from __future__ import annotations

@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import warnings
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -689,16 +688,29 @@ _CAMPAIGN_MODELS = ["model = wasserstein", *(f"model = linear\nmetric = {m}" for
 
 
 class TestSolverExitCode:
-    def test_broken_process_pool_exits_3(self, tmp_path, capsys, monkeypatch):
-        import frechet_svt.cli as cli
+    def test_dead_worker_exits_3_naming_the_trial(self, tmp_path):
+        import multiprocessing
 
-        def broken(configs, workers=1):
-            raise BrokenProcessPool("a worker process died")
-
-        monkeypatch.setattr(cli, "run_campaign", broken)
-        code = main(["simulate", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "o")])
-        assert code == 3
-        assert capsys.readouterr().err.startswith("solver error: a worker process died")
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("the replaced trial reaches the workers only by fork")
+        # A forked worker runs the replaced trial function, which ends the worker at once.
+        argv = ["simulate", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "o")]
+        code = (
+            "import multiprocessing, os, sys\n"
+            "import frechet_svt.simulation as sim\n"
+            "from frechet_svt.cli import main\n"
+            "multiprocessing.set_start_method('fork', force=True)\n"
+            "def die(b):\n"
+            "    os._exit(1)\n"
+            "sim._pooled_trial = die\n"
+            f"sys.exit(main({argv!r}))\n"
+        )
+        done = run_python("-c", code, FRECHET_SVT_THREADS="2")
+        assert done.returncode == 3, done.stderr
+        assert done.stderr.startswith(
+            "solver error: cell smoke: trial 0 failed: A process in the process pool was terminated abruptly"
+        ), done.stderr
+        assert "Traceback" not in done.stderr
 
     @staticmethod
     def assert_overflow_exit(done):
@@ -1078,6 +1090,95 @@ class TestUnusablePaths:
         assert done.stderr.startswith("error: ") and str(out / blocked) in done.stderr, done.stderr
         assert "Traceback" not in done.stderr
         assert sorted(f.name for f in out.iterdir() if f.is_file()) == kept
+
+
+class TestInputFaults:
+    """Each input fault exits 2 with one ``error:`` line, no traceback and no ``--out`` directory."""
+
+    # id: (argv, error message, environment); {name} stands for a file of ``files``.
+    CASES = {
+        "queries of another width": (
+            "fit-predict --train {train} --queries {narrow} --kind euclidean",
+            "queries have 2 covariates but training data has 3", {},
+        ),
+        "training file without covariates": (
+            "fit-predict --train {responses} --queries {queries} --kind euclidean",
+            "{responses}: training file has no covariate columns", {},
+        ),
+        "lambda not a number": (
+            "fit-predict --train {train} --queries {queries} --kind euclidean --lambda abc",
+            "--lambda must be a number or 'auto', got 'abc'", {},
+        ),
+        "holdout of another width": (
+            "fit-predict --train {train} --queries {queries} --kind euclidean --lambda auto --holdout {narrow}",
+            "holdout has 2 covariates but training data has 3", {},
+        ),
+        "noisy file of another shape": (
+            "diagnose --train {train} --noisy {narrow} --kind euclidean --lambda 0.1 --x=0,0,0",
+            "noisy covariates (30, 2) do not match training (30, 3)", {},
+        ),
+        "x words": (
+            "diagnose --train {train} --noisy {train} --kind euclidean --lambda 0.1 --x=a,b,c",
+            "--x must be comma-separated numbers, got 'a,b,c'", {},
+        ),
+        "x empty entries": (
+            "diagnose --train {train} --noisy {train} --kind euclidean --lambda 0.1 --x=,",
+            "--x must be comma-separated numbers, got ','", {},
+        ),
+        "x too short": (
+            "diagnose --train {train} --noisy {train} --kind euclidean --lambda 0.1 --x=0,0",
+            "--x has 2 entries but data has 3 covariates", {},
+        ),
+        "config without a cell": ("simulate --config {cellless}", "config defines no cell sections", {}),
+        "config that does not exist": ("simulate --config {missing}", "cannot read config file {missing}", {}),
+        "empty dataset file": (
+            "fit-predict --train {empty} --queries {queries} --kind euclidean",
+            "{empty}: empty file", {},
+        ),
+        "q header without its grid row": (
+            "fit-predict --train {gridless} --queries {queries} --kind wasserstein",
+            "{gridless}: missing companion grid row under the header", {},
+        ),
+        "worker count not a number": (
+            "simulate --config {config}",
+            "FRECHET_SVT_THREADS must be an integer, got 'abc'", {"FRECHET_SVT_THREADS": "abc"},
+        ),
+    }
+
+    @staticmethod
+    def files(tmp_path) -> dict:
+        rng = np.random.default_rng(22)
+        train, x, *_ = write_euclidean_train(tmp_path, rng)
+        files = {
+            "train": train,
+            "queries": write_queries(tmp_path, rng.standard_normal((2, 3))),
+            "config": write_config(tmp_path),
+            "missing": tmp_path / "missing.cfg",
+            "out": tmp_path / "o",
+        }
+        for name, text in [
+            # two covariates and a response, as many rows as the training file
+            ("narrow", "x1,x2,y1\n" + "".join(f"{a!r},{b!r},{c!r}\n" for a, b, c in x.tolist())),
+            ("responses", "y1\n1.0\n2.0\n"),
+            ("empty", ""),
+            ("gridless", "x1,q1,q2\n"),
+            ("cellless", "[campaign]\ntrials = 2\n"),
+        ]:
+            files[name] = tmp_path / f"{name}.txt"
+            files[name].write_text(text)
+        return files
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_exits_2_naming_the_fault(self, tmp_path, capsys, monkeypatch, case):
+        argv, message, env = self.CASES[case]
+        files = self.files(tmp_path)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert main([word.format(**files) for word in (argv + " --out {out}").split()]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message.format(**files)}\n"
+        assert "Traceback" not in err
+        assert not files["out"].exists()
 
 
 class TestVerifyCommand:

@@ -258,6 +258,24 @@ def test_a_dressed_file_skips_the_csv_route(tmp_path, monkeypatch):
     assert space.grid.tolist() == [0.25, 0.75]
 
 
+def test_a_row_longer_than_the_csv_field_limit_skips_the_csv_route(tmp_path, monkeypatch):
+    # csv refuses only a field over its size limit, not a long line of
+    # short fields, as a design with about 6,500 or more covariates writes.
+    rng = np.random.default_rng(9)
+    p = 7000
+    lines = [",".join([f"x{i}" for i in range(1, p + 1)] + ["y1"])]
+    lines += [",".join(map(repr, row)) for row in rng.standard_normal((3, p + 1)).tolist()]
+    assert min(len(line) for line in lines[1:]) > csv.field_size_limit()
+    path = tmp_path / "wide.csv"
+    path.write_text("\n".join(lines) + "\n")
+
+    def no_csv_route(path):
+        raise AssertionError("the csv route read the body")
+
+    monkeypatch.setattr(dataio, "_read_csv", no_csv_route)
+    assert_same_read(read_dataset, read_dataset_reference, path, "euclidean")
+
+
 def test_large_file_peak_memory(tmp_path):
     """A 2000x121 Wasserstein file (4.7 MB of text) reads with a traced peak of at most 10 MB."""
     rng = np.random.default_rng(5)

@@ -1,13 +1,21 @@
 import dataclasses
+import importlib.util
+import json
+import os
 import pickle
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import gammaln, ndtri, poch
 
+import frechet_svt
 from frechet_svt import metric_spaces
+from frechet_svt.dataio import write_profile_csv, write_results_csv
 from frechet_svt.linalg import compute_svd
 from frechet_svt.metric_spaces import (
     ConvergenceError,
@@ -758,6 +766,101 @@ class TestRunCell:
         cell = run_cell(cfg)
         assert set(cell.report.mspe) == {"REF", "EIV", "SVT"}
         assert np.all(np.isfinite(cell.profile.svt))
+
+
+START_METHODS = ["fork", "forkserver", "spawn"]
+
+
+@pytest.fixture(params=START_METHODS)
+def start_method(request):
+    """Runs the test with each multiprocessing start method, then restores the one set before."""
+    import multiprocessing
+
+    if request.param not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {request.param} start method on this platform")
+    before = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method(request.param, force=True)
+    yield request.param
+    multiprocessing.set_start_method(before, force=True)
+
+
+def _exit_worker(b):
+    """Stands in for ``_pooled_trial``: the worker process dies at once."""
+    os._exit(1)
+
+
+# Evaluated in a pool worker: (numpy.random loaded before the draw, a draw, libcrypto mapped after it).
+_OPENSSL_PROBE = (
+    "('numpy.random' in __import__('sys').modules, __import__('numpy').random.default_rng(0).random(),"
+    " 'libcrypto' in open('/proc/self/maps').read())"
+)
+
+
+class TestStartMethods:
+    """The pool gives the same tables and failures, and keeps OpenSSL out, under every start method."""
+
+    def test_two_workers_write_the_tables_of_one(self, tmp_path, start_method):
+        cfg = small_config(trials=4)
+        tables = []
+        for workers in (1, 2):
+            cells = [run_cell(cfg, workers=workers)]
+            write_results_csv(tmp_path / "results.csv", cells)
+            write_profile_csv(tmp_path / "profile.csv", cells)
+            tables.append([(tmp_path / name).read_bytes() for name in ("results.csv", "profile.csv")])
+        assert tables[0] == tables[1]
+
+    def test_solver_failure_in_a_worker_names_the_cell_and_trial(self, start_method):
+        cfg = small_config(trials=2, alpha_intercept=1e308, label="huge")
+        with pytest.raises(TrialFailure, match="^cell huge: trial 0 failed: ") as err:
+            run_cell(cfg, workers=2)
+        assert isinstance(err.value.cause, FloatingPointError)
+
+    @pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc/self/maps")
+    @pytest.mark.parametrize("method", START_METHODS)
+    def test_a_worker_keeps_openssl_out_of_its_process(self, method):
+        import multiprocessing
+
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        if importlib.util.find_spec("_hashlib") is None:
+            pytest.skip("this Python has no OpenSSL module")
+        # A fresh interpreter: this one may have loaded OpenSSL, which a forked worker would inherit.
+        # The control pool has no initializer.
+        code = (
+            "import json, multiprocessing, sys\n"
+            "from concurrent.futures import ProcessPoolExecutor\n"
+            "from frechet_svt.simulation import _start_worker\n"
+            f"multiprocessing.set_start_method({method!r}, force=True)\n"
+            "probes = {}\n"
+            "for name, init in (('settled', _start_worker), ('control', None)):\n"
+            "    with ProcessPoolExecutor(1, initializer=init, initargs=(None,) if init else ()) as pool:\n"
+            f"        probes[name] = pool.submit(eval, {_OPENSSL_PROBE!r}).result()\n"
+            "print(json.dumps(probes))\n"
+        )
+        src = str(Path(frechet_svt.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        probes = json.loads(done.stdout.splitlines()[-1])
+        (eager, _, settled), (_, _, control) = probes["settled"], probes["control"]
+        if eager:
+            pytest.skip("numpy loaded numpy.random at import, before the initializer could block OpenSSL")
+        if not control:
+            pytest.skip("this Python maps no libcrypto library even with numpy.random loaded")
+        assert not settled
+
+    # Only a forked worker sees the replaced trial function.
+    @pytest.mark.parametrize("start_method", ["fork"], indirect=True)
+    def test_a_dead_worker_is_a_failed_trial(self, monkeypatch, start_method):
+        from concurrent.futures.process import BrokenProcessPool
+
+        import frechet_svt.simulation as sim
+
+        monkeypatch.setattr(sim, "_pooled_trial", _exit_worker)
+        with pytest.raises(TrialFailure, match="^cell huge: trial 0 failed: A process in the process pool") as err:
+            run_cell(small_config(trials=3, label="huge"), workers=2)
+        assert isinstance(err.value.cause, BrokenProcessPool)
+        assert err.value.__cause__ is err.value.cause
 
 
 class TestTrialFailure:
