@@ -6,18 +6,20 @@ points, ``diagnose`` evaluates the error-bound quantities for a
 clean/noisy covariate pair, and ``verify-lemmas`` stress-tests the
 matrix identities on random instances.
 
-Exit codes: 0 success, 2 config or schema error or an output file that
-cannot be written (files written before it stay), 3 solver failure (also
-a worker process that died, a covariance that overflows, an overflow
-inside a ``simulate`` trial or its cell aggregation, the ``fit-predict``
-tuning, fit and prediction or the ``diagnose`` numerics, or a
-``simulate`` table value that is not finite, in which case neither
-table is written), 4 verification failure. Worker count for simulations
-comes from the FRECHET_SVT_THREADS environment variable (default: the
-cores this process may run on). Every command, and every ``simulate``
-pool worker under any start method, runs numpy's BLAS on one thread and
-keeps OpenSSL out of its process (``linalg.settle_process``); the
-manifest names the library and the thread count.
+Exit codes: 0 success, 2 config or schema error (also ``fit-predict``'s
+``--holdout`` or ``--grid-points`` without ``--lambda auto``) or an
+output file that cannot be written (files written before it stay), 3
+solver failure (also a worker process that died while a trial's outcome
+was unread, a covariance that overflows, an overflow inside a
+``simulate`` trial or its cell aggregation, the ``fit-predict`` tuning,
+fit and prediction or the ``diagnose`` numerics, or a ``simulate`` table
+value that is not finite, in which case neither table is written), 4
+verification failure. Worker count for simulations comes from the
+FRECHET_SVT_THREADS environment variable (default: the cores this
+process may run on). Every command, and every ``simulate`` pool worker
+under any start method, runs numpy's BLAS on one thread and keeps
+OpenSSL out of its process (``linalg.settle_process``); the manifest
+names the library and the thread count.
 """
 
 from __future__ import annotations
@@ -34,15 +36,13 @@ from .dataio import (
     KINDS,
     ConfigError,
     SchemaError,
-    check_tables,
     load_sim_configs,
     read_covariates,
     read_dataset,
     write_diagnostics_csv,
     write_manifest,
     write_predictions,
-    write_profile_csv,
-    write_results_csv,
+    write_tables,
 )
 from .diagnostics import diagnose
 from .linalg import settle_process
@@ -57,6 +57,7 @@ EXIT_SOLVER = 3
 EXIT_VERIFY = 4
 
 THREADS_ENV = "FRECHET_SVT_THREADS"
+AUTO_GRID_POINTS = 40  # fit-predict's threshold grid size for --lambda auto
 
 
 def _worker_count() -> int:
@@ -92,7 +93,6 @@ def _cmd_simulate(args) -> int:
     write_manifest(
         out,
         "simulate",
-        __version__,
         {
             "config": args.config,
             "seed": configs[0].master_seed,
@@ -104,9 +104,7 @@ def _cmd_simulate(args) -> int:
         snapshot,
     )
     results = run_campaign(configs, workers=workers)
-    check_tables(results)
-    write_results_csv(out / "results.csv", results)
-    write_profile_csv(out / "profile.csv", results)
+    write_tables(out, results)
     for cell in results:
         mspe = cell.report.mspe
         print(
@@ -151,8 +149,13 @@ def _cmd_fit_predict(args) -> int:
         raise ConfigError("--lambda auto requires --holdout CSV")
     if lam is not None and args.holdout:
         raise ConfigError(f"--holdout goes only with --lambda auto, got --lambda {args.lam}")
-    if args.grid_points < 1:
-        raise ConfigError(f"--grid-points must be at least 1, got {args.grid_points}")
+    grid_points = ""  # as recorded in the manifest: only --lambda auto has a grid
+    if lam is None:
+        grid_points = AUTO_GRID_POINTS if args.grid_points is None else args.grid_points
+        if grid_points < 1:
+            raise ConfigError(f"--grid-points must be at least 1, got {grid_points}")
+    elif args.grid_points is not None:
+        raise ConfigError(f"--grid-points goes only with --lambda auto, got --lambda {args.lam}")
     x, responses, space = _read_design(args.train, args.kind, "training")
     train = Dataset(x, responses, space)
     queries = read_covariates(args.queries)
@@ -176,18 +179,18 @@ def _cmd_fit_predict(args) -> int:
         top = train.stats.eigenvalues[0]
         if top <= 0.0:
             raise SchemaError(f"{args.train}: training covariates are constant, so --lambda auto has no threshold grid")
-        grid = lambda_grid(top, x.shape[1], x.shape[0], args.grid_points)
+        grid = lambda_grid(top, x.shape[1], x.shape[0], grid_points)
     out = _out_dir(args.out)
     write_manifest(
         out,
         "fit-predict",
-        __version__,
         {
             "train": args.train,
             "queries": args.queries,
             "kind": args.kind,
             "lambda": args.lam,
             "holdout": args.holdout or "",
+            "grid_points": grid_points,
             "out": str(out),
             **args.blas,
         },
@@ -199,8 +202,7 @@ def _cmd_fit_predict(args) -> int:
         if lam is None:
             lam_hat = lam = tune_lambda(train, holdout, grid)
         preds = fit(train, lam).predict_many(queries)
-    grid_levels = space.grid if isinstance(space, WassersteinSpace) else None
-    write_predictions(out / "predictions.csv", args.kind, preds, grid=grid_levels, lambda_hat=lam_hat)
+    write_predictions(out / "predictions.csv", space, preds, lambda_hat=lam_hat)
     print(f"wrote {out / 'predictions.csv'}" + (f" (lambda_hat={lam_hat!r})" if lam_hat is not None else ""))
     return EXIT_OK
 
@@ -224,7 +226,6 @@ def _cmd_diagnose(args) -> int:
     write_manifest(
         out,
         "diagnose",
-        __version__,
         {
             "train": args.train,
             "noisy": args.noisy,
@@ -287,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     fp.add_argument("--kind", required=True, choices=KINDS)
     fp.add_argument("--lambda", dest="lam", default="0", help="threshold value or 'auto'")
     fp.add_argument("--holdout", default=None, help="holdout CSV, only with --lambda auto")
-    fp.add_argument("--grid-points", type=int, default=40, help="grid size for --lambda auto")
+    fp.add_argument("--grid-points", type=int, help=f"grid size, only with --lambda auto (default {AUTO_GRID_POINTS})")
     fp.add_argument("--out", required=True, help="output directory")
     fp.set_defaults(func=_cmd_fit_predict)
 

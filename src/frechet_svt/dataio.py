@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .metric_spaces import InvalidPointError, MetricSpace, WassersteinSpace, space_from_kind
 from .simulation import ESTIMATORS, SimConfig
 
@@ -274,21 +275,28 @@ def _write_csv(path, header, rows, comment=None) -> None:
                 writer.writerow(row)
 
 
-def write_predictions(path, kind: str, predictions, grid=None, lambda_hat=None) -> None:
+def write_predictions(path, space: MetricSpace, predictions, lambda_hat=None) -> None:
+    """Predictions as ``space``'s response columns (a Wasserstein grid row included), as ``read_dataset`` reads them."""
     # Each float goes out as its repr, the text csv writes for it (and never quotes) and
     # format_value gives. Rows are rendered one at a time, so no copy of the block is held as text.
     preds = np.asarray(predictions, dtype=float)
     block = preds.reshape(len(preds), -1)
-    grid_row = [np.asarray(grid, dtype=float).tolist()] if _PREFIX[kind] == "q" else []
+    prefix = _PREFIX[space.kind]
+    grid_row = [space.grid.tolist()] if prefix == "q" else []
     comment = None if lambda_hat is None else f"lambda_hat = {format_value(float(lambda_hat))}"
     values = itertools.chain(grid_row, map(np.ndarray.tolist, block))
     rows = (",".join(map(repr, row)) + "\n" for row in values)
-    _write_csv(path, _response_names(_PREFIX[kind], block.shape[1]), rows, comment)
+    _write_csv(path, _response_names(prefix, block.shape[1]), rows, comment)
 
 
-def _tables(cell_results) -> dict:
-    """Each simulate table's value columns and rows, a row being ``(config, estimator, values)``."""
-    results, profile = [], []
+def write_tables(out_dir, cell_results) -> None:
+    """Write ``results.csv`` (one row per cell and estimator) and ``profile.csv`` (the threshold profiles).
+
+    Every value of both tables is checked first: the first one that is not
+    finite raises ``FloatingPointError`` naming the table, the cell, the
+    estimator and the column, and neither table is written.
+    """
+    results, profile = [], []  # rows as (config, estimator, values)
     for cell in cell_results:
         cfg, rep, prof = cell.config, cell.report, cell.profile
         for est in ESTIMATORS:
@@ -298,41 +306,21 @@ def _tables(cell_results) -> dict:
         svt = [("SVT", lam, val) for lam, val in zip(prof.lambdas, prof.svt)]
         for est, lam, val in [("REF", 0.0, prof.ref), ("EIV", 0.0, prof.eiv), *svt]:
             profile.append((cfg, est, (lam, val)))
-    return {
+    tables = {
         "results.csv": (("bias", "sqrt_var", "mse", "mspe", "lambda_hat"), results),
         "profile.csv": (("lambda", "nmspe"), profile),
     }
-
-
-def check_tables(cell_results) -> None:
-    """Raise ``FloatingPointError`` at the first value of either table that is not finite.
-
-    The message names the table, the cell, the estimator and the column.
-    """
-    for table, (columns, rows) in _tables(cell_results).items():
+    bodies = {}
+    for table, (columns, rows) in tables.items():
+        body = bodies[table] = [["n", "p", "noise_kind", "estimator", *columns, "cell"]]
         for cfg, est, values in rows:
             for column, v in zip(columns, values):
                 if not math.isfinite(v):
                     name = cfg.display_name()
                     raise FloatingPointError(f"{table}: cell {name}, estimator {est}, column {column} is {v!r}")
-
-
-def _write_table(path, columns, rows) -> None:
-    body = [
-        [cfg.n, cfg.p, cfg.noise_kind, est, *map(format_value, values), cfg.display_name()]
-        for cfg, est, values in rows
-    ]
-    _write_csv(path, ["n", "p", "noise_kind", "estimator", *columns, "cell"], body)
-
-
-def write_results_csv(path, cell_results) -> None:
-    """Table-shaped summary: one row per cell and estimator."""
-    _write_table(path, *_tables(cell_results)["results.csv"])
-
-
-def write_profile_csv(path, cell_results) -> None:
-    """Threshold profiles: normalized prediction error per estimator."""
-    _write_table(path, *_tables(cell_results)["profile.csv"])
+            body.append([cfg.n, cfg.p, cfg.noise_kind, est, *map(format_value, values), cfg.display_name()])
+    for table, (header, *body) in bodies.items():
+        _write_csv(Path(out_dir) / table, header, body)
 
 
 def write_diagnostics_csv(path, values: dict) -> None:
@@ -413,12 +401,12 @@ def _parse_section(section, items) -> dict:
     return out
 
 
-def write_manifest(out_dir, command: str, version: str, entries: dict, snapshot=()) -> Path:
-    """Record the resolved run inputs in the existing ``out_dir`` before computation starts."""
+def write_manifest(out_dir, command: str, entries: dict, snapshot=()) -> Path:
+    """Record the package version and the resolved run inputs in the existing ``out_dir`` before computation starts."""
     path = Path(out_dir) / "manifest.txt"
     with open(path, "w") as fh:
         fh.write(f"command = {command}\n")
-        fh.write(f"version = {version}\n")
+        fh.write(f"version = {__version__}\n")
         for key, val in entries.items():
             fh.write(f"{key} = {format_value(val)}\n")
         for line in snapshot:

@@ -39,8 +39,10 @@ ESTIMATORS = ("REF", "EIV", "SVT")
 class TrialFailure(RuntimeError):
     """A solver failed inside one Monte Carlo trial of the cell named ``cell``."""
 
+    _event = "trial {} failed"
+
     def __init__(self, cell: str, trial_index: int, cause: Exception):
-        super().__init__(f"cell {cell}: trial {trial_index} failed: {cause}")
+        super().__init__(f"cell {cell}: {self._event.format(trial_index)}: {cause}")
         self.cell = cell
         self.trial_index = trial_index
         self.cause = cause
@@ -49,6 +51,12 @@ class TrialFailure(RuntimeError):
         # Rebuild from the constructor arguments, so a failure raised in a
         # worker process reaches the parent intact.
         return type(self), (self.cell, self.trial_index, self.cause)
+
+
+class LostWorker(TrialFailure):
+    """A pool worker died while trial ``trial_index`` was unread; the trial need not have run."""
+
+    _event = "a worker process died while trial {} was still unread"
 
 
 _NOISE_KINDS = ("gaussian", "laplace")
@@ -536,16 +544,17 @@ def run_cell(config: SimConfig, workers: int = 1) -> CellResult:
     Every trial predicts at the cell's evaluation points and sweeps the
     cell's profile grid with its own tuning grid (``evaluate_trial``).
     Trials are independent given their derived seeds, so they can run in
-    worker processes. Each worker receives the cell's fixtures once, from
-    the pool initializer, which also calls ``settle_process`` as the CLI
-    does, and then gets only trial indices. A worker that dies breaks the
-    pool, and the first trial whose outcome is still unread raises
-    ``TrialFailure``. Either way the outcomes are read one at a time, in
-    trial order, as they arrive. Each outcome's evaluation predictions go
-    into the cell's ``_TrialFold`` and the outcome is dropped before the
-    next one is read. For Euclidean, Wasserstein and correlation responses
-    the fold keeps a running average and spread, so memory does not grow
-    with the number of trials. For l1 and sup-norm responses it stores one
+    worker processes. Each worker receives the cell's fixtures once,
+    from the pool initializer, which also calls ``settle_process`` as
+    the CLI does, and then gets only trial indices. A worker that dies
+    breaks the pool, and the first trial whose outcome is still unread
+    raises ``LostWorker``, a ``TrialFailure``. Either way the outcomes
+    are read one at a time, in trial order, as they arrive. Each
+    outcome's evaluation predictions go into the cell's ``_TrialFold``
+    and the outcome is dropped before the next one is read. For
+    Euclidean, Wasserstein and correlation responses the fold keeps a
+    running average and spread, so memory does not grow with the number
+    of trials. For l1 and sup-norm responses it stores one
     ``(trials, eval_points, ...)`` array per estimator. The profile is
     divided by the null model's mean test error; where that is 0 (every
     response one point), ``FloatingPointError`` names the cell.
@@ -559,14 +568,14 @@ def run_cell(config: SimConfig, workers: int = 1) -> CellResult:
     null_errors = np.empty(config.trials)
     # A forked pool starts every worker at once, so never ask for more than there are trials.
     workers = min(workers, config.trials)
-    lost_worker = ()  # what a dead worker raises; a serial run has none
+    broken_pool = ()  # what a dead worker raises; a serial run has none
     # Overflow in the across-trial folds is an error too, as inside a trial.
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         with contextlib.ExitStack() as stack:
             if workers > 1:
                 # Imported here: loading the pool module (multiprocessing, sockets, ...) costs every process.
                 from concurrent.futures import ProcessPoolExecutor
-                from concurrent.futures.process import BrokenProcessPool as lost_worker
+                from concurrent.futures.process import BrokenProcessPool as broken_pool
 
                 pool = ProcessPoolExecutor(max_workers=workers, initializer=_start_worker, initargs=(fixtures,))
                 outcomes = stack.enter_context(pool).map(_pooled_trial, range(config.trials))
@@ -578,8 +587,8 @@ def run_cell(config: SimConfig, workers: int = 1) -> CellResult:
                 # b + 1 runs.
                 try:
                     report, preds, (svt_curves[b], null_errors[b]) = next(outcomes)
-                except lost_worker as exc:
-                    raise TrialFailure(config.display_name(), b, exc) from exc
+                except broken_pool as exc:
+                    raise LostWorker(config.display_name(), b, exc) from exc
                 reports.append(report)
                 fold.add(preds)
                 del preds

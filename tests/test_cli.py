@@ -269,6 +269,37 @@ class TestFitPredictCommand:
         assert "--holdout goes only with --lambda auto" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_grid_points_with_a_fixed_lambda_exits_2_before_computing(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        train, *_ = write_euclidean_train(tmp_path, rng)
+        qpath = write_queries(tmp_path, rng.standard_normal((2, 3)))
+        out = tmp_path / "o"
+        assert main(["fit-predict", "--train", str(train), "--queries", str(qpath), "--kind", "euclidean",
+                     "--lambda", "0.05", "--grid-points", "7", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --grid-points goes only with --lambda auto, got --lambda 0.05\n"
+        assert not out.exists()
+
+    def test_manifest_records_the_resolved_grid_points(self, tmp_path):
+        # A --lambda auto run can be repeated from its manifest, grid size included.
+        rng = np.random.default_rng(2)
+        train, *_ = write_euclidean_train(tmp_path, rng)
+        holdout, *_ = write_euclidean_train(tmp_path, rng, name="holdout.csv")
+        qpath = write_queries(tmp_path, rng.standard_normal((2, 3)))
+        auto = ["--lambda", "auto", "--holdout", str(holdout)]
+        runs = {
+            "seven": (auto + ["--grid-points", "7"], "grid_points = 7"),
+            "default": (auto, "grid_points = 40"),
+            "forty": (auto + ["--grid-points", "40"], "grid_points = 40"),
+            "fixed": (["--lambda", "0.1"], "grid_points = "),
+        }
+        for name, (flags, line) in runs.items():
+            assert main(["fit-predict", "--train", str(train), "--queries", str(qpath), "--kind", "euclidean",
+                         *flags, "--out", str(tmp_path / name)]) == 0
+            manifest = (tmp_path / name / "manifest.txt").read_text().splitlines()
+            assert line in manifest
+        predictions = {name: (tmp_path / name / "predictions.csv").read_bytes() for name in runs}
+        assert predictions["default"] == predictions["forty"]
+
     def test_training_file_with_a_byte_order_mark(self, tmp_path):
         rng = np.random.default_rng(4)
         train, *_ = write_euclidean_train(tmp_path, rng)
@@ -708,7 +739,8 @@ class TestSolverExitCode:
         done = run_python("-c", code, FRECHET_SVT_THREADS="2")
         assert done.returncode == 3, done.stderr
         assert done.stderr.startswith(
-            "solver error: cell smoke: trial 0 failed: A process in the process pool was terminated abruptly"
+            "solver error: cell smoke: a worker process died while trial 0 was still unread:"
+            " A process in the process pool was terminated abruptly"
         ), done.stderr
         assert "Traceback" not in done.stderr
 
@@ -825,6 +857,26 @@ p = 3
         code = main(["simulate", "--config", str(write_config(tmp_path)), "--out", str(out)])
         assert code == 3
         assert "solver error: profile.csv: cell smoke, estimator EIV, column nmspe is nan" in capsys.readouterr().err
+        assert not (out / "results.csv").exists() and not (out / "profile.csv").exists()
+
+    def test_non_finite_results_value_writes_no_table(self, tmp_path, capsys, monkeypatch):
+        # The results.csv half of the check: a value of the first table is caught too.
+        import dataclasses
+
+        import frechet_svt.cli as cli
+
+        def with_inf(configs, workers=1):
+            cells = run_campaign(configs, workers=workers)
+            report = cells[0].report
+            report = dataclasses.replace(report, mspe={**report.mspe, "EIV": float("inf")})
+            return [dataclasses.replace(cells[0], report=report), *cells[1:]]
+
+        run_campaign = cli.run_campaign
+        monkeypatch.setattr(cli, "run_campaign", with_inf)
+        out = tmp_path / "o"
+        code = main(["simulate", "--config", str(write_config(tmp_path)), "--out", str(out)])
+        assert code == 3
+        assert "solver error: results.csv: cell smoke, estimator EIV, column mspe is inf" in capsys.readouterr().err
         assert not (out / "results.csv").exists() and not (out / "profile.csv").exists()
 
     def test_diagnose_with_overflowing_threshold_and_query_exits_3(self, tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from frechet_svt import dataio
 from frechet_svt.dataio import SchemaError, read_covariates, read_dataset, write_predictions
+from frechet_svt.metric_spaces import WassersteinSpace, space_from_kind
 from oracles import read_covariates_reference, read_dataset_reference, write_predictions_reference
 
 # (file text, kind, fragment of the error message)
@@ -111,7 +112,8 @@ def prediction_blocks(draw):
 def test_predictions_round_trip(tmp_path_factory, block, lambda_hat):
     kind, preds, grid, expected = block
     out = tmp_path_factory.mktemp("rt")
-    write_predictions(out / "new.csv", kind, preds, grid=grid, lambda_hat=lambda_hat)
+    space = WassersteinSpace(grid) if grid is not None else space_from_kind(kind, size=np.shape(preds)[-1])
+    write_predictions(out / "new.csv", space, preds, lambda_hat=lambda_hat)
     write_predictions_reference(out / "ref.csv", kind, preds, grid=grid, lambda_hat=lambda_hat)
     assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
     x, responses, space = read_dataset(out / "new.csv", kind)

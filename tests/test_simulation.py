@@ -15,7 +15,7 @@ from scipy.special import gammaln, ndtri, poch
 
 import frechet_svt
 from frechet_svt import metric_spaces
-from frechet_svt.dataio import write_profile_csv, write_results_csv
+from frechet_svt.dataio import write_tables
 from frechet_svt.linalg import compute_svd
 from frechet_svt.metric_spaces import (
     ConvergenceError,
@@ -39,6 +39,7 @@ from frechet_svt.simulation import (
     gen_linear_responses,
     gen_wasserstein_responses,
     lambda_grid,
+    LostWorker,
     make_spectrum,
     mspe_profile,
     run_cell,
@@ -804,8 +805,7 @@ class TestStartMethods:
         tables = []
         for workers in (1, 2):
             cells = [run_cell(cfg, workers=workers)]
-            write_results_csv(tmp_path / "results.csv", cells)
-            write_profile_csv(tmp_path / "profile.csv", cells)
+            write_tables(tmp_path, cells)
             tables.append([(tmp_path / name).read_bytes() for name in ("results.csv", "profile.csv")])
         assert tables[0] == tables[1]
 
@@ -857,8 +857,10 @@ class TestStartMethods:
         import frechet_svt.simulation as sim
 
         monkeypatch.setattr(sim, "_pooled_trial", _exit_worker)
-        with pytest.raises(TrialFailure, match="^cell huge: trial 0 failed: A process in the process pool") as err:
+        expected = "^cell huge: a worker process died while trial 0 was still unread: A process in the process pool"
+        with pytest.raises(TrialFailure, match=expected) as err:
             run_cell(small_config(trials=3, label="huge"), workers=2)
+        assert isinstance(err.value, LostWorker) and err.value.trial_index == 0
         assert isinstance(err.value.cause, BrokenProcessPool)
         assert err.value.__cause__ is err.value.cause
 
@@ -871,6 +873,11 @@ class TestTrialFailure:
         assert str(back) == "cell gaussian-20x4: trial 4 failed: no convergence"
         assert type(back.cause) is ConvergenceError
         assert np.array_equal(back.cause.last_iterate, np.eye(2))
+
+    def test_a_lost_worker_survives_pickling(self):
+        back = pickle.loads(pickle.dumps(LostWorker("smoke", 2, RuntimeError("terminated abruptly"))))
+        assert type(back) is LostWorker and (back.cell, back.trial_index) == ("smoke", 2)
+        assert str(back) == "cell smoke: a worker process died while trial 2 was still unread: terminated abruptly"
 
 
 class TestConfigValidation:
