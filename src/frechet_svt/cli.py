@@ -12,8 +12,9 @@ output file that cannot be written (files written before it stay), 3
 solver failure (also a worker process that died while a trial's outcome
 was unread, a covariance that overflows, an overflow inside a
 ``simulate`` trial or its cell aggregation, the ``fit-predict`` tuning,
-fit and prediction or the ``diagnose`` numerics, or a ``simulate`` table
-value that is not finite, in which case neither table is written), 4
+fit and prediction or the ``diagnose`` numerics, a ``simulate`` table
+value that is not finite, in which case neither table is written, or a
+command that runs out of memory, named in the message), 4
 verification failure. Worker count for simulations comes from the
 FRECHET_SVT_THREADS environment variable (default: the cores this
 process may run on). Every command, and every ``simulate`` pool worker
@@ -323,6 +324,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (TrialFailure, ConvergenceError, DegenerateWeightsError, FloatingPointError) as exc:
         sys.stderr.write(f"solver error: {exc}\n")
+        return EXIT_SOLVER
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""  # numpy's message names the allocation it could not make
+        sys.stderr.write(f"solver error: {args.command} ran out of memory{detail}\n")
         return EXIT_SOLVER
 
 

@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import itertools
 import math
+import platform
 from pathlib import Path
 
 import numpy as np
@@ -402,11 +403,13 @@ def _parse_section(section, items) -> dict:
 
 
 def write_manifest(out_dir, command: str, entries: dict, snapshot=()) -> Path:
-    """Record the package version and the resolved run inputs in the existing ``out_dir`` before computation starts."""
+    """Record the package, numpy and Python versions and the resolved run inputs in ``out_dir`` before computing."""
     path = Path(out_dir) / "manifest.txt"
     with open(path, "w") as fh:
         fh.write(f"command = {command}\n")
         fh.write(f"version = {__version__}\n")
+        fh.write(f"numpy = {np.__version__}\n")
+        fh.write(f"python = {platform.python_version()}\n")
         for key, val in entries.items():
             fh.write(f"{key} = {format_value(val)}\n")
         for line in snapshot:

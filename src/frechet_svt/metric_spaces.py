@@ -477,16 +477,16 @@ class WassersteinSpace(MetricSpace):
 
     def distances_to(self, points, y) -> np.ndarray:
         diff = np.asarray(points, dtype=float) - np.asarray(y, dtype=float)
-        return np.sqrt((diff * diff) @ self.cell_weights)
+        return np.sqrt(np.multiply(diff, diff, out=diff) @ self.cell_weights)
 
     def project_blends(self, blended) -> np.ndarray:
         """PAVA on each row that decreases somewhere; other rows pass as is."""
         # a < b exactly when a - b < 0 for doubles, without np.diff's temporary.
-        bad = np.less(blended[:, 1:], blended[:, :-1]).any(axis=1)
-        for j in np.flatnonzero(bad):
-            blended[j] = isotonic_project(blended[j], self.cell_weights)
+        steps_down = np.less(blended[:, 1:], blended[:, :-1])
+        if steps_down.any():  # most stacks have no such row: skip the per-row pass
+            for j in np.flatnonzero(steps_down.any(axis=1)):
+                blended[j] = isotonic_project(blended[j], self.cell_weights)
         return blended
-
 
 
 class CorrelationSpace(MetricSpace):

@@ -104,37 +104,36 @@ def rank_weights(stats: CovariateStats, queries: np.ndarray, k: int) -> np.ndarr
     return 1.0 + (f.left[:, :k] * (stats.n / f.values[:k])) @ scores.T
 
 
-def _blend_path(stats: CovariateStats, responses, space: MetricSpace, queries, ranks):
-    """Affine-space predictions at ``queries`` for each of ``ranks`` (increasing), streamed.
+def _blend_path(stats: CovariateStats, flat, cross, scores, ranks):
+    """Weight-normalized response blends at the queries for each of ``ranks`` (increasing), streamed.
 
     With ``centered = U diag(s) Vt``, eigenvalues ``ev`` and query scores
     ``A = (queries - mean) Vt'``, the fit keeping k components weighs the
     training points by ``1 + (U diag(s))[:, :k] diag(1/ev[:k]) A[:, :k]'``,
     so a larger rank only adds terms. The weights are never formed: the
-    weighted response sums and the weight-column totals are updated as
-    ``+= (A[:, k0:k1] / ev[k0:k1]) @ C[k0:k1]`` with ``C = (U diag(s))' Y``,
-    then normalized and handed to ``space.project_blends``.
+    weighted response sums of the (n, d) ``flat`` responses and the
+    weight-column totals are updated as
+    ``+= (A[:, k0:k1] / ev[k0:k1]) @ C[k0:k1]``, where ``cross`` is
+    ``C = (U diag(s))' Y`` with the column sums of ``U diag(s)`` appended
+    and ``scores`` is ``A``. ``A`` is divided by ``ev`` once, up to the
+    last rank asked. Each stack is one contiguous division of the sums,
+    totals included, by the totals, handed on as a view without its last
+    column; each element rounds as its own division by its total would.
     """
-    y = np.asarray(responses, dtype=float)
-    n, m = stats.n, queries.shape[0]
-    flat = y.reshape(n, -1)
-    us = stats.centered_svd.left * stats.centered_svd.values
     ev = stats.eigenvalues
-    scores = (queries - stats.mean) @ stats.centered_svd.right_t.T
+    top = ranks[-1] if len(ranks) else 0
+    scaled = scores[:, :top] / ev[:top]
     # The last column carries the weight totals along with the sums.
-    cross = np.column_stack([us.T @ flat, us.sum(axis=0)])
-    acc = np.tile(np.append(flat.sum(axis=0), float(n)), (m, 1))
+    acc = np.tile(np.append(flat.sum(axis=0), float(stats.n)), (scores.shape[0], 1))
     done = 0
     for k in ranks:
         # np.dot, not @: numpy's matmul is several times slower when a
         # single component is added.
-        acc += np.dot(scores[:, done:k] / ev[done:k], cross[done:k])
+        acc += np.dot(scaled[:, done:k], cross[done:k])
         done = k
-        totals = acc[:, -1]
-        if np.any(totals <= 0.0):
+        if np.any(acc[:, -1] <= 0.0):
             raise DegenerateWeightsError("every weight column must have a positive total")
-        blended = acc[:, :-1] / totals[:, None]
-        yield space.project_blends(blended.reshape(m, *y.shape[1:]))
+        yield np.divide(acc, acc[:, -1:])[:, :-1]
 
 
 def rank_predictions(space: MetricSpace, responses, asks):
@@ -145,15 +144,34 @@ def rank_predictions(space: MetricSpace, responses, asks):
     with ``rank_weights(stats, queries, k)``, and rank 0 (a column of ones)
     is the unweighted mean. Affine spaces stream each ask's ranks along
     ``_blend_path`` and never form a weight matrix, so keep only the stacks
-    still needed. The l1 and sup-norm solvers need the weights, so those
-    spaces solve every rank of every ask in one ``frechet_mean_blocks`` call.
+    still needed. Within one call each design's cross product
+    ``(U diag(s))' Y`` is computed once, and so are the query scores of
+    each (design, queries) pair, however many asks read them; asks match
+    by the identity of their stats and query arrays. A simulation trial's
+    nine asks on two designs then make two cross products instead of
+    nine, and its EIV and SVT fits share their scores. Each stack equals
+    its ask run alone, bit for bit. The l1 and sup-norm solvers need the
+    weights, so those spaces solve every rank of every ask in one
+    ``frechet_mean_blocks`` call.
     """
-    if space.affine:
-        for stats, queries, ranks in asks:
-            yield from _blend_path(stats, responses, space, queries, ranks)
-    else:
+    if not space.affine:
         weights = [rank_weights(stats, queries, k) for stats, queries, ranks in asks for k in ranks]
         yield from space.frechet_mean_blocks(responses, weights)
+        return
+    y = np.asarray(responses, dtype=float)
+    flat = y.reshape(y.shape[0], -1)
+    asks = list(asks)  # holds every ask's arrays, so no two of them share an id
+    products = {}  # cross products by id(stats), query scores by (id(stats), id(queries))
+    for stats, queries, ranks in asks:
+        f = stats.centered_svd
+        if id(stats) not in products:
+            us = f.left * f.values
+            products[id(stats)] = np.column_stack([us.T @ flat, us.sum(axis=0)])
+        pair = (id(stats), id(queries))
+        if pair not in products:
+            products[pair] = (queries - stats.mean) @ f.right_t.T
+        for blended in _blend_path(stats, flat, products[id(stats)], products[pair], ranks):
+            yield space.project_blends(blended.reshape(len(queries), *y.shape[1:]))
 
 
 def check_queries(stats: CovariateStats, queries) -> np.ndarray:

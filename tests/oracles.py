@@ -14,7 +14,11 @@ the top of the spectrum it reads. ``write_predictions_reference`` is
 the original per-cell CSV writer, kept to hold the package's writer to
 the same bytes. ``nearest_correlation_reference`` is the original
 one-matrix Dykstra loop, kept to hold the stacked projection to the
-same bits. ``aggregate`` is the original stored-prediction route to a
+same bits. ``blend_path_reference`` is the original one-ask rank path,
+which forms the cross product and the query scores afresh for every ask
+and divides each new slice of scores by its eigenvalues; it is the
+package's own ``project_blends`` applied to blends made the old way.
+``aggregate`` is the original stored-prediction route to a
 cell's bias and variance. It is the one oracle here that calls the
 package's solvers: one one-point ``frechet_mean_blocks`` call per
 evaluation point (``one_point_centers``), as the package made them
@@ -323,6 +327,27 @@ def nearest_correlation_reference(a, tol=1e-10, max_iter=1000):
         f"nearest-correlation projection did not reach tol={tol} in {max_iter} iterations",
         last_iterate=y,
     )
+
+
+def blend_path_reference(stats, responses, space, queries, ranks):
+    """Affine-space predictions at ``queries`` for each of ``ranks`` (increasing), one ask alone."""
+    y = np.asarray(responses, dtype=float)
+    n, m = stats.n, queries.shape[0]
+    flat = y.reshape(n, -1)
+    us = stats.centered_svd.left * stats.centered_svd.values
+    ev = stats.eigenvalues
+    scores = (queries - stats.mean) @ stats.centered_svd.right_t.T
+    cross = np.column_stack([us.T @ flat, us.sum(axis=0)])
+    acc = np.tile(np.append(flat.sum(axis=0), float(n)), (m, 1))
+    done = 0
+    out = []
+    for k in ranks:
+        acc += np.dot(scores[:, done:k] / ev[done:k], cross[done:k])
+        done = k
+        totals = acc[:, -1]
+        blended = acc[:, :-1] / totals[:, None]
+        out.append(space.project_blends(blended.reshape(m, *y.shape[1:])))
+    return out
 
 
 def one_point_centers(space, preds):

@@ -300,6 +300,24 @@ class TestFitPredictCommand:
         predictions = {name: (tmp_path / name / "predictions.csv").read_bytes() for name in runs}
         assert predictions["default"] == predictions["forty"]
 
+    def test_manifest_records_the_numpy_and_python_versions(self, tmp_path):
+        # The l1/sup-norm outputs hang on the last bits, so a rerun elsewhere needs both versions.
+        import platform
+
+        rng = np.random.default_rng(3)
+        train, *_ = write_euclidean_train(tmp_path, rng)
+        qpath = write_queries(tmp_path, rng.standard_normal((2, 3)))
+        out = tmp_path / "o"
+        assert main(["fit-predict", "--train", str(train), "--queries", str(qpath), "--kind", "euclidean",
+                     "--out", str(out)]) == 0
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert manifest[:4] == [
+            "command = fit-predict",
+            f"version = {frechet_svt.__version__}",
+            f"numpy = {np.__version__}",
+            f"python = {platform.python_version()}",
+        ]
+
     def test_training_file_with_a_byte_order_mark(self, tmp_path):
         rng = np.random.default_rng(4)
         train, *_ = write_euclidean_train(tmp_path, rng)
@@ -878,6 +896,36 @@ p = 3
         assert code == 3
         assert "solver error: results.csv: cell smoke, estimator EIV, column mspe is inf" in capsys.readouterr().err
         assert not (out / "results.csv").exists() and not (out / "profile.csv").exists()
+
+    # What numpy raises for an array it cannot allocate; no test allocates for real.
+    NO_MEMORY = "Unable to allocate 7.45 GiB for an array with shape (1000000000,) and data type float64"
+
+    def refuse_memory(self, *args, **kwargs):
+        raise MemoryError(self.NO_MEMORY)
+
+    def test_simulate_out_of_memory_exits_3_naming_the_command(self, tmp_path, capsys, monkeypatch):
+        import frechet_svt.simulation as sim
+
+        monkeypatch.setenv("FRECHET_SVT_THREADS", "1")
+        monkeypatch.setattr(sim, "lambda_grid", self.refuse_memory)  # the grid np.linspace allocates
+        out = tmp_path / "o"
+        code = main(["simulate", "--config", str(write_config(tmp_path)), "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == f"solver error: simulate ran out of memory: {self.NO_MEMORY}\n"
+        assert not (out / "results.csv").exists() and not (out / "profile.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["euclidean", "l1"])
+    def test_fit_predict_out_of_memory_exits_3_naming_the_command(self, tmp_path, capsys, monkeypatch, kind):
+        rng = np.random.default_rng(12)
+        train, *_ = write_euclidean_train(tmp_path, rng, n=20)
+        queries = write_queries(tmp_path, rng.standard_normal((4, 3)))
+        # The rank path allocates the affine blends, the weights feed the l1 solver's work arrays.
+        monkeypatch.setattr(regression, "_blend_path" if kind == "euclidean" else "rank_weights", self.refuse_memory)
+        out = tmp_path / "o"
+        argv = ["fit-predict", "--train", str(train), "--queries", str(queries), "--kind", kind, "--out", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"solver error: fit-predict ran out of memory: {self.NO_MEMORY}\n"
+        assert not (out / "predictions.csv").exists()
 
     def test_diagnose_with_overflowing_threshold_and_query_exits_3(self, tmp_path):
         # A finite threshold and query near 1e308 overflow in the bias term

@@ -198,6 +198,30 @@ class TestWassersteinBlendProjection:
         assert np.array_equal(out[~expected], blends[~expected], equal_nan=True)
 
 
+    def test_a_stack_without_a_decreasing_row_comes_back_unchanged(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        blends = np.sort(rng.standard_normal((30, 7)), axis=1)
+        blends[::4] = np.round(blends[::4])  # ties are not decreases
+        expected = blends.copy()
+
+        def refuse(row, w):
+            raise AssertionError("isotonic_project called")
+
+        monkeypatch.setattr(metric_spaces, "isotonic_project", refuse)
+        out = WassersteinSpace.with_uniform_grid(7).project_blends(blends)
+        assert out is blends
+        assert out.tobytes() == expected.tobytes()
+
+    def test_a_mixed_stack_equals_pava_row_by_row(self):
+        rng = np.random.default_rng(23)
+        space = WassersteinSpace.with_uniform_grid(9)
+        blends = rng.standard_normal((40, 9))
+        blends[::3] = np.sort(blends[::3], axis=1)
+        expected = np.stack([isotonic_project(row, space.cell_weights) for row in blends])
+        out = space.project_blends(blends.copy())
+        assert out.tobytes() == expected.tobytes()
+
+
 class TestNearestCorrelation:
     def test_valid_input_unmoved(self):
         a = np.array([[1.0, 0.4, 0.1], [0.4, 1.0, -0.2], [0.1, -0.2, 1.0]])

@@ -16,6 +16,7 @@ from frechet_svt.regression import (
     rank_predictions,
 )
 from oracles import (
+    blend_path_reference,
     brute_covariance,
     monotone_grid_search,
     ols_with_intercept,
@@ -326,6 +327,60 @@ class TestRankPredictions:
         null = next(rank_predictions(data.space, data.responses, [(data.stats, queries[:1], [0])]))
         mean = data.space.frechet_mean_blocks(data.responses, [np.ones(data.n)[:, None]])[0][0]
         np.testing.assert_allclose(null[0], mean, rtol=0, atol=1e-12)
+
+
+class TestSharedProducts:
+    """One ``rank_predictions`` call shares each design's cross product and each (design, queries) pair's scores."""
+
+    @staticmethod
+    def asks(kind, seed):
+        data, wide = extrapolating_instance(kind, seed)
+        rng = np.random.default_rng(seed + 100)
+        clean = data.stats
+        noisy = covariate_stats(data.covariates + 0.3 * rng.standard_normal(data.covariates.shape))
+        own = data.covariates  # the same array object in every ask that reads it
+        asks = [
+            (clean, own, [3]),
+            (noisy, own, [3]),  # shares its design with the next two asks
+            (noisy, own, [1, 2]),  # shares the design and the queries
+            (clean, wide, [0, 1, 3]),
+            (noisy, wide, [2]),
+            (noisy, wide, [0, 3]),
+            (clean, clean.mean[None], [0]),
+        ]
+        return data, asks
+
+    @pytest.mark.parametrize("kind", AFFINE_KINDS)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_each_stack_equals_its_ask_alone_bit_for_bit(self, kind, seed):
+        data, asks = self.asks(kind, seed)
+        shared = list(rank_predictions(data.space, data.responses, asks))
+        alone = [s for ask in asks for s in rank_predictions(data.space, data.responses, [ask])]
+        before = [s for st, q, ranks in asks for s in blend_path_reference(st, data.responses, data.space, q, ranks)]
+        assert len(shared) == len(alone) == len(before) == sum(len(ranks) for *_, ranks in asks)
+        for got, one, old in zip(shared, alone, before):
+            assert got.shape == one.shape == old.shape
+            assert got.tobytes() == one.tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize("kind", AFFINE_KINDS)
+    def test_products_are_made_once_per_design_and_pair(self, kind, monkeypatch):
+        data, asks = self.asks(kind, 2)
+        seen = []
+        blend_path = regression._blend_path
+
+        def spy(stats, flat, cross, scores, ranks):
+            seen.append((id(cross), id(scores)))
+            return blend_path(stats, flat, cross, scores, ranks)
+
+        monkeypatch.setattr(regression, "_blend_path", spy)
+        list(rank_predictions(data.space, data.responses, asks))
+        crosses = [c for c, _ in seen]
+        scores = [s for _, s in seen]
+        # Two designs; five (design, queries) pairs: clean-own, noisy-own, clean-wide, noisy-wide, clean-mean.
+        assert crosses[1] == crosses[2] == crosses[4] == crosses[5] and crosses[0] == crosses[3] == crosses[6]
+        assert crosses[0] != crosses[1]
+        assert scores[1] == scores[2] and scores[4] == scores[5]
+        assert len({scores[i] for i in (0, 1, 3, 4, 6)}) == 5
 
 
 class TestPcr:
