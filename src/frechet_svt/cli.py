@@ -14,13 +14,16 @@ was unread, a covariance that overflows, an overflow inside a
 ``simulate`` trial or its cell aggregation, the ``fit-predict`` tuning,
 fit and prediction or the ``diagnose`` numerics, a ``simulate`` table
 value that is not finite, in which case neither table is written, or a
-command that runs out of memory, named in the message), 4
+command that runs out of memory, named in the message with the cell and
+trial where a ``simulate`` trial ran out), 4
 verification failure. Worker count for simulations comes from the
 FRECHET_SVT_THREADS environment variable (default: the cores this
-process may run on). Every command, and every ``simulate`` pool worker
-under any start method, runs numpy's BLAS on one thread and keeps
-OpenSSL out of its process (``linalg.settle_process``); the manifest
-names the library and the thread count.
+process may run on); with more than one, a ``simulate`` campaign runs
+all its trials on one pool of at most that many worker processes.
+Every command, and every such worker under any start method, runs
+numpy's BLAS on one thread and keeps OpenSSL out of its process
+(``linalg.settle_process``); the manifest names the library and the
+thread count.
 """
 
 from __future__ import annotations

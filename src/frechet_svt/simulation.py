@@ -15,7 +15,6 @@ worker count never change the results.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import zlib
@@ -38,12 +37,14 @@ ESTIMATORS = ("REF", "EIV", "SVT")
 
 
 class TrialFailure(RuntimeError):
-    """A solver failed inside one Monte Carlo trial of the cell named ``cell``."""
+    """A solver failed, or memory ran out, inside one Monte Carlo trial of the cell named ``cell``."""
 
     _event = "trial {} failed"
 
     def __init__(self, cell: str, trial_index: int, cause: Exception):
-        super().__init__(f"cell {cell}: {self._event.format(trial_index)}: {cause}")
+        event = "trial {} ran out of memory" if isinstance(cause, MemoryError) else self._event
+        detail = f": {cause}" if str(cause) else ""  # a bare MemoryError has no message
+        super().__init__(f"cell {cell}: {event.format(trial_index)}{detail}")
         self.cell = cell
         self.trial_index = trial_index
         self.cause = cause
@@ -485,17 +486,24 @@ def _cell_space(config: SimConfig) -> MetricSpace:
     return space_from_kind(kind, quantile_points=config.quantile_points)
 
 
+@functools.cache
 def _cell_fixtures(config: SimConfig):
-    """Spectrum, eigenbasis, evaluation points, truths, and model params."""
+    """Spectrum, eigenbasis, evaluation points, truths, model params and profile grid, read-only.
+
+    Cached until ``run_campaign`` returns or raises; a spawned worker derives the same bits.
+    """
     spectrum = make_spectrum(config.p, config.condition_number)
     basis = random_orthogonal(config.p, config.rng(_BASIS))
     eval_x = gen_covariates(config.eval_points, config.p, spectrum, config.rng(_EVAL), basis)
     if config.model == "wasserstein":
         truths = np.stack([true_regression_quantile(x, config) for x in eval_x])
-        params = None
+        params = ()
     else:
         truths, *params = gen_linear_responses(eval_x, config.linear_dim, config.rng(_MODEL_PARAMS), 0.0)
-    return spectrum, basis, eval_x, truths, params
+    profile_grid = lambda_grid(spectrum[0], config.p, config.n, config.lambda_points)
+    for a in (spectrum, basis, eval_x, truths, profile_grid, *params):
+        a.flags.writeable = False  # every trial of the cell shares these arrays
+    return spectrum, basis, eval_x, truths, tuple(params), profile_grid
 
 
 def _draw_responses(x, config: SimConfig, params, rng) -> np.ndarray:
@@ -504,13 +512,10 @@ def _draw_responses(x, config: SimConfig, params, rng) -> np.ndarray:
     return gen_linear_responses(x, config.linear_dim, rng, config.sigma_eta, *params)[0]
 
 
-def _run_trial(args):
-    """Draw one trial's data and run it through ``evaluate_trial``.
-
-    ``args`` is the cell's fixtures followed by the trial index.
-    """
-    config, spectrum, basis, eval_x, profile_grid, params, b = args
+def _run_trial(config: SimConfig, b: int):
+    """Draw trial ``b`` of the cell ``config`` and run it through ``evaluate_trial``."""
     try:
+        spectrum, basis, eval_x, _, params, profile_grid = _cell_fixtures(config)
         # Overflow fails the trial instead of printing warnings. The setting
         # is per thread, so it holds in a pool worker too.
         with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -526,80 +531,30 @@ def _run_trial(args):
             return evaluate_trial(
                 Dataset(x, y, space), noisy, Dataset(x_new, y_new, space), grid, eval_x, profile_grid, b
             )
-    except (ConvergenceError, DegenerateWeightsError, FloatingPointError) as exc:
+    except (ConvergenceError, DegenerateWeightsError, FloatingPointError, MemoryError) as exc:
         raise TrialFailure(config.display_name(), b, exc) from exc
 
 
-# A pool worker's cell fixtures, set once per worker by ``_start_worker``.
-# The parent process never sets it.
-_worker_fixtures = None
-
-
-def _start_worker(fixtures) -> None:
-    """Pool initializer: ``settle_process``, and the cell's fixtures kept for every trial."""
-    global _worker_fixtures
-    settle_process()
-    _worker_fixtures = fixtures
-
-
-def _pooled_trial(b: int):
-    return _run_trial((*_worker_fixtures, b))
-
-
-def run_cell(config: SimConfig, workers: int = 1) -> CellResult:
-    """Run every trial of one study cell and aggregate the results.
-
-    Every trial predicts at the cell's evaluation points and sweeps the
-    cell's profile grid with its own tuning grid (``evaluate_trial``).
-    Trials are independent given their derived seeds, so they can run in
-    worker processes. Each worker receives the cell's fixtures once,
-    from the pool initializer, which also calls ``settle_process`` as
-    the CLI does, and then gets only trial indices. A worker that dies
-    breaks the pool, and the first trial whose outcome is still unread
-    raises ``LostWorker``, a ``TrialFailure``. Either way the outcomes
-    are read one at a time, in trial order, as they arrive. Each
-    outcome's evaluation predictions go into the cell's ``_TrialFold``
-    and the outcome is dropped before the next one is read. For
-    Euclidean, Wasserstein and correlation responses the fold keeps a
-    running average and spread, so memory does not grow with the number
-    of trials. For l1 and sup-norm responses it stores one
-    ``(trials, eval_points, ...)`` array per estimator. The profile is
-    divided by the null model's mean test error; where that is 0 (every
-    response one point), ``FloatingPointError`` names the cell.
-    """
-    spectrum, basis, eval_x, truths, params = _cell_fixtures(config)
-    profile_grid = lambda_grid(spectrum[0], config.p, config.n, config.lambda_points)
-    fixtures = (config, spectrum, basis, eval_x, profile_grid, params)
+def _fold_cell(config: SimConfig, outcomes, broken_pool) -> CellResult:
+    """Read the cell's ``config.trials`` outcomes from ``outcomes``, in trial order, and aggregate them."""
+    _, _, _, truths, _, profile_grid = _cell_fixtures(config)
     reports = []
     fold = _TrialFold(_cell_space(config), truths, config.trials)
     svt_curves = np.empty((config.trials, profile_grid.size))
     null_errors = np.empty(config.trials)
-    # A forked pool starts every worker at once, so never ask for more than there are trials.
-    workers = min(workers, config.trials)
-    broken_pool = ()  # what a dead worker raises; a serial run has none
     # Overflow in the across-trial folds is an error too, as inside a trial.
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        with contextlib.ExitStack() as stack:
-            if workers > 1:
-                # Imported here: loading the pool module (multiprocessing, sockets, ...) costs every process.
-                from concurrent.futures import ProcessPoolExecutor
-                from concurrent.futures.process import BrokenProcessPool as broken_pool
-
-                pool = ProcessPoolExecutor(max_workers=workers, initializer=_start_worker, initargs=(fixtures,))
-                outcomes = stack.enter_context(pool).map(_pooled_trial, range(config.trials))
-            else:
-                outcomes = map(_run_trial, ((*fixtures, b) for b in range(config.trials)))
-            for b in range(config.trials):
-                # next(), not enumerate, and del preds: enumerate's cached result
-                # tuple or a live name would keep trial b's outcome while trial
-                # b + 1 runs.
-                try:
-                    report, preds, (svt_curves[b], null_errors[b]) = next(outcomes)
-                except broken_pool as exc:
-                    raise LostWorker(config.display_name(), b, exc) from exc
-                reports.append(report)
-                fold.add(preds)
-                del preds
+        for b in range(config.trials):
+            # next(), not enumerate, and del preds: enumerate's cached result
+            # tuple or a live name would keep trial b's outcome while trial
+            # b + 1 runs.
+            try:
+                report, preds, (svt_curves[b], null_errors[b]) = next(outcomes)
+            except broken_pool as exc:
+                raise LostWorker(config.display_name(), b, exc) from exc
+            reports.append(report)
+            fold.add(preds)
+            del preds
 
         report = fold.report(reports)
         null_mean = float(null_errors.mean())
@@ -618,4 +573,48 @@ def run_cell(config: SimConfig, workers: int = 1) -> CellResult:
 
 
 def run_campaign(configs, workers: int = 1) -> list:
-    return [run_cell(c, workers=workers) for c in configs]
+    """Run every trial of every cell, in campaign order, and aggregate each cell.
+
+    Each trial predicts at its cell's evaluation points and sweeps the
+    cell's profile grid with its own tuning grid (``evaluate_trial``).
+    Trials are independent given their derived seeds, so with several
+    workers every task ``(config, b)`` of the campaign runs on one pool
+    of ``min(workers, trials)`` processes, each set up by
+    ``settle_process`` as the CLI is. The outcomes are read one at a
+    time, in campaign order, as they arrive; each goes into its cell's
+    ``_TrialFold`` (a running average and spread, or for l1 and sup-norm
+    responses one ``(trials, eval_points, ...)`` array per estimator)
+    and is dropped before the next is read. The first failed trial
+    raises its ``TrialFailure``, and trials not yet started are dropped;
+    a worker that dies breaks the pool, and the first unread trial
+    raises ``LostWorker``. A profile is divided by the null model's mean
+    test error; where that is 0 (every response one point),
+    ``FloatingPointError`` names the cell.
+    """
+    configs = list(configs)
+    tasks = [(config, b) for config in configs for b in range(config.trials)]
+    # A forked pool starts every worker at once, so never ask for more than there are trials.
+    workers = min(workers, len(tasks))
+    pool, broken_pool = None, ()  # a serial run has no pool and no dead worker to catch
+    try:
+        for config in configs:
+            _cell_fixtures(config)  # before the pool starts, so that forked workers inherit the cache
+        if workers > 1:
+            # Imported here: loading the pool module (multiprocessing, sockets, ...) costs every process.
+            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool as broken_pool
+
+            pool = ProcessPoolExecutor(max_workers=workers, initializer=settle_process)
+            outcomes = pool.map(_run_trial, *zip(*tasks))
+        else:
+            outcomes = (_run_trial(config, b) for config, b in tasks)
+        return [_fold_cell(config, outcomes, broken_pool) for config in configs]
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)  # after a failure, trials not yet started never run
+        _cell_fixtures.cache_clear()
+
+
+def run_cell(config: SimConfig, workers: int = 1) -> CellResult:
+    """Run every trial of one study cell and aggregate the results: the one-cell ``run_campaign``."""
+    return run_campaign([config], workers)[0]

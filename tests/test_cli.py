@@ -565,6 +565,19 @@ def run_python(*args, **env):
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
 
 
+@pytest.fixture
+def forked_workers():
+    """Pool workers start by fork, so they see what a test replaced; the start method set before comes back."""
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("a replaced function reaches the workers only by fork")
+    before = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("fork", force=True)
+    yield
+    multiprocessing.set_start_method(before, force=True)
+
+
 class TestWorkerCount:
     def test_default_counts_the_cores_this_process_may_run_on(self, monkeypatch):
         import frechet_svt.cli as cli
@@ -749,9 +762,9 @@ class TestSolverExitCode:
             "import frechet_svt.simulation as sim\n"
             "from frechet_svt.cli import main\n"
             "multiprocessing.set_start_method('fork', force=True)\n"
-            "def die(b):\n"
+            "def die(config, b):\n"
             "    os._exit(1)\n"
-            "sim._pooled_trial = die\n"
+            "sim._run_trial = die\n"
             f"sys.exit(main({argv!r}))\n"
         )
         done = run_python("-c", code, FRECHET_SVT_THREADS="2")
@@ -912,6 +925,18 @@ p = 3
         code = main(["simulate", "--config", str(write_config(tmp_path)), "--out", str(out)])
         assert code == 3
         assert capsys.readouterr().err == f"solver error: simulate ran out of memory: {self.NO_MEMORY}\n"
+        assert not (out / "results.csv").exists() and not (out / "profile.csv").exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_simulate_out_of_memory_in_a_trial_names_the_cell_and_trial(
+        self, tmp_path, capsys, monkeypatch, forked_workers, workers
+    ):
+        monkeypatch.setenv("FRECHET_SVT_THREADS", workers)
+        monkeypatch.setattr(regression, "_blend_path", self.refuse_memory)  # a trial's affine blends
+        out = tmp_path / "o"
+        code = main(["simulate", "--config", str(write_config(tmp_path)), "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == f"solver error: cell smoke: trial 0 ran out of memory: {self.NO_MEMORY}\n"
         assert not (out / "results.csv").exists() and not (out / "profile.csv").exists()
 
     @pytest.mark.parametrize("kind", ["euclidean", "l1"])

@@ -42,10 +42,12 @@ from frechet_svt.simulation import (
     LostWorker,
     make_spectrum,
     mspe_profile,
+    run_campaign,
     run_cell,
     TrialFailure,
     TrialReport,
     _normal_quantiles,
+    _run_trial,
     true_regression_quantile,
     tune_lambda,
 )
@@ -624,28 +626,24 @@ class TestTrialFold:
         import frechet_svt.simulation as sim
 
         run_cell(small_config(trials=2), workers=workers)
-        assert sim._worker_fixtures is None
+        assert sim._cell_fixtures.cache_info().currsize == 0
+        with pytest.raises(TrialFailure):
+            run_cell(small_config(trials=2, alpha_intercept=1e308), workers=workers)
+        assert sim._cell_fixtures.cache_info().currsize == 0
 
 
 class LazyPool:
     """Stands in for the process pool: runs each trial in process when its outcome is read."""
 
-    def __init__(self, max_workers, initializer=None, initargs=()):
+    def __init__(self, max_workers, initializer=None):
         if initializer is not None:
-            initializer(*initargs)
+            initializer()
 
-    def __enter__(self):
-        return self
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
-    def __exit__(self, *exc):
-        # A worker's state ends with the worker; here that state lives in this process.
-        import frechet_svt.simulation as sim
-
-        sim._worker_fixtures = None
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        pass
 
 
 class TestRunCell:
@@ -661,13 +659,10 @@ class TestRunCell:
     def test_bias_variance_decomposition_in_flat_geometry(self):
         # mean squared distance to truth = bias^2 + variance, pointwise
         cfg = small_config(trials=4)
-        from frechet_svt.simulation import ESTIMATORS, _cell_fixtures, _run_trial
+        from frechet_svt.simulation import _cell_fixtures
 
-        spectrum, basis, eval_x, truths, params = _cell_fixtures(cfg)
-        outs = [
-            _run_trial((cfg, spectrum, basis, eval_x, lambda_grid(spectrum[0], cfg.p, cfg.n, 4), params, b))
-            for b in range(cfg.trials)
-        ]
+        truths = _cell_fixtures(cfg)[3]
+        outs = [_run_trial(cfg, b) for b in range(cfg.trials)]
         space = WassersteinSpace.with_uniform_grid(cfg.quantile_points)
         preds = np.stack([o[1]["SVT"] for o in outs])  # (B, M, m)
         for m in range(cfg.eval_points):
@@ -681,7 +676,7 @@ class TestRunCell:
         cfg = small_config(trials=2, sigma_eps=0.0)
         from frechet_svt.simulation import _cell_fixtures
 
-        spectrum, basis, eval_x, truths, params = _cell_fixtures(cfg)
+        spectrum, basis, eval_x, truths, params, _ = _cell_fixtures(cfg)
         rng = cfg.rng(4, 0)
         x = gen_covariates(cfg.n, cfg.p, spectrum, rng, basis)
         q, _ = gen_wasserstein_responses(x, cfg, rng)
@@ -737,7 +732,9 @@ class TestRunCell:
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recorder)
         run_cell(small_config(trials=2), workers=8)
         run_cell(small_config(trials=1), workers=8)
-        assert asked == [2]
+        # One pool for a whole campaign, sized by all of its trials.
+        run_campaign([small_config(trials=2), small_config(trials=3, label="b")], workers=8)
+        assert asked == [2, 5]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_each_outcome_is_dropped_before_the_next_trial(self, monkeypatch, workers):
@@ -749,9 +746,9 @@ class TestRunCell:
         real_trial = sim._run_trial
         refs, alive = [], []
 
-        def tracked(args):
+        def tracked(config, b):
             alive.append(sum(ref() is not None for ref in refs))
-            outcome = real_trial(args)
+            outcome = real_trial(config, b)
             refs.extend(weakref.ref(preds) for preds in outcome[1].values())
             return outcome
 
@@ -785,8 +782,8 @@ def start_method(request):
     multiprocessing.set_start_method(before, force=True)
 
 
-def _exit_worker(b):
-    """Stands in for ``_pooled_trial``: the worker process dies at once."""
+def _exit_worker(config, b):
+    """Stands in for ``_run_trial``: the worker process dies at once."""
     os._exit(1)
 
 
@@ -829,11 +826,11 @@ class TestStartMethods:
         code = (
             "import json, multiprocessing, sys\n"
             "from concurrent.futures import ProcessPoolExecutor\n"
-            "from frechet_svt.simulation import _start_worker\n"
+            "from frechet_svt.linalg import settle_process\n"
             f"multiprocessing.set_start_method({method!r}, force=True)\n"
             "probes = {}\n"
-            "for name, init in (('settled', _start_worker), ('control', None)):\n"
-            "    with ProcessPoolExecutor(1, initializer=init, initargs=(None,) if init else ()) as pool:\n"
+            "for name, init in (('settled', settle_process), ('control', None)):\n"
+            "    with ProcessPoolExecutor(1, initializer=init) as pool:\n"
             f"        probes[name] = pool.submit(eval, {_OPENSSL_PROBE!r}).result()\n"
             "print(json.dumps(probes))\n"
         )
@@ -856,13 +853,72 @@ class TestStartMethods:
 
         import frechet_svt.simulation as sim
 
-        monkeypatch.setattr(sim, "_pooled_trial", _exit_worker)
+        monkeypatch.setattr(sim, "_run_trial", _exit_worker)
         expected = "^cell huge: a worker process died while trial 0 was still unread: A process in the process pool"
         with pytest.raises(TrialFailure, match=expected) as err:
             run_cell(small_config(trials=3, label="huge"), workers=2)
         assert isinstance(err.value, LostWorker) and err.value.trial_index == 0
         assert isinstance(err.value.cause, BrokenProcessPool)
         assert err.value.__cause__ is err.value.cause
+
+
+# Names the directory where ``_logged_trial`` leaves a file per trial it starts.
+_TRIAL_LOG = "FRECHET_SVT_TEST_TRIAL_LOG"
+
+
+def _logged_trial(config, b):
+    """Stands in for ``_run_trial``: leaves a file named after the trial, then runs it."""
+    Path(os.environ[_TRIAL_LOG], f"{config.display_name()}-{b}").touch()
+    return _run_trial(config, b)
+
+
+class TestRunCampaign:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_an_empty_campaign_has_no_cells(self, workers):
+        assert run_campaign([], workers=workers) == []
+
+    def test_cells_on_one_pool_write_the_tables_of_each_cell_alone(self, tmp_path):
+        configs = [
+            small_config(trials=3, label="a"),
+            small_config(trials=2, master_seed=3, model="linear", metric="euclidean", linear_dim=2, label="b"),
+        ]
+        tables = []
+        for cells in (run_campaign(configs, workers=2), [run_cell(c) for c in configs]):
+            write_tables(tmp_path, cells)
+            tables.append([(tmp_path / name).read_bytes() for name in ("results.csv", "profile.csv")])
+        assert tables[0] == tables[1]
+
+    # Only a forked worker sees the replaced trial function.
+    @pytest.mark.parametrize("start_method", ["fork"], indirect=True)
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "bad, error, match, serial_started",
+        [
+            (dict(alpha_intercept=1e308), TrialFailure, "^cell bad: trial 0 failed: overflow", ["bad-0"]),
+            # Every trial of this cell runs, and its profile has nothing to divide by.
+            (
+                dict(n=6, p=3, test_size=4, eval_points=2, quantile_points=5, lambda_points=3, alpha_intercept=-1e150),
+                FloatingPointError,
+                "^profile.csv: cell bad: ",
+                ["bad-0", "bad-1"],
+            ),
+        ],
+        ids=["trial", "aggregation"],
+    )
+    def test_a_failure_stops_the_campaign(
+        self, monkeypatch, tmp_path, start_method, workers, bad, error, match, serial_started
+    ):
+        monkeypatch.setenv(_TRIAL_LOG, str(tmp_path))
+        monkeypatch.setattr("frechet_svt.simulation._run_trial", _logged_trial)
+        good = small_config(trials=40, label="good")
+        with pytest.raises(error, match=match):
+            run_campaign([small_config(trials=2, label="bad", **bad), good], workers=workers)
+        started = sorted(path.name for path in tmp_path.iterdir())
+        if workers == 1:
+            assert started == serial_started
+        else:
+            # Only trials already handed to a worker when the failure was read may have started.
+            assert sum(name.startswith("good-") for name in started) < good.trials // 2, started
 
 
 class TestTrialFailure:
@@ -878,6 +934,12 @@ class TestTrialFailure:
         back = pickle.loads(pickle.dumps(LostWorker("smoke", 2, RuntimeError("terminated abruptly"))))
         assert type(back) is LostWorker and (back.cell, back.trial_index) == ("smoke", 2)
         assert str(back) == "cell smoke: a worker process died while trial 2 was still unread: terminated abruptly"
+
+    def test_out_of_memory_says_so(self):
+        back = pickle.loads(pickle.dumps(TrialFailure("smoke", 1, MemoryError("Unable to allocate 8 GiB"))))
+        assert str(back) == "cell smoke: trial 1 ran out of memory: Unable to allocate 8 GiB"
+        assert type(back.cause) is MemoryError
+        assert str(TrialFailure("smoke", 1, MemoryError())) == "cell smoke: trial 1 ran out of memory"
 
 
 class TestConfigValidation:
