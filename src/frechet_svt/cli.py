@@ -10,12 +10,12 @@ Exit codes: 0 success, 2 config or schema error (also ``fit-predict``'s
 ``--holdout`` or ``--grid-points`` without ``--lambda auto``) or an
 output file that cannot be written (files written before it stay), 3
 solver failure (also a worker process that died while a trial's outcome
-was unread, a covariance that overflows, an overflow inside a
-``simulate`` trial or its cell aggregation, the ``fit-predict`` tuning,
-fit and prediction or the ``diagnose`` numerics, a ``simulate`` table
-value that is not finite, in which case neither table is written, or a
-command that runs out of memory, named in the message with the cell and
-trial where a ``simulate`` trial ran out), 4
+was unread, a covariance that overflows, the ``FloatingPointError`` the
+library raises on an overflow in a ``simulate`` trial or its cell
+aggregation, the ``fit-predict`` tuning and prediction or ``diagnose``,
+a ``simulate`` table value that is not finite, in which case neither
+table is written, or a command that runs out of memory, named in the
+message with the cell and trial where a ``simulate`` trial ran out), 4
 verification failure. Worker count for simulations comes from the
 FRECHET_SVT_THREADS environment variable (default: the cores this
 process may run on); with more than one, a ``simulate`` campaign runs
@@ -50,8 +50,8 @@ from .dataio import (
 )
 from .diagnostics import diagnose
 from .linalg import settle_process
-from .metric_spaces import ConvergenceError, DegenerateWeightsError, WassersteinSpace
-from .regression import Dataset, fit
+from .metric_spaces import WassersteinSpace
+from .regression import SOLVER_ERRORS, Dataset, fit
 from .simulation import TrialFailure, lambda_grid, run_campaign, tune_lambda
 from .verification import run_suite
 
@@ -200,12 +200,9 @@ def _cmd_fit_predict(args) -> int:
         },
     )
     lam_hat = None
-    # Finite extreme responses can still overflow in the blends; that is a
-    # FloatingPointError (exit 3), not an inf or nan prediction.
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        if lam is None:
-            lam_hat = lam = tune_lambda(train, holdout, grid)
-        preds = fit(train, lam).predict_many(queries)
+    if lam is None:
+        lam_hat = lam = tune_lambda(train, holdout, grid)
+    preds = fit(train, lam).predict_many(queries)
     write_predictions(out / "predictions.csv", space, preds, lambda_hat=lam_hat)
     print(f"wrote {out / 'predictions.csv'}" + (f" (lambda_hat={lam_hat!r})" if lam_hat is not None else ""))
     return EXIT_OK
@@ -241,10 +238,7 @@ def _cmd_diagnose(args) -> int:
         },
     )
     train, noisy = Dataset(x, responses, space), Dataset(z, responses, space)
-    # Finite extreme inputs can still overflow; that is a FloatingPointError
-    # (exit 3), not an inf or nan in the table.
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        values = diagnose(train, noisy, lam, query)
+    values = diagnose(train, noisy, lam, query)
     write_diagnostics_csv(out / "diagnostics.csv", values)
     print(f"wrote {out / 'diagnostics.csv'}")
     return EXIT_OK
@@ -325,7 +319,7 @@ def main(argv=None) -> int:
     except (ConfigError, SchemaError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
-    except (TrialFailure, ConvergenceError, DegenerateWeightsError, FloatingPointError) as exc:
+    except (TrialFailure, *SOLVER_ERRORS) as exc:
         sys.stderr.write(f"solver error: {exc}\n")
         return EXIT_SOLVER
     except MemoryError as exc:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import spectral_norm
-from .regression import CovariateStats, Dataset, check_queries, fit, kept_rank
+from .regression import CovariateStats, Dataset, check_queries, fit, kept_rank, raising
 
 ROWSPACE_RTOL = 1e-8
 
@@ -29,6 +29,7 @@ def _seminorm(stats: CovariateStats, v, lo: int, hi: int) -> float:
     return float(np.sqrt(np.sum(coords * coords / stats.eigenvalues[lo:hi])))
 
 
+@raising
 def diagnose(clean: Dataset, noisy: Dataset, lam: float, x) -> dict:
     """The ``diagnostics.csv`` columns for one clean/noisy pair at threshold ``lam`` and query ``x``.
 

@@ -20,7 +20,18 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import RANK_RTOL, SvdFactors, compute_svd
-from .metric_spaces import DegenerateWeightsError, EuclideanSpace, MetricSpace
+from .metric_spaces import ConvergenceError, DegenerateWeightsError, EuclideanSpace, MetricSpace
+
+SOLVER_ERRORS = (ConvergenceError, DegenerateWeightsError, FloatingPointError)  # the CLI exits 3 on each
+
+
+def raising(func):
+    """``func`` with numpy's overflow, invalid and divide events raising ``FloatingPointError``.
+
+    One ``errstate`` per function (numpy 1.x saves the caller's setting on
+    the instance); never for a generator, whose body runs after the call.
+    """
+    return np.errstate(over="raise", invalid="raise", divide="raise")(func)
 
 
 @dataclass(frozen=True)
@@ -152,7 +163,9 @@ def rank_predictions(space: MetricSpace, responses, asks):
     nine, and its EIV and SVT fits share their scores. Each stack equals
     its ask run alone, bit for bit. The l1 and sup-norm solvers need the
     weights, so those spaces solve every rank of every ask in one
-    ``frechet_mean_blocks`` call.
+    ``frechet_mean_blocks`` call. It runs under its consumer's numpy error
+    setting: ``raising`` would cover only the call that makes the
+    generator, and a ``with`` across a ``yield`` would leak into the consumer.
     """
     if not space.affine:
         weights = [rank_weights(stats, queries, k) for stats, queries, ranks in asks for k in ranks]
@@ -241,6 +254,7 @@ class FittedModel:
         """Prediction at one query point."""
         return self.predict_many(np.ravel(x)[None])[0]
 
+    @raising
     def predict_many(self, queries) -> np.ndarray:
         """Predictions at the query rows, through ``rank_predictions`` at the fit's rank."""
         ask = (self.stats, check_queries(self.stats, queries), [self.rank])

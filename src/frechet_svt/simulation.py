@@ -24,14 +24,8 @@ from statistics import NormalDist, median
 import numpy as np
 
 from .linalg import settle_process
-from .metric_spaces import (
-    ConvergenceError,
-    DegenerateWeightsError,
-    MetricSpace,
-    midpoint_grid,
-    space_from_kind,
-)
-from .regression import Dataset, check_queries, fit, kept_rank, rank_predictions
+from .metric_spaces import MetricSpace, midpoint_grid, space_from_kind
+from .regression import SOLVER_ERRORS, Dataset, check_queries, fit, kept_rank, raising, rank_predictions
 
 ESTIMATORS = ("REF", "EIV", "SVT")
 
@@ -337,6 +331,7 @@ def lambda_grid(top_eigenvalue: float, p: int, n: int, points: int = 40) -> np.n
     return np.linspace(upper / points, upper, points)
 
 
+@raising
 def mspe_profile(train_noisy: Dataset, test: Dataset, grid) -> np.ndarray:
     """Out-of-sample error of the noisy-covariate fit along a threshold grid.
 
@@ -365,6 +360,7 @@ def tune_lambda(train_noisy: Dataset, test: Dataset, grid) -> float:
     return float(grid[int(np.argmin(mspe_profile(train_noisy, test, grid)))])
 
 
+@raising
 def evaluate_trial(train: Dataset, train_noisy: Dataset, test: Dataset, grid, eval_x, profile_grid, index: int = 0):
     """Fit REF, EIV, and tuned SVT, reporting training and test errors.
 
@@ -512,29 +508,26 @@ def _draw_responses(x, config: SimConfig, params, rng) -> np.ndarray:
     return gen_linear_responses(x, config.linear_dim, rng, config.sigma_eta, *params)[0]
 
 
+@raising
 def _run_trial(config: SimConfig, b: int):
     """Draw trial ``b`` of the cell ``config`` and run it through ``evaluate_trial``."""
     try:
         spectrum, basis, eval_x, _, params, profile_grid = _cell_fixtures(config)
-        # Overflow fails the trial instead of printing warnings. The setting
-        # is per thread, so it holds in a pool worker too.
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            rng = config.rng(_TRIAL, b)
-            space = _cell_space(config)
-            x = gen_covariates(config.n, config.p, spectrum, rng, basis)
-            y = _draw_responses(x, config, params, rng)
-            z = add_noise(x, config.noise_kind, config.sigma_eps, rng, config.laplace_variance_matched)
-            x_new = gen_covariates(config.test_size, config.p, spectrum, rng, basis)
-            y_new = _draw_responses(x_new, config, params, rng)
-            noisy = Dataset(z, y, space)
-            grid = lambda_grid(noisy.stats.eigenvalues[0], config.p, config.n, config.lambda_points)
-            return evaluate_trial(
-                Dataset(x, y, space), noisy, Dataset(x_new, y_new, space), grid, eval_x, profile_grid, b
-            )
-    except (ConvergenceError, DegenerateWeightsError, FloatingPointError, MemoryError) as exc:
+        rng = config.rng(_TRIAL, b)
+        space = _cell_space(config)
+        x = gen_covariates(config.n, config.p, spectrum, rng, basis)
+        y = _draw_responses(x, config, params, rng)
+        z = add_noise(x, config.noise_kind, config.sigma_eps, rng, config.laplace_variance_matched)
+        x_new = gen_covariates(config.test_size, config.p, spectrum, rng, basis)
+        y_new = _draw_responses(x_new, config, params, rng)
+        noisy = Dataset(z, y, space)
+        grid = lambda_grid(noisy.stats.eigenvalues[0], config.p, config.n, config.lambda_points)
+        return evaluate_trial(Dataset(x, y, space), noisy, Dataset(x_new, y_new, space), grid, eval_x, profile_grid, b)
+    except (*SOLVER_ERRORS, MemoryError) as exc:
         raise TrialFailure(config.display_name(), b, exc) from exc
 
 
+@raising
 def _fold_cell(config: SimConfig, outcomes, broken_pool) -> CellResult:
     """Read the cell's ``config.trials`` outcomes from ``outcomes``, in trial order, and aggregate them."""
     _, _, _, truths, _, profile_grid = _cell_fixtures(config)
@@ -542,33 +535,31 @@ def _fold_cell(config: SimConfig, outcomes, broken_pool) -> CellResult:
     fold = _TrialFold(_cell_space(config), truths, config.trials)
     svt_curves = np.empty((config.trials, profile_grid.size))
     null_errors = np.empty(config.trials)
-    # Overflow in the across-trial folds is an error too, as inside a trial.
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        for b in range(config.trials):
-            # next(), not enumerate, and del preds: enumerate's cached result
-            # tuple or a live name would keep trial b's outcome while trial
-            # b + 1 runs.
-            try:
-                report, preds, (svt_curves[b], null_errors[b]) = next(outcomes)
-            except broken_pool as exc:
-                raise LostWorker(config.display_name(), b, exc) from exc
-            reports.append(report)
-            fold.add(preds)
-            del preds
+    for b in range(config.trials):
+        # next(), not enumerate, and del preds: enumerate's cached result
+        # tuple or a live name would keep trial b's outcome while trial
+        # b + 1 runs.
+        try:
+            report, preds, (svt_curves[b], null_errors[b]) = next(outcomes)
+        except broken_pool as exc:
+            raise LostWorker(config.display_name(), b, exc) from exc
+        reports.append(report)
+        fold.add(preds)
+        del preds
 
-        report = fold.report(reports)
-        null_mean = float(null_errors.mean())
-        if null_mean == 0.0:
-            raise FloatingPointError(
-                f"profile.csv: cell {config.display_name()}: the null model's test error,"
-                " which the profile is divided by, is 0 in every trial"
-            )
-        profile = ThresholdProfile(
-            lambdas=profile_grid,
-            svt=svt_curves.mean(axis=0) / null_mean,
-            ref=report.mspe["REF"] / null_mean,
-            eiv=report.mspe["EIV"] / null_mean,
+    report = fold.report(reports)
+    null_mean = float(null_errors.mean())
+    if null_mean == 0.0:
+        raise FloatingPointError(
+            f"profile.csv: cell {config.display_name()}: the null model's test error,"
+            " which the profile is divided by, is 0 in every trial"
         )
+    profile = ThresholdProfile(
+        lambdas=profile_grid,
+        svt=svt_curves.mean(axis=0) / null_mean,
+        ref=report.mspe["REF"] / null_mean,
+        eiv=report.mspe["EIV"] / null_mean,
+    )
     return CellResult(config=config, trials=reports, report=report, profile=profile)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from frechet_svt import regression
+from frechet_svt import diagnose, evaluate_trial, mspe_profile, regression, tune_lambda
 from frechet_svt.linalg import compute_svd, svt
 from frechet_svt.metric_spaces import CorrelationSpace, EuclideanSpace, L1Space, MetricSpace, WassersteinSpace
 from frechet_svt.regression import (
@@ -510,3 +510,62 @@ class TestQueryValidation:
         q = np.array([0.3, -0.2, 0.1])
         assert np.array_equal(model.predict(q), model.predict_many(q[None, :])[0])
         assert np.array_equal(model.weight_matrix(q[None, :]), model.weight_matrix(q))
+
+
+def policy_data(scale):
+    """20 rows of 3 covariates with Euclidean responses of +-``scale``, a noisy copy and two query rows."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((20, 3))
+    y = scale * np.where(rng.random(20) < 0.5, -1.0, 1.0)
+    noisy = x + 0.01 * rng.standard_normal(x.shape)
+    return Dataset(x, y, EUCLID), Dataset(noisy, y, EUCLID), rng.standard_normal((2, 3))
+
+
+POLICY_GRID = np.linspace(0.01, 0.5, 40)
+
+# Each computing entry of the library, called on (clean, noisy, queries).
+POLICY_ENTRIES = {
+    "predict_many": lambda clean, noisy, q: fit(clean, 0.0).predict_many(q),
+    "predict": lambda clean, noisy, q: fit(clean, 0.0).predict(q[0]),
+    "mspe_profile": lambda clean, noisy, q: mspe_profile(noisy, clean, POLICY_GRID),
+    "tune_lambda": lambda clean, noisy, q: tune_lambda(noisy, clean, POLICY_GRID),
+    "evaluate_trial": lambda clean, noisy, q: evaluate_trial(clean, noisy, clean, POLICY_GRID, q, POLICY_GRID),
+    "diagnose": lambda clean, noisy, q: diagnose(clean, noisy, 0.0, q[0]),
+}
+
+
+class TestRaisePolicy:
+    """Finite responses of +-1e308 overflow in the blends: the library raises, as the CLI exits 3.
+
+    These entries once returned nan (``tune_lambda`` an argmin over nan
+    errors) with only a ``RuntimeWarning``.
+    """
+
+    @pytest.mark.parametrize("entry", list(POLICY_ENTRIES))
+    def test_entry_raises_on_overflow(self, entry):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            POLICY_ENTRIES[entry](*policy_data(1e308))
+
+    @pytest.mark.parametrize("entry", list(POLICY_ENTRIES))
+    def test_entry_restores_the_callers_setting(self, entry):
+        # evaluate_trial nests mspe_profile: the inner entry's exit must not
+        # end the outer one's policy, nor the outer's leave it on.
+        with np.errstate(all="ignore"):
+            caller = np.geterr()
+            POLICY_ENTRIES[entry](*policy_data(1.0))
+            assert np.geterr() == caller
+            with pytest.raises(FloatingPointError):
+                POLICY_ENTRIES[entry](*policy_data(1e308))
+            assert np.geterr() == caller
+        assert np.geterr() != caller
+
+    def test_rank_predictions_runs_under_its_consumers_setting(self):
+        clean, _, q = policy_data(1e308)
+        ask = (clean.stats, q, [1, 2, 3])
+        with np.errstate(all="ignore"):
+            caller = np.geterr()
+            for stack in rank_predictions(EUCLID, clean.responses, [ask]):
+                assert np.geterr() == caller
+                assert np.isnan(stack).all()  # ignored, as the consumer asked
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            list(rank_predictions(EUCLID, clean.responses, [ask]))
