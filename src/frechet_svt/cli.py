@@ -23,7 +23,11 @@ all its trials on one pool of at most that many worker processes.
 Every command, and every such worker under any start method, runs
 numpy's BLAS on one thread and keeps OpenSSL out of its process
 (``linalg.settle_process``); the manifest names the library and the
-thread count.
+thread count. Each command imports only the modules it runs:
+``simulation`` for ``simulate`` and ``fit-predict --lambda auto``,
+``diagnostics`` for ``diagnose`` and ``verify-lemmas``, and
+``verification`` for ``verify-lemmas``; a call that writes no bytecode
+compiles every module it loads.
 """
 
 from __future__ import annotations
@@ -48,12 +52,9 @@ from .dataio import (
     write_predictions,
     write_tables,
 )
-from .diagnostics import diagnose
 from .linalg import settle_process
 from .metric_spaces import WassersteinSpace
 from .regression import SOLVER_ERRORS, Dataset, fit
-from .simulation import TrialFailure, lambda_grid, run_campaign, tune_lambda
-from .verification import run_suite
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -87,6 +88,8 @@ def _out_dir(text: str) -> Path:
 
 
 def _cmd_simulate(args) -> int:
+    from .simulation import run_campaign
+
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     if args.grid_points is not None and args.grid_points < 1:
@@ -168,6 +171,8 @@ def _cmd_fit_predict(args) -> int:
             f"queries have {queries.shape[1]} covariates but training data has {x.shape[1]}"
         )
     if lam is None:
+        from .simulation import lambda_grid, tune_lambda
+
         hx, hy, hspace = _read_design(args.holdout, args.kind, "holdout")
         if hx.shape[1] != x.shape[1]:
             raise SchemaError(
@@ -209,6 +214,8 @@ def _cmd_fit_predict(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
+    from .diagnostics import diagnose
+
     x, responses, space = _read_design(args.train, args.kind, "training")
     z = read_covariates(args.noisy)
     if z.shape != x.shape:
@@ -245,6 +252,8 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_verify_lemmas(args) -> int:
+    from .verification import run_suite
+
     if args.instances < 1:
         raise ConfigError(f"--instances must be at least 1, got {args.instances}")
     if args.seed < 0:
@@ -308,6 +317,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _solver_errors() -> tuple:
+    """``SOLVER_ERRORS``, and ``TrialFailure`` once ``simulation`` is loaded: no other command can raise it."""
+    simulation = sys.modules.get(f"{__package__}.simulation")
+    return SOLVER_ERRORS if simulation is None else (simulation.TrialFailure, *SOLVER_ERRORS)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -319,7 +334,7 @@ def main(argv=None) -> int:
     except (ConfigError, SchemaError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
-    except (TrialFailure, *SOLVER_ERRORS) as exc:
+    except _solver_errors() as exc:
         sys.stderr.write(f"solver error: {exc}\n")
         return EXIT_SOLVER
     except MemoryError as exc:

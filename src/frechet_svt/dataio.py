@@ -10,7 +10,6 @@ comments and ignored on input.
 
 from __future__ import annotations
 
-import configparser
 import csv
 import dataclasses
 import itertools
@@ -22,7 +21,6 @@ import numpy as np
 
 from . import __version__
 from .metric_spaces import InvalidPointError, MetricSpace, WassersteinSpace, space_from_kind
-from .simulation import ESTIMATORS, SimConfig
 
 # Response column prefix per kind: the one place the kind decides the layout.
 _PREFIX = {"euclidean": "y", "l1": "y", "linf": "y", "wasserstein": "q", "correlation": "c"}
@@ -297,6 +295,8 @@ def write_tables(out_dir, cell_results) -> None:
     finite raises ``FloatingPointError`` naming the table, the cell, the
     estimator and the column, and neither table is written.
     """
+    from .simulation import ESTIMATORS  # imported here, so only simulate loads that module
+
     results, profile = [], []  # rows as (config, estimator, values)
     for cell in cell_results:
         cfg, rep, prof = cell.config, cell.report, cell.profile
@@ -342,8 +342,6 @@ def _parse_bool(text: str) -> bool:
 
 
 _PARSE_BY_TYPE = {"int": int, "float": float, "str": str, "bool": _parse_bool}
-# Every SimConfig field but the label, which comes from the section name.
-_FIELD_PARSERS = {f.name: _PARSE_BY_TYPE[f.type] for f in dataclasses.fields(SimConfig) if f.name != "label"}
 
 
 def load_sim_configs(path, seed_override=None, grid_points_override=None):
@@ -353,6 +351,13 @@ def load_sim_configs(path, seed_override=None, grid_points_override=None):
     a cell and must define at least ``n`` and ``p``. Returns the configs
     and the resolved snapshot lines for the manifest.
     """
+    # Imported here: only simulate reads a campaign file, so no other command loads these.
+    import configparser
+
+    from .simulation import SimConfig
+
+    # Every SimConfig field but the label, which comes from the section name.
+    field_parsers = {f.name: _PARSE_BY_TYPE[f.type] for f in dataclasses.fields(SimConfig) if f.name != "label"}
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path, encoding="utf-8")
@@ -361,13 +366,13 @@ def load_sim_configs(path, seed_override=None, grid_points_override=None):
         raise ConfigError(f"{path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
-    shared = _parse_section(_CAMPAIGN_SECTION, sections.pop(_CAMPAIGN_SECTION, []))
+    shared = _parse_section(_CAMPAIGN_SECTION, sections.pop(_CAMPAIGN_SECTION, []), field_parsers)
     if not sections:
         raise ConfigError("config defines no cell sections")
     configs, named = [], {}
     for section, items in sections.items():
         fields = dict(shared)
-        fields.update(_parse_section(section, items))
+        fields.update(_parse_section(section, items, field_parsers))
         label = fields["label"] = section.removeprefix("cell:").strip() or section
         if label in named:
             raise ConfigError(f"sections [{named[label]}] and [{section}] both name cell {label!r}")
@@ -390,13 +395,13 @@ def load_sim_configs(path, seed_override=None, grid_points_override=None):
     return configs, snapshot
 
 
-def _parse_section(section, items) -> dict:
+def _parse_section(section, items, field_parsers) -> dict:
     out = {}
     for key, raw in items:
-        if key not in _FIELD_PARSERS:
+        if key not in field_parsers:
             raise ConfigError(f"section [{section}]: unknown key {key!r}")
         try:
-            out[key] = _FIELD_PARSERS[key](raw)
+            out[key] = field_parsers[key](raw)
         except ValueError as exc:
             raise ConfigError(f"section [{section}]: key {key!r}: bad value {raw!r}") from exc
     return out

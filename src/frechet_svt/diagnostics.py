@@ -3,8 +3,11 @@
 ``diagnose`` turns the truncation-bias functional, the de-noising bound
 and the weight-stability bound into the ten columns of
 ``diagnostics.csv`` for one clean/noisy pair of designs, in one pass
-that computes each piece once; the verification suite and the tests read
-the same columns. Everything reads the one thin SVD that each design
+that computes each piece once. Its weight columns come from
+``weight_stability_check``, which fits both designs but predicts
+nothing; the verification suite's weight-stability check reads those
+columns from it directly, without the predictions that only the
+de-noising columns need. Everything reads the one thin SVD that each design
 caches in ``Dataset.stats``. The threshold is always on the estimator's
 scale (it truncates the covariance eigenvalues ``s**2 / n``), and
 ``kept_rank`` alone decides which components count, exactly as in the
@@ -15,10 +18,12 @@ of Z and of Z - X.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .linalg import spectral_norm
-from .regression import CovariateStats, Dataset, check_queries, fit, kept_rank, raising
+from .regression import CovariateStats, Dataset, FittedModel, check_queries, fit, kept_rank, raising
 
 ROWSPACE_RTOL = 1e-8
 
@@ -29,6 +34,66 @@ def _seminorm(stats: CovariateStats, v, lo: int, hi: int) -> float:
     return float(np.sqrt(np.sum(coords * coords / stats.eigenvalues[lo:hi])))
 
 
+@dataclass(frozen=True)
+class WeightStability:
+    """The weight-stability columns and the pieces ``diagnose`` shares with them; no prediction is made.
+
+    ``offset`` is the centered query ``x - mean`` of the checked query row
+    ``query``, ``nonzero`` the components ``kept_rank(stats, 0)`` keeps and
+    ``cov_norm`` the seminorm ``||x - mean||_cov`` over them.
+    """
+
+    clean_fit: FittedModel
+    noisy_fit: FittedModel
+    query: np.ndarray
+    offset: np.ndarray
+    noise_norm: float
+    signal_floor: float
+    snr_reciprocal: float
+    nonzero: int
+    cov_norm: float
+    rowspace_ok: bool
+    weight_lhs: float
+    weight_rhs: float
+
+
+@raising
+def weight_stability_check(clean: Dataset, noisy: Dataset, lam: float, x) -> WeightStability:
+    """Both fits at threshold ``lam`` and the weight-stability columns at query ``x``.
+
+    The one route to ``diagnose``'s ``noise_norm``, ``signal_floor``,
+    ``snr_reciprocal``, ``rowspace_ok``, ``weight_lhs`` and ``weight_rhs``
+    (defined there), and the verification suite's weight-stability check.
+    Neither fit predicts, so the responses are never read. A pair whose
+    shapes or responses differ raises ``ValueError``.
+    """
+    if noisy.covariates.shape != clean.covariates.shape:
+        raise ValueError(f"shape mismatch: {clean.covariates.shape} vs {noisy.covariates.shape}")
+    if not np.array_equal(clean.responses, noisy.responses):
+        raise ValueError("the clean and the noisy designs must hold the same responses")
+    stats = clean.stats
+    q = check_queries(stats, np.ravel(x))
+    v = q[0] - stats.mean
+    clean_fit, noisy_fit = fit(clean, lam), fit(noisy, lam)
+    noise = spectral_norm(noisy.covariates - clean.covariates)
+    floor = min([np.inf] + [float(m.stats.centered_svd.values[m.rank - 1]) for m in (clean_fit, noisy_fit) if m.rank])
+    snr = 0.0 if noise == 0.0 or np.isinf(floor) else noise / floor
+    nonzero = int(kept_rank(stats, 0))
+    cov_norm = _seminorm(stats, v, 0, nonzero)
+    basis = stats.centered_svd.right_t[:nonzero]
+    v_norm = float(np.linalg.norm(v))
+    resid = float(np.linalg.norm(v - basis.T @ (basis @ v))) / v_norm if v_norm else 0.0
+    rowspace_ok = resid <= ROWSPACE_RTOL
+    weight_lhs = weight_rhs = float("nan")
+    if rowspace_ok:
+        gap = noisy_fit.weight_matrix(q)[:, 0] - clean_fit.weight_matrix(q)[:, 0]
+        weight_lhs = float(np.linalg.norm(gap))
+        weight_rhs = float(np.sqrt(stats.n) * snr * (2.0 * cov_norm + 1.0))
+    return WeightStability(
+        clean_fit, noisy_fit, q, v, noise, floor, snr, nonzero, cov_norm, rowspace_ok, weight_lhs, weight_rhs
+    )
+
+
 @raising
 def diagnose(clean: Dataset, noisy: Dataset, lam: float, x) -> dict:
     """The ``diagnostics.csv`` columns for one clean/noisy pair at threshold ``lam`` and query ``x``.
@@ -37,7 +102,8 @@ def diagnose(clean: Dataset, noisy: Dataset, lam: float, x) -> dict:
     pair whose shapes or responses differ raises ``ValueError``. Each
     design is fitted once, and the noise norm, the signal floor, the SNR,
     the kept ranks, the covariance seminorm and the row-space residual
-    are each computed once. The columns, in order:
+    are each computed once, by ``weight_stability_check``. The columns, in
+    order:
 
     - ``b_lambda``: the truncation bias ``sqrt(rank(D)) * ||x - mean||_D``
       of the clean design, with ``D = cov - svt(cov, lam)`` the nonzero
@@ -73,51 +139,30 @@ def diagnose(clean: Dataset, noisy: Dataset, lam: float, x) -> dict:
       ``sqrt(n) * snr_reciprocal * (2 ||x - mean||_cov + 1)``; ``nan``
       when the query leaves the row space.
     """
-    if noisy.covariates.shape != clean.covariates.shape:
-        raise ValueError(f"shape mismatch: {clean.covariates.shape} vs {noisy.covariates.shape}")
-    if not np.array_equal(clean.responses, noisy.responses):
-        raise ValueError("the clean and the noisy designs must hold the same responses")
-    stats = clean.stats
-    q = check_queries(stats, np.ravel(x))
-    v = q[0] - stats.mean
-    clean_fit, noisy_fit = fit(clean, lam), fit(noisy, lam)
-    clean_pred, noisy_pred = clean_fit.predict(q), noisy_fit.predict(q)
-    space = clean.space
+    w = weight_stability_check(clean, noisy, lam, x)
+    stats, v, space = clean.stats, w.offset, clean.space
+    clean_pred, noisy_pred = w.clean_fit.predict(w.query), w.noisy_fit.predict(w.query)
     d_phi = space.distances_to(clean.responses, clean_pred) ** 2
     d_phi_tilde = space.distances_to(clean.responses, noisy_pred) ** 2
-    noise = spectral_norm(noisy.covariates - clean.covariates)
-    floor = min([np.inf] + [float(m.stats.centered_svd.values[m.rank - 1]) for m in (clean_fit, noisy_fit) if m.rank])
-    snr = 0.0 if noise == 0.0 or np.isinf(floor) else noise / floor
-    nonzero = int(kept_rank(stats, 0))
-    maha = _seminorm(stats, v, 0, nonzero)
-    basis = stats.centered_svd.right_t[:nonzero]
-    v_norm = float(np.linalg.norm(v))
-    resid = float(np.linalg.norm(v - basis.T @ (basis @ v))) / v_norm if v_norm else 0.0
-    rowspace_ok = resid <= ROWSPACE_RTOL
-    if noise == 0.0:
+    if w.noise_norm == 0.0:
         rhs = 0.0
-    elif np.isinf(floor):
+    elif np.isinf(w.signal_floor):
         rhs = np.inf  # the threshold leaves no signal
     else:
         spread = np.linalg.norm(d_phi_tilde) + np.linalg.norm(d_phi)
         # Left to right as written: a regrouping moves the last bit.
-        rhs = (snr * (2.0 * maha + 1.0) * spread / np.sqrt(clean.n)) ** 0.5
-    kept = clean_fit.rank
+        rhs = (w.snr_reciprocal * (2.0 * w.cov_norm + 1.0) * spread / np.sqrt(clean.n)) ** 0.5
+    kept, nonzero = w.clean_fit.rank, w.nonzero
     bias = 0.0 if kept >= nonzero else float(np.sqrt(nonzero - kept) * _seminorm(stats, v, kept, nonzero))
-    weight_lhs = weight_rhs = float("nan")
-    if rowspace_ok:
-        gap = noisy_fit.weight_matrix(q)[:, 0] - clean_fit.weight_matrix(q)[:, 0]
-        weight_lhs = float(np.linalg.norm(gap))
-        weight_rhs = float(np.sqrt(stats.n) * snr * (2.0 * maha + 1.0))
     return {
         "b_lambda": bias,
-        "snr_reciprocal": snr,
-        "noise_norm": noise,
-        "signal_floor": floor,
-        "rowspace_ok": rowspace_ok,
-        "precondition_ok": rowspace_ok,
+        "snr_reciprocal": w.snr_reciprocal,
+        "noise_norm": w.noise_norm,
+        "signal_floor": w.signal_floor,
+        "rowspace_ok": w.rowspace_ok,
+        "precondition_ok": w.rowspace_ok,
         "bound_rhs": float(rhs),
         "observed_lhs": float(space.distance(noisy_pred, clean_pred)),
-        "weight_lhs": weight_lhs,
-        "weight_rhs": weight_rhs,
+        "weight_lhs": w.weight_lhs,
+        "weight_rhs": w.weight_rhs,
     }

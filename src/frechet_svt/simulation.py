@@ -19,7 +19,6 @@ import functools
 import math
 import zlib
 from dataclasses import dataclass
-from statistics import NormalDist, median
 
 import numpy as np
 
@@ -181,6 +180,9 @@ class CellResult:
     @property
     def lambda_hat_median(self) -> float:
         # statistics.median, not np.median: that loads numpy.ma into the process.
+        # Imported here, as NormalDist below, so fit-predict --lambda auto never loads it.
+        from statistics import median
+
         return float(median([t.lambda_hat for t in self.trials]))
 
 
@@ -261,6 +263,8 @@ def _normal_quantiles(m: int) -> np.ndarray:
     Computed once per grid size: a desk-scale cell's 100 evaluation
     points would otherwise make 10,100 ``inv_cdf`` calls.
     """
+    from statistics import NormalDist
+
     inv_cdf = NormalDist().inv_cdf
     row = np.array([inv_cdf(t) for t in midpoint_grid(m).tolist()])
     row.flags.writeable = False  # every caller shares this one array

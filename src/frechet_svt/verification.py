@@ -12,7 +12,8 @@ the truncated matrix the identity is about, and the stand-alone
 ``pinv_perturbation_residual`` factors both matrices (7 SVDs of X and 2
 of Z on instance 0 of seed 0). The weight-stability check draws from a
 fresh generator of the same seed and reads ``diagnose``'s weight
-columns, and a query that leaves the row space fails it with an
+columns from ``diagnostics.weight_stability_check``, which makes no
+prediction, and a query that leaves the row space fails it with an
 infinite margin. The fault-injection switch deliberately corrupts one
 identity so the harness can prove it would catch a regression.
 """
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import diagnose
+from .diagnostics import weight_stability_check
 from .linalg import (
     SvdFactors,
     compute_svd,
@@ -182,10 +183,10 @@ def _weight_stability_margin(rng) -> float:
     query = stats.mean + (x - stats.mean).T @ coeff / n  # stays in the design row space
     worst = 0.0
     for lam in shared_gap_thresholds(stats, spectral_norm(noise)):
-        cols = diagnose(clean, noisy, lam, query)
-        if not cols["rowspace_ok"]:
+        check = weight_stability_check(clean, noisy, lam, query)
+        if not check.rowspace_ok:
             return np.inf  # the bound's precondition failed: a failure, never a skipped instance
-        lhs, rhs = cols["weight_lhs"], cols["weight_rhs"]
+        lhs, rhs = check.weight_lhs, check.weight_rhs
         worst = max(worst, (lhs - rhs) / (1.0 + rhs))
     return float(worst)
 

@@ -727,6 +727,57 @@ class TestColdStart:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == frechet_svt.__version__
 
+    # What every call loads: the package, the parser and what it reads and fits with.
+    ALWAYS_LOADED = [
+        "frechet_svt", "frechet_svt.cli", "frechet_svt.dataio", "frechet_svt.linalg",
+        "frechet_svt.metric_spaces", "frechet_svt.regression",
+    ]
+    # What each command loads on top of that.
+    COMMAND_LOADS = {
+        "--version": [],
+        "fit-predict --lambda 0.1": [],
+        "fit-predict --lambda auto": ["frechet_svt.simulation"],
+        "diagnose": ["frechet_svt.diagnostics"],
+        "verify-lemmas --instances 2": ["frechet_svt.diagnostics", "frechet_svt.verification"],
+        "simulate": ["frechet_svt.simulation", "configparser"],
+    }
+
+    @pytest.mark.parametrize("command", list(COMMAND_LOADS))
+    def test_each_command_loads_only_what_it_runs(self, tmp_path, command):
+        # A call that writes no bytecode compiles every module it loads, so an
+        # eager import of a module the command never runs costs it that compile.
+        rng = np.random.default_rng(5)
+        train, x, *_ = write_euclidean_train(tmp_path, rng)
+        holdout, *_ = write_euclidean_train(tmp_path, rng, name="holdout.csv")
+        queries = write_queries(tmp_path, rng.standard_normal((2, 3)))
+        noisy = write_queries(tmp_path, x + 0.01 * rng.standard_normal(x.shape), name="noisy.csv")
+        out = ["--out", str(tmp_path / "o")]
+        fit = ["fit-predict", "--train", str(train), "--queries", str(queries), "--kind", "euclidean", *out]
+        argv = {
+            "--version": ["--version"],
+            "fit-predict --lambda 0.1": [*fit, "--lambda", "0.1"],
+            "fit-predict --lambda auto": [*fit, "--lambda", "auto", "--holdout", str(holdout)],
+            "diagnose": ["diagnose", "--train", str(train), "--noisy", str(noisy), "--kind", "euclidean",
+                         "--lambda", "0.1", "--x=0,0,0", *out],
+            "verify-lemmas --instances 2": ["verify-lemmas", "--instances", "2"],
+            "simulate": ["simulate", "--config", str(write_config(tmp_path)), *out],
+        }[command]
+        # As `python -m frechet_svt ARGV`, then the modules the call left loaded.
+        code = (
+            "import json, runpy, sys\n"
+            "try:\n"
+            "    runpy.run_module('frechet_svt', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    status = exc.code\n"
+            "names = [m for m in sys.modules if m.split('.')[0] in ('frechet_svt', 'configparser')]\n"
+            "print(json.dumps([status, sorted(names)]))\n"
+        )
+        done = run_python("-c", code, *argv, FRECHET_SVT_THREADS="1", PYTHONDONTWRITEBYTECODE="1")
+        assert done.returncode == 0, done.stderr
+        status, loaded = json.loads(done.stdout.splitlines()[-1])
+        assert status == 0, done.stderr
+        assert sorted(loaded) == sorted([*self.ALWAYS_LOADED, *self.COMMAND_LOADS[command]])
+
 
 _EXTREMES = [sign * v for sign in (1.0, -1.0) for v in (0.0, 5e-324, 1e-300, 1e-8, 1.0, 1e8, 1e150, 1e300, 1.7e308)]
 # The campaign floats, each with the values a config accepts for it.
@@ -875,15 +926,15 @@ p = 3
         # is caught before either table is written.
         import dataclasses
 
-        import frechet_svt.cli as cli
+        import frechet_svt.simulation as sim
 
         def with_nan(configs, workers=1):
             cells = run_campaign(configs, workers=workers)
             profile = dataclasses.replace(cells[0].profile, eiv=float("nan"))
             return [dataclasses.replace(cells[0], profile=profile), *cells[1:]]
 
-        run_campaign = cli.run_campaign
-        monkeypatch.setattr(cli, "run_campaign", with_nan)
+        run_campaign = sim.run_campaign  # the simulate command imports it from there when it runs
+        monkeypatch.setattr(sim, "run_campaign", with_nan)
         out = tmp_path / "o"
         code = main(["simulate", "--config", str(write_config(tmp_path)), "--out", str(out)])
         assert code == 3
@@ -894,7 +945,7 @@ p = 3
         # The results.csv half of the check: a value of the first table is caught too.
         import dataclasses
 
-        import frechet_svt.cli as cli
+        import frechet_svt.simulation as sim
 
         def with_inf(configs, workers=1):
             cells = run_campaign(configs, workers=workers)
@@ -902,8 +953,8 @@ p = 3
             report = dataclasses.replace(report, mspe={**report.mspe, "EIV": float("inf")})
             return [dataclasses.replace(cells[0], report=report), *cells[1:]]
 
-        run_campaign = cli.run_campaign
-        monkeypatch.setattr(cli, "run_campaign", with_inf)
+        run_campaign = sim.run_campaign
+        monkeypatch.setattr(sim, "run_campaign", with_inf)
         out = tmp_path / "o"
         code = main(["simulate", "--config", str(write_config(tmp_path)), "--out", str(out)])
         assert code == 3

@@ -56,3 +56,47 @@ def test_rowspace_failure_is_a_failure_not_a_traceback(monkeypatch, capsys):
     assert all(r.passed for r in results if r is not weight[0])
     assert cli.main(["verify-lemmas", "--instances", "5"]) == 4
     assert "FAIL  weight stability bound" in capsys.readouterr().out
+
+
+def test_weight_margin_equals_the_margin_from_diagnose_columns(monkeypatch):
+    # The weight check reads weight_stability_check, which makes no prediction;
+    # its margin must be the one diagnose's own weight columns give, bit for bit.
+    thresholds, calls = [], []
+    original_thresholds, original_check = verification.shared_gap_thresholds, verification.weight_stability_check
+
+    def recording_thresholds(stats, noise_norm):
+        thresholds.append(original_thresholds(stats, noise_norm))
+        return thresholds[-1]
+
+    def recording_check(clean, noisy, lam, query):
+        check = original_check(clean, noisy, lam, query)
+        calls.append((clean, noisy, lam, query, check))
+        return check
+
+    monkeypatch.setattr(verification, "shared_gap_thresholds", recording_thresholds)
+    monkeypatch.setattr(verification, "weight_stability_check", recording_check)
+    checked = 0
+    for seed in range(3):
+        for i in range(40):
+            thresholds.clear()
+            calls.clear()
+            margin = verification._weight_stability_margin(np.random.default_rng([seed, i]))
+            assert len(thresholds) == 1
+            assert [lam for _, _, lam, _, _ in calls] == thresholds[0][: len(calls)]
+            expected = 0.0
+            for clean, noisy, lam, query, check in calls:
+                cols = diagnostics.diagnose(clean, noisy, lam, query)
+                # The margin is clipped at 0, so compare each threshold's columns too.
+                assert check.rowspace_ok == cols["rowspace_ok"]
+                assert check.weight_lhs.hex() == cols["weight_lhs"].hex()
+                assert check.weight_rhs.hex() == cols["weight_rhs"].hex()
+                if not cols["rowspace_ok"]:
+                    expected = np.inf
+                    break
+                lhs, rhs = cols["weight_lhs"], cols["weight_rhs"]
+                expected = max(expected, (lhs - rhs) / (1.0 + rhs))
+            else:
+                assert len(calls) == len(thresholds[0])
+            assert float(margin).hex() == float(expected).hex(), (seed, i)
+            checked += len(calls)
+    assert checked >= 120  # about three thresholds an instance
