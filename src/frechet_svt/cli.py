@@ -28,11 +28,17 @@ thread count. Each command imports only the modules it runs:
 ``diagnostics`` for ``diagnose`` and ``verify-lemmas``, and
 ``verification`` for ``verify-lemmas``; a call that writes no bytecode
 compiles every module it loads.
+
+``run`` is the process entry (``python -m frechet_svt`` and the
+``frechet-svt`` script): it calls ``main``, freezes the heap and exits
+with ``main``'s code. ``main(argv)`` is the in-process entry: it returns
+the exit code and leaves the garbage collector alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -343,5 +349,21 @@ def main(argv=None) -> int:
         return EXIT_SOLVER
 
 
+def run() -> None:
+    """``main``, then ``gc.freeze``, then ``sys.exit`` with ``main``'s code.
+
+    Freezing moves every tracked object to the collector's permanent
+    generation, so the interpreter's exit skips the cyclic collections that
+    would free numpy's and this package's module graphs object by object,
+    while the ``atexit`` handlers still run and stdio is still flushed. The
+    ``finally`` also covers argparse's exits and a command that raises.
+    """
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

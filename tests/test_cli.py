@@ -1,4 +1,5 @@
 import csv
+import gc
 import importlib.util
 import json
 import os
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 import frechet_svt
 from frechet_svt import regression
 from frechet_svt.cli import main
-from frechet_svt.dataio import SchemaError, load_sim_configs, read_covariates, read_dataset
+from frechet_svt.dataio import KINDS, SchemaError, load_sim_configs, read_covariates, read_dataset
 from frechet_svt.metric_spaces import midpoint_grid
 
 SMOKE_CONFIG = """\
@@ -74,6 +75,31 @@ def write_wasserstein_train(tmp_path, rng, n=12, p=2, m=9, name="wtrain.csv", co
         for xi, qi in zip(x, q):
             fh.write(",".join(repr(float(v)) for v in xi) + "," + ",".join(repr(float(v)) for v in qi) + "\n")
     return path, x, q, grid
+
+
+def write_correlation_train(tmp_path, rng, n=10, p=2, r=3, name="ctrain.csv"):
+    from oracles import random_correlation_matrix
+
+    x = rng.standard_normal((n, p))
+    mats = np.stack([random_correlation_matrix(r, rng) for _ in range(n)])
+    header = [f"x{i}" for i in range(1, p + 1)] + [f"c{i}{j}" for i in range(1, r + 1) for j in range(1, r + 1)]
+    path = tmp_path / name
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(repr, [*xi.tolist(), *mi.ravel().tolist()])) + "\n" for xi, mi in zip(x, mats))
+    return path
+
+
+def write_overflow_inputs(tmp_path):
+    """Responses of +-1e308: finite, but their blends overflow, so ``fit-predict --lambda 0`` exits 3."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((20, 3))
+    y = np.where(rng.random(20) < 0.5, -1e308, 1e308)
+    train = tmp_path / "huge_train.csv"
+    with open(train, "w") as fh:
+        fh.write("x1,x2,x3,y1\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in np.column_stack([x, y]).tolist())
+    return train, write_queries(tmp_path, rng.standard_normal((2, 3)), name="huge_queries.csv")
 
 
 def read_csv_rows(path):
@@ -434,19 +460,8 @@ class TestFitPredictCommand:
 
     def test_correlation_round_trip(self, tmp_path):
         rng = np.random.default_rng(8)
-        from oracles import random_correlation_matrix
-
-        n, p, r = 10, 2, 3
-        x = rng.standard_normal((n, p))
-        mats = np.stack([random_correlation_matrix(r, rng) for _ in range(n)])
-        train = tmp_path / "ctrain.csv"
-        header = [f"x{i}" for i in range(1, p + 1)]
-        header += [f"c{i}{j}" for i in range(1, r + 1) for j in range(1, r + 1)]
-        with open(train, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for xi, mi in zip(x, mats):
-                cells = [repr(float(v)) for v in xi] + [repr(float(v)) for v in mi.ravel()]
-                fh.write(",".join(cells) + "\n")
+        p, r = 2, 3
+        train = write_correlation_train(tmp_path, rng, p=p, r=r)
         qpath = write_queries(tmp_path, rng.standard_normal((2, p)))
         out = tmp_path / "out"
         assert main(["fit-predict", "--train", str(train), "--queries", str(qpath),
@@ -777,6 +792,111 @@ class TestColdStart:
         status, loaded = json.loads(done.stdout.splitlines()[-1])
         assert status == 0, done.stderr
         assert sorted(loaded) == sorted([*self.ALWAYS_LOADED, *self.COMMAND_LOADS[command]])
+
+
+class TestProcessEntry:
+    """``python -m frechet_svt`` runs ``cli.run``: ``main``, then a frozen heap, then exit.
+
+    The frozen heap spares the exit its cyclic collections; nothing a call
+    reports may depend on them, and ``main`` itself leaves the collector alone.
+    """
+
+    # `python -m frechet_svt ARGV`, after registering an atexit probe; atexit
+    # runs its handlers last in first out, so the probe runs after every other.
+    ENTRY_WITH_PROBE = (
+        "import atexit, gc, os, runpy\n"
+        "def probe():\n"
+        "    with open(os.environ['FREEZE_PROBE'], 'w') as fh:\n"
+        "        fh.write(str(gc.get_freeze_count()))\n"
+        "atexit.register(probe)\n"
+        "runpy.run_module('frechet_svt', run_name='__main__', alter_sys=True)\n"
+    )
+
+    EXIT_PATHS = {
+        "--version": 0,
+        "--help": 0,
+        "usage error": 2,
+        "config error": 2,
+        "overflow": 3,
+        "inject-fault": 4,
+        "success": 0,
+    }
+
+    @pytest.mark.parametrize("path", list(EXIT_PATHS))
+    def test_every_exit_path_matches_main_and_freezes_the_heap(self, tmp_path, capsys, monkeypatch, path):
+        train, queries = write_overflow_inputs(tmp_path)
+        argv = {
+            "--version": ["--version"],
+            "--help": ["--help"],
+            "usage error": ["simulate", "--out", str(tmp_path / "o")],
+            "config error": ["simulate", "--config", str(tmp_path / "missing.cfg"), "--out", str(tmp_path / "o")],
+            "overflow": ["fit-predict", "--train", str(train), "--queries", str(queries),
+                         "--kind", "euclidean", "--lambda", "0", "--out", str(tmp_path / "o")],
+            "inject-fault": ["verify-lemmas", "--instances", "20", "--inject-fault"],
+            "success": ["verify-lemmas", "--instances", "5"],
+        }[path]
+        # argparse wraps its usage lines to the terminal width.
+        monkeypatch.setenv("COLUMNS", "80")
+        frozen = gc.get_freeze_count()
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's exits
+            code = exc.code
+        assert gc.get_freeze_count() == frozen  # main leaves the collector alone
+        err = capsys.readouterr().err
+        assert code == self.EXIT_PATHS[path], err
+        probe = tmp_path / "freeze_count"
+        done = run_python("-c", self.ENTRY_WITH_PROBE, *argv, COLUMNS="80", FREEZE_PROBE=str(probe))
+        assert (done.returncode, done.stderr) == (code, err)
+        assert int(probe.read_text()) > 0
+
+    # One call of each command: fit-predict for every kind, simulate at one and two workers.
+    OUTPUT_CALLS = [
+        *(f"fit-predict {kind}" for kind in KINDS),
+        "diagnose", "verify-lemmas", "simulate 1 worker", "simulate 2 workers",
+    ]
+
+    @pytest.mark.parametrize("call", OUTPUT_CALLS)
+    def test_a_fresh_process_writes_what_main_writes(self, tmp_path, capsys, monkeypatch, call):
+        # A file whose last bytes waited for a finalizer would differ here,
+        # since the frozen exit never collects the objects holding it.
+        rng = np.random.default_rng(13)
+        train, x, *_ = write_euclidean_train(tmp_path, rng)
+        queries = write_queries(tmp_path, rng.standard_normal((4, 3)))
+        noisy = write_queries(tmp_path, x + 0.01 * rng.standard_normal(x.shape), name="noisy.csv")
+        wtrain, *_ = write_wasserstein_train(tmp_path, rng)
+        wqueries = write_queries(tmp_path, rng.standard_normal((3, 2)), name="wqueries.csv")
+        fits = {"euclidean": (train, queries), "l1": (train, queries), "linf": (train, queries),
+                "wasserstein": (wtrain, wqueries), "correlation": (write_correlation_train(tmp_path, rng), wqueries)}
+        simulate = ["simulate", "--config", str(Path(__file__).resolve().parents[1] / "configs" / "smoke.cfg")]
+        tables = {"manifest.txt", "results.csv", "profile.csv"}
+        argv, files = {
+            **{f"fit-predict {kind}": (["fit-predict", "--train", str(t), "--queries", str(q), "--kind", kind,
+                                        "--lambda", "0.1"], {"manifest.txt", "predictions.csv"})
+               for kind, (t, q) in fits.items()},
+            "diagnose": (["diagnose", "--train", str(train), "--noisy", str(noisy), "--kind", "euclidean",
+                          "--lambda", "0.1", "--x=0,0,0"], {"manifest.txt", "diagnostics.csv"}),
+            "verify-lemmas": (["verify-lemmas", "--instances", "10"], {"verify_report.txt"}),
+            "simulate 1 worker": (simulate, tables),
+            "simulate 2 workers": (simulate, tables),
+        }[call]
+        workers = "2" if call == "simulate 2 workers" else "1"
+        monkeypatch.setenv("FRECHET_SVT_THREADS", workers)
+        assert main([*argv, "--out", str(tmp_path / "main")]) == 0
+        capsys.readouterr()
+        done = run_python("-m", "frechet_svt", *argv, "--out", str(tmp_path / "process"), FRECHET_SVT_THREADS=workers)
+        assert done.returncode == 0, done.stderr
+
+        def written(out):
+            written = {p.name: p.read_bytes() for p in out.iterdir()}
+            if "manifest.txt" in written:  # but for the one line that names the directory
+                lines = written["manifest.txt"].splitlines(keepends=True)
+                written["manifest.txt"] = b"".join(l for l in lines if not l.startswith(b"out = "))
+            return written
+
+        in_process = written(tmp_path / "main")
+        assert set(in_process) == files
+        assert written(tmp_path / "process") == in_process
 
 
 _EXTREMES = [sign * v for sign in (1.0, -1.0) for v in (0.0, 5e-324, 1e-300, 1e-8, 1.0, 1e8, 1e150, 1e300, 1.7e308)]
