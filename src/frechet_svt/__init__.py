@@ -30,7 +30,10 @@ _EXPORTS = {
         "nearest_correlation",
         "space_from_kind",
     ),
-    "regression": ("CovariateStats", "Dataset", "FittedModel", "covariate_stats", "fit", "pcr_coefficients"),
+    "regression": (
+        "CovariateStats", "Dataset", "FittedModel", "covariate_stats", "fit", "lambda_grid", "mspe_profile",
+        "pcr_coefficients", "tune_lambda",
+    ),
     "simulation": (
         "AggregateReport",
         "CellResult",
@@ -42,13 +45,10 @@ _EXPORTS = {
         "gen_covariates",
         "gen_linear_responses",
         "gen_wasserstein_responses",
-        "lambda_grid",
         "make_spectrum",
-        "mspe_profile",
         "run_campaign",
         "run_cell",
         "true_regression_quantile",
-        "tune_lambda",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

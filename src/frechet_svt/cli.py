@@ -24,10 +24,10 @@ Every command, and every such worker under any start method, runs
 numpy's BLAS on one thread and keeps OpenSSL out of its process
 (``linalg.settle_process``); the manifest names the library and the
 thread count. Each command imports only the modules it runs:
-``simulation`` for ``simulate`` and ``fit-predict --lambda auto``,
-``diagnostics`` for ``diagnose`` and ``verify-lemmas``, and
-``verification`` for ``verify-lemmas``; a call that writes no bytecode
-compiles every module it loads.
+``simulation`` for ``simulate``, ``diagnostics`` for ``diagnose`` and
+``verify-lemmas``, and ``verification`` for ``verify-lemmas``;
+``fit-predict`` tunes its threshold with ``regression`` alone. A call
+that writes no bytecode compiles every module it loads.
 
 ``run`` is the process entry (``python -m frechet_svt`` and the
 ``frechet-svt`` script): it calls ``main``, freezes the heap and exits
@@ -60,7 +60,7 @@ from .dataio import (
 )
 from .linalg import settle_process
 from .metric_spaces import WassersteinSpace
-from .regression import SOLVER_ERRORS, Dataset, fit
+from .regression import SOLVER_ERRORS, Dataset, fit, lambda_grid, tune_lambda
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -177,8 +177,6 @@ def _cmd_fit_predict(args) -> int:
             f"queries have {queries.shape[1]} covariates but training data has {x.shape[1]}"
         )
     if lam is None:
-        from .simulation import lambda_grid, tune_lambda
-
         hx, hy, hspace = _read_design(args.holdout, args.kind, "holdout")
         if hx.shape[1] != x.shape[1]:
             raise SchemaError(

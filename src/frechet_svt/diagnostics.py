@@ -4,15 +4,15 @@
 and the weight-stability bound into the ten columns of
 ``diagnostics.csv`` for one clean/noisy pair of designs, in one pass
 that computes each piece once. Its weight columns come from
-``weight_stability_check``, which fits both designs but predicts
-nothing; the verification suite's weight-stability check reads those
-columns from it directly, without the predictions that only the
-de-noising columns need. Everything reads the one thin SVD that each design
-caches in ``Dataset.stats``. The threshold is always on the estimator's
-scale (it truncates the covariance eigenvalues ``s**2 / n``), and
-``kept_rank`` alone decides which components count, exactly as in the
-fit. The raw covariates are read only for the noise norm ``||Z - X||``,
-one SVD of the noise per call, so ``diagnose`` takes three SVDs: of X,
+``weight_stability_check``, which fits both designs at a list of
+thresholds but predicts nothing; the verification suite reads a pair's
+weight columns at all its thresholds from one such call. Everything
+reads the one thin SVD that each design caches in ``Dataset.stats``.
+The threshold is always on the estimator's scale (it truncates the
+covariance eigenvalues ``s**2 / n``), and ``kept_rank`` alone decides
+which components count, exactly as in the fit. The raw covariates are
+read only for the noise norm ``||Z - X||``, one SVD of the noise per
+pair, however many thresholds, so ``diagnose`` takes three SVDs: of X,
 of Z and of Z - X.
 """
 
@@ -58,14 +58,15 @@ class WeightStability:
 
 
 @raising
-def weight_stability_check(clean: Dataset, noisy: Dataset, lam: float, x) -> WeightStability:
-    """Both fits at threshold ``lam`` and the weight-stability columns at query ``x``.
+def weight_stability_check(clean: Dataset, noisy: Dataset, lams, x) -> list:
+    """Both fits and the weight-stability columns at query ``x``: one ``WeightStability`` per threshold of ``lams``.
 
     The one route to ``diagnose``'s ``noise_norm``, ``signal_floor``,
     ``snr_reciprocal``, ``rowspace_ok``, ``weight_lhs`` and ``weight_rhs``
     (defined there), and the verification suite's weight-stability check.
-    Neither fit predicts, so the responses are never read. A pair whose
-    shapes or responses differ raises ``ValueError``.
+    The pair's checks, query, noise norm, seminorm and row-space residual
+    are computed once. Neither fit predicts, so the responses are never
+    read. A pair whose shapes or responses differ raises ``ValueError``.
     """
     if noisy.covariates.shape != clean.covariates.shape:
         raise ValueError(f"shape mismatch: {clean.covariates.shape} vs {noisy.covariates.shape}")
@@ -74,24 +75,27 @@ def weight_stability_check(clean: Dataset, noisy: Dataset, lam: float, x) -> Wei
     stats = clean.stats
     q = check_queries(stats, np.ravel(x))
     v = q[0] - stats.mean
-    clean_fit, noisy_fit = fit(clean, lam), fit(noisy, lam)
+    fits = [(fit(clean, lam), fit(noisy, lam)) for lam in lams]
     noise = spectral_norm(noisy.covariates - clean.covariates)
-    floor = min([np.inf] + [float(m.stats.centered_svd.values[m.rank - 1]) for m in (clean_fit, noisy_fit) if m.rank])
-    snr = 0.0 if noise == 0.0 or np.isinf(floor) else noise / floor
     nonzero = int(kept_rank(stats, 0))
     cov_norm = _seminorm(stats, v, 0, nonzero)
     basis = stats.centered_svd.right_t[:nonzero]
     v_norm = float(np.linalg.norm(v))
     resid = float(np.linalg.norm(v - basis.T @ (basis @ v))) / v_norm if v_norm else 0.0
     rowspace_ok = resid <= ROWSPACE_RTOL
-    weight_lhs = weight_rhs = float("nan")
-    if rowspace_ok:
-        gap = noisy_fit.weight_matrix(q)[:, 0] - clean_fit.weight_matrix(q)[:, 0]
-        weight_lhs = float(np.linalg.norm(gap))
-        weight_rhs = float(np.sqrt(stats.n) * snr * (2.0 * cov_norm + 1.0))
-    return WeightStability(
-        clean_fit, noisy_fit, q, v, noise, floor, snr, nonzero, cov_norm, rowspace_ok, weight_lhs, weight_rhs
-    )
+    checks = []
+    for clean_fit, noisy_fit in fits:
+        kept = [m.stats.centered_svd.values[m.rank - 1] for m in (clean_fit, noisy_fit) if m.rank]
+        floor = min([np.inf] + [float(s) for s in kept])
+        snr = 0.0 if noise == 0.0 or np.isinf(floor) else noise / floor
+        weight_lhs = weight_rhs = float("nan")
+        if rowspace_ok:
+            gap = noisy_fit.weight_matrix(q)[:, 0] - clean_fit.weight_matrix(q)[:, 0]
+            weight_lhs = float(np.linalg.norm(gap))
+            weight_rhs = float(np.sqrt(stats.n) * snr * (2.0 * cov_norm + 1.0))
+        checks.append(WeightStability(clean_fit, noisy_fit, q, v, noise, floor, snr, nonzero, cov_norm,
+                                      rowspace_ok, weight_lhs, weight_rhs))
+    return checks
 
 
 @raising
@@ -139,7 +143,7 @@ def diagnose(clean: Dataset, noisy: Dataset, lam: float, x) -> dict:
       ``sqrt(n) * snr_reciprocal * (2 ||x - mean||_cov + 1)``; ``nan``
       when the query leaves the row space.
     """
-    w = weight_stability_check(clean, noisy, lam, x)
+    (w,) = weight_stability_check(clean, noisy, [lam], x)
     stats, v, space = clean.stats, w.offset, clean.space
     clean_pred, noisy_pred = w.clean_fit.predict(w.query), w.noisy_fit.predict(w.query)
     d_phi = space.distances_to(clean.responses, clean_pred) ** 2

@@ -9,7 +9,9 @@ stream the weighted response sums along the rank path and never form a
 weight matrix; the l1 and sup-norm solvers take the weights from
 ``rank_weights``, which ``FittedModel.weight_matrix`` also returns for
 diagnostics. For Euclidean responses the prediction has the
-principal-component-regression closed form, exposed separately.
+principal-component-regression closed form, exposed separately. The
+threshold choice lives here too: ``tune_lambda`` picks the first minimizer
+of the held-out error that ``mspe_profile`` sweeps on a ``lambda_grid``.
 """
 
 from __future__ import annotations
@@ -270,6 +272,46 @@ def fit(data: Dataset, lam: float) -> FittedModel:
         responses=data.responses,
         space=data.space,
     )
+
+
+@raising
+def lambda_grid(top_eigenvalue: float, p: int, n: int, points: int = 40) -> np.ndarray:
+    """Evenly spaced thresholds on (0, sqrt(top * p / n)]; ``FloatingPointError`` if that bound overflows."""
+    if top_eigenvalue <= 0:
+        raise ValueError("top eigenvalue must be positive")
+    if points < 1:
+        raise ValueError("need at least one grid point")
+    upper = np.sqrt(top_eigenvalue * p / n)
+    return np.linspace(upper / points, upper, points)
+
+
+@raising
+def mspe_profile(train_noisy: Dataset, test: Dataset, grid) -> np.ndarray:
+    """Out-of-sample error of the noisy-covariate fit along a threshold grid.
+
+    A threshold only decides how many leading covariance components the
+    fit keeps (``kept_rank``), so each distinct rank on the grid is
+    evaluated once, in increasing order, by one ``rank_predictions`` ask,
+    and grid points that keep the same rank get bit-identical values.
+    """
+    grid = np.asarray(grid, dtype=float).ravel()
+    if grid.size == 0:
+        raise ValueError("empty threshold grid")
+    stats = train_noisy.stats
+    ranks = kept_rank(stats, grid)
+    # Not np.unique, which loads numpy.ma into every sweeping process.
+    distinct = np.flatnonzero(np.bincount(ranks))
+    space = train_noisy.space
+    ask = (stats, check_queries(stats, test.covariates), distinct)
+    path = rank_predictions(space, train_noisy.responses, [ask])
+    errors = np.array([np.mean(space.distances_to(test.responses, preds) ** 2) for preds in path])
+    return errors[np.searchsorted(distinct, ranks)]
+
+
+def tune_lambda(train_noisy: Dataset, test: Dataset, grid) -> float:
+    """Threshold minimizing the out-of-sample error; ties pick the smallest."""
+    grid = np.sort(np.asarray(grid, dtype=float).ravel())
+    return float(grid[int(np.argmin(mspe_profile(train_noisy, test, grid)))])
 
 
 def pcr_coefficients(data: Dataset, lam: float) -> tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,8 @@ model under a choice of norm.
 
 Determinism: every random draw flows from ``default_rng`` seeded by
 (master seed, cell key, purpose, trial index), so trial order and
-worker count never change the results.
+worker count never change the results. The SVT fit's threshold choice
+(``lambda_grid``, ``mspe_profile``, ``tune_lambda``) lives in ``regression``.
 """
 
 from __future__ import annotations
@@ -19,12 +20,14 @@ import functools
 import math
 import zlib
 from dataclasses import dataclass
+from statistics import NormalDist, median
 
 import numpy as np
 
 from .linalg import settle_process
 from .metric_spaces import MetricSpace, midpoint_grid, space_from_kind
-from .regression import SOLVER_ERRORS, Dataset, check_queries, fit, kept_rank, raising, rank_predictions
+from .regression import SOLVER_ERRORS, Dataset, check_queries, fit, lambda_grid, mspe_profile, raising, rank_predictions
+from .regression import tune_lambda  # noqa: F401  re-exported as frechet_svt.simulation.tune_lambda
 
 ESTIMATORS = ("REF", "EIV", "SVT")
 
@@ -180,9 +183,6 @@ class CellResult:
     @property
     def lambda_hat_median(self) -> float:
         # statistics.median, not np.median: that loads numpy.ma into the process.
-        # Imported here, as NormalDist below, so fit-predict --lambda auto never loads it.
-        from statistics import median
-
         return float(median([t.lambda_hat for t in self.trials]))
 
 
@@ -263,8 +263,6 @@ def _normal_quantiles(m: int) -> np.ndarray:
     Computed once per grid size: a desk-scale cell's 100 evaluation
     points would otherwise make 10,100 ``inv_cdf`` calls.
     """
-    from statistics import NormalDist
-
     inv_cdf = NormalDist().inv_cdf
     row = np.array([inv_cdf(t) for t in midpoint_grid(m).tolist()])
     row.flags.writeable = False  # every caller shares this one array
@@ -323,45 +321,6 @@ def gen_linear_responses(
         slopes = np.full((p, dim), dim ** -0.5) + 0.1 * rng.standard_normal((p, dim))
     noise = sigma_eta * rng.standard_normal((x.shape[0], dim)) if sigma_eta > 0 else 0.0
     return intercept + x @ slopes + noise, np.asarray(intercept), np.asarray(slopes)
-
-
-def lambda_grid(top_eigenvalue: float, p: int, n: int, points: int = 40) -> np.ndarray:
-    """Evenly spaced thresholds on (0, sqrt(top * p / n)]."""
-    if top_eigenvalue <= 0:
-        raise ValueError("top eigenvalue must be positive")
-    if points < 1:
-        raise ValueError("need at least one grid point")
-    upper = np.sqrt(top_eigenvalue * p / n)
-    return np.linspace(upper / points, upper, points)
-
-
-@raising
-def mspe_profile(train_noisy: Dataset, test: Dataset, grid) -> np.ndarray:
-    """Out-of-sample error of the noisy-covariate fit along a threshold grid.
-
-    A threshold only decides how many leading covariance components the
-    fit keeps (``kept_rank``), so each distinct rank on the grid is
-    evaluated once, in increasing order, by one ``rank_predictions`` ask,
-    and grid points that keep the same rank get bit-identical values.
-    """
-    grid = np.asarray(grid, dtype=float).ravel()
-    if grid.size == 0:
-        raise ValueError("empty threshold grid")
-    stats = train_noisy.stats
-    ranks = kept_rank(stats, grid)
-    # Not np.unique, which loads numpy.ma into every sweeping process.
-    distinct = np.flatnonzero(np.bincount(ranks))
-    space = train_noisy.space
-    ask = (stats, check_queries(stats, test.covariates), distinct)
-    path = rank_predictions(space, train_noisy.responses, [ask])
-    errors = np.array([np.mean(space.distances_to(test.responses, preds) ** 2) for preds in path])
-    return errors[np.searchsorted(distinct, ranks)]
-
-
-def tune_lambda(train_noisy: Dataset, test: Dataset, grid) -> float:
-    """Threshold minimizing the out-of-sample error; ties pick the smallest."""
-    grid = np.sort(np.asarray(grid, dtype=float).ravel())
-    return float(grid[int(np.argmin(mspe_profile(train_noisy, test, grid)))])
 
 
 @raising

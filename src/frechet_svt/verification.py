@@ -12,10 +12,11 @@ the truncated matrix the identity is about, and the stand-alone
 ``pinv_perturbation_residual`` factors both matrices (7 SVDs of X and 2
 of Z on instance 0 of seed 0). The weight-stability check draws from a
 fresh generator of the same seed and reads ``diagnose``'s weight
-columns from ``diagnostics.weight_stability_check``, which makes no
-prediction, and a query that leaves the row space fails it with an
-infinite margin. The fault-injection switch deliberately corrupts one
-identity so the harness can prove it would catch a regression.
+columns at all shared-gap thresholds from one
+``diagnostics.weight_stability_check`` call (no prediction, one SVD of
+the noise); a query that leaves the row space fails it with an infinite
+margin. The fault-injection switch deliberately corrupts one identity
+so the harness can prove it would catch a regression.
 """
 
 from __future__ import annotations
@@ -181,14 +182,10 @@ def _weight_stability_margin(rng) -> float:
     stats = clean.stats
     coeff = rng.standard_normal(n)
     query = stats.mean + (x - stats.mean).T @ coeff / n  # stays in the design row space
-    worst = 0.0
-    for lam in shared_gap_thresholds(stats, spectral_norm(noise)):
-        check = weight_stability_check(clean, noisy, lam, query)
-        if not check.rowspace_ok:
-            return np.inf  # the bound's precondition failed: a failure, never a skipped instance
-        lhs, rhs = check.weight_lhs, check.weight_rhs
-        worst = max(worst, (lhs - rhs) / (1.0 + rhs))
-    return float(worst)
+    checks = weight_stability_check(clean, noisy, shared_gap_thresholds(stats, spectral_norm(noise)), query)
+    if checks and not checks[0].rowspace_ok:
+        return np.inf  # the bound's precondition failed: a failure, never a skipped instance
+    return float(max([0.0] + [(c.weight_lhs - c.weight_rhs) / (1.0 + c.weight_rhs) for c in checks]))
 
 
 # (name, limit) of each check, in the order of _instance_residuals.

@@ -751,7 +751,7 @@ class TestColdStart:
     COMMAND_LOADS = {
         "--version": [],
         "fit-predict --lambda 0.1": [],
-        "fit-predict --lambda auto": ["frechet_svt.simulation"],
+        "fit-predict --lambda auto": [],
         "diagnose": ["frechet_svt.diagnostics"],
         "verify-lemmas --instances 2": ["frechet_svt.diagnostics", "frechet_svt.verification"],
         "simulate": ["frechet_svt.simulation", "configparser"],
@@ -987,6 +987,26 @@ class TestSolverExitCode:
         self.assert_overflow_exit(done)
         assert "RuntimeWarning" not in done.stderr
         assert not (out / "predictions.csv").exists()
+
+    def test_fit_predict_auto_with_an_overflowing_threshold_grid_exits_3(self, tmp_path):
+        # The top covariance eigenvalue is a finite 1e307, but times p = 50 it
+        # overflows; the grid was nan and the call ended in a ValueError traceback.
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((6, 50))
+        top = np.linalg.svd(x - x.mean(axis=0), compute_uv=False)[0] ** 2 / 6
+        train = tmp_path / "train.csv"
+        with open(train, "w") as fh:
+            fh.write(",".join(f"x{i}" for i in range(1, 51)) + ",y1\n")
+            rows = np.column_stack([x * np.sqrt(1e307 / top), rng.standard_normal(6)])
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows.tolist())
+        queries = write_queries(tmp_path, rng.standard_normal((2, 50)))
+        done = run_python(
+            "-m", "frechet_svt", "fit-predict", "--train", str(train), "--queries", str(queries),
+            "--kind", "euclidean", "--lambda", "auto", "--holdout", str(train), "--out", str(tmp_path / "o"),
+        )
+        self.assert_overflow_exit(done)
+        assert done.stderr.count("\n") == 1, done.stderr
+        assert not (tmp_path / "o" / "predictions.csv").exists()
 
     def test_simulate_with_overflowing_noise_exits_3(self, tmp_path):
         cfg = write_config(tmp_path, SMOKE_CONFIG + "sigma_eps = 1e300\n")

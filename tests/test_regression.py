@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from frechet_svt import diagnose, evaluate_trial, mspe_profile, regression, tune_lambda
+from frechet_svt import diagnose, evaluate_trial, lambda_grid, mspe_profile, regression, tune_lambda
 from frechet_svt.linalg import compute_svd, svt
 from frechet_svt.metric_spaces import CorrelationSpace, EuclideanSpace, L1Space, MetricSpace, WassersteinSpace
 from frechet_svt.regression import (
@@ -529,6 +529,7 @@ POLICY_ENTRIES = {
     "predict": lambda clean, noisy, q: fit(clean, 0.0).predict(q[0]),
     "mspe_profile": lambda clean, noisy, q: mspe_profile(noisy, clean, POLICY_GRID),
     "tune_lambda": lambda clean, noisy, q: tune_lambda(noisy, clean, POLICY_GRID),
+    "lambda_grid": lambda clean, noisy, q: lambda_grid(0.1 * np.abs(clean.responses).max(), 50, 6, 3),
     "evaluate_trial": lambda clean, noisy, q: evaluate_trial(clean, noisy, clean, POLICY_GRID, q, POLICY_GRID),
     "diagnose": lambda clean, noisy, q: diagnose(clean, noisy, 0.0, q[0]),
 }

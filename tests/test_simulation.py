@@ -5,6 +5,7 @@ import os
 import pickle
 import subprocess
 import sys
+import warnings
 import weakref
 from pathlib import Path
 
@@ -249,6 +250,13 @@ class TestLambdaGrid:
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
             lambda_grid(0.0, 5, 10)
+
+    def test_overflowing_bound_raises(self):
+        # top * p overflows: the grid was [nan nan inf], with two RuntimeWarnings.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError):
+                lambda_grid(1e307, 50, 6, 3)
 
 
 def make_trial_data(cfg, rng, sigma_eps=None):

@@ -59,32 +59,28 @@ def test_rowspace_failure_is_a_failure_not_a_traceback(monkeypatch, capsys):
 
 
 def test_weight_margin_equals_the_margin_from_diagnose_columns(monkeypatch):
-    # The weight check reads weight_stability_check, which makes no prediction;
-    # its margin must be the one diagnose's own weight columns give, bit for bit.
-    thresholds, calls = [], []
-    original_thresholds, original_check = verification.shared_gap_thresholds, verification.weight_stability_check
+    # One weight_stability_check call covers every shared-gap threshold of an
+    # instance; its margin must be the one that one diagnose per threshold
+    # gives from its own weight columns, bit for bit.
+    calls = []
+    original_check = verification.weight_stability_check
 
-    def recording_thresholds(stats, noise_norm):
-        thresholds.append(original_thresholds(stats, noise_norm))
-        return thresholds[-1]
+    def recording_check(clean, noisy, lams, query):
+        checks = original_check(clean, noisy, lams, query)
+        calls.append((clean, noisy, lams, query, checks))
+        return checks
 
-    def recording_check(clean, noisy, lam, query):
-        check = original_check(clean, noisy, lam, query)
-        calls.append((clean, noisy, lam, query, check))
-        return check
-
-    monkeypatch.setattr(verification, "shared_gap_thresholds", recording_thresholds)
     monkeypatch.setattr(verification, "weight_stability_check", recording_check)
     checked = 0
     for seed in range(3):
-        for i in range(40):
-            thresholds.clear()
+        for i in range(50):
             calls.clear()
             margin = verification._weight_stability_margin(np.random.default_rng([seed, i]))
-            assert len(thresholds) == 1
-            assert [lam for _, _, lam, _, _ in calls] == thresholds[0][: len(calls)]
+            assert len(calls) == 1
+            clean, noisy, lams, query, checks = calls[0]
+            assert len(checks) == len(lams)
             expected = 0.0
-            for clean, noisy, lam, query, check in calls:
+            for lam, check in zip(lams, checks):
                 cols = diagnostics.diagnose(clean, noisy, lam, query)
                 # The margin is clipped at 0, so compare each threshold's columns too.
                 assert check.rowspace_ok == cols["rowspace_ok"]
@@ -95,8 +91,28 @@ def test_weight_margin_equals_the_margin_from_diagnose_columns(monkeypatch):
                     break
                 lhs, rhs = cols["weight_lhs"], cols["weight_rhs"]
                 expected = max(expected, (lhs - rhs) / (1.0 + rhs))
-            else:
-                assert len(calls) == len(thresholds[0])
             assert float(margin).hex() == float(expected).hex(), (seed, i)
-            checked += len(calls)
-    assert checked >= 120  # about three thresholds an instance
+            checked += len(lams)
+    assert checked >= 300  # about three thresholds an instance
+
+
+def test_one_noise_svd_per_weight_pair(monkeypatch):
+    # The suite once called weight_stability_check per threshold (295 calls
+    # at seed 1), each taking the SVD of the same noise again.
+    norms, checks = [], []
+    original_norm, original_check = diagnostics.spectral_norm, verification.weight_stability_check
+
+    def counting_norm(a):
+        norms.append(1)
+        return original_norm(a)
+
+    def counting_check(*args):
+        checks.append(1)
+        return original_check(*args)
+
+    monkeypatch.setattr(diagnostics, "spectral_norm", counting_norm)
+    monkeypatch.setattr(verification, "weight_stability_check", counting_check)
+    results = run_suite(seed=1, instances=100)
+    assert all(r.passed for r in results)
+    assert len(checks) == 100
+    assert 0 < len(norms) <= 100
