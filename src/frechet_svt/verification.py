@@ -14,8 +14,8 @@ of Z on instance 0 of seed 0). The weight-stability check draws from a
 fresh generator of the same seed and reads ``diagnose``'s weight
 columns at all shared-gap thresholds from one
 ``diagnostics.weight_stability_check`` call (no prediction, one SVD of
-the noise); a query that leaves the row space fails it with an infinite
-margin. The fault-injection switch deliberately corrupts one identity
+the noise, and one more before it to pick the thresholds); a query that
+leaves the row space fails it with an infinite margin. The fault-injection switch deliberately corrupts one identity
 so the harness can prove it would catch a regression.
 """
 

@@ -62,22 +62,29 @@ def test_weight_margin_equals_the_margin_from_diagnose_columns(monkeypatch):
     # One weight_stability_check call covers every shared-gap threshold of an
     # instance; its margin must be the one that one diagnose per threshold
     # gives from its own weight columns, bit for bit.
-    calls = []
-    original_check = verification.weight_stability_check
+    thresholds, calls = [], []
+    original_thresholds, original_check = verification.shared_gap_thresholds, verification.weight_stability_check
+
+    def recording_thresholds(stats, noise_norm):
+        thresholds.append(original_thresholds(stats, noise_norm))
+        return thresholds[-1]
 
     def recording_check(clean, noisy, lams, query):
         checks = original_check(clean, noisy, lams, query)
         calls.append((clean, noisy, lams, query, checks))
         return checks
 
+    monkeypatch.setattr(verification, "shared_gap_thresholds", recording_thresholds)
     monkeypatch.setattr(verification, "weight_stability_check", recording_check)
     checked = 0
     for seed in range(3):
         for i in range(50):
+            thresholds.clear()
             calls.clear()
             margin = verification._weight_stability_margin(np.random.default_rng([seed, i]))
-            assert len(calls) == 1
+            assert len(thresholds) == 1 and len(calls) == 1
             clean, noisy, lams, query, checks = calls[0]
+            assert list(lams) == thresholds[0]
             assert len(checks) == len(lams)
             expected = 0.0
             for lam, check in zip(lams, checks):
@@ -98,7 +105,8 @@ def test_weight_margin_equals_the_margin_from_diagnose_columns(monkeypatch):
 
 def test_one_noise_svd_per_weight_pair(monkeypatch):
     # The suite once called weight_stability_check per threshold (295 calls
-    # at seed 1), each taking the SVD of the same noise again.
+    # at seed 1), each taking the SVD of the same noise again. The check now
+    # takes one per pair; the margin takes one more for its thresholds.
     norms, checks = [], []
     original_norm, original_check = diagnostics.spectral_norm, verification.weight_stability_check
 
