@@ -7,7 +7,8 @@ clean/noisy covariate pair, and ``verify-lemmas`` stress-tests the
 matrix identities on random instances.
 
 Exit codes: 0 success, 2 config or schema error (also ``fit-predict``'s
-``--holdout`` or ``--grid-points`` without ``--lambda auto``) or an
+``--holdout`` or ``--grid-points`` without ``--lambda auto``, or a
+``FRECHET_SVT_THREADS`` that is not an integer of at least 1) or an
 output file that cannot be written (files written before it stay), 3
 solver failure (also a worker process that died while a trial's outcome
 was unread, a covariance that overflows, the ``FloatingPointError`` the
@@ -75,9 +76,12 @@ def _worker_count() -> int:
     raw = os.environ.get(THREADS_ENV, "").strip()
     if raw:
         try:
-            return max(1, int(raw))
+            workers = int(raw)
         except ValueError as exc:
             raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
+        if workers < 1:
+            raise ConfigError(f"{THREADS_ENV} must be at least 1, got {raw!r}")
+        return workers
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

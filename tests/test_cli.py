@@ -619,29 +619,27 @@ class TestWorkerCount:
         monkeypatch.setenv(cli.THREADS_ENV, "5")
         assert cli._worker_count() == 5
 
+    @pytest.mark.parametrize("raw", ["0", "-3"])
+    def test_a_count_below_one_exits_2_naming_the_variable(self, tmp_path, capsys, monkeypatch, raw):
+        # Both once ran one worker silently, and the manifest read workers = 1.
+        monkeypatch.setenv("FRECHET_SVT_THREADS", raw)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: FRECHET_SVT_THREADS must be at least 1, got {raw!r}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
 
 # A desk-scale design (n = 100, p = 150) whose tables, before the program
-# set BLAS to one thread itself, changed with OPENBLAS_NUM_THREADS.
-BLAS_SENSITIVE_CONFIG = """\
-[campaign]
-master_seed = 1
-trials = 2
-test_size = 100
-eval_points = 10
-quantile_points = 101
-sigma_eps = 0.05
-lambda_points = 40
-
-[cell:gaussian]
-n = 100
-p = 150
-noise_kind = gaussian
-"""
+# set BLAS to one thread itself, changed with OPENBLAS_NUM_THREADS; the byte
+# check (tools/bytecheck.py) runs the same campaign.
+BLAS_SENSITIVE_CONFIG = Path(__file__).resolve().parents[1] / "tools" / "blas-cell.cfg"
 
 
 class TestBlasThreads:
     def test_tables_do_not_depend_on_the_blas_environment(self, tmp_path):
-        cfg = write_config(tmp_path, BLAS_SENSITIVE_CONFIG)
+        cfg = BLAS_SENSITIVE_CONFIG
         runs = [("1", None), ("1", "1"), ("1", "2"), ("2", None)]  # (workers, OPENBLAS_NUM_THREADS)
         tables = []
         for workers, blas in runs:
