@@ -329,14 +329,14 @@ def evaluate_trial(train: Dataset, train_noisy: Dataset, test: Dataset, grid, ev
 
     ``train`` and ``train_noisy`` must hold the same responses, on the
     clean and on the noisy covariates (the errors-in-variables setting);
-    a mismatch raises ``ValueError``. In-sample errors are measured at the
-    clean training covariates for every estimator (the noisy fits act as
-    predictors of the responses at the true covariates); test covariates
-    are noiseless too. One ``mspe_profile`` sweep covers the sorted
-    tuning grid and ``profile_grid``; the tuned threshold is the first
-    minimizer on the tuning part, so ties pick the smallest. Every other
-    prediction goes through one ``rank_predictions`` call on the shared
-    responses.
+    a mismatch raises ``ValueError``, as an empty tuning ``grid`` does.
+    In-sample errors are measured at the clean training covariates for
+    every estimator (the noisy fits act as predictors of the responses at
+    the true covariates); test covariates are noiseless too. One
+    ``mspe_profile`` sweep covers the sorted tuning grid and
+    ``profile_grid``; the tuned threshold is the first minimizer on the
+    tuning part, so ties pick the smallest. Every other prediction goes
+    through one ``rank_predictions`` call on the shared responses.
 
     Returns ``(report, eval_preds, (svt_curve, null_error))``:
     ``eval_preds`` maps each estimator to its predictions at ``eval_x``,
@@ -347,6 +347,8 @@ def evaluate_trial(train: Dataset, train_noisy: Dataset, test: Dataset, grid, ev
     if not np.array_equal(train.responses, train_noisy.responses):
         raise ValueError("the clean and the noisy training sets must hold the same responses")
     grid = np.sort(np.asarray(grid, dtype=float).ravel())
+    if grid.size == 0:
+        raise ValueError("empty threshold grid")
     curves = mspe_profile(train_noisy, test, np.concatenate([grid, profile_grid]))
     tuning = curves[: grid.size]
     lam_hat = float(grid[int(np.argmin(tuning))])

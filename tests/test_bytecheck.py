@@ -1,4 +1,5 @@
-"""The byte-contract checker's comparer (``tools/bytecheck.py``), on two hand-made output trees; no CLI runs."""
+"""The byte-contract checker (``tools/bytecheck.py``): its comparer on hand-made output trees, and its
+within-tree run on fake calls; no CLI runs."""
 
 import ast
 import importlib.util
@@ -75,6 +76,39 @@ def test_stderr_that_differs_only_by_the_out_path_passes(runs):
         f"{CASE}: stderr differs at line 1: \"error: --out 'OUT' is not a usable directory\" "
         f"against \"error: --out 'OUT' is not a usable  directory\""
     ]
+
+
+def fake_calls(monkeypatch, calls, broken=None):
+    """Replace each CLI call by one that writes its case's files and exits as expected; ``broken`` exits 1."""
+
+    def run_case(case, src, work, out, side):
+        calls.append(case.name)
+        out.mkdir(parents=True)
+        for name in case.files:
+            (out / name).write_text("".join(f"{line}\n" for line in case.manifest_has))
+        code = 1 if case.name == broken else case.exit
+        return bytecheck.Run(side, bytecheck._show(case), code, "", "", out)
+
+    monkeypatch.setattr(bytecheck, "check_tree", lambda src, work: None)
+    monkeypatch.setattr(bytecheck, "run_case", run_case)
+
+
+def test_within_a_tree_every_case_runs_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    fake_calls(monkeypatch, calls)
+    assert bytecheck.check_within(tmp_path / "inputs", tmp_path / "outs") == []
+    assert sorted(calls) == sorted(bytecheck.CASES)  # each name exactly once
+    assert "DIFF" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("broken", ["verify-lemmas --inject-fault", "simulate blas-cell.cfg, OPENBLAS_NUM_THREADS = 1"])
+def test_a_call_that_misses_its_exit_code_fails_the_run_naming_its_case(tmp_path, monkeypatch, capsys, broken):
+    # The first case runs alone, the second as one side of an invariance pair.
+    fake_calls(monkeypatch, [], broken=broken)
+    failed = bytecheck.check_within(tmp_path / "inputs", tmp_path / "outs")
+    assert len(failed) == 1 and broken in failed[0]
+    expected = bytecheck.CASES[broken].exit
+    assert f"{broken}: exit code 1, expected {expected} ({broken})" in capsys.readouterr().out
 
 
 def test_the_tool_imports_only_the_standard_library_and_numpy():

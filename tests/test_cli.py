@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -248,6 +247,7 @@ class TestFitPredictCommand:
              "--kind", "euclidean", "--lambda", "0", "--out", str(out)]
         )
         assert code == 0
+        assert (out / "predictions.csv").read_text().count("\n") == 6  # the header and one line per query
         rows = read_csv_rows(out / "predictions.csv")
         assert rows[0] == ["y1"]
         preds = np.array([float(r[0]) for r in rows[1:]])
@@ -349,13 +349,17 @@ class TestFitPredictCommand:
         train, *_ = write_euclidean_train(tmp_path, rng)
         marked = tmp_path / "marked.csv"
         marked.write_bytes(b"\xef\xbb\xbf" + train.read_bytes())
+        # A spreadsheet-style export: byte-order mark, CRLF, comment lines first, a blank line in the body.
+        header, *rows = train.read_text().splitlines()
+        dressed = tmp_path / "dressed.csv"
+        lines = ["# exported by hand", "", header, *rows[:10], "", *rows[10:]]
+        dressed.write_bytes(b"\xef\xbb\xbf" + "\r\n".join(lines).encode() + b"\r\n")
         qpath = write_queries(tmp_path, rng.standard_normal((2, 3)))
-        for path, out in [(train, "plain"), (marked, "marked")]:
+        for path, out in [(train, "plain"), (marked, "marked"), (dressed, "dressed")]:
             assert main(["fit-predict", "--train", str(path), "--queries", str(qpath),
                          "--kind", "euclidean", "--lambda", "0.1", "--out", str(tmp_path / out)]) == 0
-        assert (tmp_path / "marked" / "predictions.csv").read_bytes() == (
-            tmp_path / "plain" / "predictions.csv"
-        ).read_bytes()
+        plain = (tmp_path / "plain" / "predictions.csv").read_bytes()
+        assert all((tmp_path / out / "predictions.csv").read_bytes() == plain for out in ("marked", "dressed"))
 
     def test_auto_holdout_with_wrong_width_exits_2(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -485,6 +489,10 @@ class TestFitPredictCommand:
         assert code == 0
         first = (out / "predictions.csv").read_text().splitlines()[0]
         assert first.startswith("# lambda_hat = ")
+        # One nondecreasing quantile row per query, on the training grid.
+        none_x, preds, _ = read_dataset(out / "predictions.csv", "wasserstein")
+        assert none_x is None and preds.shape == (2, 9)
+        assert np.all(np.diff(preds, axis=1) >= 0.0)
 
     def test_non_finite_input_rejected(self, tmp_path, capsys):
         rng = np.random.default_rng(10)
@@ -750,6 +758,7 @@ class TestColdStart:
         "--version": [],
         "fit-predict --lambda 0.1": [],
         "fit-predict --lambda auto": [],
+        "fit-predict wasserstein --lambda auto": [],
         "diagnose": ["frechet_svt.diagnostics"],
         "verify-lemmas --instances 2": ["frechet_svt.diagnostics", "frechet_svt.verification"],
         "simulate": ["frechet_svt.simulation", "configparser"],
@@ -764,12 +773,17 @@ class TestColdStart:
         holdout, *_ = write_euclidean_train(tmp_path, rng, name="holdout.csv")
         queries = write_queries(tmp_path, rng.standard_normal((2, 3)))
         noisy = write_queries(tmp_path, x + 0.01 * rng.standard_normal(x.shape), name="noisy.csv")
+        wtrain, *_ = write_wasserstein_train(tmp_path, rng)
+        wholdout, *_ = write_wasserstein_train(tmp_path, rng, name="wholdout.csv")
+        wqueries = write_queries(tmp_path, rng.standard_normal((2, 2)), name="wqueries.csv")
         out = ["--out", str(tmp_path / "o")]
         fit = ["fit-predict", "--train", str(train), "--queries", str(queries), "--kind", "euclidean", *out]
+        wfit = ["fit-predict", "--train", str(wtrain), "--queries", str(wqueries), "--kind", "wasserstein", *out]
         argv = {
             "--version": ["--version"],
             "fit-predict --lambda 0.1": [*fit, "--lambda", "0.1"],
             "fit-predict --lambda auto": [*fit, "--lambda", "auto", "--holdout", str(holdout)],
+            "fit-predict wasserstein --lambda auto": [*wfit, "--lambda", "auto", "--holdout", str(wholdout)],
             "diagnose": ["diagnose", "--train", str(train), "--noisy", str(noisy), "--kind", "euclidean",
                          "--lambda", "0.1", "--x=0,0,0", *out],
             "verify-lemmas --instances 2": ["verify-lemmas", "--instances", "2"],
@@ -853,6 +867,8 @@ class TestProcessEntry:
         *(f"fit-predict {kind}" for kind in KINDS),
         "diagnose", "verify-lemmas", "simulate 1 worker", "simulate 2 workers",
     ]
+    # What each fit-predict call's predictions read back as: four Euclidean-train queries, three others.
+    PREDICTION_SHAPES = {"euclidean": (4, 1), "l1": (4, 1), "linf": (4, 1), "wasserstein": (3, 9), "correlation": (3, 3, 3)}
 
     @pytest.mark.parametrize("call", OUTPUT_CALLS)
     def test_a_fresh_process_writes_what_main_writes(self, tmp_path, capsys, monkeypatch, call):
@@ -895,6 +911,10 @@ class TestProcessEntry:
         in_process = written(tmp_path / "main")
         assert set(in_process) == files
         assert written(tmp_path / "process") == in_process
+        if call.startswith("fit-predict"):  # the predictions read back as responses of their kind
+            kind = call.split()[1]
+            none_x, preds, _ = read_dataset(tmp_path / "main" / "predictions.csv", kind)
+            assert none_x is None and preds.shape == self.PREDICTION_SHAPES[kind]
 
 
 _EXTREMES = [sign * v for sign in (1.0, -1.0) for v in (0.0, 5e-324, 1e-300, 1e-8, 1.0, 1e8, 1e150, 1e300, 1.7e308)]
@@ -1180,12 +1200,10 @@ p = 3
             fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
         queries = write_queries(tmp_path, scale * rng.standard_normal((4, 3)))
         out = tmp_path / "o"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            code = main(
-                ["fit-predict", "--train", str(train), "--queries", str(queries),
-                 "--kind", kind, "--lambda", lam, "--out", str(out)]
-            )
+        code = main(
+            ["fit-predict", "--train", str(train), "--queries", str(queries),
+             "--kind", kind, "--lambda", lam, "--out", str(out)]
+        )
         assert code in (0, 2, 3)
         if code == 0:
             preds = np.array([[float(v) for v in r] for r in read_csv_rows(out / "predictions.csv")[1:]])
@@ -1215,9 +1233,8 @@ p = 3
             "quantile_points = 5", "lambda_points = 2", *lines, "[cell:c]", "n = 6", "p = 3", model, "",
         ]))
         out = tmp_path / "o"
-        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        with pytest.MonkeyPatch.context() as mp:
             mp.setenv("FRECHET_SVT_THREADS", "1")
-            warnings.simplefilter("error", RuntimeWarning)
             code = main(["simulate", "--config", str(cfg), "--out", str(out)])
         assert code in (0, 2, 3)
         tables = [out / "results.csv", out / "profile.csv"]
@@ -1233,6 +1250,11 @@ p = 3
 
 
 class TestDiagnoseCommand:
+    COLUMNS = [
+        "b_lambda", "snr_reciprocal", "noise_norm", "signal_floor", "rowspace_ok", "precondition_ok",
+        "bound_rhs", "observed_lhs", "weight_lhs", "weight_rhs",
+    ]
+
     def run_diagnose(self, tmp_path, noisy_name="noisy.csv", lam="0.1", corrupt=False):
         rng = np.random.default_rng(7)
         train, x, y, beta = write_euclidean_train(tmp_path, rng, n=20)
@@ -1244,6 +1266,7 @@ class TestDiagnoseCommand:
                      "--kind", "euclidean", "--lambda", lam, "--x=" + query, "--out", str(out)])
         assert code == 0
         rows = read_csv_rows(out / "diagnostics.csv")
+        assert rows[0] == self.COLUMNS
         return dict(zip(rows[0], rows[1]))
 
     def test_zero_noise_diagnostics(self, tmp_path):
@@ -1453,6 +1476,10 @@ class TestInputFaults:
             "fit-predict --train {gridless} --queries {queries} --kind wasserstein",
             "{gridless}: missing companion grid row under the header", {},
         ),
+        "bad response cell": (
+            "fit-predict --train {bad} --queries {queries} --kind euclidean",
+            "row 6: column y1: cannot parse 'oops' as a number", {},
+        ),
         "worker count not a number": (
             "simulate --config {config}",
             "FRECHET_SVT_THREADS must be an integer, got 'abc'", {"FRECHET_SVT_THREADS": "abc"},
@@ -1470,7 +1497,10 @@ class TestInputFaults:
             "missing": tmp_path / "missing.cfg",
             "out": tmp_path / "o",
         }
+        header, *rows = train.read_text().splitlines()
+        rows[4] = rows[4].rsplit(",", 1)[0] + ",oops"  # row 6: column y1
         for name, text in [
+            ("bad", "\n".join([header, *rows]) + "\n"),
             # two covariates and a response, as many rows as the training file
             ("narrow", "x1,x2,y1\n" + "".join(f"{a!r},{b!r},{c!r}\n" for a, b, c in x.tolist())),
             ("responses", "y1\n1.0\n2.0\n"),

@@ -570,3 +570,18 @@ class TestRaisePolicy:
                 assert np.isnan(stack).all()  # ignored, as the consumer asked
         with np.errstate(all="raise"), pytest.raises(FloatingPointError):
             list(rank_predictions(EUCLID, clean.responses, [ask]))
+
+
+# Each entry that sweeps a threshold grid, called on (clean, noisy, queries, grid).
+GRID_ENTRIES = {
+    "mspe_profile": lambda clean, noisy, q, grid: mspe_profile(noisy, clean, grid),
+    "tune_lambda": lambda clean, noisy, q, grid: tune_lambda(noisy, clean, grid),
+    "evaluate_trial": lambda clean, noisy, q, grid: evaluate_trial(clean, noisy, clean, grid, q, POLICY_GRID),
+}
+
+
+@pytest.mark.parametrize("entry", list(GRID_ENTRIES))
+def test_empty_threshold_grid_raises(entry):
+    # evaluate_trial's tuning grid once reached np.argmin empty, beside a nonempty profile grid.
+    with pytest.raises(ValueError, match="^empty threshold grid$"):
+        GRID_ENTRIES[entry](*policy_data(1.0), [])

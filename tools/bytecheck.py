@@ -1,6 +1,6 @@
 """Check the byte contract: runs that should write the same bytes do.
 
-    python tools/bytecheck.py          # within this tree: workers, start method, BLAS environment
+    python tools/bytecheck.py          # within this tree: every case, and the invariance pairs
     python tools/bytecheck.py REV      # this tree against a local git revision, call by call
 
 Every call is ``python -m frechet_svt ...`` in a fresh process, with
@@ -17,9 +17,10 @@ set of files with the same bytes, ``manifest.txt`` apart from its
 ``out`` line (and, within one tree, the worker lines a worker-count
 change must change). A mismatch names the case, the file and the calls.
 Each call of this tree must also end as its case expects: exit code,
-output files and manifest lines.
+no traceback, output files and manifest lines.
 
-Without a revision, the tool runs the pairs of ``INVARIANCES``. With
+Without a revision, the tool runs the pairs of ``INVARIANCES``, then
+each case no pair ran, so every case of ``CASES`` is called once. With
 one, it extracts that revision's ``src`` by ``git archive`` into a
 temporary directory, runs every case of ``CASES`` in both trees and
 compares them. It needs no network and leaves no git state, file or
@@ -330,7 +331,8 @@ def _slug(name: str) -> str:
 
 def report(name: str, runs, problems: list) -> bool:
     times = " / ".join(f"{run.seconds:.2f} s" for run in runs)
-    print(f"{'same' if not problems else 'DIFF'}  {name}  ({times})")
+    verdict = ("same", "DIFF") if len(runs) > 1 else ("ok", "FAIL")
+    print(f"{verdict[bool(problems)]}  {name}  ({times})")
     for line in problems:
         print(f"      {line}")
     if problems:
@@ -341,7 +343,7 @@ def report(name: str, runs, problems: list) -> bool:
 
 
 def check_within(work: Path, outs: Path) -> list:
-    """The invariance pairs, each run once in this tree; the names of the pairs that fail."""
+    """The invariance pairs, then every other case, each case run once in this tree; the names that fail."""
     src = ROOT / "src"
     check_tree(src, work)
     runs = {}
@@ -357,6 +359,10 @@ def check_within(work: Path, outs: Path) -> list:
         pair, label = [get(reference), get(name)], f"{name} = {reference}"
         problems = [p for n, r in ((reference, pair[0]), (name, pair[1])) for p in expect(CASES[n], r)]
         if not report(label, pair, problems + compare(label, *pair, manifest_keys=keys)):
+            failed.append(label)
+    for name in [name for name in CASES if name not in runs]:
+        run = get(name)
+        if not report(name, [run], expect(CASES[name], run)):
             failed.append(name)
     return failed
 
@@ -397,7 +403,7 @@ def main(argv=None) -> int:
     if args.rev:
         what, calls = f"{len(CASES)} cases against {args.rev}", 2 * len(CASES)
     else:
-        what, calls = f"{len(INVARIANCES)} invariances", len({name for pair in INVARIANCES for name in pair[:2]})
+        what, calls = f"{len(CASES)} cases and {len(INVARIANCES)} invariances", len(CASES)
     print(f"bytecheck: {what}, {calls} calls in {time.perf_counter() - start:.1f} s: ", end="")
     print(f"{len(failed)} failed: {'; '.join(failed)}" if failed else "all match")
     return 1 if failed else 0
