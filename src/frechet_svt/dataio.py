@@ -363,7 +363,9 @@ def load_sim_configs(path, seed_override=None, grid_points_override=None):
         read = parser.read(path, encoding="utf-8")
         sections = {s: parser.items(s) for s in parser.sections()}
     except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        # Some configparser messages run over several lines; the error line is one.
+        message = " ".join(line.strip() for line in str(exc).splitlines())
+        raise ConfigError(f"{path}: {message}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     shared = _parse_section(_CAMPAIGN_SECTION, sections.pop(_CAMPAIGN_SECTION, []), field_parsers)

@@ -16,7 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Relative cutoff below which a singular value is treated as exactly zero.
+# Relative rank cutoff. ``SvdFactors.kept`` and ``numerical_rank`` treat a
+# singular value at or below RANK_RTOL times the largest as zero.
+# ``regression.kept_rank`` applies it to the covariance eigenvalues s**2 / n
+# instead, so the estimator drops a component when s <= 1e-6 * s[0].
 RANK_RTOL = 1e-12
 
 # Size of the block whose release raises glibc's dynamic mmap threshold (see settle_process).

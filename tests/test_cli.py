@@ -151,88 +151,41 @@ class TestSimulateCommand:
         profile_rows = read_csv_rows(out / "profile.csv")
         assert {r[-1] for r in profile_rows[1:]} == {"smoke", "laplace-small"}
 
-    def test_invalid_config_exits_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "[cell:broken]\nn = 30\n")  # missing p
-        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert "broken" in capsys.readouterr().err
-
-    def test_unknown_key_exits_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "[cell:a]\nn = 30\np = 5\nbogus = 1\n")
-        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert "bogus" in capsys.readouterr().err
-
-    def test_single_covariate_cell_exits_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "[cell:thin]\nn = 30\np = 1\ntrials = 1\n")
-        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert "thin" in err and "p must be at least 2" in err
-
-    @pytest.mark.parametrize("points", ["0", "-2"])
-    def test_grid_points_below_one_exits_2(self, tmp_path, capsys, points):
-        cfg = write_config(tmp_path)
-        assert main(["simulate", "--config", str(cfg), "--grid-points", points,
-                     "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err == f"error: --grid-points must be at least 1, got {points}\n"
-        assert not (tmp_path / "o").exists()
-
-    def test_negative_seed_exits_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path)
-        assert main(["simulate", "--config", str(cfg), "--seed", "-3", "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err == "error: --seed must be nonnegative, got -3\n"
-        assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize(
-        "key", ["sigma_eps", "sigma_eta", "ig_shape", "ig_scale", "alpha_intercept", "condition_number"]
-    )
-    def test_non_finite_float_field_exits_2(self, tmp_path, capsys, key):
-        cfg = write_config(tmp_path, SMOKE_CONFIG + f"{key} = nan\n")
-        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert f"{key} must be finite" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("value", ["-1.0", "0.0"])
-    def test_non_positive_ig_scale_exits_2(self, tmp_path, capsys, value):
-        cfg = write_config(tmp_path, SMOKE_CONFIG + f"ig_scale = {value}\n")
-        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert "ig_scale must be positive" in capsys.readouterr().err
+    def test_grid_points_override_every_cell(self, tmp_path):
+        # Even a cell that sets its own lambda_points.
+        cfg = write_config(tmp_path, SMOKE_CONFIG + "\n[cell:b]\nn = 25\np = 8\nlambda_points = 9\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--grid-points", "4", "--out", str(out)]) == 0
+        assert [r[-1] for r in read_csv_rows(out / "profile.csv")[1:] if r[3] == "SVT"] == ["smoke"] * 4 + ["b"] * 4
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert "cell1.lambda_points = 4" in manifest and "cell2.lambda_points = 4" in manifest
 
     @pytest.mark.parametrize("text", [
         "[cell:a]\nn = 30\np = 5\n\n[cell:a]\nn = 20\np = 5\n",
         "[cell:a]\nn = 30\nn = 20\np = 5\n",
         "n = 30\np = 5\n",
         "[cell:a]\nn = 30\np = 5\nnoise_kind = 100%\n",
-    ], ids=["duplicate-section", "duplicate-key", "no-section-header", "bad-interpolation"])
+        "[cell:a]\nn = 30\np = 5\nn\n",
+    ], ids=["duplicate-section", "duplicate-key", "no-section-header", "bad-interpolation", "parse-error"])
     def test_unparsable_config_exits_2(self, tmp_path, capsys, text):
+        # configparser's message, which can run over several lines, is put on one line.
         cfg = write_config(tmp_path, text)
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {cfg}: ")
-
-    @pytest.mark.parametrize("second", ["a", "cell: a"])
-    def test_two_sections_naming_one_cell_exit_2(self, tmp_path, capsys, second):
-        cfg = write_config(tmp_path, f"[cell:a]\nn = 20\np = 4\n\n[{second}]\nn = 20\np = 4\n")
-        out = tmp_path / "o"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: sections [cell:a] and [{second}] both name cell 'a'\n"
-        assert not (out / "results.csv").exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: ") and err.count("\n") == 1, err
 
     def test_non_utf8_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "campaign.cfg"
         cfg.write_bytes(SMOKE_CONFIG.encode() + b"# caf\xe9\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {cfg}: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: ") and err.count("\n") == 1, err
 
-    def test_bool_field_takes_only_yes_and_no_words(self, tmp_path, capsys):
+    def test_bool_field_takes_only_yes_and_no_words(self, tmp_path):
         for value, expected in [("1", True), ("True", True), ("YES", True), ("0", False), ("false", False), ("No", False)]:
             cfg = write_config(tmp_path, SMOKE_CONFIG + f"laplace_variance_matched = {value}\n")
             assert load_sim_configs(cfg)[0][0].laplace_variance_matched is expected, value
-        for value in ["maybe", "on", "2", ""]:
-            cfg = write_config(tmp_path, SMOKE_CONFIG + f"laplace_variance_matched = {value}\n")
-            assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2, value
-            assert "key 'laplace_variance_matched': bad value" in capsys.readouterr().err
-
-    def test_one_row_test_set_exits_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, SMOKE_CONFIG + "test_size = 1\n")
-        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert "test_size must be at least 2" in capsys.readouterr().err
+        # The words it refuses are rows of TestInputFaults.CASES.
 
 
 class TestFitPredictCommand:
@@ -277,33 +230,6 @@ class TestFitPredictCommand:
         first = (out / "predictions.csv").read_text().splitlines()[0]
         assert first.startswith("# lambda_hat = ")
         float(first.split("=")[1])
-
-    def test_auto_without_holdout_exits_2(self, tmp_path):
-        rng = np.random.default_rng(3)
-        train, *_ = write_euclidean_train(tmp_path, rng)
-        qpath = write_queries(tmp_path, rng.standard_normal((2, 3)))
-        assert main(["fit-predict", "--train", str(train), "--queries", str(qpath),
-                     "--kind", "euclidean", "--lambda", "auto", "--out", str(tmp_path / "o")]) == 2
-
-    def test_holdout_with_a_fixed_lambda_exits_2_before_computing(self, tmp_path, capsys):
-        rng = np.random.default_rng(3)
-        train, *_ = write_euclidean_train(tmp_path, rng)
-        qpath = write_queries(tmp_path, rng.standard_normal((2, 3)))
-        out = tmp_path / "o"
-        assert main(["fit-predict", "--train", str(train), "--queries", str(qpath), "--kind", "euclidean",
-                     "--lambda", "0.05", "--holdout", str(tmp_path / "missing.csv"), "--out", str(out)]) == 2
-        assert "--holdout goes only with --lambda auto" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_grid_points_with_a_fixed_lambda_exits_2_before_computing(self, tmp_path, capsys):
-        rng = np.random.default_rng(3)
-        train, *_ = write_euclidean_train(tmp_path, rng)
-        qpath = write_queries(tmp_path, rng.standard_normal((2, 3)))
-        out = tmp_path / "o"
-        assert main(["fit-predict", "--train", str(train), "--queries", str(qpath), "--kind", "euclidean",
-                     "--lambda", "0.05", "--grid-points", "7", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: --grid-points goes only with --lambda auto, got --lambda 0.05\n"
-        assert not out.exists()
 
     def test_manifest_records_the_resolved_grid_points(self, tmp_path):
         # A --lambda auto run can be repeated from its manifest, grid size included.
@@ -361,89 +287,6 @@ class TestFitPredictCommand:
         plain = (tmp_path / "plain" / "predictions.csv").read_bytes()
         assert all((tmp_path / out / "predictions.csv").read_bytes() == plain for out in ("marked", "dressed"))
 
-    def test_auto_holdout_with_wrong_width_exits_2(self, tmp_path):
-        rng = np.random.default_rng(9)
-        train, *_ = write_euclidean_train(tmp_path, rng)
-        holdout = tmp_path / "holdout.csv"
-        rows = rng.standard_normal((5, 3))
-        holdout.write_text("x1,x2,y1\n" + "".join(f"{a!r},{b!r},{c!r}\n" for a, b, c in rows))
-        qpath = write_queries(tmp_path, rng.standard_normal((2, 3)))
-        assert main(["fit-predict", "--train", str(train), "--queries", str(qpath),
-                     "--kind", "euclidean", "--lambda", "auto", "--holdout", str(holdout),
-                     "--out", str(tmp_path / "o")]) == 2
-
-    @pytest.mark.parametrize("m, grid", [(7, None), (9, np.linspace(0.05, 0.95, 9))],
-                             ids=["fewer-levels", "other-levels"])
-    def test_auto_holdout_on_another_grid_exits_2(self, tmp_path, capsys, m, grid):
-        rng = np.random.default_rng(17)
-        train, *_ = write_wasserstein_train(tmp_path, rng, n=14)
-        holdout, *_ = write_wasserstein_train(tmp_path, rng, n=10, m=m, name="whold.csv", grid=grid)
-        qpath = write_queries(tmp_path, rng.standard_normal((2, 2)))
-        assert main(["fit-predict", "--train", str(train), "--queries", str(qpath),
-                     "--kind", "wasserstein", "--lambda", "auto", "--holdout", str(holdout),
-                     "--grid-points", "8", "--out", str(tmp_path / "o")]) == 2
-        assert f"{holdout}: holdout grid levels differ from the training grid" in capsys.readouterr().err
-
-    def test_auto_holdout_with_other_response_width_exits_2(self, tmp_path, capsys):
-        rng = np.random.default_rng(21)
-        train, *_ = write_euclidean_train(tmp_path, rng)
-        holdout = tmp_path / "holdout.csv"
-        rows = rng.standard_normal((6, 5))
-        holdout.write_text("x1,x2,x3,y1,y2\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows.tolist()))
-        qpath = write_queries(tmp_path, rng.standard_normal((2, 3)))
-        assert main(["fit-predict", "--train", str(train), "--queries", str(qpath),
-                     "--kind", "euclidean", "--lambda", "auto", "--holdout", str(holdout),
-                     "--out", str(tmp_path / "o")]) == 2
-        assert f"{holdout}: holdout responses have shape" in capsys.readouterr().err
-
-    def test_nan_threshold_exits_2(self, tmp_path, capsys):
-        rng = np.random.default_rng(18)
-        train, *_ = write_euclidean_train(tmp_path, rng)
-        qpath = write_queries(tmp_path, rng.standard_normal((2, 3)))
-        assert main(["fit-predict", "--train", str(train), "--queries", str(qpath),
-                     "--kind", "euclidean", "--lambda", "nan", "--out", str(tmp_path / "o")]) == 2
-        assert "--lambda must be a nonnegative number" in capsys.readouterr().err
-        assert not (tmp_path / "o" / "predictions.csv").exists()
-
-    def test_one_row_training_file_exits_2(self, tmp_path, capsys):
-        rng = np.random.default_rng(13)
-        train, *_ = write_euclidean_train(tmp_path, rng, n=1)
-        qpath = write_queries(tmp_path, rng.standard_normal((2, 3)))
-        assert main(["fit-predict", "--train", str(train), "--queries", str(qpath),
-                     "--kind", "euclidean", "--lambda", "0", "--out", str(tmp_path / "o")]) == 2
-        assert f"{train}: training file needs at least two data rows" in capsys.readouterr().err
-
-    def test_one_row_holdout_exits_2(self, tmp_path, capsys):
-        rng = np.random.default_rng(14)
-        train, *_ = write_euclidean_train(tmp_path, rng)
-        holdout, *_ = write_euclidean_train(tmp_path, rng, n=1, name="holdout.csv")
-        qpath = write_queries(tmp_path, rng.standard_normal((2, 3)))
-        assert main(["fit-predict", "--train", str(train), "--queries", str(qpath),
-                     "--kind", "euclidean", "--lambda", "auto", "--holdout", str(holdout),
-                     "--out", str(tmp_path / "o")]) == 2
-        assert f"{holdout}: holdout file needs at least two data rows" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("points", ["0", "-3"])
-    def test_grid_points_below_one_exits_2(self, tmp_path, capsys, points):
-        rng = np.random.default_rng(15)
-        train, *_ = write_euclidean_train(tmp_path, rng)
-        holdout, *_ = write_euclidean_train(tmp_path, rng, name="holdout.csv")
-        qpath = write_queries(tmp_path, rng.standard_normal((2, 3)))
-        assert main(["fit-predict", "--train", str(train), "--queries", str(qpath),
-                     "--kind", "euclidean", "--lambda", "auto", "--holdout", str(holdout),
-                     "--grid-points", points, "--out", str(tmp_path / "o")]) == 2
-        assert "--grid-points must be at least 1" in capsys.readouterr().err
-
-    def test_auto_with_constant_covariates_exits_2(self, tmp_path, capsys):
-        train = tmp_path / "train.csv"
-        train.write_text("x1,x2,y1\n1,2,0.5\n1,2,1.5\n1,2,-0.25\n")
-        qpath = write_queries(tmp_path, np.array([[1.0, 2.0], [0.0, 3.0]]))
-        assert main(["fit-predict", "--train", str(train), "--queries", str(qpath),
-                     "--kind", "euclidean", "--lambda", "auto", "--holdout", str(train),
-                     "--out", str(tmp_path / "o")]) == 2
-        assert f"{train}: training covariates are constant" in capsys.readouterr().err
-        assert not (tmp_path / "o" / "predictions.csv").exists()
-
     def test_wasserstein_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
         train, x, q, grid = write_wasserstein_train(tmp_path, rng)
@@ -493,69 +336,6 @@ class TestFitPredictCommand:
         none_x, preds, _ = read_dataset(out / "predictions.csv", "wasserstein")
         assert none_x is None and preds.shape == (2, 9)
         assert np.all(np.diff(preds, axis=1) >= 0.0)
-
-    def test_non_finite_input_rejected(self, tmp_path, capsys):
-        rng = np.random.default_rng(10)
-        train, *_ = write_euclidean_train(tmp_path, rng)
-        bad = tmp_path / "badq.csv"
-        bad.write_text("x1,x2,x3\n0.1,inf,0.3\n")
-        code = main(["fit-predict", "--train", str(train), "--queries", str(bad),
-                     "--kind", "euclidean", "--lambda", "0", "--out", str(tmp_path / "o")])
-        assert code == 2
-        assert "non-finite" in capsys.readouterr().err
-
-    def test_non_monotone_quantiles_rejected_with_row(self, tmp_path, capsys):
-        rng = np.random.default_rng(5)
-        train, *_ = write_wasserstein_train(tmp_path, rng, corrupt_row=4)
-        qpath = write_queries(tmp_path, rng.standard_normal((2, 2)))
-        code = main(["fit-predict", "--train", str(train), "--queries", str(qpath),
-                     "--kind", "wasserstein", "--lambda", "0", "--out", str(tmp_path / "o")])
-        assert code == 2
-        assert "row 7" in capsys.readouterr().err  # header + grid row + 4 data rows
-
-    def test_non_psd_correlation_rejected_with_row(self, tmp_path, capsys):
-        bad = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
-        mats = [np.eye(3), np.eye(3), bad, np.eye(3)]
-        train = tmp_path / "ctrain.csv"
-        header = ["x1"] + [f"c{i}{j}" for i in range(1, 4) for j in range(1, 4)]
-        with open(train, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for i, m in enumerate(mats):
-                fh.write(",".join([repr(float(i))] + [repr(float(v)) for v in m.ravel()]) + "\n")
-        qpath = write_queries(tmp_path, np.zeros((1, 1)))
-        code = main(["fit-predict", "--train", str(train), "--queries", str(qpath),
-                     "--kind", "correlation", "--lambda", "0", "--out", str(tmp_path / "o")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "row 4" in err and "positive semidefinite" in err  # header + 2 good rows
-
-    def test_short_query_row_exits_2(self, tmp_path, capsys):
-        rng = np.random.default_rng(11)
-        train, *_ = write_euclidean_train(tmp_path, rng)
-        bad = tmp_path / "shortq.csv"
-        bad.write_text("x1,x2,x3\n0.1,0.2,0.3\n0.1,0.2\n")
-        code = main(["fit-predict", "--train", str(train), "--queries", str(bad),
-                     "--kind", "euclidean", "--lambda", "0", "--out", str(tmp_path / "o")])
-        assert code == 2
-        assert "row 3" in capsys.readouterr().err
-
-    def test_blank_covariates_in_first_query_row_exits_2(self, tmp_path, capsys):
-        # y columns have no grid row, so a first row with blank covariates is bad data, not a grid row
-        rng = np.random.default_rng(13)
-        train, *_ = write_euclidean_train(tmp_path, rng)
-        bad = tmp_path / "blankq.csv"
-        bad.write_text("x1,x2,x3,y1\n,,,5.0\n1,2,3,3\n3,4,5,5\n")
-        code = main(["fit-predict", "--train", str(train), "--queries", str(bad),
-                     "--kind", "euclidean", "--lambda", "0", "--out", str(tmp_path / "o")])
-        assert code == 2
-        assert "row 2: column x1" in capsys.readouterr().err
-
-    def test_kind_mismatch_exits_2(self, tmp_path, capsys):
-        rng = np.random.default_rng(6)
-        train, *_ = write_euclidean_train(tmp_path, rng)
-        qpath = write_queries(tmp_path, rng.standard_normal((2, 3)))
-        assert main(["fit-predict", "--train", str(train), "--queries", str(qpath),
-                     "--kind", "wasserstein", "--lambda", "0", "--out", str(tmp_path / "o")]) == 2
 
 
 class TestReadCovariates:
@@ -626,17 +406,6 @@ class TestWorkerCount:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
         monkeypatch.setenv(cli.THREADS_ENV, "5")
         assert cli._worker_count() == 5
-
-    @pytest.mark.parametrize("raw", ["0", "-3"])
-    def test_a_count_below_one_exits_2_naming_the_variable(self, tmp_path, capsys, monkeypatch, raw):
-        # Both once ran one worker silently, and the manifest read workers = 1.
-        monkeypatch.setenv("FRECHET_SVT_THREADS", raw)
-        out = tmp_path / "o"
-        assert main(["simulate", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == f"error: FRECHET_SVT_THREADS must be at least 1, got {raw!r}\n"
-        assert captured.out == ""
-        assert not out.exists()
 
 
 # A desk-scale design (n = 100, p = 150) whose tables, before the program
@@ -1288,20 +1057,6 @@ class TestDiagnoseCommand:
         assert record["signal_floor"] == "inf"
         assert record["bound_rhs"] == "inf"
 
-    @pytest.mark.parametrize("lam, query, message", [
-        ("nan", "0,0,0", "--lambda must be a nonnegative number"),
-        ("0.1", "nan,0,0", "--x must be finite"),
-    ], ids=["nan-threshold", "nan-query"])
-    def test_non_finite_argument_exits_2(self, tmp_path, capsys, lam, query, message):
-        rng = np.random.default_rng(19)
-        train, x, *_ = write_euclidean_train(tmp_path, rng)
-        npath = write_queries(tmp_path, x, name="noisy.csv")
-        code = main(["diagnose", "--train", str(train), "--noisy", str(npath), "--kind", "euclidean",
-                     "--lambda", lam, "--x=" + query, "--out", str(tmp_path / "o")])
-        assert code == 2
-        assert message in capsys.readouterr().err
-        assert not (tmp_path / "o" / "diagnostics.csv").exists()
-
     @staticmethod
     def write_linear_pair(tmp_path, x, rng):
         """A training file with linear responses on ``x``, and a noisy copy of ``x``."""
@@ -1350,15 +1105,6 @@ class TestDiagnoseCommand:
         # X, Z and the noise Z - X once each.
         assert calls["svd"] == 3
         assert calls["eigh"] == 0
-
-    def test_one_row_training_file_exits_2(self, tmp_path, capsys):
-        rng = np.random.default_rng(16)
-        train, x, *_ = write_euclidean_train(tmp_path, rng, n=1)
-        npath = write_queries(tmp_path, x, name="noisy.csv")
-        code = main(["diagnose", "--train", str(train), "--noisy", str(npath), "--kind", "euclidean",
-                     "--lambda", "0.1", "--x=0,0,0", "--out", str(tmp_path / "o")])
-        assert code == 2
-        assert f"{train}: training file needs at least two data rows" in capsys.readouterr().err
 
 
 class TestUnusablePaths:
@@ -1429,48 +1175,62 @@ class TestUnusablePaths:
         assert sorted(f.name for f in out.iterdir() if f.is_file()) == kept
 
 
+# Lines added to the smoke campaign's cell, each with the fault it makes there.
+SMOKE_CELL_FAULTS = {
+    **{f"{key} = nan": f"{key} must be finite" for key in _CAMPAIGN_FLOATS},
+    "ig_scale = 0.0": "ig_scale must be positive",
+    "ig_scale = -1.0": "ig_scale must be positive",
+    **{f"laplace_variance_matched = {word}": f"key 'laplace_variance_matched': bad value {word!r}"
+       for word in ["maybe", "on", "2", ""]},
+    "test_size = 1": "test_size must be at least 2",
+    "trials = 0": "trials, test_size, eval_points, quantile_points must be positive",
+    "lambda_points = 0": "lambda_points must be positive",
+    "master_seed = -1": "master_seed must be nonnegative",
+    "model = linear\nmetric = l2": "metric must be one of ('euclidean', 'l1', 'linf')",
+    "model = linear\nlinear_dim = 0": "linear_dim must be positive",
+}
+
+
 class TestInputFaults:
-    """Each input fault exits 2 with one ``error:`` line, no traceback and no ``--out`` directory."""
+    """Each input fault exits 2 with one ``error:`` line, no traceback, no output and no ``--out`` directory.
+
+    Every fault here is found before ``--out`` would be made, and its whole
+    message is this program's text; a message that carries Python's own
+    (configparser, codec and OS errors) has a test of its own.
+    """
+
+    FIT = "fit-predict --train {train} --queries {queries} --kind euclidean"
+    DIAGNOSE = "diagnose --train {train} --noisy {train} --kind euclidean"
 
     # id: (argv, error message, environment); {name} stands for a file of ``files``.
     CASES = {
-        "queries of another width": (
-            "fit-predict --train {train} --queries {narrow} --kind euclidean",
-            "queries have 2 covariates but training data has 3", {},
+        # fit-predict's flags
+        "lambda not a number": (FIT + " --lambda abc", "--lambda must be a number or 'auto', got 'abc'", {}),
+        "lambda nan": (FIT + " --lambda nan", "--lambda must be a nonnegative number, got nan", {}),
+        "lambda auto without holdout": (FIT + " --lambda auto", "--lambda auto requires --holdout CSV", {}),
+        "holdout with a fixed lambda": (
+            FIT + " --lambda 0.05 --holdout {missing}", "--holdout goes only with --lambda auto, got --lambda 0.05", {},
         ),
+        "grid points with a fixed lambda": (
+            FIT + " --lambda 0.05 --grid-points 7", "--grid-points goes only with --lambda auto, got --lambda 0.05", {},
+        ),
+        "fit-predict --grid-points 0": (
+            FIT + " --lambda auto --holdout {train} --grid-points 0", "--grid-points must be at least 1, got 0", {},
+        ),
+        "fit-predict --grid-points -3": (
+            FIT + " --lambda auto --holdout {train} --grid-points -3", "--grid-points must be at least 1, got -3", {},
+        ),
+        # fit-predict's training and query files
         "training file without covariates": (
             "fit-predict --train {responses} --queries {queries} --kind euclidean",
             "{responses}: training file has no covariate columns", {},
         ),
-        "lambda not a number": (
-            "fit-predict --train {train} --queries {queries} --kind euclidean --lambda abc",
-            "--lambda must be a number or 'auto', got 'abc'", {},
+        "one-row training file": (
+            "fit-predict --train {one_row} --queries {queries} --kind euclidean",
+            "{one_row}: training file needs at least two data rows, got 1", {},
         ),
-        "holdout of another width": (
-            "fit-predict --train {train} --queries {queries} --kind euclidean --lambda auto --holdout {narrow}",
-            "holdout has 2 covariates but training data has 3", {},
-        ),
-        "noisy file of another shape": (
-            "diagnose --train {train} --noisy {narrow} --kind euclidean --lambda 0.1 --x=0,0,0",
-            "noisy covariates (30, 2) do not match training (30, 3)", {},
-        ),
-        "x words": (
-            "diagnose --train {train} --noisy {train} --kind euclidean --lambda 0.1 --x=a,b,c",
-            "--x must be comma-separated numbers, got 'a,b,c'", {},
-        ),
-        "x empty entries": (
-            "diagnose --train {train} --noisy {train} --kind euclidean --lambda 0.1 --x=,",
-            "--x must be comma-separated numbers, got ','", {},
-        ),
-        "x too short": (
-            "diagnose --train {train} --noisy {train} --kind euclidean --lambda 0.1 --x=0,0",
-            "--x has 2 entries but data has 3 covariates", {},
-        ),
-        "config without a cell": ("simulate --config {cellless}", "config defines no cell sections", {}),
-        "config that does not exist": ("simulate --config {missing}", "cannot read config file {missing}", {}),
         "empty dataset file": (
-            "fit-predict --train {empty} --queries {queries} --kind euclidean",
-            "{empty}: empty file", {},
+            "fit-predict --train {empty} --queries {queries} --kind euclidean", "{empty}: empty file", {},
         ),
         "q header without its grid row": (
             "fit-predict --train {gridless} --queries {queries} --kind wasserstein",
@@ -1480,10 +1240,111 @@ class TestInputFaults:
             "fit-predict --train {bad} --queries {queries} --kind euclidean",
             "row 6: column y1: cannot parse 'oops' as a number", {},
         ),
+        "kind the file does not hold": (
+            "fit-predict --train {train} --queries {queries} --kind wasserstein",
+            "kind 'wasserstein' expects q response columns, got ['y1']", {},
+        ),
+        "decreasing quantiles": (
+            "fit-predict --train {decreasing} --queries {queries} --kind wasserstein",
+            "row 7: quantile values are not nondecreasing", {},
+        ),
+        "indefinite correlation": (
+            "fit-predict --train {indefinite} --queries {queries} --kind correlation",
+            "row 4: correlation matrix must be positive semidefinite", {},
+        ),
+        "queries of another width": (
+            "fit-predict --train {train} --queries {narrow} --kind euclidean",
+            "queries have 2 covariates but training data has 3", {},
+        ),
+        "non-finite query": (
+            "fit-predict --train {train} --queries {infinite} --kind euclidean",
+            "row 2: column x2: non-finite value 'inf'", {},
+        ),
+        "short query row": (
+            "fit-predict --train {train} --queries {short} --kind euclidean", "row 3: expected 3 cells, got 2", {},
+        ),
+        "blank covariates in a query row": (
+            "fit-predict --train {train} --queries {blank} --kind euclidean",
+            "row 2: column x1: cannot parse '' as a number", {},
+        ),
+        # fit-predict's holdout file
+        "holdout of another width": (
+            FIT + " --lambda auto --holdout {narrow}", "holdout has 2 covariates but training data has 3", {},
+        ),
+        "one-row holdout": (
+            FIT + " --lambda auto --holdout {one_row}",
+            "{one_row}: holdout file needs at least two data rows, got 1", {},
+        ),
+        "holdout of another response width": (
+            FIT + " --lambda auto --holdout {wide}", "{wide}: holdout responses have shape (2,), training (1,)", {},
+        ),
+        "holdout on fewer grid levels": (
+            "fit-predict --train {wtrain} --queries {queries} --kind wasserstein --lambda auto --holdout {fewer}",
+            "{fewer}: holdout grid levels differ from the training grid", {},
+        ),
+        "holdout on other grid levels": (
+            "fit-predict --train {wtrain} --queries {queries} --kind wasserstein --lambda auto --holdout {shifted}",
+            "{shifted}: holdout grid levels differ from the training grid", {},
+        ),
+        "constant covariates": (
+            "fit-predict --train {constant} --queries {narrow} --kind euclidean --lambda auto --holdout {constant}",
+            "{constant}: training covariates are constant, so --lambda auto has no threshold grid", {},
+        ),
+        # diagnose
+        "noisy file of another shape": (
+            "diagnose --train {train} --noisy {narrow} --kind euclidean --lambda 0.1 --x=0,0,0",
+            "noisy covariates (30, 2) do not match training (30, 3)", {},
+        ),
+        "diagnose on a one-row file": (
+            "diagnose --train {one_row} --noisy {one_row} --kind euclidean --lambda 0.1 --x=0,0,0",
+            "{one_row}: training file needs at least two data rows, got 1", {},
+        ),
+        "x words": (DIAGNOSE + " --lambda 0.1 --x=a,b,c", "--x must be comma-separated numbers, got 'a,b,c'", {}),
+        "x empty entries": (DIAGNOSE + " --lambda 0.1 --x=,", "--x must be comma-separated numbers, got ','", {}),
+        "x too short": (DIAGNOSE + " --lambda 0.1 --x=0,0", "--x has 2 entries but data has 3 covariates", {}),
+        "x nan": (DIAGNOSE + " --lambda 0.1 --x=nan,0,0", "--x must be finite, got 'nan,0,0'", {}),
+        "diagnose --lambda nan": (
+            DIAGNOSE + " --lambda nan --x=0,0,0", "--lambda must be a nonnegative number, got nan", {},
+        ),
+        # verify-lemmas
+        "verify-lemmas --instances 0": ("verify-lemmas --instances 0", "--instances must be at least 1, got 0", {}),
+        "verify-lemmas --instances -5": ("verify-lemmas --instances -5", "--instances must be at least 1, got -5", {}),
+        "verify-lemmas --seed -1": ("verify-lemmas --seed -1 --instances 2", "--seed must be nonnegative, got -1", {}),
+        # simulate's flags and environment
+        "config that does not exist": ("simulate --config {missing}", "cannot read config file {missing}", {}),
+        "simulate --seed -3": ("simulate --config {config} --seed -3", "--seed must be nonnegative, got -3", {}),
+        "simulate --grid-points 0": (
+            "simulate --config {config} --grid-points 0", "--grid-points must be at least 1, got 0", {},
+        ),
+        "simulate --grid-points -2": (
+            "simulate --config {config} --grid-points -2", "--grid-points must be at least 1, got -2", {},
+        ),
         "worker count not a number": (
             "simulate --config {config}",
             "FRECHET_SVT_THREADS must be an integer, got 'abc'", {"FRECHET_SVT_THREADS": "abc"},
         ),
+        # Both below once ran one worker silently, and the manifest read workers = 1.
+        "worker count 0": (
+            "simulate --config {config}",
+            "FRECHET_SVT_THREADS must be at least 1, got '0'", {"FRECHET_SVT_THREADS": "0"},
+        ),
+        "worker count -3": (
+            "simulate --config {config}",
+            "FRECHET_SVT_THREADS must be at least 1, got '-3'", {"FRECHET_SVT_THREADS": "-3"},
+        ),
+        # simulate's campaign file
+        "config without a cell": ("simulate --config {cellless}", "config defines no cell sections", {}),
+        "cell without p": ("simulate --config {pless}", "section [cell:broken]: missing required key 'p'", {}),
+        "unknown key": ("simulate --config {bogus}", "section [cell:a]: unknown key 'bogus'", {}),
+        "one covariate": ("simulate --config {thin}", "section [cell:thin]: p must be at least 2", {}),
+        "two sections name one cell": (
+            "simulate --config {twice}", "sections [cell:a] and [a] both name cell 'a'", {},
+        ),
+        "two sections name one cell, spaced": (
+            "simulate --config {twice_spaced}", "sections [cell:a] and [cell: a] both name cell 'a'", {},
+        ),
+        **{line.replace("\n", "; "): (f"simulate --config {{smoke{i}}}", f"section [cell:smoke]: {fault}", {})
+           for i, (line, fault) in enumerate(SMOKE_CELL_FAULTS.items())},
     }
 
     @staticmethod
@@ -1497,17 +1358,41 @@ class TestInputFaults:
             "missing": tmp_path / "missing.cfg",
             "out": tmp_path / "o",
         }
+        # Wasserstein files with three covariates, as {queries} has.
+        shapes = {"wtrain": {"n": 14}, "fewer": {"m": 7}, "shifted": {"grid": np.linspace(0.05, 0.95, 9)},
+                  "decreasing": {"corrupt_row": 4}}  # data row 5 is file row 7
+        for name, shape in shapes.items():
+            files[name], *_ = write_wasserstein_train(tmp_path, rng, p=3, name=f"{name}.csv", **shape)
         header, *rows = train.read_text().splitlines()
         rows[4] = rows[4].rsplit(",", 1)[0] + ",oops"  # row 6: column y1
-        for name, text in [
-            ("bad", "\n".join([header, *rows]) + "\n"),
+        eye = "1,0,0,0,1,0,0,0,1"
+        wide = rng.standard_normal((6, 5)).tolist()  # three covariates and two responses
+        texts = {
+            "bad": "\n".join([header, *rows]) + "\n",
+            "one_row": f"{header}\n{rows[0]}\n",
             # two covariates and a response, as many rows as the training file
-            ("narrow", "x1,x2,y1\n" + "".join(f"{a!r},{b!r},{c!r}\n" for a, b, c in x.tolist())),
-            ("responses", "y1\n1.0\n2.0\n"),
-            ("empty", ""),
-            ("gridless", "x1,q1,q2\n"),
-            ("cellless", "[campaign]\ntrials = 2\n"),
-        ]:
+            "narrow": "x1,x2,y1\n" + "".join(f"{a!r},{b!r},{c!r}\n" for a, b, c in x.tolist()),
+            "wide": "x1,x2,x3,y1,y2\n" + "".join(",".join(map(repr, r)) + "\n" for r in wide),
+            "responses": "y1\n1.0\n2.0\n",
+            "empty": "",
+            "gridless": "x1,q1,q2\n",
+            "constant": "x1,x2,y1\n1,2,0.5\n1,2,1.5\n1,2,-0.25\n",
+            # symmetric with a unit diagonal, but the third matrix has a negative eigenvalue
+            "indefinite": "x1," + ",".join(f"c{i}{j}" for i in "123" for j in "123")
+            + f"\n0,{eye}\n1,{eye}\n2,1,0.9,-0.9,0.9,1,0.9,-0.9,0.9,1\n3,{eye}\n",
+            "infinite": "x1,x2,x3\n0.1,inf,0.3\n",
+            "short": "x1,x2,x3\n0.1,0.2,0.3\n0.1,0.2\n",
+            # y columns have no grid row, so a first row with blank covariates is bad data, not a grid row
+            "blank": "x1,x2,x3,y1\n,,,5.0\n1,2,3,3\n3,4,5,5\n",
+            "cellless": "[campaign]\ntrials = 2\n",
+            "pless": "[cell:broken]\nn = 30\n",
+            "bogus": "[cell:a]\nn = 30\np = 5\nbogus = 1\n",
+            "thin": "[cell:thin]\nn = 30\np = 1\ntrials = 1\n",
+            "twice": "[cell:a]\nn = 20\np = 4\n\n[a]\nn = 20\np = 4\n",
+            "twice_spaced": "[cell:a]\nn = 20\np = 4\n\n[cell: a]\nn = 20\np = 4\n",
+            **{f"smoke{i}": SMOKE_CONFIG + line + "\n" for i, line in enumerate(SMOKE_CELL_FAULTS)},
+        }
+        for name, text in texts.items():
             files[name] = tmp_path / f"{name}.txt"
             files[name].write_text(text)
         return files
@@ -1519,9 +1404,10 @@ class TestInputFaults:
         for name, value in env.items():
             monkeypatch.setenv(name, value)
         assert main([word.format(**files) for word in (argv + " --out {out}").split()]) == 2
-        err = capsys.readouterr().err
-        assert err == f"error: {message.format(**files)}\n"
-        assert "Traceback" not in err
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message.format(**files)}\n"
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
         assert not files["out"].exists()
 
 
@@ -1534,19 +1420,6 @@ class TestVerifyCommand:
     def test_fault_injection_detected(self, tmp_path, capsys):
         assert main(["verify-lemmas", "--seed", "3", "--instances", "40", "--inject-fault"]) == 4
         assert "FAIL" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("instances", ["0", "-5"])
-    def test_instances_below_one_exits_2(self, capsys, instances):
-        assert main(["verify-lemmas", "--instances", instances]) == 2
-        captured = capsys.readouterr()
-        assert "--instances must be at least 1" in captured.err
-        assert "pass" not in captured.out
-
-    def test_negative_seed_exits_2(self, capsys):
-        assert main(["verify-lemmas", "--seed", "-1", "--instances", "2"]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == "error: --seed must be nonnegative, got -1\n"
-        assert captured.out == ""
 
     def test_covariate_stats_once_per_design(self, capsys, monkeypatch):
         import frechet_svt

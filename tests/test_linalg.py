@@ -239,3 +239,13 @@ def test_settled_process_reuses_heap_for_a_trial_sized_array():
     assert done.returncode == 0, done.stderr
     faults = int(done.stdout.split()[-1])
     assert faults < 20, f"{faults} minor faults in 20 allocate-fill-free cycles"
+
+
+@pytest.mark.parametrize("m, message", [
+    (np.zeros((0, 3)), "matrix must be a 2-D array with positive dimensions"),
+    (np.array([[1.0, np.inf], [0.0, 1.0]]), "matrix has non-finite entries"),
+], ids=["empty", "non-finite"])
+def test_compute_svd_rejects_bad_matrices(m, message):
+    with pytest.raises(ValueError) as raised:
+        compute_svd(m)
+    assert str(raised.value) == message

@@ -739,3 +739,23 @@ class TestValidation:
         assert space_from_kind("correlation", size=3).size == 3
         with pytest.raises(ValueError):
             space_from_kind("hyperbolic")
+
+
+# Each check of a grid, projection or space argument on one bad input, with the message it raises.
+BAD_ARGUMENTS = {
+    "midpoint_grid(0)": (lambda: midpoint_grid(0), "grid size must be positive"),
+    "grid_cell_weights([])": (lambda: grid_cell_weights([]), "empty grid"),
+    "isotonic_project lengths": (
+        lambda: isotonic_project([1.0, 2.0], [1.0]), "values and weights must have equal length",
+    ),
+    "CorrelationSpace(0)": (lambda: CorrelationSpace(0), "matrix size must be positive"),
+    "correlation without a size": (lambda: space_from_kind("correlation"), "correlation space needs the matrix size"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_ARGUMENTS))
+def test_bad_argument_raises_naming_it(case):
+    call, message = BAD_ARGUMENTS[case]
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message

@@ -585,3 +585,22 @@ def test_empty_threshold_grid_raises(entry):
     # evaluate_trial's tuning grid once reached np.argmin empty, beside a nonempty profile grid.
     with pytest.raises(ValueError, match="^empty threshold grid$"):
         GRID_ENTRIES[entry](*policy_data(1.0), [])
+
+
+# Each check of the estimator's inputs on one bad input, with the message it raises.
+BAD_INPUTS = {
+    "covariate_stats 1-D": (lambda: covariate_stats(np.ones(4)), "covariates must form an n-by-p matrix"),
+    "covariate_stats non-finite": (
+        lambda: covariate_stats(np.array([[0.0, 1.0], [np.nan, 2.0]])), "covariates have non-finite entries",
+    ),
+    "Dataset 1-D": (lambda: Dataset(np.ones(4), np.ones(4), EUCLID), "covariates must be an n-by-p matrix with n >= 2"),
+    "lambda_grid no points": (lambda: lambda_grid(1.0, 3, 10, points=0), "need at least one grid point"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_raises_naming_it(case):
+    call, message = BAD_INPUTS[case]
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message

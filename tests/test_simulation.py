@@ -963,6 +963,9 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimConfig(n=5, p=3, model="quadratic")
 
+    def test_an_unlabeled_cell_is_named_by_its_model(self):
+        assert SimConfig(n=30, p=10, model="linear", metric="l1").display_name() == "linear-l1-gaussian-30x10"
+
 
 def _direct_profile(train, test, grid):
     """One refit and one weight matrix per threshold, blended by a one-block ``frechet_mean_blocks`` call."""
@@ -1074,3 +1077,25 @@ class TestRankPathSweep:
         train, test = _sweep_instance("euclidean-scalar", 6, 3, 2, 6)
         with pytest.raises(ValueError):
             mspe_profile(train, Dataset(bad, np.zeros(bad.shape[0]), train.space), [0.0])
+
+
+# Each check of a data generator's arguments on one bad input, with the message it raises.
+BAD_GENERATOR_ARGUMENTS = {
+    "make_spectrum condition 1": (lambda: make_spectrum(5, 1.0), "condition_number must exceed 1"),
+    "gen_covariates zero eigenvalue": (
+        lambda: gen_covariates(3, 2, [1.0, 0.0], np.random.default_rng(0)), "spectrum must hold p positive eigenvalues",
+    ),
+    "add_noise negative sigma": (
+        lambda: add_noise(np.zeros((2, 2)), "gaussian", -0.1, np.random.default_rng(0)),
+        "sigma_eps must be nonnegative",
+    ),
+    "expected_tau shape 1/2": (lambda: expected_tau(0.5, 1.0), "shape must exceed 1/2"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_GENERATOR_ARGUMENTS))
+def test_bad_generator_argument_raises_naming_it(case):
+    call, message = BAD_GENERATOR_ARGUMENTS[case]
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message

@@ -2,6 +2,7 @@ import numpy as np
 
 from frechet_svt import cli, diagnostics, verification
 from frechet_svt.linalg import compute_svd, pinv_perturbation_residual
+from frechet_svt.regression import covariate_stats
 from frechet_svt.verification import run_suite
 
 
@@ -124,3 +125,8 @@ def test_one_noise_svd_per_weight_pair(monkeypatch):
     assert all(r.passed for r in results)
     assert len(checks) == 100
     assert 0 < len(norms) <= 100
+
+
+def test_a_zero_design_has_no_shared_gap_thresholds():
+    # It keeps no component, so no threshold sits in a gap of its spectrum.
+    assert verification.shared_gap_thresholds(covariate_stats(np.zeros((4, 3))), 0.1) == []
