@@ -231,6 +231,18 @@ class TestFitPredictCommand:
         assert first.startswith("# lambda_hat = ")
         float(first.split("=")[1])
 
+    def test_auto_holdout_with_wrong_width_exits_2(self, tmp_path, capsys):
+        rng = np.random.default_rng(9)
+        train, *_ = write_euclidean_train(tmp_path, rng)
+        holdout = tmp_path / "holdout.csv"
+        rows = rng.standard_normal((5, 3))
+        holdout.write_text("x1,x2,y1\n" + "".join(f"{a!r},{b!r},{c!r}\n" for a, b, c in rows.tolist()))
+        qpath = write_queries(tmp_path, rng.standard_normal((2, 3)))
+        assert main(["fit-predict", "--train", str(train), "--queries", str(qpath),
+                     "--kind", "euclidean", "--lambda", "auto", "--holdout", str(holdout),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "holdout has 2 covariates but training data has 3" in capsys.readouterr().err
+
     def test_manifest_records_the_resolved_grid_points(self, tmp_path):
         # A --lambda auto run can be repeated from its manifest, grid size included.
         rng = np.random.default_rng(2)
