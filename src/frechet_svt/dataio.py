@@ -183,9 +183,9 @@ def _read_csv(path):
                     lines.append(reader.line_num)
                     records.append(row)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise SchemaError(f"{path}: cannot read: {exc}") from exc
+        raise SchemaError(f"cannot read: {exc}") from exc
     if not records:
-        raise SchemaError(f"{path}: empty file")
+        raise SchemaError("empty file")
     covs, resp = _columns(records[0])
     width = len(covs) + len(resp)
     grid, lines, rows = None, lines[1:], records[1:]
@@ -194,11 +194,11 @@ def _read_csv(path):
             raise SchemaError(f"row {line}: expected {width} cells, got {len(cells)}")
     if resp and resp[0][0] == "q":
         if not rows:
-            raise SchemaError(f"{path}: missing companion grid row under the header")
+            raise SchemaError("missing companion grid row under the header")
         grid, lines, rows = (lines[0], rows[0]), lines[1:], rows[1:]
         _check_grid(grid, len(covs))
     if not rows:
-        raise SchemaError(f"{path}: no data rows")
+        raise SchemaError("no data rows")
     return covs, resp, grid, lines, rows
 
 
@@ -221,39 +221,45 @@ def read_dataset(path, kind: str):
     """
     if kind not in KINDS:
         raise SchemaError(f"unknown kind {kind!r}")
-    covs, resp, grid, lines, body = _read_table(path)
-    if not resp or resp[0][0] != _PREFIX[kind]:
-        raise SchemaError(f"kind {kind!r} expects {_PREFIX[kind]} response columns, got {resp}")
-    p = len(covs)
-    if grid is None:
-        space: MetricSpace = space_from_kind(kind, size=math.isqrt(len(resp)))
-    else:
-        line, cells = grid
-        levels = np.array(_parse_row(line, cells[p:], resp))
-        try:
-            space = WassersteinSpace(levels)
-        except ValueError as exc:
-            raise SchemaError(f"row {line}: bad grid levels: {exc}") from exc
+    try:  # every fault in the file is reported after its path, once
+        covs, resp, grid, lines, body = _read_table(path)
+        if not resp or resp[0][0] != _PREFIX[kind]:
+            raise SchemaError(f"kind {kind!r} expects {_PREFIX[kind]} response columns, got {resp}")
+        p = len(covs)
+        if grid is None:
+            space: MetricSpace = space_from_kind(kind, size=math.isqrt(len(resp)))
+        else:
+            line, cells = grid
+            levels = np.array(_parse_row(line, cells[p:], resp))
+            try:
+                space = WassersteinSpace(levels)
+            except ValueError as exc:
+                raise SchemaError(f"row {line}: bad grid levels: {exc}") from exc
 
-    table = _parse_block(lines, body, covs + resp)
-    x = np.ascontiguousarray(table[:, :p]) if p else None
-    responses = np.ascontiguousarray(table[:, p:])
-    if kind == "correlation":
-        responses = responses.reshape(len(lines), space.size, space.size)
-    try:
-        responses = space.check_points(responses)
-    except InvalidPointError as exc:
-        where = "" if exc.index is None else f"row {lines[exc.index]}: "
-        raise SchemaError(where + exc.reason) from exc
-    return x, responses, space
+        table = _parse_block(lines, body, covs + resp)
+        x = np.ascontiguousarray(table[:, :p]) if p else None
+        responses = np.ascontiguousarray(table[:, p:])
+        if kind == "correlation":
+            responses = responses.reshape(len(lines), space.size, space.size)
+        try:
+            responses = space.check_points(responses)
+        except InvalidPointError as exc:
+            where = "" if exc.index is None else f"row {lines[exc.index]}: "
+            raise SchemaError(where + exc.reason) from exc
+        return x, responses, space
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 def read_covariates(path) -> np.ndarray:
     """Read only the x1..xp columns; response columns are checked, but their cells need not be numbers."""
-    covs, _, _, lines, body = _read_table(path)
-    if not covs:
-        raise SchemaError(f"{path}: no covariate columns")
-    return _parse_block(lines, body, covs)
+    try:
+        covs, _, _, lines, body = _read_table(path)
+        if not covs:
+            raise SchemaError("no covariate columns")
+        return _parse_block(lines, body, covs)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 def _write_csv(path, header, rows, comment=None) -> None:

@@ -12,8 +12,8 @@ The threshold is always on the estimator's scale (it truncates the
 covariance eigenvalues ``s**2 / n``), and ``kept_rank`` alone decides
 which components count, exactly as in the fit. The raw covariates are
 read only for the noise norm ``||Z - X||``, one SVD of the noise per
-pair, however many thresholds, so ``diagnose`` takes three SVDs: of X,
-of Z and of Z - X.
+pair, however many thresholds, which the caller takes and hands to the
+check, so ``diagnose`` takes three SVDs: of X, of Z and of Z - X.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ class WeightStability:
     noisy_fit: FittedModel
     query: np.ndarray
     offset: np.ndarray
-    noise_norm: float
     signal_floor: float
     snr_reciprocal: float
     nonzero: int
@@ -58,25 +57,20 @@ class WeightStability:
 
 
 @raising
-def weight_stability_check(clean: Dataset, noisy: Dataset, lams, x) -> list:
+def weight_stability_check(clean: Dataset, noisy: Dataset, lams, x, noise: float) -> list:
     """Both fits and the weight-stability columns at query ``x``: one ``WeightStability`` per threshold of ``lams``.
 
-    The one route to ``diagnose``'s ``noise_norm``, ``signal_floor``,
-    ``snr_reciprocal``, ``rowspace_ok``, ``weight_lhs`` and ``weight_rhs``
-    (defined there), and the verification suite's weight-stability check.
-    The pair's checks, query, noise norm, seminorm and row-space residual
-    are computed once. Neither fit predicts, so the responses are never
-    read. A pair whose shapes or responses differ raises ``ValueError``.
+    The one route to ``diagnose``'s ``signal_floor``, ``snr_reciprocal``,
+    ``rowspace_ok``, ``weight_lhs`` and ``weight_rhs`` (defined there), and
+    the verification suite's weight-stability check. ``noise`` is the
+    pair's noise norm ``||Z - X||``, which the caller computes once; the
+    query, seminorm and row-space residual are computed once here. Neither
+    fit predicts, so the responses are never read.
     """
-    if noisy.covariates.shape != clean.covariates.shape:
-        raise ValueError(f"shape mismatch: {clean.covariates.shape} vs {noisy.covariates.shape}")
-    if not np.array_equal(clean.responses, noisy.responses):
-        raise ValueError("the clean and the noisy designs must hold the same responses")
     stats = clean.stats
     q = check_queries(stats, np.ravel(x))
     v = q[0] - stats.mean
     fits = [(fit(clean, lam), fit(noisy, lam)) for lam in lams]
-    noise = spectral_norm(noisy.covariates - clean.covariates)
     nonzero = int(kept_rank(stats, 0))
     cov_norm = _seminorm(stats, v, 0, nonzero)
     basis = stats.centered_svd.right_t[:nonzero]
@@ -93,7 +87,7 @@ def weight_stability_check(clean: Dataset, noisy: Dataset, lams, x) -> list:
             gap = noisy_fit.weight_matrix(q)[:, 0] - clean_fit.weight_matrix(q)[:, 0]
             weight_lhs = float(np.linalg.norm(gap))
             weight_rhs = float(np.sqrt(stats.n) * snr * (2.0 * cov_norm + 1.0))
-        checks.append(WeightStability(clean_fit, noisy_fit, q, v, noise, floor, snr, nonzero, cov_norm,
+        checks.append(WeightStability(clean_fit, noisy_fit, q, v, floor, snr, nonzero, cov_norm,
                                       rowspace_ok, weight_lhs, weight_rhs))
     return checks
 
@@ -103,11 +97,11 @@ def diagnose(clean: Dataset, noisy: Dataset, lam: float, x) -> dict:
     """The ``diagnostics.csv`` columns for one clean/noisy pair at threshold ``lam`` and query ``x``.
 
     ``noisy`` holds the training responses on the noisy covariates; a
-    pair whose shapes or responses differ raises ``ValueError``. Each
-    design is fitted once, and the noise norm, the signal floor, the SNR,
-    the kept ranks, the covariance seminorm and the row-space residual
-    are each computed once, by ``weight_stability_check``. The columns, in
-    order:
+    pair whose shapes or responses differ raises ``ValueError``. The noise
+    norm is computed once, here; each design is fitted once, and the signal
+    floor, the SNR, the kept ranks, the covariance seminorm and the
+    row-space residual are each computed once, by ``weight_stability_check``.
+    The columns, in order:
 
     - ``b_lambda``: the truncation bias ``sqrt(rank(D)) * ||x - mean||_D``
       of the clean design, with ``D = cov - svt(cov, lam)`` the nonzero
@@ -143,12 +137,17 @@ def diagnose(clean: Dataset, noisy: Dataset, lam: float, x) -> dict:
       ``sqrt(n) * snr_reciprocal * (2 ||x - mean||_cov + 1)``; ``nan``
       when the query leaves the row space.
     """
-    (w,) = weight_stability_check(clean, noisy, [lam], x)
+    if noisy.covariates.shape != clean.covariates.shape:
+        raise ValueError(f"shape mismatch: {clean.covariates.shape} vs {noisy.covariates.shape}")
+    if not np.array_equal(clean.responses, noisy.responses):
+        raise ValueError("the clean and the noisy designs must hold the same responses")
+    noise = spectral_norm(noisy.covariates - clean.covariates)
+    (w,) = weight_stability_check(clean, noisy, [lam], x, noise)
     stats, v, space = clean.stats, w.offset, clean.space
     clean_pred, noisy_pred = w.clean_fit.predict(w.query), w.noisy_fit.predict(w.query)
     d_phi = space.distances_to(clean.responses, clean_pred) ** 2
     d_phi_tilde = space.distances_to(clean.responses, noisy_pred) ** 2
-    if w.noise_norm == 0.0:
+    if noise == 0.0:
         rhs = 0.0
     elif np.isinf(w.signal_floor):
         rhs = np.inf  # the threshold leaves no signal
@@ -161,7 +160,7 @@ def diagnose(clean: Dataset, noisy: Dataset, lam: float, x) -> dict:
     return {
         "b_lambda": bias,
         "snr_reciprocal": w.snr_reciprocal,
-        "noise_norm": w.noise_norm,
+        "noise_norm": noise,
         "signal_floor": w.signal_floor,
         "rowspace_ok": w.rowspace_ok,
         "precondition_ok": w.rowspace_ok,

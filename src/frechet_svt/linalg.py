@@ -2,9 +2,10 @@
 
 Everything is SVD-based and pure: ``compute_svd(m).kept()`` factors a
 matrix once, with an explicit numerical-rank cutoff, and gives its
-Moore-Penrose pseudoinverse and row/column projections; also hard
-singular value thresholding and the exact pseudoinverse perturbation
-identity used by the verification suite. ``settle_process`` sets up a
+Moore-Penrose pseudoinverse and row/column projections;
+``SvdFactors.truncated`` is the one hard-thresholding rule, and the
+exact pseudoinverse perturbation identity of the verification suite
+reads the factors its caller holds. ``settle_process`` sets up a
 process that computes: one BLAS thread, so that products round the same
 way whatever the environment asks for, no OpenSSL, and a primed heap.
 """
@@ -58,6 +59,11 @@ class SvdFactors:
         """Orthogonal projection onto the column space, ``M M^+``, when the factors are ``kept()``."""
         return self.left @ self.left.T
 
+    def truncated(self, lam: float) -> np.ndarray:
+        """The matrix rebuilt from the triplets with a value strictly above ``lam``: the zero matrix when none is."""
+        keep = self.values > lam
+        return (self.left[:, keep] * self.values[keep]) @ self.right_t[keep]
+
 
 def _as_matrix(m, name: str = "matrix") -> np.ndarray:
     a = np.asarray(m, dtype=float)
@@ -83,32 +89,20 @@ def spectral_norm(m) -> float:
 
 def numerical_rank(m) -> int:
     s = np.linalg.svd(_as_matrix(m), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > RANK_RTOL * s[0]))
+    return int(np.count_nonzero(s > RANK_RTOL * s[0]))  # a zero matrix has none above 0
 
 
 def svt(m, lam: float) -> np.ndarray:
-    """Hard singular value thresholding.
-
-    Removes every singular value at or below the threshold (strict
-    ``s > lam`` survives) and reconstructs from the surviving triplets.
-    A threshold at or above the top singular value yields the zero matrix.
-    """
+    """Hard singular value thresholding of ``m`` at a nonnegative ``lam``: ``compute_svd(m).truncated(lam)``."""
     if lam < 0:
         raise ValueError(f"threshold must be nonnegative, got {lam}")
-    a = _as_matrix(m)
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    keep = s > lam
-    if not np.any(keep):
-        return np.zeros_like(a)
-    return (u[:, keep] * s[keep]) @ vt[keep]
+    return compute_svd(m).truncated(lam)
 
 
-def pinv_perturbation_residual(x, z) -> float:
+def pinv_perturbation_residual(x, z, fx: SvdFactors, fz: SvdFactors) -> float:
     """Frobenius residual of the exact pseudoinverse perturbation identity.
 
-    For same-shape ``X`` and ``Z``, ``Z^+ - X^+`` equals
+    For same-shape ``X`` and ``Z`` with kept factors ``fx`` and ``fz`` (the caller's), ``Z^+ - X^+`` equals
 
         - Z^+ P_col(Z) (Z - X) P_row(X) X^+
         + Z^+ P_col(Z) (I - P_col(X))
@@ -121,8 +115,7 @@ def pinv_perturbation_residual(x, z) -> float:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     n, p = a.shape
-    xp = compute_svd(a).kept().pinv()
-    zp = compute_svd(b).kept().pinv()
+    xp, zp = fx.pinv(), fz.pinv()
     pcx = a @ xp
     pcz = b @ zp
     prx = xp @ a

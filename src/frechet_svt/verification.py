@@ -4,19 +4,18 @@ Exact identities (pseudoinverse axioms, projection properties, the
 pseudoinverse perturbation identity) must hold to roundoff on every
 instance, including rank-deficient ones; the perturbation and
 weight-stability bounds must never be violated. Instance ``i`` draws
-one matrix pair from ``default_rng([seed, i])`` and factors each matrix
-once for the checks that take factors. Three checks factor X again,
-each for its own reason: the rank check takes a values-only SVD as an
-independent rank, ``svt`` factors X at each threshold probe to build
-the truncated matrix the identity is about, and the stand-alone
-``pinv_perturbation_residual`` factors both matrices (7 SVDs of X and 2
-of Z on instance 0 of seed 0). The weight-stability check draws from a
-fresh generator of the same seed and reads ``diagnose``'s weight
-columns at all shared-gap thresholds from one
-``diagnostics.weight_stability_check`` call (no prediction, one SVD of
-the noise, and one more before it to pick the thresholds); a query that
-leaves the row space fails it with an infinite margin. The fault-injection switch deliberately corrupts one identity
-so the harness can prove it would catch a regression.
+one matrix pair from ``default_rng([seed, i])`` and takes one thin SVD
+of X and one of Z, which every check reads: the threshold probes'
+truncated matrices are rebuilt from X's triplets, and each distinct one
+is factored on its own. Only the rank check takes a values-only SVD of
+X again, as an independent rank. The weight-stability check draws from
+a fresh generator of the same seed, takes one SVD of the noise for the
+shared-gap thresholds and the check, and reads ``diagnose``'s weight
+columns at all those thresholds from one
+``diagnostics.weight_stability_check`` call (no prediction); a query that
+leaves the row space fails it with an infinite margin. The
+fault-injection switch deliberately corrupts one identity so the harness
+can prove it would catch a regression.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .linalg import (
     numerical_rank,
     pinv_perturbation_residual,
     spectral_norm,
-    svt,
 )
 from .metric_spaces import EuclideanSpace
 from .regression import CovariateStats, Dataset, kept_rank
@@ -113,13 +111,15 @@ def _projection_residual(x, fx: SvdFactors) -> float:
     return worst
 
 
-def _projection_identity_residual(x, fx: SvdFactors) -> float:
+def _projection_identity_residual(x, full: SvdFactors, fx: SvdFactors) -> float:
     xp = fx.pinv()
     scale = 1.0 + np.linalg.norm(xp, "fro")
     worst = 0.0
-    for lam in _lambda_probes(fx.values):
-        # the truncated matrix is factored on its own, or the identity would test nothing
-        ft = compute_svd(svt(x, lam)).kept()
+    # From all of X's triplets, as lam = 0 keeps those below the rank cutoff; probes can truncate alike.
+    truncations = {t.tobytes(): t for t in (full.truncated(lam) for lam in _lambda_probes(fx.values))}
+    for t in truncations.values():
+        # each distinct truncated matrix is factored once, on its own, or the identity would test nothing
+        ft = compute_svd(t).kept()
         rows, cols = ft.row_projection(), ft.col_projection()
         res1 = np.linalg.norm(x @ rows @ xp - cols, "fro")
         res2 = np.linalg.norm(xp @ cols @ x - rows, "fro")
@@ -128,7 +128,7 @@ def _projection_identity_residual(x, fx: SvdFactors) -> float:
 
 
 def _pinv_perturbation(x, z, fx: SvdFactors, fz: SvdFactors, fault: bool = False) -> float:
-    res = pinv_perturbation_residual(x, z)
+    res = pinv_perturbation_residual(x, z, fx, fz)
     if fault:
         res += 1e-3
     scale = 1.0 + np.linalg.norm(fx.pinv(), "fro") + np.linalg.norm(fz.pinv(), "fro")
@@ -182,7 +182,8 @@ def _weight_stability_margin(rng) -> float:
     stats = clean.stats
     coeff = rng.standard_normal(n)
     query = stats.mean + (x - stats.mean).T @ coeff / n  # stays in the design row space
-    checks = weight_stability_check(clean, noisy, shared_gap_thresholds(stats, spectral_norm(noise)), query)
+    noise_norm = spectral_norm(noisy.covariates - clean.covariates)
+    checks = weight_stability_check(clean, noisy, shared_gap_thresholds(stats, noise_norm), query, noise_norm)
     if checks and not checks[0].rowspace_ok:
         return np.inf  # the bound's precondition failed: a failure, never a skipped instance
     return float(max([0.0] + [(c.weight_lhs - c.weight_rhs) / (1.0 + c.weight_rhs) for c in checks]))
@@ -202,11 +203,12 @@ _CHECKS = (
 def _instance_residuals(seed: int, i: int, inject_fault: bool) -> list:
     """Every check's residual on instance ``i``, in the order of ``_CHECKS``."""
     x, z = _random_instance(np.random.default_rng([seed, i]))
-    fx, fz = compute_svd(x).kept(), compute_svd(z).kept()
+    full = compute_svd(x)
+    fx, fz = full.kept(), compute_svd(z).kept()
     return [
         _moore_penrose_residual(x, fx),
         _projection_residual(x, fx),
-        _projection_identity_residual(x, fx),
+        _projection_identity_residual(x, full, fx),
         _pinv_perturbation(x, z, fx, fz, fault=inject_fault),
         _projection_perturbation_margin(x, z, fx, fz),
         _weight_stability_margin(np.random.default_rng([seed, i])),

@@ -10,7 +10,9 @@ mean with the same norms. The spectral references (``sigma_lambda``,
 ``mahalanobis_seminorm``, ``bias_term_reference``) are the package's
 former matrix-argument routes for the bound quantities: a fresh SVD of
 a design or ``eigh`` of an explicit covariance, each cut at 1e-12 times
-the top of the spectrum it reads. ``write_predictions_reference`` is
+the top of the spectrum it reads. ``svt_reference`` is the original
+hard thresholding, kept to hold ``SvdFactors.truncated``, the one
+thresholding rule now, to the same bits. ``write_predictions_reference`` is
 the original per-cell CSV writer, kept to hold the package's writer to
 the same bytes. ``nearest_correlation_reference`` is the original
 one-matrix Dykstra loop, kept to hold the stacked projection to the
@@ -132,6 +134,16 @@ def brute_covariance(x):
         d = x[i] - mu
         out += np.outer(d, d)
     return out / n
+
+
+def svt_reference(m, lam):
+    """Hard singular value thresholding as the package first wrote it: a fresh SVD and a zero-matrix branch."""
+    a = np.asarray(m, dtype=float)
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    keep = s > lam
+    if not np.any(keep):
+        return np.zeros_like(a)
+    return (u[:, keep] * s[keep]) @ vt[keep]
 
 
 def sigma_lambda(m, lam, zero_tolerance=1e-12):

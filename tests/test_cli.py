@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import frechet_svt
-from frechet_svt import regression
+from frechet_svt import regression, verification
 from frechet_svt.cli import main
 from frechet_svt.dataio import KINDS, SchemaError, load_sim_configs, read_covariates, read_dataset
 from frechet_svt.metric_spaces import midpoint_grid
@@ -1250,19 +1250,19 @@ class TestInputFaults:
         ),
         "bad response cell": (
             "fit-predict --train {bad} --queries {queries} --kind euclidean",
-            "row 6: column y1: cannot parse 'oops' as a number", {},
+            "{bad}: row 6: column y1: cannot parse 'oops' as a number", {},
         ),
         "kind the file does not hold": (
             "fit-predict --train {train} --queries {queries} --kind wasserstein",
-            "kind 'wasserstein' expects q response columns, got ['y1']", {},
+            "{train}: kind 'wasserstein' expects q response columns, got ['y1']", {},
         ),
         "decreasing quantiles": (
             "fit-predict --train {decreasing} --queries {queries} --kind wasserstein",
-            "row 7: quantile values are not nondecreasing", {},
+            "{decreasing}: row 7: quantile values are not nondecreasing", {},
         ),
         "indefinite correlation": (
             "fit-predict --train {indefinite} --queries {queries} --kind correlation",
-            "row 4: correlation matrix must be positive semidefinite", {},
+            "{indefinite}: row 4: correlation matrix must be positive semidefinite", {},
         ),
         "queries of another width": (
             "fit-predict --train {train} --queries {narrow} --kind euclidean",
@@ -1270,14 +1270,30 @@ class TestInputFaults:
         ),
         "non-finite query": (
             "fit-predict --train {train} --queries {infinite} --kind euclidean",
-            "row 2: column x2: non-finite value 'inf'", {},
+            "{infinite}: row 2: column x2: non-finite value 'inf'", {},
         ),
         "short query row": (
-            "fit-predict --train {train} --queries {short} --kind euclidean", "row 3: expected 3 cells, got 2", {},
+            "fit-predict --train {train} --queries {short} --kind euclidean", "{short}: row 3: expected 3 cells, got 2", {},
         ),
         "blank covariates in a query row": (
             "fit-predict --train {train} --queries {blank} --kind euclidean",
-            "row 2: column x1: cannot parse '' as a number", {},
+            "{blank}: row 2: column x1: cannot parse '' as a number", {},
+        ),
+        # A short row in each file a command reads: the message names that file.
+        "short row in --train": (
+            "fit-predict --train {short_row} --queries {queries} --kind euclidean --lambda auto --holdout {train}",
+            "{short_row}: row 4: expected 4 cells, got 3", {},
+        ),
+        "short row in --queries": (
+            "fit-predict --train {train} --queries {short_row} --kind euclidean --lambda auto --holdout {train}",
+            "{short_row}: row 4: expected 4 cells, got 3", {},
+        ),
+        "short row in --holdout": (
+            FIT + " --lambda auto --holdout {short_row}", "{short_row}: row 4: expected 4 cells, got 3", {},
+        ),
+        "short row in --noisy": (
+            "diagnose --train {train} --noisy {short_row} --kind euclidean --lambda 0.1 --x=0,0,0",
+            "{short_row}: row 4: expected 4 cells, got 3", {},
         ),
         # fit-predict's holdout file
         "holdout of another width": (
@@ -1394,6 +1410,7 @@ class TestInputFaults:
             + f"\n0,{eye}\n1,{eye}\n2,1,0.9,-0.9,0.9,1,0.9,-0.9,0.9,1\n3,{eye}\n",
             "infinite": "x1,x2,x3\n0.1,inf,0.3\n",
             "short": "x1,x2,x3\n0.1,0.2,0.3\n0.1,0.2\n",
+            "short_row": "x1,x2,x3,y1\n0.1,0.2,0.3,1.0\n0.4,0.5,0.6,2.0\n0.7,0.8,0.9\n",
             # y columns have no grid row, so a first row with blank covariates is bad data, not a grid row
             "blank": "x1,x2,x3,y1\n,,,5.0\n1,2,3,3\n3,4,5,5\n",
             "cellless": "[campaign]\ntrials = 2\n",
@@ -1455,3 +1472,49 @@ class TestVerifyCommand:
         main(["verify-lemmas", "--seed", "3", "--instances", "40", "--out", str(out1)])
         main(["verify-lemmas", "--seed", "3", "--instances", "40", "--out", str(out2)])
         assert (out1 / "verify_report.txt").read_bytes() == (out2 / "verify_report.txt").read_bytes()
+
+
+def test_no_command_factors_a_matrix_twice(tmp_path, monkeypatch):
+    """No matrix a command factors with ``np.linalg.svd``, factors on, is factored twice.
+
+    verify-lemmas's instances are problems of their own: each one's top
+    threshold probe truncates to the zero matrix, which recurs across the
+    instances of one shape, so the record starts afresh at each instance.
+    """
+    rng = np.random.default_rng(3)
+    train, x, *_ = write_euclidean_train(tmp_path, rng)
+    holdout, *_ = write_euclidean_train(tmp_path, rng, name="holdout.csv")
+    queries = write_queries(tmp_path, rng.standard_normal((2, 3)))
+    noisy = write_queries(tmp_path, x + 0.01 * rng.standard_normal(x.shape), name="noisy.csv")
+    config = write_config(tmp_path, SMOKE_CONFIG.replace("trials = 3", "trials = 1"))
+    fit = ["--train", str(train), "--kind", "euclidean"]
+    commands = {
+        "verify-lemmas": ["verify-lemmas", "--seed", "1", "--instances", "20"],
+        "diagnose": ["diagnose", *fit, "--noisy", str(noisy), "--lambda", "0.1", "--x=0.1,-0.2,0.3"],
+        "fit-predict": ["fit-predict", *fit, "--queries", str(queries), "--lambda", "auto", "--holdout", str(holdout)],
+        "simulate": ["simulate", "--config", str(config)],
+    }
+    original_svd, original_instance = np.linalg.svd, verification._instance_residuals
+    factored, twice = set(), []
+
+    def recording_svd(a, *args, **kwargs):
+        if kwargs.get("compute_uv", True):
+            m = np.asarray(a)
+            key = (m.shape, m.dtype.str, m.tobytes())
+            if key in factored:
+                twice.append(m.shape)
+            factored.add(key)
+        return original_svd(a, *args, **kwargs)
+
+    def one_instance(*args):
+        factored.clear()
+        return original_instance(*args)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    monkeypatch.setattr(verification, "_instance_residuals", one_instance)
+    monkeypatch.setenv("FRECHET_SVT_THREADS", "1")  # the trial runs in this process, where the record is
+    for name, argv in commands.items():
+        factored.clear()
+        assert main([*argv, "--out", str(tmp_path / name)]) == 0, name
+        assert twice == [], name
+        assert factored, name

@@ -16,7 +16,7 @@ from frechet_svt.linalg import (
     spectral_norm,
     svt,
 )
-from oracles import mahalanobis_seminorm, sigma_lambda
+from oracles import mahalanobis_seminorm, sigma_lambda, svt_reference
 
 
 def random_matrix(rng, n=None, p=None, rank=None):
@@ -52,6 +52,19 @@ class TestSvt:
         m = np.diag([3.0, 1.0])
         assert np.all(svt(m, 3.0) == 0)
         assert np.all(svt(m, 5.0) == 0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 10_000), st.integers(1, 7), st.integers(1, 7), st.integers(0, 7))
+    def test_truncated_is_the_original_svt_to_the_bit(self, seed, n, p, rank):
+        # Rank-deficient matrices (rank 0 included) at zero, between every two singular values, at the top and above.
+        rng = np.random.default_rng(seed)
+        rank = min(rank, n, p)
+        m = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, p))
+        s = np.linalg.svd(m, compute_uv=False)
+        for lam in [0.0, *((s[:-1] + s[1:]) / 2), s[0], 2.0 * s[0] + 1.0]:
+            expected = svt_reference(m, float(lam))
+            for got in (compute_svd(m).truncated(float(lam)), svt(m, float(lam))):
+                assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
@@ -174,11 +187,16 @@ class TestMahalanobis:
             mahalanobis_seminorm([1.0, 2.0], np.ones((2, 3)))
 
 
+def perturbation_residual(x, z):
+    """``pinv_perturbation_residual`` on the kept factors of ``x`` and ``z``."""
+    return pinv_perturbation_residual(x, z, compute_svd(x).kept(), compute_svd(z).kept())
+
+
 class TestPinvPerturbation:
     def test_equal_matrices(self):
         rng = np.random.default_rng(9)
         x = random_matrix(rng, 4, 4)
-        assert pinv_perturbation_residual(x, x) <= 1e-12
+        assert perturbation_residual(x, x) <= 1e-12
 
     def test_small_perturbation_full_rank(self):
         rng = np.random.default_rng(10)
@@ -189,7 +207,7 @@ class TestPinvPerturbation:
             + np.linalg.norm(compute_svd(x).kept().pinv(), "fro")
             + np.linalg.norm(compute_svd(z).kept().pinv(), "fro")
         )
-        assert pinv_perturbation_residual(x, z) <= scale
+        assert perturbation_residual(x, z) <= scale
 
     def test_rank_deficient(self):
         rng = np.random.default_rng(11)
@@ -200,11 +218,11 @@ class TestPinvPerturbation:
             + np.linalg.norm(compute_svd(x).kept().pinv(), "fro")
             + np.linalg.norm(compute_svd(z).kept().pinv(), "fro")
         )
-        assert pinv_perturbation_residual(x, z) <= scale
+        assert perturbation_residual(x, z) <= scale
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            pinv_perturbation_residual(np.eye(2), np.eye(3))
+            perturbation_residual(np.eye(2), np.eye(3))
 
 
 # Runs in a fresh interpreter: the heap state of the test process is not settle_process's alone.

@@ -8,7 +8,8 @@ from frechet_svt.verification import run_suite
 
 def test_each_instance_drawn_once_and_each_matrix_factored_once(monkeypatch):
     # At 100 instances the suite once drew every instance five times
-    # (500 draws) and refactored X and Z in every check (4350 SVDs).
+    # (500 draws) and refactored X and Z in every check (4350 SVDs); then
+    # svt and the perturbation identity still refactored X and Z (1982).
     original_svd, original_draw = np.linalg.svd, verification._random_instance
     svds, draws = [], []
 
@@ -25,7 +26,7 @@ def test_each_instance_drawn_once_and_each_matrix_factored_once(monkeypatch):
     results = run_suite(seed=1, instances=100)
     assert all(r.passed for r in results)
     assert len(draws) == 100
-    assert 0 < len(svds) <= 2400
+    assert 0 < len(svds) <= 1237
 
 
 def test_failing_seed_is_first_worst_instance():
@@ -34,10 +35,9 @@ def test_failing_seed_is_first_worst_instance():
     residuals = []
     for i in range(instances):
         x, z = verification._random_instance(np.random.default_rng([seed, i]))
-        scale = 1.0 + np.linalg.norm(compute_svd(x).kept().pinv(), "fro") + np.linalg.norm(
-            compute_svd(z).kept().pinv(), "fro"
-        )
-        residuals.append(float((pinv_perturbation_residual(x, z) + 1e-3) / scale))
+        fx, fz = compute_svd(x).kept(), compute_svd(z).kept()
+        scale = 1.0 + np.linalg.norm(fx.pinv(), "fro") + np.linalg.norm(fz.pinv(), "fro")
+        residuals.append(float((pinv_perturbation_residual(x, z, fx, fz) + 1e-3) / scale))
     faulty = [r for r in results if r.name == "pseudoinverse perturbation identity"]
     assert len(faulty) == 1 and not faulty[0].passed
     assert faulty[0].worst == max(residuals)
@@ -70,9 +70,9 @@ def test_weight_margin_equals_the_margin_from_diagnose_columns(monkeypatch):
         thresholds.append(original_thresholds(stats, noise_norm))
         return thresholds[-1]
 
-    def recording_check(clean, noisy, lams, query):
-        checks = original_check(clean, noisy, lams, query)
-        calls.append((clean, noisy, lams, query, checks))
+    def recording_check(clean, noisy, lams, query, noise):
+        checks = original_check(clean, noisy, lams, query, noise)
+        calls.append((clean, noisy, lams, query, noise, checks))
         return checks
 
     monkeypatch.setattr(verification, "shared_gap_thresholds", recording_thresholds)
@@ -84,12 +84,13 @@ def test_weight_margin_equals_the_margin_from_diagnose_columns(monkeypatch):
             calls.clear()
             margin = verification._weight_stability_margin(np.random.default_rng([seed, i]))
             assert len(thresholds) == 1 and len(calls) == 1
-            clean, noisy, lams, query, checks = calls[0]
+            clean, noisy, lams, query, noise, checks = calls[0]
             assert list(lams) == thresholds[0]
             assert len(checks) == len(lams)
             expected = 0.0
             for lam, check in zip(lams, checks):
                 cols = diagnostics.diagnose(clean, noisy, lam, query)
+                assert noise.hex() == cols["noise_norm"].hex()
                 # The margin is clipped at 0, so compare each threshold's columns too.
                 assert check.rowspace_ok == cols["rowspace_ok"]
                 assert check.weight_lhs.hex() == cols["weight_lhs"].hex()
@@ -106,25 +107,29 @@ def test_weight_margin_equals_the_margin_from_diagnose_columns(monkeypatch):
 
 def test_one_noise_svd_per_weight_pair(monkeypatch):
     # The suite once called weight_stability_check per threshold (295 calls
-    # at seed 1), each taking the SVD of the same noise again. The check now
-    # takes one per pair; the margin takes one more for its thresholds.
-    norms, checks = [], []
-    original_norm, original_check = diagnostics.spectral_norm, verification.weight_stability_check
+    # at seed 1), each taking the SVD of the same noise again, and then took
+    # two per pair, one for the thresholds and one in the check. The margin
+    # now takes one and hands it to the check.
+    norms, pairs = [], []
+    original_norm, original_check = verification.spectral_norm, verification.weight_stability_check
 
-    def counting_norm(a):
-        norms.append(1)
+    def recording_norm(a):
+        norms.append(np.asarray(a).tobytes())
         return original_norm(a)
 
-    def counting_check(*args):
-        checks.append(1)
-        return original_check(*args)
+    def recording_check(clean, noisy, lams, query, noise):
+        pairs.append((noisy.covariates - clean.covariates).tobytes())
+        return original_check(clean, noisy, lams, query, noise)
 
-    monkeypatch.setattr(diagnostics, "spectral_norm", counting_norm)
-    monkeypatch.setattr(verification, "weight_stability_check", counting_check)
+    for module in (diagnostics, verification):
+        monkeypatch.setattr(module, "spectral_norm", recording_norm)
+    monkeypatch.setattr(verification, "weight_stability_check", recording_check)
     results = run_suite(seed=1, instances=100)
     assert all(r.passed for r in results)
-    assert len(checks) == 100
-    assert 0 < len(norms) <= 100
+    assert len(pairs) == 100
+    # three for the projection perturbation bound and one for the noise, per instance
+    assert len(norms) == 4 * len(pairs)
+    assert all(norms.count(noise) == 1 for noise in pairs)
 
 
 def test_a_zero_design_has_no_shared_gap_thresholds():

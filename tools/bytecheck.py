@@ -120,6 +120,8 @@ CASES = {
             Case(f"verify-lemmas --seed {seed}", ("verify-lemmas", "--seed", seed, "--instances", "100", "--out", "{out}"), files=("verify_report.txt",))
             for seed in ("0", "7")
         ),
+        # more instances put more rank-deficient designs, whose probes truncate alike, under the contract
+        Case("verify-lemmas --seed 11 --instances 300", ("verify-lemmas", "--seed", "11", "--instances", "300", "--out", "{out}"), files=("verify_report.txt",)),
         Case(
             "verify-lemmas --inject-fault",
             ("verify-lemmas", "--instances", "20", "--inject-fault", "--out", "{out}"),
@@ -136,6 +138,9 @@ CASES = {
         _fails("fit-predict --holdout with a fixed --lambda", "fit-predict", "--train", "v_train.csv", *FIT, "--holdout", "v_holdout.csv"),
         _fails("fit-predict on a bad cell", "fit-predict", "--train", "bad.csv", *FIT),
         _fails("fit-predict on a missing file", "fit-predict", "--train", "missing.csv", *FIT),
+        _fails("fit-predict on a short --train row", "fit-predict", "--train", "short.csv", *FIT),
+        _fails("fit-predict on a short --queries row", "fit-predict", "--train", "v_train.csv", "--queries", "short.csv", "--kind", "euclidean"),
+        _fails("fit-predict on a short --holdout row", "fit-predict", "--train", "v_train.csv", *FIT, "--lambda", "auto", "--holdout", "short.csv"),
         _fails("fit-predict --kind unknown", "fit-predict", "--train", "v_train.csv", "--queries", "queries.csv", "--kind", "unknown"),
         _fails("fit-predict on overflowing responses", "fit-predict", "--train", "huge_train.csv", *FIT, exit=3),
         _fails("simulate --seed -3", "simulate", "--config", "smoke.cfg", "--seed", "-3"),
@@ -203,6 +208,8 @@ def write_inputs(work: Path) -> None:
     lines = (work / "v_train.csv").read_text().splitlines()
     lines[5] = lines[5].rsplit(",", 1)[0] + ",oops"  # row 6: column y2
     (work / "bad.csv").write_text("\n".join(lines) + "\n")
+    lines[5] = lines[5].rsplit(",", 1)[0]  # row 6: a cell short
+    (work / "short.csv").write_text("\n".join(lines) + "\n")
 
 
 @dataclass
