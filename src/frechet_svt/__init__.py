@@ -32,7 +32,7 @@ _EXPORTS = {
     ),
     "regression": (
         "CovariateStats", "Dataset", "FittedModel", "covariate_stats", "fit", "lambda_grid", "mspe_profile",
-        "pcr_coefficients", "tune_lambda",
+        "tune_lambda",
     ),
     "simulation": (
         "AggregateReport",

@@ -5,7 +5,7 @@ matrix once, with an explicit numerical-rank cutoff, and gives its
 Moore-Penrose pseudoinverse and row/column projections;
 ``SvdFactors.truncated`` is the one hard-thresholding rule, and the
 exact pseudoinverse perturbation identity of the verification suite
-reads the factors its caller holds. ``settle_process`` sets up a
+reads the pseudoinverses its caller holds. ``settle_process`` sets up a
 process that computes: one BLAS thread, so that products round the same
 way whatever the environment asks for, no OpenSSL, and a primed heap.
 """
@@ -99,10 +99,10 @@ def svt(m, lam: float) -> np.ndarray:
     return compute_svd(m).truncated(lam)
 
 
-def pinv_perturbation_residual(x, z, fx: SvdFactors, fz: SvdFactors) -> float:
+def pinv_perturbation_residual(x, z, xp, zp) -> float:
     """Frobenius residual of the exact pseudoinverse perturbation identity.
 
-    For same-shape ``X`` and ``Z`` with kept factors ``fx`` and ``fz`` (the caller's), ``Z^+ - X^+`` equals
+    For same-shape ``X`` and ``Z`` with pseudoinverses ``xp`` and ``zp`` (the caller's), ``Z^+ - X^+`` equals
 
         - Z^+ P_col(Z) (Z - X) P_row(X) X^+
         + Z^+ P_col(Z) (I - P_col(X))
@@ -115,7 +115,6 @@ def pinv_perturbation_residual(x, z, fx: SvdFactors, fz: SvdFactors) -> float:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     n, p = a.shape
-    xp, zp = fx.pinv(), fz.pinv()
     pcx = a @ xp
     pcz = b @ zp
     prx = xp @ a

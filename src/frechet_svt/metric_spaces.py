@@ -9,13 +9,14 @@ Each space has one validation path, ``check_points``, which checks a
 whole stack of points at once and names the first one outside the space.
 
 Weights may be negative. For the Euclidean, Wasserstein and correlation
-spaces the weighted Frechet mean is one computation, shared by single and
-batched queries: the weight-normalized blend of the points, then the
-space's ``project_blends`` (identity, PAVA, Dykstra). It only requires
-each weight total to be positive, which the regression weights guarantee
+spaces the weighted Frechet mean is the weight-normalized blend of the
+points, which ``regression`` forms along the rank path, then the space's
+``project_blends`` (identity, PAVA, Dykstra). It only requires each
+weight total to be positive, which the regression weights guarantee
 (they average to one). The l1 and sup-norm spaces run a batched
-subgradient solver instead, which also takes a point set per query
-(``frechet_mean_columns``), as a simulation cell's trial centers need.
+subgradient solver instead, ``frechet_mean_blocks``, which also takes a
+point set per query (``frechet_mean_columns``), as a simulation cell's
+trial centers need.
 """
 
 from __future__ import annotations
@@ -193,7 +194,8 @@ class MetricSpace:
     kind: str = "abstract"
     # True when the weighted Frechet mean is the weight-normalized average
     # of the points followed by ``project_blends``. ``rank_predictions`` then
-    # updates the averages along the rank path and never forms weights.
+    # updates the averages along the rank path and never forms weights; the
+    # other spaces solve for the means in ``frechet_mean_blocks``.
     affine: bool = False
 
     def check_points(self, points) -> np.ndarray:
@@ -211,17 +213,6 @@ class MetricSpace:
     def distances_to(self, points, y) -> np.ndarray:
         """Distances from each stacked point to ``y``, vectorized."""
         raise NotImplementedError
-
-    def frechet_mean_blocks(self, points, blocks) -> list:
-        """One stack of means per weight matrix in ``blocks``, each independent of the others.
-
-        Affine spaces blend the points with each weight column, normalized
-        by its total, and map the blends into the space.
-        """
-        pts = np.asarray(points, dtype=float)
-        flat = pts.reshape(pts.shape[0], -1)
-        blends = [(w.T @ flat) / totals[:, None] for w, totals in map(_column_totals, blocks)]
-        return [self.project_blends(b.reshape(-1, *pts.shape[1:])) for b in blends]
 
     def project_blends(self, blended) -> np.ndarray:
         """Map stacked weight-normalized averages of points into the space.

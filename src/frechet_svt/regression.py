@@ -9,7 +9,8 @@ stream the weighted response sums along the rank path and never form a
 weight matrix; the l1 and sup-norm solvers take the weights from
 ``rank_weights``, which ``FittedModel.weight_matrix`` also returns for
 diagnostics. For Euclidean responses the prediction has the
-principal-component-regression closed form, exposed separately. The
+principal-component-regression closed form; ``tests/oracles.py`` keeps it
+as ``pcr_coefficients``, a reference the tests hold this route to. The
 threshold choice lives here too: ``tune_lambda`` picks the first minimizer
 of the held-out error that ``mspe_profile`` sweeps on a ``lambda_grid``.
 """
@@ -22,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import RANK_RTOL, SvdFactors, compute_svd
-from .metric_spaces import ConvergenceError, DegenerateWeightsError, EuclideanSpace, MetricSpace
+from .metric_spaces import ConvergenceError, DegenerateWeightsError, MetricSpace
 
 SOLVER_ERRORS = (ConvergenceError, DegenerateWeightsError, FloatingPointError)  # the CLI exits 3 on each
 
@@ -312,27 +313,3 @@ def tune_lambda(train_noisy: Dataset, test: Dataset, grid) -> float:
     """Threshold minimizing the out-of-sample error; ties pick the smallest."""
     grid = np.sort(np.asarray(grid, dtype=float).ravel())
     return float(grid[int(np.argmin(mspe_profile(train_noisy, test, grid)))])
-
-
-def pcr_coefficients(data: Dataset, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Intercept and slope of the Euclidean-response closed form.
-
-    Returns ``(ybar, beta)``: ``beta = [svt(cov, lam)]^+ C`` for the
-    covariate-response cross-covariance ``C``, which the kept SVD factors
-    give as ``V_k diag(1/s_k) U_k' (Y - ybar)``; predictions
-    ``ybar + beta' (x - mean)`` coincide with the weighted-mean route.
-    Responses regressed jointly column by column when vector-valued.
-    """
-    if not isinstance(data.space, EuclideanSpace):
-        raise ValueError("principal-component coefficients need Euclidean responses")
-    y = np.asarray(data.responses, dtype=float)
-    squeeze = y.ndim == 1
-    y2 = y[:, None] if squeeze else y
-    stats = data.stats
-    ybar = y2.mean(axis=0)
-    k = int(kept_rank(stats, lam))
-    f = stats.centered_svd
-    beta = f.right_t[:k].T @ ((f.left[:, :k].T @ (y2 - ybar)) / f.values[:k, None])
-    if squeeze:
-        return float(ybar[0]), beta[:, 0]
-    return ybar, beta

@@ -3,17 +3,17 @@
 Exact identities (pseudoinverse axioms, projection properties, the
 pseudoinverse perturbation identity) must hold to roundoff on every
 instance, including rank-deficient ones; the perturbation and
-weight-stability bounds must never be violated. Instance ``i`` draws
-one matrix pair from ``default_rng([seed, i])`` and takes one thin SVD
-of X and one of Z, which every check reads: the threshold probes'
-truncated matrices are rebuilt from X's triplets, and each distinct one
-is factored on its own. Only the rank check takes a values-only SVD of
-X again, as an independent rank. The weight-stability check draws from
-a fresh generator of the same seed, takes one SVD of the noise for the
-shared-gap thresholds and the check, and reads ``diagnose``'s weight
-columns at all those thresholds from one
-``diagnostics.weight_stability_check`` call (no prediction); a query that
-leaves the row space fails it with an infinite margin. The
+weight-stability bounds must never be violated. Instance ``i`` draws one
+matrix pair from ``default_rng([seed, i])`` and takes one thin SVD of X
+and one of Z, and forms each one's pseudoinverse once, which every check
+reads: the threshold probes' truncated matrices are rebuilt from X's
+triplets, and each distinct one is factored on its own. Only the rank
+check takes a values-only SVD of X again, as an independent rank. The
+weight-stability check draws from a fresh generator of the same seed,
+takes one SVD of the noise for the shared-gap thresholds and the check,
+and reads ``diagnose``'s weight columns at all those thresholds from one
+``diagnostics.weight_stability_check`` call (no prediction); a query
+that leaves the row space fails it with an infinite margin. The
 fault-injection switch deliberately corrupts one identity so the harness
 can prove it would catch a regression.
 """
@@ -75,18 +75,19 @@ def _random_instance(rng):
 
 
 def _lambda_probes(s) -> list:
-    """Thresholds for kept singular values ``s``: zero, between the top two, below all, above all."""
+    """Thresholds for kept singular values ``s``: zero, between the top two, below all.
+
+    None above all: that truncation is the zero matrix, whose residual is exactly 0.
+    """
     probes = [0.0]
     if s.size >= 2:
         probes.append(float(np.sqrt(s[0] * s[1])))
     if s.size:
         probes.append(float(s[-1] / 2))
-        probes.append(float(2 * s[0]))
     return probes
 
 
-def _moore_penrose_residual(x, fx: SvdFactors) -> float:
-    xp = fx.pinv()
+def _moore_penrose_residual(x, xp) -> float:
     scale = 1.0 + np.linalg.norm(x, "fro") + np.linalg.norm(xp, "fro")
     res = max(
         np.linalg.norm(x @ xp @ x - x, "fro"),
@@ -111,8 +112,7 @@ def _projection_residual(x, fx: SvdFactors) -> float:
     return worst
 
 
-def _projection_identity_residual(x, full: SvdFactors, fx: SvdFactors) -> float:
-    xp = fx.pinv()
+def _projection_identity_residual(x, xp, full: SvdFactors, fx: SvdFactors) -> float:
     scale = 1.0 + np.linalg.norm(xp, "fro")
     worst = 0.0
     # From all of X's triplets, as lam = 0 keeps those below the rank cutoff; probes can truncate alike.
@@ -127,18 +127,18 @@ def _projection_identity_residual(x, full: SvdFactors, fx: SvdFactors) -> float:
     return worst
 
 
-def _pinv_perturbation(x, z, fx: SvdFactors, fz: SvdFactors, fault: bool = False) -> float:
-    res = pinv_perturbation_residual(x, z, fx, fz)
+def _pinv_perturbation(x, z, xp, zp, fault: bool = False) -> float:
+    res = pinv_perturbation_residual(x, z, xp, zp)
     if fault:
         res += 1e-3
-    scale = 1.0 + np.linalg.norm(fx.pinv(), "fro") + np.linalg.norm(fz.pinv(), "fro")
+    scale = 1.0 + np.linalg.norm(xp, "fro") + np.linalg.norm(zp, "fro")
     return float(res / scale)
 
 
-def _projection_perturbation_margin(x, z, fx: SvdFactors, fz: SvdFactors) -> float:
+def _projection_perturbation_margin(x, z, xp, zp, fx: SvdFactors, fz: SvdFactors) -> float:
     lhs = spectral_norm(fz.col_projection() - fx.col_projection())
     e = z - x
-    rhs = max(spectral_norm(e @ fx.pinv()), spectral_norm(e @ fz.pinv()))
+    rhs = max(spectral_norm(e @ xp), spectral_norm(e @ zp))
     return float(max(lhs - rhs, 0.0) / (1.0 + rhs))
 
 
@@ -205,12 +205,13 @@ def _instance_residuals(seed: int, i: int, inject_fault: bool) -> list:
     x, z = _random_instance(np.random.default_rng([seed, i]))
     full = compute_svd(x)
     fx, fz = full.kept(), compute_svd(z).kept()
+    xp, zp = fx.pinv(), fz.pinv()
     return [
-        _moore_penrose_residual(x, fx),
+        _moore_penrose_residual(x, xp),
         _projection_residual(x, fx),
-        _projection_identity_residual(x, full, fx),
-        _pinv_perturbation(x, z, fx, fz, fault=inject_fault),
-        _projection_perturbation_margin(x, z, fx, fz),
+        _projection_identity_residual(x, xp, full, fx),
+        _pinv_perturbation(x, z, xp, zp, fault=inject_fault),
+        _projection_perturbation_margin(x, z, xp, zp, fx, fz),
         _weight_stability_margin(np.random.default_rng([seed, i])),
     ]
 

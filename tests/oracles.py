@@ -1,35 +1,42 @@
 """Independent oracles the tests compare against.
 
-Nothing here calls into the package's solvers: monotone projections are
-solved by enumerating block partitions or by refining grid search, and
-regressions by normal equations or numpy's lstsq. The l1/sup-norm
-subgradient loop is kept frozen in its original form, which evaluates
-norms and subgradients afresh at every step, so the package's solver can
-be held to it bit for bit, and ``norm_objective`` scores a candidate
-mean with the same norms. The spectral references (``sigma_lambda``,
-``mahalanobis_seminorm``, ``bias_term_reference``) are the package's
-former matrix-argument routes for the bound quantities: a fresh SVD of
-a design or ``eigh`` of an explicit covariance, each cut at 1e-12 times
-the top of the spectrum it reads. ``svt_reference`` is the original
-hard thresholding, kept to hold ``SvdFactors.truncated``, the one
-thresholding rule now, to the same bits. ``write_predictions_reference`` is
-the original per-cell CSV writer, kept to hold the package's writer to
-the same bytes. ``nearest_correlation_reference`` is the original
-one-matrix Dykstra loop, kept to hold the stacked projection to the
-same bits. ``blend_path_reference`` is the original one-ask rank path,
-which forms the cross product and the query scores afresh for every ask
-and divides each new slice of scores by its eigenvalues; it is the
-package's own ``project_blends`` applied to blends made the old way.
-``aggregate`` is the original stored-prediction route to a
-cell's bias and variance. It is the one oracle here that calls the
-package's solvers: one one-point ``frechet_mean_blocks`` call per
-evaluation point (``one_point_centers``), as the package made them
-before its trial fold, so the fold and the stacked l1/sup-norm solve
-can be held to it. ``read_dataset_reference`` and
-``read_covariates_reference`` are the original dataset reader, which
-parsed every cell with ``float`` after ``csv`` split the file, kept
-with its helpers to hold the package's reader to the same bits and the
-same ``SchemaError`` text.
+Nothing here but ``weighted_means`` and ``aggregate`` calls into the
+package's solvers: monotone projections are solved by enumerating block
+partitions or by refining grid search, and regressions by normal
+equations or numpy's lstsq. The l1/sup-norm subgradient loop is kept
+frozen in its original form, which evaluates norms and subgradients
+afresh at every step, so the package's solver can be held to it bit for
+bit, and ``norm_objective`` scores a candidate mean with the same norms.
+The spectral references (``sigma_lambda``, ``mahalanobis_seminorm``,
+``bias_term_reference``) are the package's former matrix-argument routes
+for the bound quantities: a fresh SVD of a design or ``eigh`` of an
+explicit covariance, each cut at 1e-12 times the top of the spectrum it
+reads. ``svt_reference`` is the original hard thresholding, kept to hold
+``SvdFactors.truncated``, the one thresholding rule now, to the same
+bits. ``write_predictions_reference`` is the original per-cell CSV
+writer, kept to hold the package's writer to the same bytes.
+``nearest_correlation_reference`` is the original one-matrix Dykstra
+loop, kept to hold the stacked projection to the same bits.
+``blend_path_reference`` is the original one-ask rank path, which forms
+the cross product and the query scores afresh for every ask and divides
+each new slice of scores by its eigenvalues; it is the package's own
+``project_blends`` applied to blends made the old way.
+``bound_rhs_reference`` is ``diagnose``'s de-noising bound from explicit
+covariances, ``eigh`` and ``weighted_means``, without the designs' SVDs.
+``pcr_coefficients`` is the package's former Euclidean closed form, read
+from a design's SVD factors, which the tests hold the one prediction
+route to. ``weighted_means`` is its former affine weighted mean,
+``MetricSpace.frechet_mean_blocks``: each weight column blends the
+points, and the space's own ``project_blends`` maps the blends into the
+space; for the l1 and sup-norm spaces it calls their solver.
+``aggregate`` is the original stored-prediction route to a cell's bias
+and variance, from one one-point ``weighted_means`` call per evaluation
+point (``one_point_centers``), as the package made them before its trial
+fold, so the fold and the stacked l1/sup-norm solve can be held to it.
+``read_dataset_reference`` and ``read_covariates_reference`` are the
+original dataset reader, which parsed every cell with ``float`` after
+``csv`` split the file, kept with its helpers to hold the package's
+reader to the same bits and the same ``SchemaError`` text.
 """
 
 from __future__ import annotations
@@ -43,11 +50,13 @@ import numpy as np
 from frechet_svt.dataio import _PREFIX, KINDS, SchemaError
 from frechet_svt.metric_spaces import (
     ConvergenceError,
+    DegenerateWeightsError,
     InvalidPointError,
     MetricSpace,
     WassersteinSpace,
     space_from_kind,
 )
+from frechet_svt.regression import kept_rank
 from frechet_svt.simulation import ESTIMATORS, AggregateReport
 
 
@@ -122,6 +131,51 @@ def pcr_fit_oracle(x, y, k):
     scores = xc @ v
     gamma, *_ = np.linalg.lstsq(scores, y - y.mean(axis=0), rcond=None)
     return y.mean(axis=0), v @ gamma
+
+
+def pcr_coefficients(data, lam):
+    """Intercept and slope of the Euclidean-response closed form, from the fit's own SVD factors.
+
+    Returns ``(ybar, beta)``: ``beta = [svt(cov, lam)]^+ C`` for the
+    covariate-response cross-covariance ``C``, which the kept SVD factors
+    give as ``V_k diag(1/s_k) U_k' (Y - ybar)``; predictions
+    ``ybar + beta' (x - mean)`` coincide with the weighted-mean route.
+    Responses regressed jointly column by column when vector-valued.
+    """
+    y = np.asarray(data.responses, dtype=float)
+    squeeze = y.ndim == 1
+    y2 = y[:, None] if squeeze else y
+    stats = data.stats
+    ybar = y2.mean(axis=0)
+    k = int(kept_rank(stats, lam))
+    f = stats.centered_svd
+    beta = f.right_t[:k].T @ ((f.left[:, :k].T @ (y2 - ybar)) / f.values[:k, None])
+    if squeeze:
+        return float(ybar[0]), beta[:, 0]
+    return ybar, beta
+
+
+def weighted_means(space, points, blocks):
+    """One stack of weighted Frechet means per weight matrix of ``blocks``.
+
+    In an affine space each weight column blends the points, normalized
+    by its total, and ``project_blends`` maps the blends into the space:
+    the package's former ``MetricSpace.frechet_mean_blocks``. A column
+    whose total is not positive raises ``DegenerateWeightsError``. The l1
+    and sup-norm means have no closed form, so their solver answers.
+    """
+    if not space.affine:
+        return space.frechet_mean_blocks(points, blocks)
+    pts = np.asarray(points, dtype=float)
+    flat = pts.reshape(pts.shape[0], -1)
+    blends = []
+    for w in blocks:
+        w = np.asarray(w, dtype=float)
+        totals = w.sum(axis=0)
+        if np.any(totals <= 0.0):
+            raise DegenerateWeightsError("every weight column must have a positive total")
+        blends.append((w.T @ flat) / totals[:, None])
+    return [space.project_blends(b.reshape(-1, *pts.shape[1:])) for b in blends]
 
 
 def brute_covariance(x):
@@ -205,6 +259,50 @@ def bias_term_reference(sigma, mu, lam, x, zero_tolerance=1e-12):
         return 0.0
     coords = q.T[removed] @ v
     return float(np.sqrt(rank) * np.sqrt(max(float(np.sum(coords * coords / w[removed])), 0.0)))
+
+
+def bound_rhs_reference(x, z, responses, space, lam, query, zero_tolerance=1e-12):
+    """``diagnose``'s de-noising bound ``bound_rhs`` from explicit covariances.
+
+        ( noise/floor * (2 ||q - mean||_cov + 1) * (||d~|| + ||d||)/sqrt(n) )^(1/2)
+
+    ``noise`` is the top singular value of ``z - x``. Each design's
+    covariance is formed by ``brute_covariance`` and split by ``eigh``; its
+    fit keeps the eigencomponents above ``lam`` and above
+    ``zero_tolerance`` times the top, and predicts at ``q`` with the
+    weights ``1 + (X_i - mean)' S_k^+ (q - mean)`` through
+    ``weighted_means``. ``d`` and ``d~`` are the squared distances from each
+    response to the clean and the noisy prediction, ``floor`` the smallest
+    kept singular value of either centered design, ``sqrt(n * eigenvalue)``,
+    and the seminorm is the clean covariance's. 0 when ``z`` is ``x``, and
+    ``inf`` when neither fit keeps a component.
+    """
+    x, z = np.asarray(x, dtype=float), np.asarray(z, dtype=float)
+    n = x.shape[0]
+    q = np.asarray(query, dtype=float).ravel()
+    noise = float(np.linalg.svd(z - x, compute_uv=False)[0])
+
+    def prediction_and_floor(design):
+        mean = design.mean(axis=0)
+        w, v = np.linalg.eigh(brute_covariance(design))
+        keep = (w > lam) & (w > zero_tolerance * w[-1])
+        vk, wk = v[:, keep], w[keep]
+        weights = 1.0 + (design - mean) @ (vk @ ((vk.T @ (q - mean)) / wk))
+        pred = weighted_means(space, responses, [weights[:, None]])[0][0]
+        return pred, (float(np.sqrt(n * wk.min())) if wk.size else np.inf)
+
+    clean_pred, clean_floor = prediction_and_floor(x)
+    noisy_pred, noisy_floor = prediction_and_floor(z)
+    floor = min(clean_floor, noisy_floor)
+    if noise == 0.0:
+        return 0.0
+    if np.isinf(floor):
+        return np.inf
+    d = space.distances_to(responses, clean_pred) ** 2
+    d_tilde = space.distances_to(responses, noisy_pred) ** 2
+    cov_norm = mahalanobis_seminorm(q - x.mean(axis=0), brute_covariance(x), zero_tolerance)
+    spread = np.linalg.norm(d_tilde) + np.linalg.norm(d)
+    return float(np.sqrt(noise / floor * (2.0 * cov_norm + 1.0) * spread / np.sqrt(n)))
 
 
 def random_correlation_matrix(r, rng):
@@ -365,7 +463,7 @@ def blend_path_reference(stats, responses, space, queries, ranks):
 def one_point_centers(space, preds):
     """The equal-weight Frechet mean of each column of a (trials, eval_points, ...) stack, one solver call each."""
     ones = np.ones(preds.shape[0])[:, None]
-    return np.stack([space.frechet_mean_blocks(preds[:, m], [ones])[0][0] for m in range(preds.shape[1])])
+    return np.stack([weighted_means(space, preds[:, m], [ones])[0][0] for m in range(preds.shape[1])])
 
 
 def aggregate(trial_reports, eval_predictions, truths, space):

@@ -11,7 +11,7 @@ import pytest
 from frechet_svt.diagnostics import diagnose
 from frechet_svt.linalg import spectral_norm
 from frechet_svt.metric_spaces import EuclideanSpace, WassersteinSpace
-from frechet_svt.regression import Dataset, covariate_stats, fit, pcr_coefficients
+from frechet_svt.regression import Dataset, covariate_stats, fit
 from frechet_svt.simulation import (
     SimConfig,
     gen_covariates,
@@ -22,7 +22,7 @@ from frechet_svt.simulation import (
     true_regression_quantile,
 )
 from frechet_svt.verification import run_suite, shared_gap_thresholds
-from oracles import monotone_grid_search, ols_with_intercept
+from oracles import monotone_grid_search, ols_with_intercept, pcr_coefficients
 
 MASTER_SEED = 1
 

@@ -7,7 +7,7 @@ from frechet_svt.diagnostics import ROWSPACE_RTOL, _seminorm, diagnose
 from frechet_svt.linalg import compute_svd, spectral_norm
 from frechet_svt.metric_spaces import EuclideanSpace, WassersteinSpace
 from frechet_svt.regression import Dataset, covariate_stats, fit, kept_rank
-from oracles import bias_term_reference, brute_covariance, mahalanobis_seminorm, sigma_lambda
+from oracles import bias_term_reference, bound_rhs_reference, brute_covariance, mahalanobis_seminorm, sigma_lambda
 
 
 def crafted_design():
@@ -313,6 +313,35 @@ class TestDiagnose:
             assert cols["weight_rhs"] == np.sqrt(n) * cols["snr_reciprocal"] * (2.0 * maha + 1.0)
         else:
             assert np.isnan(cols["weight_lhs"]) and np.isnan(cols["weight_rhs"])
+
+
+class TestBoundValue:
+    """``bound_rhs`` is its formula, not just a number above ``observed_lhs``."""
+
+    @pytest.mark.parametrize("kind", ["euclidean-scalar", "euclidean-vector", "wasserstein"])
+    def test_bound_rhs_matches_the_covariance_oracle(self, kind):
+        rng = np.random.default_rng(53)
+        for _ in range(12):
+            n, p = int(rng.integers(8, 20)), int(rng.integers(2, 6))
+            x = rng.standard_normal((n, p))
+            z = x + float(rng.choice([0.05, 0.2, 0.5])) * rng.standard_normal((n, p))
+            loc = x @ rng.standard_normal(p) + 0.3 * rng.standard_normal(n)
+            if kind == "euclidean-scalar":
+                space, y = EuclideanSpace(), loc
+            elif kind == "euclidean-vector":
+                space, y = EuclideanSpace(), np.column_stack([loc, -loc + rng.standard_normal(n)])
+            else:
+                space = WassersteinSpace.with_uniform_grid(9)
+                y = loc[:, None] + np.exp(0.2 * rng.standard_normal(n))[:, None] * np.linspace(-1.5, 1.5, 9)
+            clean, noisy = Dataset(x, y, space), Dataset(z, y, space)
+            ev = clean.stats.eigenvalues
+            gaps = np.sqrt(ev[:-1] * ev[1:])  # between two eigenvalues of the clean design
+            query = clean.stats.mean + rng.standard_normal(p)  # a full-rank design: inside its row space
+            for lam in [0.0, *gaps]:
+                got = diagnose(clean, noisy, lam, query)["bound_rhs"]
+                expected = bound_rhs_reference(x, z, y, space, lam, query)
+                assert np.isfinite(expected) and expected > 0.0
+                assert abs(got - expected) <= 1e-11 * expected, (kind, lam)
 
 
 class TestRateTrend:

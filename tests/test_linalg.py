@@ -112,6 +112,17 @@ class TestProjections:
         assert np.all(f.row_projection() == 0)
         assert np.all(f.col_projection() == 0)
 
+    def test_truncation_above_the_top_keeps_no_triplet(self):
+        # A threshold above the top singular value truncates to the zero matrix,
+        # whose factors keep no triplet, so both its projections are zero.
+        rng = np.random.default_rng(5)
+        full = compute_svd(random_matrix(rng, 6, 4, rank=3))
+        zero = full.truncated(2 * full.values[0])
+        assert zero.shape == (6, 4) and not zero.any()
+        f = compute_svd(zero).kept()
+        assert f.values.size == 0 and f.left.shape == (6, 0) and f.right_t.shape == (0, 4)
+        assert not f.row_projection().any() and not f.col_projection().any()
+
     def test_rank_one_closed_form(self):
         rng = np.random.default_rng(4)
         u = rng.standard_normal(5)
@@ -188,8 +199,8 @@ class TestMahalanobis:
 
 
 def perturbation_residual(x, z):
-    """``pinv_perturbation_residual`` on the kept factors of ``x`` and ``z``."""
-    return pinv_perturbation_residual(x, z, compute_svd(x).kept(), compute_svd(z).kept())
+    """``pinv_perturbation_residual`` on the pseudoinverses of ``x`` and ``z``."""
+    return pinv_perturbation_residual(x, z, compute_svd(x).kept().pinv(), compute_svd(z).kept().pinv())
 
 
 class TestPinvPerturbation:

@@ -30,6 +30,7 @@ from oracles import (
     norm_objective,
     random_correlation_matrix,
     subgradient_reference,
+    weighted_means,
 )
 
 ALL_VECTOR_SPACES = [EuclideanSpace(), L1Space(), LinfSpace()]
@@ -37,7 +38,7 @@ ALL_VECTOR_SPACES = [EuclideanSpace(), L1Space(), LinfSpace()]
 
 def one_mean(space, points, weights):
     """The weighted mean for one weight vector: a one-column block."""
-    return space.frechet_mean_blocks(points, [np.asarray(weights, dtype=float)[:, None]])[0][0]
+    return weighted_means(space, points, [np.asarray(weights, dtype=float)[:, None]])[0][0]
 
 
 class TestGrid:
@@ -414,7 +415,7 @@ class TestBatchedMeans:
             (WassersteinSpace.with_uniform_grid(8), np.sort(rng.standard_normal((n, 8)), axis=1)),
         ]
         for space, pts in cases:
-            batch = space.frechet_mean_blocks(pts, [w])[0]
+            batch = weighted_means(space, pts, [w])[0]
             for j in range(k):
                 single = one_mean(space, pts, w[:, j])
                 assert np.allclose(batch[j], single, atol=1e-12), space.kind
@@ -424,13 +425,13 @@ class TestBatchedMeans:
         space = CorrelationSpace(3)
         pts = np.stack([random_correlation_matrix(3, rng) for _ in range(4)])
         w = np.ones((4, 2))
-        batch = space.frechet_mean_blocks(pts, [w])[0]
+        batch = weighted_means(space, pts, [w])[0]
         assert np.allclose(batch[0], one_mean(space, pts, w[:, 0]), atol=1e-12)
         # Reference: one tensordot blend and one projection per column. The
         # batched blend sums in another order; Dykstra's 1e-10 tolerance
         # absorbs the difference.
         w = np.column_stack([np.ones(4), [2.0, -1.5, 1.5, 1.0]])
-        batch = space.frechet_mean_blocks(pts, [w])[0]
+        batch = weighted_means(space, pts, [w])[0]
         for j in range(w.shape[1]):
             loop = nearest_correlation(np.tensordot(w[:, j], pts, axes=(0, 0)) / w[:, j].sum())
             assert np.allclose(batch[j], loop, atol=1e-9)
@@ -439,7 +440,7 @@ class TestBatchedMeans:
         space = EuclideanSpace()
         w = np.array([[1.0, -1.0], [1.0, 0.5]])
         with pytest.raises(DegenerateWeightsError):
-            space.frechet_mean_blocks(np.ones((2, 2)), [w])
+            weighted_means(space, np.ones((2, 2)), [w])
 
     def test_negative_objective_initializer_still_descends(self):
         # negative weights can make the signed objective negative at the
@@ -604,9 +605,9 @@ class TestFrechetMeanBlocks:
     @pytest.mark.parametrize("space", ALL_VECTOR_SPACES + [WassersteinSpace.with_uniform_grid(5)], ids=lambda s: s.kind)
     def test_no_blocks_and_degenerate_blocks(self, space):
         pts = np.sort(np.random.default_rng(5).standard_normal((4, 5)), axis=1)
-        assert space.frechet_mean_blocks(pts, []) == []
+        assert weighted_means(space, pts, []) == []
         with pytest.raises(DegenerateWeightsError):
-            space.frechet_mean_blocks(pts, [np.ones((4, 2)), np.array([[1.0], [-1.0], [-1.0], [0.5]])])
+            weighted_means(space, pts, [np.ones((4, 2)), np.array([[1.0], [-1.0], [-1.0], [0.5]])])
 
 
 class TestFrechetMeanColumns:
@@ -658,7 +659,7 @@ class TestMeansStayInSpace:
             (CorrelationSpace(3), np.stack([random_correlation_matrix(3, rng) for _ in range(n)])),
         ]
         for space, pts in cases:
-            out = space.frechet_mean_blocks(space.check_points(pts), [w])[0]
+            out = weighted_means(space, space.check_points(pts), [w])[0]
             assert out.shape == (k, *pts.shape[1:]), space.kind
             space.check_points(out)
 

@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ EXPORTED = {
     ],
     "regression": [
         "CovariateStats", "Dataset", "FittedModel", "covariate_stats", "fit", "lambda_grid", "mspe_profile",
-        "pcr_coefficients", "tune_lambda",
+        "tune_lambda",
     ],
     "simulation": [
         "AggregateReport", "CellResult", "SimConfig", "TrialReport", "add_noise", "evaluate_trial",
@@ -80,3 +81,12 @@ def test_tracer_finds_every_target_but_the_known_absent_ones():
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1]) == ABSENT_TRACER_TARGETS
+
+
+def test_readme_python_blocks_run():
+    # Each fenced python block of README.md, in a namespace of its own.
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, flags=re.S | re.M)
+    assert len(blocks) >= 2
+    for i, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {i + 1}", "exec"), {})

@@ -6,13 +6,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from frechet_svt import diagnose, evaluate_trial, lambda_grid, mspe_profile, regression, tune_lambda
 from frechet_svt.linalg import compute_svd, svt
-from frechet_svt.metric_spaces import CorrelationSpace, EuclideanSpace, L1Space, MetricSpace, WassersteinSpace
+from frechet_svt.metric_spaces import CorrelationSpace, EuclideanSpace, L1Space, WassersteinSpace
 from frechet_svt.regression import (
     Dataset,
     covariate_stats,
     fit,
     kept_rank,
-    pcr_coefficients,
     rank_predictions,
 )
 from oracles import (
@@ -20,8 +19,10 @@ from oracles import (
     brute_covariance,
     monotone_grid_search,
     ols_with_intercept,
+    pcr_coefficients,
     pcr_fit_oracle,
     random_correlation_matrix,
+    weighted_means,
 )
 
 EUCLID = EuclideanSpace()
@@ -304,7 +305,7 @@ class TestRankPredictions:
         data, queries = extrapolating_instance(kind, 5)
         model = fit(data, lam)
         w = model.weight_matrix(queries)
-        expected = data.space.frechet_mean_blocks(data.responses, [w])[0]
+        expected = weighted_means(data.space, data.responses, [w])[0]
         raw = np.tensordot(w / w.sum(axis=0), data.responses, axes=(0, 0))
         if kind == "wasserstein":
             assert np.any(np.diff(raw, axis=1) < 0.0)  # PAVA runs
@@ -317,7 +318,6 @@ class TestRankPredictions:
             return call
 
         monkeypatch.setattr(regression, "rank_weights", refuse("rank_weights"))
-        monkeypatch.setattr(MetricSpace, "frechet_mean_blocks", refuse("frechet_mean_blocks"))
         preds = model.predict_many(queries)
         np.testing.assert_allclose(preds, expected, rtol=1e-12, atol=0)
 
@@ -325,7 +325,7 @@ class TestRankPredictions:
     def test_rank_zero_is_the_unweighted_mean(self, kind):
         data, queries = extrapolating_instance(kind, 6)
         null = next(rank_predictions(data.space, data.responses, [(data.stats, queries[:1], [0])]))
-        mean = data.space.frechet_mean_blocks(data.responses, [np.ones(data.n)[:, None]])[0][0]
+        mean = weighted_means(data.space, data.responses, [np.ones(data.n)[:, None]])[0][0]
         np.testing.assert_allclose(null[0], mean, rtol=0, atol=1e-12)
 
 
@@ -434,12 +434,6 @@ class TestPcr:
         q = rng.standard_normal(4)
         closed = ybar + beta.T @ (q - covariate_stats(x).mean)
         assert np.allclose(model.predict(q), closed, atol=1e-9)
-
-    def test_rejects_non_euclidean(self):
-        space = WassersteinSpace.with_uniform_grid(5)
-        data = Dataset(np.random.default_rng(0).standard_normal((4, 2)), np.zeros((4, 5)), space)
-        with pytest.raises(ValueError):
-            pcr_coefficients(data, 0.0)
 
 
 class TestDatasetValidation:

@@ -52,7 +52,14 @@ from frechet_svt.simulation import (
     true_regression_quantile,
     tune_lambda,
 )
-from oracles import aggregate, one_point_centers, random_correlation_matrix
+from oracles import (
+    aggregate,
+    ols_with_intercept,
+    one_point_centers,
+    pcr_coefficients,
+    random_correlation_matrix,
+    weighted_means,
+)
 
 
 def small_config(**overrides):
@@ -208,7 +215,7 @@ class TestResponses:
         x = rng.standard_normal(cfg.p)
         q, _ = gen_wasserstein_responses(np.tile(x, (cfg.n, 1)), cfg, rng)
         space = WassersteinSpace.with_uniform_grid(cfg.quantile_points)
-        mean = space.frechet_mean_blocks(q, [np.ones(cfg.n)[:, None]])[0][0]
+        mean = weighted_means(space, q, [np.ones(cfg.n)[:, None]])[0][0]
         assert space.distance(mean, true_regression_quantile(x, cfg)) <= 0.02
 
     def test_linear_responses_exact_when_noiseless(self):
@@ -224,9 +231,6 @@ class TestResponses:
         rng = np.random.default_rng(12)
         x = rng.standard_normal((20_000, 5))
         y, a, b = gen_linear_responses(x, 2, rng, sigma_eta=0.5)
-        from frechet_svt.regression import pcr_coefficients
-        from oracles import ols_with_intercept
-
         data = Dataset(x, y, EuclideanSpace())
         ybar, beta = pcr_coefficients(data, 0.0)
         _, slopes = ols_with_intercept(x, y)
@@ -968,10 +972,10 @@ class TestConfigValidation:
 
 
 def _direct_profile(train, test, grid):
-    """One refit and one weight matrix per threshold, blended by a one-block ``frechet_mean_blocks`` call."""
+    """One refit and one weight matrix per threshold, averaged by a one-block ``weighted_means`` call."""
     out = []
     for lam in grid:
-        preds = train.space.frechet_mean_blocks(train.responses, [fit(train, lam).weight_matrix(test.covariates)])[0]
+        preds = weighted_means(train.space, train.responses, [fit(train, lam).weight_matrix(test.covariates)])[0]
         out.append(np.mean(train.space.distances_to(test.responses, preds) ** 2))
     return np.array(out)
 

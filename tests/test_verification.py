@@ -1,7 +1,7 @@
 import numpy as np
 
 from frechet_svt import cli, diagnostics, verification
-from frechet_svt.linalg import compute_svd, pinv_perturbation_residual
+from frechet_svt.linalg import SvdFactors, compute_svd, pinv_perturbation_residual
 from frechet_svt.regression import covariate_stats
 from frechet_svt.verification import run_suite
 
@@ -9,9 +9,11 @@ from frechet_svt.verification import run_suite
 def test_each_instance_drawn_once_and_each_matrix_factored_once(monkeypatch):
     # At 100 instances the suite once drew every instance five times
     # (500 draws) and refactored X and Z in every check (4350 SVDs); then
-    # svt and the perturbation identity still refactored X and Z (1982).
-    original_svd, original_draw = np.linalg.svd, verification._random_instance
-    svds, draws = [], []
+    # svt and the perturbation identity still refactored X and Z (1982),
+    # a probe above the top singular value factored a zero matrix per
+    # instance (1237), and the checks formed each pseudoinverse four times.
+    original_svd, original_draw, original_pinv = np.linalg.svd, verification._random_instance, SvdFactors.pinv
+    svds, draws, pinvs = [], [], []
 
     def counting_svd(*args, **kwargs):
         svds.append(1)
@@ -22,11 +24,17 @@ def test_each_instance_drawn_once_and_each_matrix_factored_once(monkeypatch):
         return original_draw(rng)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    def counting_pinv(self):
+        pinvs.append(1)
+        return original_pinv(self)
+
     monkeypatch.setattr(verification, "_random_instance", counting_draw)
+    monkeypatch.setattr(SvdFactors, "pinv", counting_pinv)
     results = run_suite(seed=1, instances=100)
     assert all(r.passed for r in results)
     assert len(draws) == 100
-    assert 0 < len(svds) <= 1237
+    assert 0 < len(svds) <= 1137
+    assert 0 < len(pinvs) <= 200  # one for X and one for Z per instance
 
 
 def test_failing_seed_is_first_worst_instance():
@@ -35,9 +43,9 @@ def test_failing_seed_is_first_worst_instance():
     residuals = []
     for i in range(instances):
         x, z = verification._random_instance(np.random.default_rng([seed, i]))
-        fx, fz = compute_svd(x).kept(), compute_svd(z).kept()
-        scale = 1.0 + np.linalg.norm(fx.pinv(), "fro") + np.linalg.norm(fz.pinv(), "fro")
-        residuals.append(float((pinv_perturbation_residual(x, z, fx, fz) + 1e-3) / scale))
+        xp, zp = compute_svd(x).kept().pinv(), compute_svd(z).kept().pinv()
+        scale = 1.0 + np.linalg.norm(xp, "fro") + np.linalg.norm(zp, "fro")
+        residuals.append(float((pinv_perturbation_residual(x, z, xp, zp) + 1e-3) / scale))
     faulty = [r for r in results if r.name == "pseudoinverse perturbation identity"]
     assert len(faulty) == 1 and not faulty[0].passed
     assert faulty[0].worst == max(residuals)
