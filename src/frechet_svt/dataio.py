@@ -63,9 +63,11 @@ def _parse_row(line: int, cells, names) -> list[float]:
 def _parse_block(lines, body, names) -> np.ndarray:
     """The columns under ``names`` (the leading ones) of a table body as one float array.
 
-    ``body`` is the C reader's array, passed through, or the csv route's
+    ``body`` is the C reader's array, passed through, or ``_csv_body``'s
     rows of cells, parsed by ``_parse_row``, whose error names the row
-    (its number in ``lines``) and the column.
+    (its number in ``lines``) and the column. The cells are parsed here,
+    not in ``_read_table``, so ``read_dataset`` checks the kind and the
+    grid levels first.
     """
     if isinstance(body, np.ndarray):
         return np.ascontiguousarray(body[:, : len(names)])
@@ -99,10 +101,9 @@ def _columns(header):
     return covs, resp
 
 
-def _check_grid(grid, p: int) -> None:
-    line, cells = grid
-    if any(c.strip() for c in cells[:p]):
-        raise SchemaError(f"row {line}: grid row must leave covariate cells empty")
+def _check_width(line: int, cells, width: int) -> None:
+    if len(cells) != width:
+        raise SchemaError(f"row {line}: expected {width} cells, got {len(cells)}")
 
 
 # Lines that csv reads as no row at all.
@@ -125,92 +126,71 @@ def _data_lines(fh, start: int, numbers: list):
             yield text
 
 
-def _read_fast(path):
-    """``_read_csv``'s result with the body read by numpy's C reader, or None when in doubt.
+def _csv_body(path, start: int, width: int):
+    """``(lines, rows)`` of the data rows after line ``start``, read by ``csv`` alone: line numbers and cells.
 
-    The header and the grid row go through ``csv`` as on the csv route,
-    the body through one ``np.loadtxt`` call that takes it line by line,
-    so no copy of the text is kept. Both routes parse numbers with
-    CPython's ``PyOS_string_to_double``, and the C reader rejects what
-    only ``float`` or csv would accept (underscores, non-ASCII digits,
-    comments, quotes), so a table returned here is the csv route's to the
-    bit. Any fault gives None, and so the csv route, which names it: a
-    header or grid row fault, a cell the C reader rejects, a width or row
-    count csv would not see, a value that is not finite, a field longer
-    than csv's field size limit, an unreadable file or no data rows.
+    ``_read_table``'s fallback when the C reader refuses the body; each
+    row's width is checked as it is read.
+    """
+    lines, rows = [], []
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = _records(itertools.islice(fh, start, None))
+        for cells in filter(None, reader):
+            lines.append(start + reader.line_num)
+            _check_width(lines[-1], cells, width)
+            rows.append(cells)
+    if not rows:
+        raise SchemaError("no data rows")
+    return lines, rows
+
+
+def _read_table(path):
+    """``(covariates, responses, grid, lines, body)`` of a dataset CSV; its first fault in file order raises.
+
+    ``csv`` reads the header, giving the checked column names, and for
+    ``q`` columns the companion grid row, a ``(line, cells)`` pair (else
+    None), once. One ``np.loadtxt`` call takes the body line by line, so no
+    copy of the text is kept, and ``body`` is its array of every column.
+    Both parse numbers with CPython's ``PyOS_string_to_double``, and the C
+    reader rejects what only ``float`` or csv accept (underscores,
+    non-ASCII digits, comments, quotes), so the array is csv's to the bit.
+    When the C reader refuses the body, or reads a width, a row count or a
+    value csv would not, ``_csv_body`` reads the body again and ``body`` is
+    its rows of cells. ``lines`` are the data rows' line numbers in the file.
     """
     lines = []
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = _records(fh)
-            records = filter(None, reader)
-            covs, resp = _columns(next(records))
-            width = len(covs) + len(resp)
-            grid = None
-            if resp and resp[0][0] == "q":
-                cells = next(records)
-                grid = (reader.line_num, cells)
-                if len(cells) != width:
-                    return None
-                _check_grid(grid, len(covs))
-            body = _data_lines(fh, reader.line_num, lines)
-            # Take the first data line here: on an empty body loadtxt warns "input contained no data".
-            first = next(body)
-            table = np.loadtxt(itertools.chain([first], body), delimiter=",", comments=None, quotechar=None, ndmin=2)
-    except (OSError, ValueError, csv.Error, StopIteration):
-        return None
-    if table.shape != (len(lines), width) or not np.isfinite(table).all():
-        return None
-    return covs, resp, grid, lines, table
-
-
-def _read_csv(path):
-    """Split a dataset CSV into ``(covariates, responses, grid, lines, rows)`` with ``csv`` alone.
-
-    ``covariates`` and ``responses`` are the checked column names,
-    ``grid`` is the companion grid row as a ``(line, cells)`` pair when
-    the responses are ``q`` columns (None otherwise), ``rows`` the data
-    rows' cells and ``lines`` their line numbers in the file, comments and
-    blank lines included.
-    """
-    lines, records = [], []
     try:
         # utf-8-sig drops the byte-order mark that spreadsheet "CSV UTF-8" exports put first.
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = _records(fh)
-            for row in reader:
-                if row:
-                    lines.append(reader.line_num)
-                    records.append(row)
+            records = filter(None, reader)
+            header = next(records, None)
+            if header is None:
+                raise SchemaError("empty file")
+            covs, resp = _columns(header)
+            width = len(covs) + len(resp)
+            grid = None
+            if resp and resp[0][0] == "q":
+                cells = next(records, None)
+                if cells is None:
+                    raise SchemaError("missing companion grid row under the header")
+                grid = (reader.line_num, cells)
+                _check_width(*grid, width)
+                if any(c.strip() for c in cells[: len(covs)]):
+                    raise SchemaError(f"row {grid[0]}: grid row must leave covariate cells empty")
+            start = reader.line_num
+            body = _data_lines(fh, start, lines)
+            try:
+                # Take the first data line here: on an empty body loadtxt warns "input contained no data".
+                body = itertools.chain([next(body)], body)
+                table = np.loadtxt(body, delimiter=",", comments=None, quotechar=None, ndmin=2)
+            except (ValueError, StopIteration):  # an undecodable byte is a ValueError too
+                table = None
+        if table is None or table.shape != (len(lines), width) or not np.isfinite(table).all():
+            lines, table = _csv_body(path, start, width)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise SchemaError(f"cannot read: {exc}") from exc
-    if not records:
-        raise SchemaError("empty file")
-    covs, resp = _columns(records[0])
-    width = len(covs) + len(resp)
-    grid, lines, rows = None, lines[1:], records[1:]
-    for line, cells in zip(lines, rows):
-        if len(cells) != width:
-            raise SchemaError(f"row {line}: expected {width} cells, got {len(cells)}")
-    if resp and resp[0][0] == "q":
-        if not rows:
-            raise SchemaError("missing companion grid row under the header")
-        grid, lines, rows = (lines[0], rows[0]), lines[1:], rows[1:]
-        _check_grid(grid, len(covs))
-    if not rows:
-        raise SchemaError("no data rows")
-    return covs, resp, grid, lines, rows
-
-
-def _read_table(path):
-    """``(covariates, responses, grid, lines, body)`` of a dataset CSV.
-
-    ``body`` is a float array of every column when numpy's C reader takes
-    the whole body, else the csv route's rows of cells (``_read_csv``),
-    which ``_parse_block`` parses and whose faults it names by row and
-    column. Both give the same bits for every file the csv route accepts.
-    """
-    return _read_fast(path) or _read_csv(path)
+    return covs, resp, grid, lines, table
 
 
 def read_dataset(path, kind: str):

@@ -293,16 +293,25 @@ def mspe_profile(train_noisy: Dataset, test: Dataset, grid) -> np.ndarray:
     A threshold only decides how many leading covariance components the
     fit keeps (``kept_rank``), so each distinct rank on the grid is
     evaluated once, in increasing order, by one ``rank_predictions`` ask,
-    and grid points that keep the same rank get bit-identical values.
+    and grid points that keep the same rank get bit-identical values. A
+    test set in another space (another kind, or other grid levels) or with
+    responses of another shape raises ``ValueError``, as an empty grid does.
     """
     grid = np.asarray(grid, dtype=float).ravel()
     if grid.size == 0:
         raise ValueError("empty threshold grid")
+    space = train_noisy.space
+    if test.space.kind != space.kind:
+        raise ValueError(f"test responses are {test.space.kind}, training responses {space.kind}")
+    if space.kind == "wasserstein" and not np.array_equal(test.space.grid, space.grid):
+        raise ValueError("test grid levels differ from the training grid")
+    shapes = test.responses.shape[1:], train_noisy.responses.shape[1:]
+    if shapes[0] != shapes[1]:
+        raise ValueError("test responses have shape {}, training {}".format(*shapes))
     stats = train_noisy.stats
     ranks = kept_rank(stats, grid)
     # Not np.unique, which loads numpy.ma into every sweeping process.
     distinct = np.flatnonzero(np.bincount(ranks))
-    space = train_noisy.space
     ask = (stats, check_queries(stats, test.covariates), distinct)
     path = rank_predictions(space, train_noisy.responses, [ask])
     errors = np.array([np.mean(space.distances_to(test.responses, preds) ** 2) for preds in path])

@@ -27,6 +27,10 @@ BAD_HEADERS = {
     "grid row with a covariate cell": ("x1,q1,q2\n0,0.25,0.75\n1,2,3\n", "wasserstein", "row 2: grid row"),
     "missing grid row": ("x1,q1,q2\n1,2,3\n2,3,4\n", "wasserstein", "row 2: grid row"),
     "non-increasing grid levels": ("x1,q1,q2\n,0.75,0.25\n1,2,3\n", "wasserstein", "row 2: bad grid levels"),
+    # Two faults: the first in file order is named, not the short row 3.
+    "grid row with a covariate cell, then a short row": (
+        "x1,q1,q2\n0,0.25,0.75\n1,2\n", "wasserstein", "row 2: grid row must leave covariate cells empty$"
+    ),
 }
 
 
@@ -208,7 +212,7 @@ def test_c_reader_matches_the_csv_reader(tmp_path_factory, file):
     data, kind = file
     path = tmp_path_factory.mktemp("dress") / "data.csv"
     path.write_bytes(data)
-    assert dataio._read_fast(path) is not None  # the C reader took the body
+    assert isinstance(dataio._read_table(path)[-1], np.ndarray)  # the C reader took the body
     assert_same_read(read_dataset, read_dataset_reference, path, kind)
     assert_same_read(read_covariates, read_covariates_reference, path)
 
@@ -253,10 +257,10 @@ def test_a_dressed_file_skips_the_csv_route(tmp_path, monkeypatch):
     path = tmp_path / "data.csv"
     path.write_bytes("\ufeff# made by hand\r\n\r\nx1,q1,q2\r\n,0.25,0.75\r\n1,2,3\r\n\r\n4,5,6\r\n".encode())
 
-    def no_csv_route(path):
+    def no_csv_route(path, start, width):
         raise AssertionError("the csv route read the body")
 
-    monkeypatch.setattr(dataio, "_read_csv", no_csv_route)
+    monkeypatch.setattr(dataio, "_csv_body", no_csv_route)
     x, y, space = read_dataset(path, "wasserstein")
     assert x.tolist() == [[1.0], [4.0]] and y.tolist() == [[2.0, 3.0], [5.0, 6.0]]
     assert space.grid.tolist() == [0.25, 0.75]
@@ -273,10 +277,10 @@ def test_a_row_longer_than_the_csv_field_limit_skips_the_csv_route(tmp_path, mon
     path = tmp_path / "wide.csv"
     path.write_text("\n".join(lines) + "\n")
 
-    def no_csv_route(path):
+    def no_csv_route(path, start, width):
         raise AssertionError("the csv route read the body")
 
-    monkeypatch.setattr(dataio, "_read_csv", no_csv_route)
+    monkeypatch.setattr(dataio, "_csv_body", no_csv_route)
     assert_same_read(read_dataset, read_dataset_reference, path, "euclidean")
 
 

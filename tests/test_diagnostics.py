@@ -185,6 +185,20 @@ class TestWeightStability:
         assert not cols["rowspace_ok"]
         assert np.isnan(cols["weight_lhs"]) and np.isnan(cols["weight_rhs"])
 
+    def test_a_query_just_off_the_row_space_fails_the_precondition(self):
+        # The centered query leaves the row space by a relative 1e-6, above ROWSPACE_RTOL = 1e-8.
+        rng = np.random.default_rng(45)
+        x, z = low_rank_pair(rng, n=10, p=6, rank=2)
+        clean, noisy = designs(x, z)
+        basis = clean.stats.centered_svd.right_t[:2]
+        inside = basis.T @ rng.standard_normal(2)
+        off = rng.standard_normal(6)
+        off -= basis.T @ (basis @ off)
+        off *= 1e-6 * np.linalg.norm(inside) / np.linalg.norm(off)
+        cols = columns(clean, noisy, 0.1, clean.stats.mean + inside + off)
+        assert not cols["rowspace_ok"]
+        assert np.isnan(cols["weight_lhs"]) and np.isnan(cols["weight_rhs"])
+
 
 class TestDenoisingBound:
     def test_noiseless_is_exactly_zero(self):

@@ -123,6 +123,15 @@ class TestProjections:
         assert f.values.size == 0 and f.left.shape == (6, 0) and f.right_t.shape == (0, 4)
         assert not f.row_projection().any() and not f.col_projection().any()
 
+    def test_a_singular_value_just_above_the_rank_cutoff_is_kept(self):
+        # Singular values (1, 1e-11): the second is above RANK_RTOL = 1e-12 times the top.
+        rng = np.random.default_rng(6)
+        left, _ = np.linalg.qr(rng.standard_normal((5, 2)))
+        right, _ = np.linalg.qr(rng.standard_normal((4, 2)))
+        m = (left * [1.0, 1e-11]) @ right.T
+        np.testing.assert_allclose(compute_svd(m).kept().values, [1.0, 1e-11], rtol=1e-4)
+        assert numerical_rank(m) == 2
+
     def test_rank_one_closed_form(self):
         rng = np.random.default_rng(4)
         u = rng.standard_normal(5)

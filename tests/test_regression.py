@@ -95,6 +95,17 @@ class TestCovariateStats:
             with pytest.raises(FloatingPointError, match="overflow"):
                 covariate_stats(x)
 
+    def test_kept_rank_keeps_a_component_just_above_the_rank_cutoff(self):
+        # Centered singular values (1, 3e-6): eigenvalue ratio 9e-12, above RANK_RTOL = 1e-12.
+        rng = np.random.default_rng(32)
+        a = rng.standard_normal((10, 2))
+        u, _ = np.linalg.qr(a - a.mean(axis=0))  # orthonormal columns orthogonal to the ones vector
+        v, _ = np.linalg.qr(rng.standard_normal((3, 2)))
+        stats = covariate_stats((u * [1.0, 3e-6]) @ v.T)
+        ev = stats.eigenvalues
+        np.testing.assert_allclose(ev[1] / ev[0], 9e-12, rtol=1e-6)
+        assert kept_rank(stats, 0.0) == 2
+
     def test_kept_rank_rejects_nan_threshold(self):
         stats = covariate_stats(np.random.default_rng(31).standard_normal((8, 3)))
         with pytest.raises(ValueError):
@@ -581,6 +592,30 @@ def test_empty_threshold_grid_raises(entry):
         GRID_ENTRIES[entry](*policy_data(1.0), [])
 
 
+def holdout_sets(train_space, test_space, dims=(2, 2)):
+    """A 30-row training set and a 20-row holdout of 3 covariates, each with responses in its own space.
+
+    Vector responses have ``dims`` columns; quantile rows fill their space's grid.
+    """
+    rng = np.random.default_rng(3)
+    sets = []
+    for rows, space, dim in [(30, train_space, dims[0]), (20, test_space, dims[1])]:
+        width = space.grid.size if isinstance(space, WassersteinSpace) else dim
+        sets.append(Dataset(rng.standard_normal((rows, 3)), np.sort(rng.standard_normal((rows, width))), space))
+    return sets
+
+
+def trial_on(train, test):
+    return evaluate_trial(train, train, test, POLICY_GRID, np.zeros((1, 3)), POLICY_GRID)
+
+
+def test_a_holdout_in_an_equal_space_built_apart_tunes():
+    train, test = holdout_sets(WassersteinSpace.with_uniform_grid(11), WassersteinSpace.with_uniform_grid(11))
+    same = Dataset(test.covariates, test.responses, train.space)
+    assert tune_lambda(train, test, POLICY_GRID) == tune_lambda(train, same, POLICY_GRID)
+    np.testing.assert_array_equal(mspe_profile(train, test, POLICY_GRID), mspe_profile(train, same, POLICY_GRID))
+
+
 # Each check of the estimator's inputs on one bad input, with the message it raises.
 BAD_INPUTS = {
     "covariate_stats 1-D": (lambda: covariate_stats(np.ones(4)), "covariates must form an n-by-p matrix"),
@@ -589,6 +624,20 @@ BAD_INPUTS = {
     ),
     "Dataset 1-D": (lambda: Dataset(np.ones(4), np.ones(4), EUCLID), "covariates must be an n-by-p matrix with n >= 2"),
     "lambda_grid no points": (lambda: lambda_grid(1.0, 3, 10, points=0), "need at least one grid point"),
+    "mspe_profile holdout of another width": (
+        lambda: mspe_profile(*holdout_sets(EUCLID, EUCLID, dims=(3, 1)), POLICY_GRID),
+        "test responses have shape (1,), training (3,)",
+    ),
+    "tune_lambda holdout on another grid": (
+        lambda: tune_lambda(
+            *holdout_sets(WassersteinSpace.with_uniform_grid(21), WassersteinSpace.with_uniform_grid(11)), POLICY_GRID
+        ),
+        "test grid levels differ from the training grid",
+    ),
+    "evaluate_trial holdout of another kind": (
+        lambda: trial_on(*holdout_sets(EUCLID, L1Space())),
+        "test responses are l1, training responses euclidean",
+    ),
 }
 
 

@@ -103,6 +103,7 @@ def _fails(name, *argv, exit=2, env=None) -> Case:
 FIT_DATA = {kind: ("v_train.csv", "v_holdout.csv") for kind in ("euclidean", "l1", "linf")}
 FIT_DATA.update(wasserstein=("w_train.csv", "w_holdout.csv"), correlation=("c_train.csv", "c_holdout.csv"))
 FIT = ("--queries", "queries.csv", "--kind", "euclidean")
+DRESSED = "fit-predict euclidean --lambda 0.1 on a file the csv fallback reads"
 
 CASES = {
     case.name: case
@@ -134,6 +135,7 @@ CASES = {
             _simulate("blas-cell.cfg", 1, name=f"simulate blas-cell.cfg, {BLAS} {how}", env={BLAS: value}, manifest_has=("blas_threads = 1",))
             for how, value in (("unset", None), ("= 1", "1"))
         ),
+        Case(DRESSED, ("fit-predict", "--train", "v_train_dressed.csv", *FIT, "--lambda", "0.1", "--out", "{out}"), files=PREDICT),
         _fails("fit-predict --lambda -1", "fit-predict", "--train", "v_train.csv", *FIT, "--lambda", "-1"),
         _fails("fit-predict --holdout with a fixed --lambda", "fit-predict", "--train", "v_train.csv", *FIT, "--holdout", "v_holdout.csv"),
         _fails("fit-predict on a bad cell", "fit-predict", "--train", "bad.csv", *FIT),
@@ -164,6 +166,7 @@ INVARIANCES = [
         for method in ("spawn", "forkserver")
     ),
     (f"simulate blas-cell.cfg, {BLAS} unset", f"simulate blas-cell.cfg, {BLAS} = 1", ("out",)),
+    (DRESSED, "fit-predict euclidean --lambda 0.1", ("out", "train")),
 ]
 
 
@@ -206,6 +209,9 @@ def write_inputs(work: Path) -> None:
     # Finite responses whose blends overflow: exit 3.
     write("huge_train.csv", x[:20], ["y1"], np.where(rng.random(20) < 0.5, -1e308, 1e308))
     lines = (work / "v_train.csv").read_text().splitlines()
+    # The same rows in a dress numpy's C reader refuses, so the csv fallback reads the body.
+    dressed = [*lines[:3], "# a comment line in the body", '"{}",{}'.format(*lines[3].split(",", 1)), *lines[4:]]
+    (work / "v_train_dressed.csv").write_text("\n".join(dressed) + "\n")
     lines[5] = lines[5].rsplit(",", 1)[0] + ",oops"  # row 6: column y2
     (work / "bad.csv").write_text("\n".join(lines) + "\n")
     lines[5] = lines[5].rsplit(",", 1)[0]  # row 6: a cell short
