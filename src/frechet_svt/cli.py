@@ -28,7 +28,9 @@ thread count. Each command imports only the modules it runs:
 ``simulation`` for ``simulate``, ``diagnostics`` for ``diagnose`` and
 ``verify-lemmas``, and ``verification`` for ``verify-lemmas``;
 ``fit-predict`` tunes its threshold with ``regression`` alone. A call
-that writes no bytecode compiles every module it loads.
+that writes no bytecode compiles every module it loads. An input rule
+the library owns is checked by its owner before ``--out`` is made and
+exits 2 as ``error: SOURCE: TEXT``, the file or flag at fault first.
 
 ``run`` is the process entry (``python -m frechet_svt`` and the
 ``frechet-svt`` script): it calls ``main``, freezes the heap and exits
@@ -60,8 +62,8 @@ from .dataio import (
     write_tables,
 )
 from .linalg import settle_process
-from .metric_spaces import WassersteinSpace
-from .regression import SOLVER_ERRORS, Dataset, fit, lambda_grid, tune_lambda
+from .regression import GRID_POINTS, SOLVER_ERRORS, Dataset, check_queries, check_test_set, fit, lambda_grid
+from .regression import tune_lambda
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -69,7 +71,6 @@ EXIT_SOLVER = 3
 EXIT_VERIFY = 4
 
 THREADS_ENV = "FRECHET_SVT_THREADS"
-AUTO_GRID_POINTS = 40  # fit-predict's threshold grid size for --lambda auto
 
 
 def _worker_count() -> int:
@@ -150,14 +151,20 @@ def _parse_lambda(text: str) -> float | None:
     return _check_lambda(value)
 
 
-def _read_design(path, kind: str, role: str):
-    """``read_dataset`` for a file that must hold a design: covariates and n >= 2 rows."""
+def _owned(source, check, *args):
+    """``check(*args)``, the library check that owns an input rule; its ``ValueError`` exits 2 naming ``source``."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise SchemaError(f"{source}: {exc}") from exc
+
+
+def _read_design(path, kind: str, role: str) -> Dataset:
+    """The ``Dataset`` of a file that must hold a design, so covariate columns too."""
     x, responses, space = read_dataset(path, kind)
     if x is None:
         raise SchemaError(f"{path}: {role} file has no covariate columns")
-    if x.shape[0] < 2:
-        raise SchemaError(f"{path}: {role} file needs at least two data rows, got {x.shape[0]}")
-    return x, responses, space
+    return _owned(path, Dataset, x, responses, space)
 
 
 def _cmd_fit_predict(args) -> int:
@@ -168,35 +175,17 @@ def _cmd_fit_predict(args) -> int:
         raise ConfigError(f"--holdout goes only with --lambda auto, got --lambda {args.lam}")
     grid_points = ""  # as recorded in the manifest: only --lambda auto has a grid
     if lam is None:
-        grid_points = AUTO_GRID_POINTS if args.grid_points is None else args.grid_points
+        grid_points = GRID_POINTS if args.grid_points is None else args.grid_points
         if grid_points < 1:
             raise ConfigError(f"--grid-points must be at least 1, got {grid_points}")
     elif args.grid_points is not None:
         raise ConfigError(f"--grid-points goes only with --lambda auto, got --lambda {args.lam}")
-    x, responses, space = _read_design(args.train, args.kind, "training")
-    train = Dataset(x, responses, space)
-    queries = read_covariates(args.queries)
-    if queries.shape[1] != x.shape[1]:
-        raise SchemaError(
-            f"queries have {queries.shape[1]} covariates but training data has {x.shape[1]}"
-        )
+    train = _read_design(args.train, args.kind, "training")
+    queries = _owned(args.queries, check_queries, train.covariates.shape[1], read_covariates(args.queries))
     if lam is None:
-        hx, hy, hspace = _read_design(args.holdout, args.kind, "holdout")
-        if hx.shape[1] != x.shape[1]:
-            raise SchemaError(
-                f"holdout has {hx.shape[1]} covariates but training data has {x.shape[1]}"
-            )
-        if isinstance(space, WassersteinSpace) and not np.array_equal(hspace.grid, space.grid):
-            raise SchemaError(f"{args.holdout}: holdout grid levels differ from the training grid")
-        if hy.shape[1:] != responses.shape[1:]:
-            raise SchemaError(
-                f"{args.holdout}: holdout responses have shape {hy.shape[1:]}, training {responses.shape[1:]}"
-            )
-        holdout = Dataset(hx, hy, space)
-        top = train.stats.eigenvalues[0]
-        if top <= 0.0:
-            raise SchemaError(f"{args.train}: training covariates are constant, so --lambda auto has no threshold grid")
-        grid = lambda_grid(top, x.shape[1], x.shape[0], grid_points)
+        holdout = _read_design(args.holdout, args.kind, "holdout")
+        _owned(args.holdout, check_test_set, train, holdout)
+        grid = _owned(args.train, lambda_grid, train.stats.eigenvalues[0], train.stats.p, train.n, grid_points)
     out = _out_dir(args.out)
     write_manifest(
         out,
@@ -216,26 +205,23 @@ def _cmd_fit_predict(args) -> int:
     if lam is None:
         lam_hat = lam = tune_lambda(train, holdout, grid)
     preds = fit(train, lam).predict_many(queries)
-    write_predictions(out / "predictions.csv", space, preds, lambda_hat=lam_hat)
+    write_predictions(out / "predictions.csv", train.space, preds, lambda_hat=lam_hat)
     print(f"wrote {out / 'predictions.csv'}" + (f" (lambda_hat={lam_hat!r})" if lam_hat is not None else ""))
     return EXIT_OK
 
 
 def _cmd_diagnose(args) -> int:
-    from .diagnostics import diagnose
+    from .diagnostics import check_noisy_shape, diagnose
 
-    x, responses, space = _read_design(args.train, args.kind, "training")
+    train = _read_design(args.train, args.kind, "training")
     z = read_covariates(args.noisy)
-    if z.shape != x.shape:
-        raise SchemaError(f"noisy covariates {z.shape} do not match training {x.shape}")
+    _owned(args.noisy, check_noisy_shape, train.covariates, z)
+    noisy = Dataset(z, train.responses, train.space)
     try:
         query = np.array([float(v) for v in args.x.split(",")])
     except ValueError as exc:
         raise ConfigError(f"--x must be comma-separated numbers, got {args.x!r}") from exc
-    if query.size != x.shape[1]:
-        raise ConfigError(f"--x has {query.size} entries but data has {x.shape[1]} covariates")
-    if not np.all(np.isfinite(query)):
-        raise ConfigError(f"--x must be finite, got {args.x!r}")
+    _owned("--x", check_queries, train.covariates.shape[1], query)
     lam = _check_lambda(args.lam)
 
     out = _out_dir(args.out)
@@ -252,7 +238,6 @@ def _cmd_diagnose(args) -> int:
             **args.blas,
         },
     )
-    train, noisy = Dataset(x, responses, space), Dataset(z, responses, space)
     values = diagnose(train, noisy, lam, query)
     write_diagnostics_csv(out / "diagnostics.csv", values)
     print(f"wrote {out / 'diagnostics.csv'}")
@@ -268,18 +253,15 @@ def _cmd_verify_lemmas(args) -> int:
         raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     out = _out_dir(args.out) if args.out else None
     results = run_suite(args.seed, args.instances, inject_fault=args.inject_fault)
-    lines = [r.line() for r in results]
-    text = "\n".join(lines) + "\n"
+    text = "".join(f"{r.line()}\n" for r in results)
     sys.stdout.write(text)
     if out is not None:
         (out / "verify_report.txt").write_text(text)
-    if any(not r.passed for r in results):
-        failing = [r for r in results if not r.passed]
-        sys.stderr.write(
-            f"verification failed: {failing[0].name} (instance seed {failing[0].failing_seed})\n"
-        )
-        return EXIT_VERIFY
-    return EXIT_OK
+    failing = next((r for r in results if not r.passed), None)
+    if failing is None:
+        return EXIT_OK
+    sys.stderr.write(f"verification failed: {failing.name} (instance seed {failing.failing_seed})\n")
+    return EXIT_VERIFY
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     fp.add_argument("--kind", required=True, choices=KINDS)
     fp.add_argument("--lambda", dest="lam", default="0", help="threshold value or 'auto'")
     fp.add_argument("--holdout", default=None, help="holdout CSV, only with --lambda auto")
-    fp.add_argument("--grid-points", type=int, help=f"grid size, only with --lambda auto (default {AUTO_GRID_POINTS})")
+    fp.add_argument("--grid-points", type=int, help=f"grid size, only with --lambda auto (default {GRID_POINTS})")
     fp.add_argument("--out", required=True, help="output directory")
     fp.set_defaults(func=_cmd_fit_predict)
 

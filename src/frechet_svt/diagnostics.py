@@ -14,6 +14,7 @@ which components count, exactly as in the fit. The raw covariates are
 read only for the noise norm ``||Z - X||``, one SVD of the noise per
 pair, however many thresholds, which the caller takes and hands to the
 check, so ``diagnose`` takes three SVDs: of X, of Z and of Z - X.
+``diagnose`` and the command line run ``check_noisy_shape``.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ def weight_stability_check(clean: Dataset, noisy: Dataset, lams, x, noise: float
     fit predicts, so the responses are never read.
     """
     stats = clean.stats
-    q = check_queries(stats, np.ravel(x))
+    q = check_queries(stats.p, np.ravel(x))
     v = q[0] - stats.mean
     fits = [(fit(clean, lam), fit(noisy, lam)) for lam in lams]
     nonzero = int(kept_rank(stats, 0))
@@ -90,6 +91,12 @@ def weight_stability_check(clean: Dataset, noisy: Dataset, lams, x, noise: float
         checks.append(WeightStability(clean_fit, noisy_fit, q, v, floor, snr, nonzero, cov_norm,
                                       rowspace_ok, weight_lhs, weight_rhs))
     return checks
+
+
+def check_noisy_shape(clean, noisy) -> None:
+    """``ValueError`` unless the noisy covariates have the clean design's shape."""
+    if np.shape(noisy) != np.shape(clean):
+        raise ValueError(f"shape mismatch: noisy covariates {np.shape(noisy)}, clean {np.shape(clean)}")
 
 
 @raising
@@ -137,8 +144,7 @@ def diagnose(clean: Dataset, noisy: Dataset, lam: float, x) -> dict:
       ``sqrt(n) * snr_reciprocal * (2 ||x - mean||_cov + 1)``; ``nan``
       when the query leaves the row space.
     """
-    if noisy.covariates.shape != clean.covariates.shape:
-        raise ValueError(f"shape mismatch: {clean.covariates.shape} vs {noisy.covariates.shape}")
+    check_noisy_shape(clean.covariates, noisy.covariates)
     if not np.array_equal(clean.responses, noisy.responses):
         raise ValueError("the clean and the noisy designs must hold the same responses")
     noise = spectral_norm(noisy.covariates - clean.covariates)

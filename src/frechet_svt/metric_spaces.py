@@ -425,18 +425,18 @@ class LinfSpace(_IterativeNormSpace):
     _masked = True
 
     def _norm_parts(self, diff, subgrad, hot):
-        # Sign at the first largest |coordinate|, a signed zero elsewhere (a
-        # masked negative sign gives -0.0). The sign of a zero reaches the
-        # gradient only through products and the in-order sum over the
-        # points, which starts from +0.0 and so turns a sum of zeros into
-        # +0.0: the result is the same bit for bit.
-        np.sign(diff, out=subgrad)
-        a = np.abs(diff, out=diff)
+        # +-1 at the first largest |coordinate| of a nonzero offset, a zero of
+        # the offset's sign elsewhere. A zero's sign reaches the gradient only
+        # through products and the in-order sum over the points from +0.0, so
+        # the bits are those of np.sign(diff) * hot, which gave +0.0 at -0.0.
+        a = np.abs(diff, out=subgrad)
         top = a.max(axis=1)
         np.equal(a, top[:, None, :], out=hot)
         if np.count_nonzero(hot) > top.size:  # ties: only the first one counts
             hot &= np.cumsum(hot, axis=1) == 1
-        subgrad *= hot
+        if not top.all():  # an offset of zeros, the iterate on a point: no sign
+            hot &= top[:, None, :] != 0.0
+        np.copysign(hot, diff, out=subgrad)
         return top
 
 

@@ -1,18 +1,21 @@
 """Globally weighted Frechet regression with spectral truncation.
 
 ``Dataset`` is the library boundary: it validates the responses with
-the space's ``check_points``. The fitted object keeps the rank its
-threshold keeps. Every prediction, of a fit, of the threshold sweep or
-of a simulation trial, goes through one route, ``rank_predictions``,
-which reads the design's one thin SVD at the asked ranks. Affine spaces
-stream the weighted response sums along the rank path and never form a
-weight matrix; the l1 and sup-norm solvers take the weights from
-``rank_weights``, which ``FittedModel.weight_matrix`` also returns for
-diagnostics. For Euclidean responses the prediction has the
-principal-component-regression closed form; ``tests/oracles.py`` keeps it
-as ``pcr_coefficients``, a reference the tests hold this route to. The
-threshold choice lives here too: ``tune_lambda`` picks the first minimizer
-of the held-out error that ``mspe_profile`` sweeps on a ``lambda_grid``.
+the space's ``check_points``. Each other input rule has one check, which
+the command line runs too: ``check_design``, ``check_queries``,
+``check_test_set`` and ``lambda_grid``'s constant-design check. The
+fitted object keeps the rank its threshold keeps. Every prediction, of a
+fit, of the threshold sweep or of a simulation trial, goes through one
+route, ``rank_predictions``, which reads the design's one thin SVD at
+the asked ranks. Affine spaces stream the weighted response sums along
+the rank path and never form a weight matrix; the l1 and sup-norm
+solvers take the weights from ``rank_weights``, which
+``FittedModel.weight_matrix`` also returns for diagnostics. For
+Euclidean responses the prediction has the principal-component-regression
+closed form; ``tests/oracles.py`` keeps it as ``pcr_coefficients``, a
+reference the tests hold this route to. The threshold choice lives here
+too: ``tune_lambda`` picks the first minimizer of the held-out error that
+``mspe_profile`` sweeps on a ``lambda_grid``.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .linalg import RANK_RTOL, SvdFactors, compute_svd
 from .metric_spaces import ConvergenceError, DegenerateWeightsError, MetricSpace
 
 SOLVER_ERRORS = (ConvergenceError, DegenerateWeightsError, FloatingPointError)  # the CLI exits 3 on each
+GRID_POINTS = 40  # a default threshold grid: lambda_grid, a simulate cell, fit-predict --lambda auto
 
 
 def raising(func):
@@ -65,14 +69,17 @@ class CovariateStats:
         return self.centered_svd.right_t.shape[1]
 
 
+def check_design(x) -> np.ndarray:
+    """Covariates as a float n-by-p matrix with n >= 2; the one check of a design's shape."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[0] < 2:
+        raise ValueError(f"covariates must be an n-by-p matrix with n >= 2, got shape {x.shape}")
+    return x
+
+
 def covariate_stats(x) -> CovariateStats:
     """The stats of an n-by-p design; ``FloatingPointError`` if they overflow."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("covariates must form an n-by-p matrix")
-    n = x.shape[0]
-    if n < 2:
-        raise ValueError(f"need at least two samples, got {n}")
+    x = check_design(x)
     if not np.all(np.isfinite(x)):
         raise ValueError("covariates have non-finite entries")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -82,7 +89,7 @@ def covariate_stats(x) -> CovariateStats:
             raise FloatingPointError("the centered covariates overflow")
         svd = compute_svd(centered)
         ev = np.zeros(x.shape[1])
-        ev[: svd.values.size] = svd.values * svd.values / n
+        ev[: svd.values.size] = svd.values * svd.values / x.shape[0]
     if not np.isfinite(ev[0]):
         raise FloatingPointError(f"the covariance eigenvalues overflow (top singular value {svd.values[0]:.3g})")
     return CovariateStats(mean=mean, centered_svd=svd, eigenvalues=ev)
@@ -190,11 +197,11 @@ def rank_predictions(space: MetricSpace, responses, asks):
             yield space.project_blends(blended.reshape(len(queries), *y.shape[1:]))
 
 
-def check_queries(stats: CovariateStats, queries) -> np.ndarray:
-    """Query points as a finite (m, p) array; one 1-D query becomes one row."""
+def check_queries(p: int, queries) -> np.ndarray:
+    """Queries as a finite (m, p) array, a 1-D query as one row; it takes the width, so nothing is factored."""
     q = np.atleast_2d(np.asarray(queries, dtype=float))
-    if q.ndim != 2 or q.shape[1] != stats.p:
-        raise ValueError(f"queries must have {stats.p} coordinates, got shape {np.shape(queries)}")
+    if q.ndim != 2 or q.shape[1] != p:
+        raise ValueError(f"queries must have {p} coordinates, got shape {np.shape(queries)}")
     if not np.all(np.isfinite(q)):
         raise ValueError("queries have non-finite entries")
     return q
@@ -213,9 +220,7 @@ class Dataset:
     space: MetricSpace
 
     def __post_init__(self):
-        x = np.asarray(self.covariates, dtype=float)
-        if x.ndim != 2 or x.shape[0] < 2:
-            raise ValueError("covariates must be an n-by-p matrix with n >= 2")
+        x = check_design(self.covariates)
         y = self.space.check_points(self.responses)
         if y.shape[0] != x.shape[0]:
             raise ValueError(f"{x.shape[0]} covariate rows but {y.shape[0]} responses")
@@ -251,7 +256,7 @@ class FittedModel:
         be negative. ``predict_many`` forms these weights only for the l1
         and sup-norm solvers; affine spaces predict without them.
         """
-        return rank_weights(self.stats, check_queries(self.stats, queries), self.rank)
+        return rank_weights(self.stats, check_queries(self.stats.p, queries), self.rank)
 
     def predict(self, x) -> np.ndarray:
         """Prediction at one query point."""
@@ -260,7 +265,7 @@ class FittedModel:
     @raising
     def predict_many(self, queries) -> np.ndarray:
         """Predictions at the query rows, through ``rank_predictions`` at the fit's rank."""
-        ask = (self.stats, check_queries(self.stats, queries), [self.rank])
+        ask = (self.stats, check_queries(self.stats.p, queries), [self.rank])
         return next(rank_predictions(self.space, self.responses, [ask]))
 
 
@@ -276,14 +281,27 @@ def fit(data: Dataset, lam: float) -> FittedModel:
 
 
 @raising
-def lambda_grid(top_eigenvalue: float, p: int, n: int, points: int = 40) -> np.ndarray:
+def lambda_grid(top_eigenvalue: float, p: int, n: int, points: int = GRID_POINTS) -> np.ndarray:
     """Evenly spaced thresholds on (0, sqrt(top * p / n)]; ``FloatingPointError`` if that bound overflows."""
     if top_eigenvalue <= 0:
-        raise ValueError("top eigenvalue must be positive")
+        raise ValueError(f"constant covariates have no threshold grid (top eigenvalue {top_eigenvalue:.3g})")
     if points < 1:
         raise ValueError("need at least one grid point")
     upper = np.sqrt(top_eigenvalue * p / n)
     return np.linspace(upper / points, upper, points)
+
+
+def check_test_set(train: Dataset, test: Dataset) -> None:
+    """``ValueError`` unless ``test`` has the training width and responses of the training kind, grid and shape."""
+    space, p = train.space, train.covariates.shape[1]
+    if test.space.kind != space.kind:
+        raise ValueError(f"test responses are {test.space.kind}, training responses {space.kind}")
+    if test.covariates.shape[1] != p:
+        raise ValueError(f"test covariates have {test.covariates.shape[1]} columns, training {p}")
+    if space.kind == "wasserstein" and not np.array_equal(test.space.grid, space.grid):
+        raise ValueError("test grid levels differ from the training grid")
+    if test.responses.shape[1:] != train.responses.shape[1:]:
+        raise ValueError(f"test responses have shape {test.responses.shape[1:]}, training {train.responses.shape[1:]}")
 
 
 @raising
@@ -294,25 +312,18 @@ def mspe_profile(train_noisy: Dataset, test: Dataset, grid) -> np.ndarray:
     fit keeps (``kept_rank``), so each distinct rank on the grid is
     evaluated once, in increasing order, by one ``rank_predictions`` ask,
     and grid points that keep the same rank get bit-identical values. A
-    test set in another space (another kind, or other grid levels) or with
-    responses of another shape raises ``ValueError``, as an empty grid does.
+    test set that ``check_test_set`` refuses raises ``ValueError``, as an
+    empty grid does.
     """
     grid = np.asarray(grid, dtype=float).ravel()
     if grid.size == 0:
         raise ValueError("empty threshold grid")
-    space = train_noisy.space
-    if test.space.kind != space.kind:
-        raise ValueError(f"test responses are {test.space.kind}, training responses {space.kind}")
-    if space.kind == "wasserstein" and not np.array_equal(test.space.grid, space.grid):
-        raise ValueError("test grid levels differ from the training grid")
-    shapes = test.responses.shape[1:], train_noisy.responses.shape[1:]
-    if shapes[0] != shapes[1]:
-        raise ValueError("test responses have shape {}, training {}".format(*shapes))
-    stats = train_noisy.stats
+    check_test_set(train_noisy, test)
+    space, stats = train_noisy.space, train_noisy.stats
     ranks = kept_rank(stats, grid)
     # Not np.unique, which loads numpy.ma into every sweeping process.
     distinct = np.flatnonzero(np.bincount(ranks))
-    ask = (stats, check_queries(stats, test.covariates), distinct)
+    ask = (stats, check_queries(stats.p, test.covariates), distinct)
     path = rank_predictions(space, train_noisy.responses, [ask])
     errors = np.array([np.mean(space.distances_to(test.responses, preds) ** 2) for preds in path])
     return errors[np.searchsorted(distinct, ranks)]

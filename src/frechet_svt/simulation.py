@@ -26,8 +26,8 @@ import numpy as np
 
 from .linalg import settle_process
 from .metric_spaces import MetricSpace, midpoint_grid, space_from_kind
-from .regression import SOLVER_ERRORS, Dataset, check_queries, fit, lambda_grid, mspe_profile, raising, rank_predictions
-from .regression import tune_lambda  # noqa: F401  re-exported as frechet_svt.simulation.tune_lambda
+from .regression import GRID_POINTS, SOLVER_ERRORS, Dataset, check_queries, fit, lambda_grid, mspe_profile, raising
+from .regression import rank_predictions, tune_lambda  # noqa: F401  re-exports frechet_svt.simulation.tune_lambda
 
 ESTIMATORS = ("REF", "EIV", "SVT")
 
@@ -83,7 +83,7 @@ class SimConfig:
     ig_scale: float = 17.0
     alpha_intercept: float = 1.0
     condition_number: float = 1e3
-    lambda_points: int = 40
+    lambda_points: int = GRID_POINTS
     master_seed: int = 0
     laplace_variance_matched: bool = False
     model: str = "wasserstein"
@@ -363,7 +363,7 @@ def evaluate_trial(train: Dataset, train_noisy: Dataset, test: Dataset, grid, ev
     asks = [(m, train.covariates) for m in models.values()]
     asks += [(models[est], test.covariates) for est in ("REF", "EIV")]
     asks += [(m, eval_x) for m in models.values()]
-    asks = [(m.stats, check_queries(m.stats, q), [m.rank]) for m, q in asks]
+    asks = [(m.stats, check_queries(m.stats.p, q), [m.rank]) for m, q in asks]
     # Rank 0 weighs every training response by one: the null model.
     asks.append((train.stats, train.stats.mean[None], [0]))
     preds = rank_predictions(space, train.responses, asks)

@@ -15,6 +15,7 @@ import frechet_svt
 from frechet_svt import regression, verification
 from frechet_svt.cli import main
 from frechet_svt.dataio import KINDS, SchemaError, load_sim_configs, read_covariates, read_dataset
+from frechet_svt.diagnostics import diagnose
 from frechet_svt.metric_spaces import midpoint_grid
 
 SMOKE_CONFIG = """\
@@ -241,7 +242,7 @@ class TestFitPredictCommand:
         assert main(["fit-predict", "--train", str(train), "--queries", str(qpath),
                      "--kind", "euclidean", "--lambda", "auto", "--holdout", str(holdout),
                      "--out", str(tmp_path / "o")]) == 2
-        assert "holdout has 2 covariates but training data has 3" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {holdout}: test covariates have 2 columns, training 3\n"
 
     def test_manifest_records_the_resolved_grid_points(self, tmp_path):
         # A --lambda auto run can be repeated from its manifest, grid size included.
@@ -1239,7 +1240,7 @@ class TestInputFaults:
         ),
         "one-row training file": (
             "fit-predict --train {one_row} --queries {queries} --kind euclidean",
-            "{one_row}: training file needs at least two data rows, got 1", {},
+            "{one_row}: covariates must be an n-by-p matrix with n >= 2, got shape (1, 3)", {},
         ),
         "empty dataset file": (
             "fit-predict --train {empty} --queries {queries} --kind euclidean", "{empty}: empty file", {},
@@ -1266,7 +1267,7 @@ class TestInputFaults:
         ),
         "queries of another width": (
             "fit-predict --train {train} --queries {narrow} --kind euclidean",
-            "queries have 2 covariates but training data has 3", {},
+            "{narrow}: queries must have 3 coordinates, got shape (30, 2)", {},
         ),
         "non-finite query": (
             "fit-predict --train {train} --queries {infinite} --kind euclidean",
@@ -1297,40 +1298,40 @@ class TestInputFaults:
         ),
         # fit-predict's holdout file
         "holdout of another width": (
-            FIT + " --lambda auto --holdout {narrow}", "holdout has 2 covariates but training data has 3", {},
+            FIT + " --lambda auto --holdout {narrow}", "{narrow}: test covariates have 2 columns, training 3", {},
         ),
         "one-row holdout": (
             FIT + " --lambda auto --holdout {one_row}",
-            "{one_row}: holdout file needs at least two data rows, got 1", {},
+            "{one_row}: covariates must be an n-by-p matrix with n >= 2, got shape (1, 3)", {},
         ),
         "holdout of another response width": (
-            FIT + " --lambda auto --holdout {wide}", "{wide}: holdout responses have shape (2,), training (1,)", {},
+            FIT + " --lambda auto --holdout {wide}", "{wide}: test responses have shape (2,), training (1,)", {},
         ),
         "holdout on fewer grid levels": (
             "fit-predict --train {wtrain} --queries {queries} --kind wasserstein --lambda auto --holdout {fewer}",
-            "{fewer}: holdout grid levels differ from the training grid", {},
+            "{fewer}: test grid levels differ from the training grid", {},
         ),
         "holdout on other grid levels": (
             "fit-predict --train {wtrain} --queries {queries} --kind wasserstein --lambda auto --holdout {shifted}",
-            "{shifted}: holdout grid levels differ from the training grid", {},
+            "{shifted}: test grid levels differ from the training grid", {},
         ),
         "constant covariates": (
             "fit-predict --train {constant} --queries {narrow} --kind euclidean --lambda auto --holdout {constant}",
-            "{constant}: training covariates are constant, so --lambda auto has no threshold grid", {},
+            "{constant}: constant covariates have no threshold grid (top eigenvalue 0)", {},
         ),
         # diagnose
         "noisy file of another shape": (
             "diagnose --train {train} --noisy {narrow} --kind euclidean --lambda 0.1 --x=0,0,0",
-            "noisy covariates (30, 2) do not match training (30, 3)", {},
+            "{narrow}: shape mismatch: noisy covariates (30, 2), clean (30, 3)", {},
         ),
         "diagnose on a one-row file": (
             "diagnose --train {one_row} --noisy {one_row} --kind euclidean --lambda 0.1 --x=0,0,0",
-            "{one_row}: training file needs at least two data rows, got 1", {},
+            "{one_row}: covariates must be an n-by-p matrix with n >= 2, got shape (1, 3)", {},
         ),
         "x words": (DIAGNOSE + " --lambda 0.1 --x=a,b,c", "--x must be comma-separated numbers, got 'a,b,c'", {}),
         "x empty entries": (DIAGNOSE + " --lambda 0.1 --x=,", "--x must be comma-separated numbers, got ','", {}),
-        "x too short": (DIAGNOSE + " --lambda 0.1 --x=0,0", "--x has 2 entries but data has 3 covariates", {}),
-        "x nan": (DIAGNOSE + " --lambda 0.1 --x=nan,0,0", "--x must be finite, got 'nan,0,0'", {}),
+        "x too short": (DIAGNOSE + " --lambda 0.1 --x=0,0", "--x: queries must have 3 coordinates, got shape (2,)", {}),
+        "x nan": (DIAGNOSE + " --lambda 0.1 --x=nan,0,0", "--x: queries have non-finite entries", {}),
         "diagnose --lambda nan": (
             DIAGNOSE + " --lambda nan --x=0,0,0", "--lambda must be a nonnegative number, got nan", {},
         ),
@@ -1437,6 +1438,81 @@ class TestInputFaults:
         assert captured.err == f"error: {message.format(**files)}\n"
         assert "Traceback" not in captured.err
         assert captured.out == ""
+        assert not files["out"].exists()
+
+
+def design(path, kind="euclidean"):
+    return regression.Dataset(*read_dataset(path, kind))
+
+
+class TestOneOwnerPerRule:
+    """The library and the command line fail an input rule the same way: the CLI prints the owner's own text.
+
+    Each row holds a library call that breaks the rule, on the files of
+    ``TestInputFaults.files``, then a command that breaks it and the file or
+    flag the command's error line names ahead of that text.
+    """
+
+    AUTO = "fit-predict --train {train} --queries {queries} --kind euclidean --lambda auto --holdout"
+    DIAGNOSE = "diagnose --train {train} --noisy {train} --kind euclidean --lambda 0.1"
+
+    RULES = {
+        "a design has two rows": (
+            lambda f: design(f["one_row"]),
+            "fit-predict --train {one_row} --queries {queries} --kind euclidean", "{one_row}",
+        ),
+        "a design has two rows, through covariate_stats": (
+            lambda f: regression.covariate_stats(read_covariates(f["one_row"])),
+            "diagnose --train {one_row} --noisy {one_row} --kind euclidean --lambda 0.1 --x=0,0,0", "{one_row}",
+        ),
+        "query width, --queries": (
+            lambda f: regression.fit(design(f["train"]), 0.0).predict_many(read_covariates(f["narrow"])),
+            "fit-predict --train {train} --queries {narrow} --kind euclidean", "{narrow}",
+        ),
+        "query width, --x": (
+            lambda f: diagnose(design(f["train"]), design(f["train"]), 0.1, [0.0, 0.0]), DIAGNOSE + " --x=0,0", "--x",
+        ),
+        "query finiteness, --x": (
+            lambda f: diagnose(design(f["train"]), design(f["train"]), 0.1, [np.nan, 0.0, 0.0]),
+            DIAGNOSE + " --x=nan,0,0", "--x",
+        ),
+        "holdout covariate width": (
+            lambda f: regression.tune_lambda(design(f["train"]), design(f["narrow"]), [0.1]),
+            AUTO + " {narrow}", "{narrow}",
+        ),
+        "holdout grid levels": (
+            lambda f: regression.tune_lambda(
+                design(f["wtrain"], "wasserstein"), design(f["fewer"], "wasserstein"), [0.1]
+            ),
+            "fit-predict --train {wtrain} --queries {queries} --kind wasserstein --lambda auto --holdout {fewer}",
+            "{fewer}",
+        ),
+        "holdout response shape": (
+            lambda f: regression.tune_lambda(design(f["train"]), design(f["wide"]), [0.1]),
+            AUTO + " {wide}", "{wide}",
+        ),
+        "a constant design has no grid": (
+            lambda f: regression.lambda_grid(design(f["constant"]).stats.eigenvalues[0], 2, 3),
+            "fit-predict --train {constant} --queries {narrow} --kind euclidean --lambda auto --holdout {constant}",
+            "{constant}",
+        ),
+        "the noisy design has the training shape": (
+            lambda f: diagnose(
+                train := design(f["train"]),
+                regression.Dataset(read_covariates(f["narrow"]), train.responses, train.space), 0.1, [0.0, 0.0, 0.0],
+            ),
+            "diagnose --train {train} --noisy {narrow} --kind euclidean --lambda 0.1 --x=0,0,0", "{narrow}",
+        ),
+    }
+
+    @pytest.mark.parametrize("rule", list(RULES))
+    def test_the_error_line_is_the_library_text(self, tmp_path, capsys, rule):
+        call, argv, source = self.RULES[rule]
+        files = TestInputFaults.files(tmp_path)
+        with pytest.raises(ValueError) as raised:
+            call(files)
+        assert main([word.format(**files) for word in (argv + " --out {out}").split()]) == 2
+        assert capsys.readouterr().err == f"error: {source.format(**files)}: {raised.value}\n"
         assert not files["out"].exists()
 
 

@@ -23,7 +23,9 @@ from frechet_svt.metric_spaces import (
 )
 from oracles import (
     _l1_norms,
+    _l1_subgrad,
     _linf_norms,
+    _linf_subgrad,
     monotone_lsq_partition_oracle,
     one_point_centers,
     nearest_correlation_reference,
@@ -583,6 +585,43 @@ class TestFrechetMeanBlocks:
                 ref = subgradient_reference(pts, w, space.kind)
                 assert np.array_equal(out, ref), space.kind
                 assert np.array_equal(np.signbit(out), np.signbit(ref)), space.kind
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_an_iterate_on_a_point_matches_reference(self, dim):
+        # Integer points with pts[1] = 2 pts[2] - pts[0]: the l2 initializer of
+        # the first column is pts[2] exactly, so one offset is all zeros, and
+        # the second column sits on pts[2] too; the sup norm gives that offset
+        # no sign, as np.sign does.
+        rng = np.random.default_rng(40 + dim)
+        pts = rng.integers(-3, 4, size=(7, dim)).astype(float)
+        pts[1] = 2.0 * pts[2] - pts[0]
+        on_mean, on_point = np.zeros((7, 1)), np.zeros((7, 1))
+        on_mean[:2], on_point[2] = 1.0, 1.0
+        w = 1.5 * rng.standard_normal((7, 3))
+        blocks = [np.hstack([on_mean, on_point]), w - w.mean(axis=0) + 1.0]
+        for space in (L1Space(), LinfSpace()):
+            joint = space.frechet_mean_blocks(pts, blocks)
+            for w, out in zip(blocks, joint):
+                ref = subgradient_reference(pts, w, space.kind)
+                assert np.array_equal(out, ref), space.kind
+                assert np.array_equal(np.signbit(out), np.signbit(ref)), space.kind
+            assert np.array_equal(joint[0][1], pts[2]), space.kind
+
+    @pytest.mark.parametrize("space", [L1Space(), LinfSpace()], ids=lambda s: s.kind)
+    def test_norm_parts_match_the_reference_subgradient(self, space):
+        # (points, dim, queries) offsets with ties, an offset of zeros and a
+        # -0.0; at a zero offset the sup norm's subgradient is zero, as np.sign
+        # makes it. array_equal counts -0.0 equal to +0.0.
+        rng = np.random.default_rng(44)
+        diff = rng.integers(-2, 3, size=(6, 3, 4)).astype(float)
+        diff[2] = 0.0
+        diff[4, :, 1] = [-0.0, 0.0, 1.0]
+        subgrad, hot = np.empty_like(diff), np.empty(diff.shape, dtype=bool) if space._masked else None
+        norms = space._norm_parts(diff.copy(), subgrad, hot)
+        by_query = diff.transpose(2, 0, 1)  # (queries, points, dim), the reference's layout
+        norms_of, subgrad_of = {"l1": (_l1_norms, _l1_subgrad), "linf": (_linf_norms, _linf_subgrad)}[space.kind]
+        assert np.array_equal(norms, norms_of(by_query).T)
+        assert np.array_equal(subgrad.transpose(2, 0, 1), subgrad_of(by_query))
 
     def test_workload_widths_match_reference(self):
         # The cases above stop at a few columns. A linear-norms trial solves

@@ -618,11 +618,15 @@ def test_a_holdout_in_an_equal_space_built_apart_tunes():
 
 # Each check of the estimator's inputs on one bad input, with the message it raises.
 BAD_INPUTS = {
-    "covariate_stats 1-D": (lambda: covariate_stats(np.ones(4)), "covariates must form an n-by-p matrix"),
+    "covariate_stats 1-D": (
+        lambda: covariate_stats(np.ones(4)), "covariates must be an n-by-p matrix with n >= 2, got shape (4,)",
+    ),
     "covariate_stats non-finite": (
         lambda: covariate_stats(np.array([[0.0, 1.0], [np.nan, 2.0]])), "covariates have non-finite entries",
     ),
-    "Dataset 1-D": (lambda: Dataset(np.ones(4), np.ones(4), EUCLID), "covariates must be an n-by-p matrix with n >= 2"),
+    "Dataset 1-D": (
+        lambda: Dataset(np.ones(4), np.ones(4), EUCLID), "covariates must be an n-by-p matrix with n >= 2, got shape (4,)",
+    ),
     "lambda_grid no points": (lambda: lambda_grid(1.0, 3, 10, points=0), "need at least one grid point"),
     "mspe_profile holdout of another width": (
         lambda: mspe_profile(*holdout_sets(EUCLID, EUCLID, dims=(3, 1)), POLICY_GRID),

@@ -143,6 +143,9 @@ CASES = {
         _fails("fit-predict on a short --train row", "fit-predict", "--train", "short.csv", *FIT),
         _fails("fit-predict on a short --queries row", "fit-predict", "--train", "v_train.csv", "--queries", "short.csv", "--kind", "euclidean"),
         _fails("fit-predict on a short --holdout row", "fit-predict", "--train", "v_train.csv", *FIT, "--lambda", "auto", "--holdout", "short.csv"),
+        # A library-owned input rule: the file at fault, then the library's text.
+        _fails("fit-predict on a narrower --holdout", "fit-predict", "--train", "v_train.csv", *FIT, "--lambda", "auto", "--holdout", "narrow.csv"),
+        _fails("diagnose on a --noisy of another shape", "diagnose", "--train", "v_train.csv", "--noisy", "narrow.csv", "--kind", "euclidean", "--lambda", "0.1", "--x=0,0,0"),
         _fails("fit-predict --kind unknown", "fit-predict", "--train", "v_train.csv", "--queries", "queries.csv", "--kind", "unknown"),
         _fails("fit-predict on overflowing responses", "fit-predict", "--train", "huge_train.csv", *FIT, exit=3),
         _fails("simulate --seed -3", "simulate", "--config", "smoke.cfg", "--seed", "-3"),
@@ -191,6 +194,7 @@ def write_inputs(work: Path) -> None:
     for part, xp in xs.items():
         write(f"v_{part}.csv", xp, ["y1", "y2"], xp @ np.outer(beta, [1.0, 0.5]) + 0.1 * rng.standard_normal((len(xp), 2)))
     write("noisy.csv", xs["train"] + 0.01 * rng.standard_normal((40, 3)))
+    write("narrow.csv", xs["train"][:, :2], ["y1", "y2"], np.zeros((40, 2)))  # two covariates, training's responses
 
     levels = (np.arange(21) + 0.5) / 21
     base = np.linspace(-2.0, 2.0, 21)
