@@ -211,12 +211,11 @@ def _cmd_fit_predict(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    from .diagnostics import check_noisy_shape, diagnose
+    from .diagnostics import diagnose
 
     train = _read_design(args.train, args.kind, "training")
     z = read_covariates(args.noisy)
-    _owned(args.noisy, check_noisy_shape, train.covariates, z)
-    noisy = Dataset(z, train.responses, train.space)
+    _owned(args.noisy, train.with_covariates, z)
     try:
         query = np.array([float(v) for v in args.x.split(",")])
     except ValueError as exc:
@@ -238,7 +237,7 @@ def _cmd_diagnose(args) -> int:
             **args.blas,
         },
     )
-    values = diagnose(train, noisy, lam, query)
+    values = diagnose(train, z, lam, query)
     write_diagnostics_csv(out / "diagnostics.csv", values)
     print(f"wrote {out / 'diagnostics.csv'}")
     return EXIT_OK

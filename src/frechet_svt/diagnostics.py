@@ -14,7 +14,8 @@ which components count, exactly as in the fit. The raw covariates are
 read only for the noise norm ``||Z - X||``, one SVD of the noise per
 pair, however many thresholds, which the caller takes and hands to the
 check, so ``diagnose`` takes three SVDs: of X, of Z and of Z - X.
-``diagnose`` and the command line run ``check_noisy_shape``.
+``diagnose`` builds the noisy design with ``Dataset.with_covariates``,
+so both designs hold one response array.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def weight_stability_check(clean: Dataset, noisy: Dataset, lams, x, noise: float
     rowspace_ok = resid <= ROWSPACE_RTOL
     checks = []
     for clean_fit, noisy_fit in fits:
-        kept = [m.stats.centered_svd.values[m.rank - 1] for m in (clean_fit, noisy_fit) if m.rank]
+        kept = [m.data.stats.centered_svd.values[m.rank - 1] for m in (clean_fit, noisy_fit) if m.rank]
         floor = min([np.inf] + [float(s) for s in kept])
         snr = 0.0 if noise == 0.0 or np.isinf(floor) else noise / floor
         weight_lhs = weight_rhs = float("nan")
@@ -93,21 +94,16 @@ def weight_stability_check(clean: Dataset, noisy: Dataset, lams, x, noise: float
     return checks
 
 
-def check_noisy_shape(clean, noisy) -> None:
-    """``ValueError`` unless the noisy covariates have the clean design's shape."""
-    if np.shape(noisy) != np.shape(clean):
-        raise ValueError(f"shape mismatch: noisy covariates {np.shape(noisy)}, clean {np.shape(clean)}")
-
-
 @raising
-def diagnose(clean: Dataset, noisy: Dataset, lam: float, x) -> dict:
-    """The ``diagnostics.csv`` columns for one clean/noisy pair at threshold ``lam`` and query ``x``.
+def diagnose(clean: Dataset, z, lam: float, x) -> dict:
+    """The ``diagnostics.csv`` columns of ``clean`` and its noisy covariates ``z`` at threshold ``lam`` and query ``x``.
 
-    ``noisy`` holds the training responses on the noisy covariates; a
-    pair whose shapes or responses differ raises ``ValueError``. The noise
-    norm is computed once, here; each design is fitted once, and the signal
-    floor, the SNR, the kept ranks, the covariance seminorm and the
-    row-space residual are each computed once, by ``weight_stability_check``.
+    The noisy design is ``clean.with_covariates(z)``, the training
+    responses on ``z``, so a ``z`` of another shape raises ``ValueError``.
+    The noise norm is computed once, here; each design is fitted once, and
+    the signal floor, the SNR, the kept ranks, the covariance seminorm and
+    the row-space residual are each computed once, by
+    ``weight_stability_check``.
     The columns, in order:
 
     - ``b_lambda``: the truncation bias ``sqrt(rank(D)) * ||x - mean||_D``
@@ -144,9 +140,7 @@ def diagnose(clean: Dataset, noisy: Dataset, lam: float, x) -> dict:
       ``sqrt(n) * snr_reciprocal * (2 ||x - mean||_cov + 1)``; ``nan``
       when the query leaves the row space.
     """
-    check_noisy_shape(clean.covariates, noisy.covariates)
-    if not np.array_equal(clean.responses, noisy.responses):
-        raise ValueError("the clean and the noisy designs must hold the same responses")
+    noisy = clean.with_covariates(z)
     noise = spectral_norm(noisy.covariates - clean.covariates)
     (w,) = weight_stability_check(clean, noisy, [lam], x, noise)
     stats, v, space = clean.stats, w.offset, clean.space

@@ -1,11 +1,14 @@
 """Globally weighted Frechet regression with spectral truncation.
 
 ``Dataset`` is the library boundary: it validates the responses with
-the space's ``check_points``. Each other input rule has one check, which
-the command line runs too: ``check_design``, ``check_queries``,
-``check_test_set`` and ``lambda_grid``'s constant-design check. The
-fitted object keeps the rank its threshold keeps. Every prediction, of a
-fit, of the threshold sweep or of a simulation trial, goes through one
+the space's ``check_points``, and ``Dataset.with_covariates`` builds the
+other design of a clean/noisy pair on its response array. Each other
+input rule has one check, which the command line runs too:
+``check_design``, ``check_queries``, ``check_test_set``,
+``with_covariates``' shape check and ``lambda_grid``'s constant-design
+check. A fit holds its ``Dataset`` and the rank its threshold keeps, so
+its SVD factors and its responses are one design's. Every prediction, of
+a fit, of the threshold sweep or of a simulation trial, goes through one
 route, ``rank_predictions``, which reads the design's one thin SVD at
 the asked ranks. Affine spaces stream the weighted response sums along
 the rank path and never form a weight matrix; the l1 and sup-norm
@@ -35,8 +38,8 @@ GRID_POINTS = 40  # a default threshold grid: lambda_grid, a simulate cell, fit-
 def raising(func):
     """``func`` with numpy's overflow, invalid and divide events raising ``FloatingPointError``.
 
-    One ``errstate`` per function (numpy 1.x saves the caller's setting on
-    the instance); never for a generator, whose body runs after the call.
+    One ``errstate`` per function; never for a generator, whose body runs
+    after the call.
     """
     return np.errstate(over="raise", invalid="raise", divide="raise")(func)
 
@@ -236,16 +239,23 @@ class Dataset:
         """``covariate_stats`` of the covariates, computed once on first use."""
         return covariate_stats(self.covariates)
 
+    def with_covariates(self, z) -> Dataset:
+        """The same response array and space on covariates ``z`` of this design's shape.
+
+        The one builder of a design's twin in an errors-in-variables pair,
+        so the one owner of the rule that the two designs have one shape.
+        """
+        if np.shape(z) != self.covariates.shape:
+            raise ValueError(f"shape mismatch: covariates {np.shape(z)}, design {self.covariates.shape}")
+        return Dataset(z, self.responses, self.space)
+
 
 @dataclass(frozen=True)
 class FittedModel:
-    """Frozen training state with the rank its threshold keeps; predictions are lazy solves."""
+    """A design with the rank its threshold keeps; predictions are lazy solves."""
 
-    stats: CovariateStats
-    lam: float
+    data: Dataset
     rank: int
-    responses: np.ndarray
-    space: MetricSpace
 
     def weight_matrix(self, queries) -> np.ndarray:
         """Regression weights 1 + (X_i - mean)' [svt(cov, lam)]^+ (x - mean).
@@ -256,7 +266,8 @@ class FittedModel:
         be negative. ``predict_many`` forms these weights only for the l1
         and sup-norm solvers; affine spaces predict without them.
         """
-        return rank_weights(self.stats, check_queries(self.stats.p, queries), self.rank)
+        stats = self.data.stats
+        return rank_weights(stats, check_queries(stats.p, queries), self.rank)
 
     def predict(self, x) -> np.ndarray:
         """Prediction at one query point."""
@@ -265,19 +276,13 @@ class FittedModel:
     @raising
     def predict_many(self, queries) -> np.ndarray:
         """Predictions at the query rows, through ``rank_predictions`` at the fit's rank."""
-        ask = (self.stats, check_queries(self.stats.p, queries), [self.rank])
-        return next(rank_predictions(self.space, self.responses, [ask]))
+        data = self.data
+        ask = (data.stats, check_queries(data.stats.p, queries), [self.rank])
+        return next(rank_predictions(data.space, data.responses, [ask]))
 
 
 def fit(data: Dataset, lam: float) -> FittedModel:
-    stats = data.stats
-    return FittedModel(
-        stats=stats,
-        lam=float(lam),
-        rank=int(kept_rank(stats, lam)),
-        responses=data.responses,
-        space=data.space,
-    )
+    return FittedModel(data, int(kept_rank(data.stats, lam)))
 
 
 @raising

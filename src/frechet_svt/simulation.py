@@ -324,15 +324,16 @@ def gen_linear_responses(
 
 
 @raising
-def evaluate_trial(train: Dataset, train_noisy: Dataset, test: Dataset, grid, eval_x, profile_grid, index: int = 0):
+def evaluate_trial(noisy: Dataset, clean_x, test: Dataset, grid, eval_x, profile_grid, index: int = 0):
     """Fit REF, EIV, and tuned SVT, reporting training and test errors.
 
-    ``train`` and ``train_noisy`` must hold the same responses, on the
-    clean and on the noisy covariates (the errors-in-variables setting);
-    a mismatch raises ``ValueError``, as an empty tuning ``grid`` does.
-    In-sample errors are measured at the clean training covariates for
-    every estimator (the noisy fits act as predictors of the responses at
-    the true covariates); test covariates are noiseless too. One
+    The clean training set is ``noisy.with_covariates(clean_x)``, the
+    noisy design's responses on the clean covariates (the
+    errors-in-variables setting), so a ``clean_x`` of another shape
+    raises ``ValueError``, as an empty tuning ``grid`` does. In-sample
+    errors are measured at the clean training covariates for every
+    estimator (the noisy fits act as predictors of the responses at the
+    true covariates); test covariates are noiseless too. One
     ``mspe_profile`` sweep covers the sorted tuning grid and
     ``profile_grid``; the tuned threshold is the first minimizer on the
     tuning part, so ties pick the smallest. Every other prediction goes
@@ -344,26 +345,21 @@ def evaluate_trial(train: Dataset, train_noisy: Dataset, test: Dataset, grid, ev
     ``null_error`` is the test error of the unweighted mean of the
     training responses.
     """
-    if not np.array_equal(train.responses, train_noisy.responses):
-        raise ValueError("the clean and the noisy training sets must hold the same responses")
+    train = noisy.with_covariates(clean_x)
     grid = np.sort(np.asarray(grid, dtype=float).ravel())
     if grid.size == 0:
         raise ValueError("empty threshold grid")
-    curves = mspe_profile(train_noisy, test, np.concatenate([grid, profile_grid]))
+    curves = mspe_profile(noisy, test, np.concatenate([grid, profile_grid]))
     tuning = curves[: grid.size]
     lam_hat = float(grid[int(np.argmin(tuning))])
-    models = {
-        "REF": fit(train, 0.0),
-        "EIV": fit(train_noisy, 0.0),
-        "SVT": fit(train_noisy, lam_hat),
-    }
+    models = {"REF": fit(train, 0.0), "EIV": fit(noisy, 0.0), "SVT": fit(noisy, lam_hat)}
     space = train.space
     # Every prediction of the trial, in the order read below: in-sample for
     # each estimator, test for REF and EIV, eval, then the null model.
     asks = [(m, train.covariates) for m in models.values()]
     asks += [(models[est], test.covariates) for est in ("REF", "EIV")]
     asks += [(m, eval_x) for m in models.values()]
-    asks = [(m.stats, check_queries(m.stats.p, q), [m.rank]) for m, q in asks]
+    asks = [(m.data.stats, check_queries(m.data.stats.p, q), [m.rank]) for m, q in asks]
     # Rank 0 weighs every training response by one: the null model.
     asks.append((train.stats, train.stats.mean[None], [0]))
     preds = rank_predictions(space, train.responses, asks)
@@ -487,7 +483,7 @@ def _run_trial(config: SimConfig, b: int):
         y_new = _draw_responses(x_new, config, params, rng)
         noisy = Dataset(z, y, space)
         grid = lambda_grid(noisy.stats.eigenvalues[0], config.p, config.n, config.lambda_points)
-        return evaluate_trial(Dataset(x, y, space), noisy, Dataset(x_new, y_new, space), grid, eval_x, profile_grid, b)
+        return evaluate_trial(noisy, x, Dataset(x_new, y_new, space), grid, eval_x, profile_grid, b)
     except (*SOLVER_ERRORS, MemoryError) as exc:
         raise TrialFailure(config.display_name(), b, exc) from exc
 

@@ -178,7 +178,8 @@ def _weight_stability_margin(rng) -> float:
     x = rng.standard_normal((n, r)) @ rng.standard_normal((r, p))
     noise = 1e-3 * rng.standard_normal((n, p))
     # the weights never read the responses
-    clean, noisy = (Dataset(m, np.zeros(n), EuclideanSpace()) for m in (x, x + noise))
+    clean = Dataset(x, np.zeros(n), EuclideanSpace())
+    noisy = clean.with_covariates(x + noise)
     stats = clean.stats
     coeff = rng.standard_normal(n)
     query = stats.mean + (x - stats.mean).T @ coeff / n  # stays in the design row space

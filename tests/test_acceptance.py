@@ -174,9 +174,9 @@ def test_criterion_5_denoising_and_weight_stability_bounds():
 
             loc = x @ rng.standard_normal(p)
             responses = loc[:, None] + ndtri(space.grid)[None, :]
-        data, noisy = Dataset(x, responses, space), Dataset(z, responses, space)
+        data = Dataset(x, responses, space)
         for lam in lams[:2]:
-            rep = diagnose(data, noisy, lam, query)
+            rep = diagnose(data, z, lam, query)
             if not rep["precondition_ok"]:
                 continue
             if rep["observed_lhs"] > rep["bound_rhs"] + 1e-12:

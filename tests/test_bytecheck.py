@@ -78,12 +78,16 @@ def test_stderr_that_differs_only_by_the_out_path_passes(runs):
     ]
 
 
-def fake_calls(monkeypatch, calls, broken=None):
-    """Replace each CLI call by one that writes its case's files and exits as expected; ``broken`` exits 1."""
+def fake_calls(monkeypatch, calls, broken=None, leaky=None):
+    """Replace each CLI call by one that writes its case's files and exits as expected; ``broken`` exits 1.
+
+    As the CLI does, a call that exits 2 makes no ``--out``, but ``leaky`` makes it and then exits 2.
+    """
 
     def run_case(case, src, work, out, side):
         calls.append(case.name)
-        out.mkdir(parents=True)
+        if case.exit != 2 or case.name == leaky:
+            out.mkdir(parents=True)
         for name in case.files:
             (out / name).write_text("".join(f"{line}\n" for line in case.manifest_has))
         code = 1 if case.name == broken else case.exit
@@ -109,6 +113,14 @@ def test_a_call_that_misses_its_exit_code_fails_the_run_naming_its_case(tmp_path
     assert len(failed) == 1 and broken in failed[0]
     expected = bytecheck.CASES[broken].exit
     assert f"{broken}: exit code 1, expected {expected} ({broken})" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("leaky", ["diagnose on a --noisy of another shape", "simulate, FRECHET_SVT_THREADS=abc"])
+def test_an_exit_2_call_that_makes_its_out_fails_the_run_naming_its_case(tmp_path, monkeypatch, capsys, leaky):
+    fake_calls(monkeypatch, [], leaky=leaky)
+    failed = bytecheck.check_within(tmp_path / "inputs", tmp_path / "outs")
+    assert failed == [leaky]
+    assert f"{leaky}: an exit-2 case made its --out ({leaky})" in capsys.readouterr().out
 
 
 def test_the_tool_imports_only_the_standard_library_and_numpy():

@@ -1322,7 +1322,7 @@ class TestInputFaults:
         # diagnose
         "noisy file of another shape": (
             "diagnose --train {train} --noisy {narrow} --kind euclidean --lambda 0.1 --x=0,0,0",
-            "{narrow}: shape mismatch: noisy covariates (30, 2), clean (30, 3)", {},
+            "{narrow}: shape mismatch: covariates (30, 2), design (30, 3)", {},
         ),
         "diagnose on a one-row file": (
             "diagnose --train {one_row} --noisy {one_row} --kind euclidean --lambda 0.1 --x=0,0,0",
@@ -1470,10 +1470,11 @@ class TestOneOwnerPerRule:
             "fit-predict --train {train} --queries {narrow} --kind euclidean", "{narrow}",
         ),
         "query width, --x": (
-            lambda f: diagnose(design(f["train"]), design(f["train"]), 0.1, [0.0, 0.0]), DIAGNOSE + " --x=0,0", "--x",
+            lambda f: diagnose(design(f["train"]), read_covariates(f["train"]), 0.1, [0.0, 0.0]),
+            DIAGNOSE + " --x=0,0", "--x",
         ),
         "query finiteness, --x": (
-            lambda f: diagnose(design(f["train"]), design(f["train"]), 0.1, [np.nan, 0.0, 0.0]),
+            lambda f: diagnose(design(f["train"]), read_covariates(f["train"]), 0.1, [np.nan, 0.0, 0.0]),
             DIAGNOSE + " --x=nan,0,0", "--x",
         ),
         "holdout covariate width": (
@@ -1497,10 +1498,7 @@ class TestOneOwnerPerRule:
             "{constant}",
         ),
         "the noisy design has the training shape": (
-            lambda f: diagnose(
-                train := design(f["train"]),
-                regression.Dataset(read_covariates(f["narrow"]), train.responses, train.space), 0.1, [0.0, 0.0, 0.0],
-            ),
+            lambda f: design(f["train"]).with_covariates(read_covariates(f["narrow"])),
             "diagnose --train {train} --noisy {narrow} --kind euclidean --lambda 0.1 --x=0,0,0", "{narrow}",
         ),
     }

@@ -172,10 +172,10 @@ class TestFit:
         data, _, _ = linear_euclidean_dataset(rng, n=40, p=4)
         model = fit(data, 0.0)
         q = rng.standard_normal((3, 4))
-        centered = data.covariates - model.stats.mean
+        centered = data.covariates - model.data.stats.mean
         inv = np.linalg.inv(brute_covariance(data.covariates))
         assert model.rank == 4
-        assert np.allclose(model.weight_matrix(q), 1.0 + centered @ inv @ (q - model.stats.mean).T, atol=1e-8)
+        assert np.allclose(model.weight_matrix(q), 1.0 + centered @ inv @ (q - model.data.stats.mean).T, atol=1e-8)
 
     def test_threshold_above_top_gives_zero(self):
         rng = np.random.default_rng(26)
@@ -216,7 +216,7 @@ class TestPredict:
         data, _, _ = linear_euclidean_dataset(rng, noise=1.0)
         model = fit(data, 0.4)
         assert np.isclose(
-            float(model.predict(model.stats.mean)), float(np.mean(data.responses)), atol=1e-10
+            float(model.predict(model.data.stats.mean)), float(np.mean(data.responses)), atol=1e-10
         )
 
     def test_exact_linear_recovery(self):
@@ -233,7 +233,7 @@ class TestPredict:
         rng = np.random.default_rng(30)
         data, _, _ = linear_euclidean_dataset(rng, n=60, p=3, noise=0.5)
         model = fit(data, 0.0)
-        stats = model.stats
+        stats = model.data.stats
         inv = np.linalg.inv(brute_covariance(data.covariates))
         q = rng.standard_normal(3)
         w = 1.0 + (data.covariates - stats.mean) @ inv @ (q - stats.mean)
@@ -522,8 +522,8 @@ def policy_data(scale):
     rng = np.random.default_rng(0)
     x = rng.standard_normal((20, 3))
     y = scale * np.where(rng.random(20) < 0.5, -1.0, 1.0)
-    noisy = x + 0.01 * rng.standard_normal(x.shape)
-    return Dataset(x, y, EUCLID), Dataset(noisy, y, EUCLID), rng.standard_normal((2, 3))
+    clean = Dataset(x, y, EUCLID)
+    return clean, clean.with_covariates(x + 0.01 * rng.standard_normal(x.shape)), rng.standard_normal((2, 3))
 
 
 POLICY_GRID = np.linspace(0.01, 0.5, 40)
@@ -535,8 +535,10 @@ POLICY_ENTRIES = {
     "mspe_profile": lambda clean, noisy, q: mspe_profile(noisy, clean, POLICY_GRID),
     "tune_lambda": lambda clean, noisy, q: tune_lambda(noisy, clean, POLICY_GRID),
     "lambda_grid": lambda clean, noisy, q: lambda_grid(0.1 * np.abs(clean.responses).max(), 50, 6, 3),
-    "evaluate_trial": lambda clean, noisy, q: evaluate_trial(clean, noisy, clean, POLICY_GRID, q, POLICY_GRID),
-    "diagnose": lambda clean, noisy, q: diagnose(clean, noisy, 0.0, q[0]),
+    "evaluate_trial": lambda clean, noisy, q: evaluate_trial(
+        noisy, clean.covariates, clean, POLICY_GRID, q, POLICY_GRID
+    ),
+    "diagnose": lambda clean, noisy, q: diagnose(clean, noisy.covariates, 0.0, q[0]),
 }
 
 
@@ -581,7 +583,9 @@ class TestRaisePolicy:
 GRID_ENTRIES = {
     "mspe_profile": lambda clean, noisy, q, grid: mspe_profile(noisy, clean, grid),
     "tune_lambda": lambda clean, noisy, q, grid: tune_lambda(noisy, clean, grid),
-    "evaluate_trial": lambda clean, noisy, q, grid: evaluate_trial(clean, noisy, clean, grid, q, POLICY_GRID),
+    "evaluate_trial": lambda clean, noisy, q, grid: evaluate_trial(
+        noisy, clean.covariates, clean, grid, q, POLICY_GRID
+    ),
 }
 
 
@@ -606,7 +610,7 @@ def holdout_sets(train_space, test_space, dims=(2, 2)):
 
 
 def trial_on(train, test):
-    return evaluate_trial(train, train, test, POLICY_GRID, np.zeros((1, 3)), POLICY_GRID)
+    return evaluate_trial(train, train.covariates, test, POLICY_GRID, np.zeros((1, 3)), POLICY_GRID)
 
 
 def test_a_holdout_in_an_equal_space_built_apart_tunes():
@@ -614,6 +618,20 @@ def test_a_holdout_in_an_equal_space_built_apart_tunes():
     same = Dataset(test.covariates, test.responses, train.space)
     assert tune_lambda(train, test, POLICY_GRID) == tune_lambda(train, same, POLICY_GRID)
     np.testing.assert_array_equal(mspe_profile(train, test, POLICY_GRID), mspe_profile(train, same, POLICY_GRID))
+
+
+# Each entry that takes one design of a clean/noisy pair and the other design's covariates.
+PAIR_ENTRIES = {
+    "Dataset.with_covariates": lambda design, other, q: design.with_covariates(other),
+    "diagnose": lambda design, other, q: diagnose(design, other, 0.0, q[0]),
+    "evaluate_trial": lambda design, other, q: evaluate_trial(design, other, design, POLICY_GRID, q, POLICY_GRID),
+}
+
+
+def on_a_pair(entry, cut):
+    """``entry`` on policy_data's 20x3 design and the ``cut`` of its covariates as the other design's."""
+    design, _, q = policy_data(1.0)
+    return PAIR_ENTRIES[entry](design, design.covariates[cut], q)
 
 
 # Each check of the estimator's inputs on one bad input, with the message it raises.
@@ -642,6 +660,13 @@ BAD_INPUTS = {
         lambda: trial_on(*holdout_sets(EUCLID, L1Space())),
         "test responses are l1, training responses euclidean",
     ),
+    **{
+        f"{entry} noisy design of another {what}": (
+            lambda entry=entry, cut=cut: on_a_pair(entry, cut), f"shape mismatch: covariates {shape}, design (20, 3)",
+        )
+        for entry in PAIR_ENTRIES
+        for what, cut, shape in [("width", np.s_[:, :2], (20, 2)), ("row count", np.s_[:19], (19, 3))]
+    },
 }
 
 

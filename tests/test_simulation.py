@@ -271,7 +271,8 @@ def make_trial_data(cfg, rng, sigma_eps=None):
     z = add_noise(x, cfg.noise_kind, cfg.sigma_eps if sigma_eps is None else sigma_eps, rng)
     xt = gen_covariates(cfg.test_size, cfg.p, spectrum, rng)
     qt, _ = gen_wasserstein_responses(xt, cfg, rng)
-    return Dataset(x, q, space), Dataset(z, q, space), Dataset(xt, qt, space)
+    train = Dataset(x, q, space)
+    return train, train.with_covariates(z), Dataset(xt, qt, space)
 
 
 class TestEvaluateTrial:
@@ -279,7 +280,7 @@ class TestEvaluateTrial:
         cfg = small_config()
         train, noisy, test = make_trial_data(cfg, np.random.default_rng(14), sigma_eps=0.0)
         grid = lambda_grid(covariate_stats(train.covariates).eigenvalues[0], cfg.p, cfg.n, 8)
-        report, _, _ = evaluate_trial(train, noisy, test, grid, test.covariates[:3], grid)
+        report, _, _ = evaluate_trial(noisy, train.covariates, test, grid, test.covariates[:3], grid)
         assert report.mse["REF"] == report.mse["EIV"]
         assert report.mspe["REF"] == report.mspe["EIV"]
 
@@ -293,7 +294,7 @@ class TestEvaluateTrial:
         qt = np.tile(np.linspace(0, 1, cfg.quantile_points), (10, 1))
         train = Dataset(x, q, space)
         test = Dataset(xt, qt, space)
-        report, eval_preds, (curve, null_error) = evaluate_trial(train, train, test, [0.5], xt[:3], np.array([0.5]))
+        report, eval_preds, (curve, null_error) = evaluate_trial(train, x, test, [0.5], xt[:3], np.array([0.5]))
         for est in ("REF", "EIV", "SVT"):
             assert report.mse[est] <= 1e-16
             assert report.mspe[est] <= 1e-16
@@ -310,7 +311,7 @@ class TestEvaluateTrial:
         rng = np.random.default_rng(16)
         train, noisy, test = make_trial_data(cfg, rng)
         grid = [0.3]
-        report, _, _ = evaluate_trial(train, noisy, test, grid, test.covariates[:2], np.array(grid))
+        report, _, _ = evaluate_trial(noisy, train.covariates, test, grid, test.covariates[:2], np.array(grid))
 
         space = train.space
         w_levels = space.cell_weights
@@ -339,7 +340,7 @@ class TestEvaluateTrial:
         cfg = small_config()
         train, noisy, test = make_trial_data(cfg, np.random.default_rng(17))
         grid = lambda_grid(covariate_stats(noisy.covariates).eigenvalues[0], cfg.p, cfg.n, 5)
-        report, _, _ = evaluate_trial(train, noisy, test, grid, test.covariates[:3], grid)
+        report, _, _ = evaluate_trial(noisy, train.covariates, test, grid, test.covariates[:3], grid)
         assert all(v >= 0 for v in report.mse.values())
         assert all(v >= 0 for v in report.mspe.values())
 
@@ -355,7 +356,8 @@ def _linear_trial(space, seed):
     xt = gen_covariates(7, p, spectrum, rng)
     yt = gen_linear_responses(xt, dim, rng, intercept=intercept, slopes=slopes)[0]
     eval_x = gen_covariates(3, p, spectrum, rng)
-    return Dataset(x, y, space), Dataset(z, y, space), Dataset(xt, yt, space), eval_x
+    train = Dataset(x, y, space)
+    return train, train.with_covariates(z), Dataset(xt, yt, space), eval_x
 
 
 def _count_block_calls(monkeypatch, cls) -> list:
@@ -381,7 +383,7 @@ class TestJointSolveRoute:
         grid = lambda_grid(noisy.stats.eigenvalues[0], 6, train.n, 5)
         profile_grid = lambda_grid(2.0, 6, train.n, 4)
         calls = _count_block_calls(monkeypatch, type(space))
-        report, eval_preds, profile_part = evaluate_trial(train, noisy, test, grid, eval_x, profile_grid, 5)
+        report, eval_preds, profile_part = evaluate_trial(noisy, train.covariates, test, grid, eval_x, profile_grid, 5)
         assert len(calls) == 2  # the sweep, then every other prediction of the trial
         monkeypatch.undo()
 
@@ -405,21 +407,11 @@ class TestJointSolveRoute:
 
     def test_equal_response_copies_share_one_solve(self, monkeypatch):
         train, noisy, test, eval_x = _linear_trial(L1Space(), 4)
-        clean = Dataset(train.covariates, train.responses.copy(), train.space)
         calls = _count_block_calls(monkeypatch, L1Space)
-        profile_grid = np.array([0.2, 0.4])
-        shared = evaluate_trial(train, noisy, test, [0.1, 0.5], eval_x, profile_grid)[0]
-        split = evaluate_trial(clean, noisy, test, [0.1, 0.5], eval_x, profile_grid)[0]
-        assert split == shared
-        # The sweep, then one solve for REF, EIV and SVT together, whichever array holds the
-        # responses: 3 in-sample blocks, 2 test blocks, 3 eval blocks and the null model's.
-        assert calls == [calls[0], 9, calls[0], 9]
-
-    def test_different_responses_raise(self):
-        train, noisy, test, eval_x = _linear_trial(L1Space(), 4)
-        clean = Dataset(train.covariates, train.responses + 1.0, train.space)
-        with pytest.raises(ValueError, match="same responses"):
-            evaluate_trial(clean, noisy, test, [0.1, 0.5], eval_x, np.array([0.2]))
+        evaluate_trial(noisy, train.covariates, test, [0.1, 0.5], eval_x, np.array([0.2, 0.4]))
+        # The sweep, then one solve for REF, EIV and SVT together: 3 in-sample
+        # blocks, 2 test blocks, 3 eval blocks and the null model's.
+        assert calls == [calls[0], 9]
 
 
 class TestTuneLambda:
@@ -696,13 +688,12 @@ class TestRunCell:
         xt = gen_covariates(cfg.test_size, cfg.p, spectrum, rng, basis)
         qt, _ = gen_wasserstein_responses(xt, cfg, rng)
         space = WassersteinSpace.with_uniform_grid(cfg.quantile_points)
-        train = Dataset(x, q, space)
         noisy = Dataset(z, q, space)
         test = Dataset(xt, qt, space)
         floor = covariate_stats(z).eigenvalues
         floor = floor[floor > 1e-10][-1]
         grid = np.concatenate([[floor * 0.5], lambda_grid(floor * 50, cfg.p, cfg.n, 6)])
-        report, _, _ = evaluate_trial(train, noisy, test, grid, eval_x, grid)
+        report, _, _ = evaluate_trial(noisy, x, test, grid, eval_x, grid)
         assert report.mspe["SVT"] <= report.mspe["EIV"] + 1e-12
 
     def test_two_workers_match_one(self, fold_inputs):

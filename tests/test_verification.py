@@ -97,7 +97,7 @@ def test_weight_margin_equals_the_margin_from_diagnose_columns(monkeypatch):
             assert len(checks) == len(lams)
             expected = 0.0
             for lam, check in zip(lams, checks):
-                cols = diagnostics.diagnose(clean, noisy, lam, query)
+                cols = diagnostics.diagnose(clean, noisy.covariates, lam, query)
                 assert noise.hex() == cols["noise_norm"].hex()
                 # The margin is clipped at 0, so compare each threshold's columns too.
                 assert check.rowspace_ok == cols["rowspace_ok"]

@@ -336,6 +336,8 @@ def expect(case: Case, run: Run) -> list:
         problems.append(f"{case.name}: exit code {run.code}, expected {case.exit} ({run.side}) {tail}".rstrip())
     if "Traceback" in run.stderr:
         problems.append(f"{case.name}: a traceback on stderr ({run.side})")
+    if case.exit == 2 and run.out.exists():
+        problems.append(f"{case.name}: an exit-2 case made its --out ({run.side})")
     problems += [f"{case.name}: {f} not written ({run.side})" for f in case.files if not (run.out / f).is_file()]
     manifest = (run.out / "manifest.txt").read_text().splitlines() if (run.out / "manifest.txt").is_file() else []
     problems += [f"{case.name}: manifest lacks {line!r} ({run.side})" for line in case.manifest_has if line not in manifest]
